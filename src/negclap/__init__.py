@@ -38,6 +38,7 @@ from .model import (
     ModelDims,
     ModelParams,
     ParamGrads,
+    RowGrad,
     encode_audio,
     encode_text,
     init_params,

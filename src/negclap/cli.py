@@ -113,7 +113,7 @@ def _cmd_augment(args) -> int:
     dataset = corpus.load_dataset(args.data)
     vocab = dataset.vocabulary
     rng = seeded_rng(args.seed, 0)
-    config = negation.AugmentationConfig(p_aug=args.p_aug, rng_seed=args.seed)
+    config = negation.AugmentationConfig(p_aug=args.p_aug)
     skipped = 0
     new_pairs = []
     for clip, caption in dataset.pairs:

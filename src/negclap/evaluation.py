@@ -90,10 +90,14 @@ def _match_ranks(sim: np.ndarray, direction: str) -> np.ndarray:
         M = S.T
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    order = np.argsort(-M, axis=1, kind="stable")
-    positions = np.argsort(order, axis=1, kind="stable")
+    if not np.isfinite(M).all():
+        raise ValueError("similarity matrix holds non-finite values")
+    # rank = 1 + (strictly greater scores) + (equal scores at a lower index)
     n = S.shape[0]
-    return positions[np.arange(n), np.arange(n)] + 1
+    match = np.diag(M)[:, None]
+    lower = np.arange(n)[None, :] < np.arange(n)[:, None]
+    ties_before = np.count_nonzero((M == match) & lower, axis=1)
+    return 1 + np.count_nonzero(M > match, axis=1) + ties_before
 
 
 def recall_at_k(sim: np.ndarray, k: int, direction: str) -> float:

@@ -94,10 +94,30 @@ class ModelParams:
         )
 
 
+TABLE_FIELDS = ("unigram_table", "bigram_table")
+DENSE_FIELDS = tuple(n for n in PARAM_FIELDS if n not in TABLE_FIELDS)
+
+
+@dataclass
+class RowGrad:
+    """Gradient of a hash table that is zero outside ``rows``.
+
+    ``rows`` holds the sorted, unique table rows a batch's tokens hit (a row
+    whose summed value is exactly zero still counts as hit); ``values`` is
+    the ``(len(rows), d_t)`` gradient on those rows.
+    """
+    rows: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def empty(cls, d_t: int) -> "RowGrad":
+        return cls(np.empty(0, np.intp), np.empty((0, d_t)))
+
+
 @dataclass
 class ParamGrads:
-    unigram_table: np.ndarray
-    bigram_table: np.ndarray
+    unigram_table: RowGrad
+    bigram_table: RowGrad
     text_hidden_w: np.ndarray
     text_hidden_b: np.ndarray
     text_out_w: np.ndarray
@@ -107,23 +127,17 @@ class ParamGrads:
     audio_out_w: np.ndarray
     audio_out_b: np.ndarray
     log_temperature: np.ndarray  # shape ()
-    # rows of the tables that carry nonzero gradient, when the producer knows
-    # them; lets optimizers touch only those rows
-    touched_unigram_rows: np.ndarray | None = None
-    touched_bigram_rows: np.ndarray | None = None
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "ParamGrads":
-        return cls(*(np.zeros_like(getattr(params, n)) for n in PARAM_FIELDS))
+        """Zero dense gradients and tables with no rows hit."""
+        d_t = params.dims.d_t
+        dense = {n: np.zeros_like(getattr(params, n)) for n in DENSE_FIELDS}
+        return cls(unigram_table=RowGrad.empty(d_t), bigram_table=RowGrad.empty(d_t), **dense)
 
     def items(self):
         for name in PARAM_FIELDS:
             yield name, getattr(self, name)
-
-    def add_scaled(self, other: "ParamGrads", scale: float = 1.0) -> "ParamGrads":
-        for name in PARAM_FIELDS:
-            getattr(self, name).__iadd__(scale * getattr(other, name))
-        return self
 
 
 def init_params(dims: ModelDims, seed: int, init_scale: float = DEFAULT_INIT_SCALE,
@@ -226,6 +240,35 @@ def _mlp_backward(x, h, o, norms, emb, d_emb, w1, w2):
     return d_x, d_w1, d_b1, d_w2, d_b2
 
 
+def _scatter_rows(index: np.ndarray, values: np.ndarray, n_out: int) -> np.ndarray:
+    """``out[index[i]] += values[i]`` for i in order, into zeros of shape (n_out, d).
+
+    Byte-identical to ``np.add.at``: ``np.bincount`` adds its weights one
+    after another in index order, so every output entry sees the same
+    additions in the same order.  Builds a flat int index of
+    ``values.size`` entries.
+    """
+    d = values.shape[1]
+    flat = (index[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=n_out * d).reshape(n_out, d)
+
+
+# captions pooled per bincount in the forward, so the flat scatter index
+# stays small at evaluation batch sizes
+_POOL_CHUNK = 64
+
+
+def _pool_rows(table: np.ndarray, bucket_ids: np.ndarray, owner: np.ndarray,
+               n_out: int) -> np.ndarray:
+    """Sum of ``table[bucket_ids[i]]`` into row ``owner[i]``; ``owner`` is nondecreasing."""
+    x = np.empty((n_out, table.shape[1]))
+    bounds = np.searchsorted(owner, np.arange(0, n_out + _POOL_CHUNK, _POOL_CHUNK))
+    for r0, a, b in zip(range(0, n_out, _POOL_CHUNK), bounds, bounds[1:]):
+        r1 = min(r0 + _POOL_CHUNK, n_out)
+        x[r0:r1] = _scatter_rows(owner[a:b] - r0, table[bucket_ids[a:b]], r1 - r0)
+    return x
+
+
 def encode_token_lists(params: ModelParams,
                        token_lists: Sequence[Sequence[str]]) -> tuple[np.ndarray, TextBatchCache]:
     """Batch text forward over pre-tokenized inputs."""
@@ -256,12 +299,10 @@ def encode_token_lists(params: ModelParams,
     bi_rows_a = np.asarray(bi_rows, dtype=np.intp)
     bi_idx_a = np.asarray(bi_idx, dtype=np.intp)
 
-    x = np.zeros((B, dims.d_t))
-    np.add.at(x, uni_rows_a, params.unigram_table[uni_idx_a])
+    x = _pool_rows(params.unigram_table, uni_idx_a, uni_rows_a, B)
     x /= uni_counts[:, None]
     if len(bi_idx_a):
-        x_bi = np.zeros((B, dims.d_t))
-        np.add.at(x_bi, bi_rows_a, params.bigram_table[bi_idx_a])
+        x_bi = _pool_rows(params.bigram_table, bi_idx_a, bi_rows_a, B)
         safe = np.maximum(bi_counts, 1.0)
         x += x_bi / safe[:, None]
 
@@ -311,6 +352,12 @@ def similarity(e1: np.ndarray, e2: np.ndarray) -> float:
     return float(np.dot(e1, e2))
 
 
+def _row_grad(ids: list[np.ndarray], values: list[np.ndarray]) -> RowGrad:
+    """Per-token table gradients of several passes, summed per row in pass then token order."""
+    rows, inverse = np.unique(np.concatenate(ids), return_inverse=True)
+    return RowGrad(rows, _scatter_rows(inverse, np.concatenate(values), len(rows)))
+
+
 def model_backward(
     params: ModelParams,
     text_passes: Sequence[tuple[TextBatchCache, np.ndarray]] = (),
@@ -320,12 +367,12 @@ def model_backward(
 
     Each pass pairs a forward cache with the upstream gradient on its
     embeddings.  Accumulation order is fixed (text passes in order, then
-    audio passes) for bitwise reproducibility.  log_temperature is not on
-    any encoder path and keeps a zero entry here.
+    audio passes) for bitwise reproducibility.  The tables' gradients come
+    back row-sparse (see ``RowGrad``).  log_temperature is not on any
+    encoder path and keeps a zero entry here.
     """
     grads = ParamGrads.zeros_like(params)
-    uni_rows_seen: list[np.ndarray] = []
-    bi_rows_seen: list[np.ndarray] = []
+    uni_ids, uni_vals, bi_ids, bi_vals = [], [], [], []
     for cache, d_emb in text_passes:
         d_emb = np.asarray(d_emb, dtype=np.float64)
         if d_emb.shape != cache.emb.shape:
@@ -339,19 +386,14 @@ def model_backward(
         grads.text_out_w += d_w2
         grads.text_out_b += d_b2
         d_uni = d_x / cache.uni_counts[:, None]
-        np.add.at(grads.unigram_table, cache.uni_idx, d_uni[cache.uni_rows])
-        uni_rows_seen.append(cache.uni_idx)
-        if len(cache.bi_idx):
-            safe = np.maximum(cache.bi_counts, 1.0)
-            d_bi = d_x / safe[:, None]
-            np.add.at(grads.bigram_table, cache.bi_idx, d_bi[cache.bi_rows])
-            bi_rows_seen.append(cache.bi_idx)
-    grads.touched_unigram_rows = (
-        np.unique(np.concatenate(uni_rows_seen)) if uni_rows_seen else np.empty(0, np.intp)
-    )
-    grads.touched_bigram_rows = (
-        np.unique(np.concatenate(bi_rows_seen)) if bi_rows_seen else np.empty(0, np.intp)
-    )
+        uni_ids.append(cache.uni_idx)
+        uni_vals.append(d_uni[cache.uni_rows])
+        d_bi = d_x / np.maximum(cache.bi_counts, 1.0)[:, None]
+        bi_ids.append(cache.bi_idx)
+        bi_vals.append(d_bi[cache.bi_rows])
+    if text_passes:
+        grads.unigram_table = _row_grad(uni_ids, uni_vals)
+        grads.bigram_table = _row_grad(bi_ids, bi_vals)
     for cache, d_emb in audio_passes:
         d_emb = np.asarray(d_emb, dtype=np.float64)
         if d_emb.shape != cache.emb.shape:
@@ -369,9 +411,12 @@ def model_backward(
 
 def sgd_update(params: ModelParams, grads: ParamGrads, learning_rate: float) -> None:
     """In-place SGD step; log_temperature is clamped to [ln 1, ln 100] afterwards."""
-    for name in PARAM_FIELDS:
+    for name in DENSE_FIELDS:
         arr = getattr(params, name)
         arr -= learning_rate * getattr(grads, name)
+    for name in TABLE_FIELDS:
+        grad = getattr(grads, name)
+        getattr(params, name)[grad.rows] -= learning_rate * grad.values
     np.clip(params.log_temperature, LOG_TEMPERATURE_MIN, LOG_TEMPERATURE_MAX,
             out=params.log_temperature)
 

@@ -29,7 +29,6 @@ class AugmentationExhausted(RuntimeError):
 @dataclass(frozen=True)
 class AugmentationConfig:
     p_aug: float
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.p_aug <= 1.0:

@@ -96,9 +96,14 @@ def clap_loss(audio_embs: np.ndarray, text_embs: np.ndarray,
 
 def dissimilarity_loss(caption_embs: np.ndarray,
                        negated_embs: np.ndarray) -> tuple[float, DissGrads]:
-    """1 + mean cosine between paired caption / fully-negated embeddings."""
+    """1 + mean cosine between paired caption / fully-negated embeddings.
+
+    The value is clipped to [0, 2], the range it spans for unit-norm
+    inputs; the gradients are those of the unclipped expression.
+    """
     B = _check_batch(caption_embs, negated_embs)
-    loss = 1.0 + float(np.sum(caption_embs * negated_embs)) / B
+    # rounding can land antipodal or identical unit pairs an ulp outside [0, 2]
+    loss = min(max(1.0 + float(np.sum(caption_embs * negated_embs)) / B, 0.0), 2.0)
     return loss, DissGrads(d_anchor=negated_embs / B, d_negated=caption_embs / B)
 
 

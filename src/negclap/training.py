@@ -40,7 +40,8 @@ from .evaluation import (
 from .model import (
     LOG_TEMPERATURE_MAX,
     LOG_TEMPERATURE_MIN,
-    PARAM_FIELDS,
+    DENSE_FIELDS,
+    TABLE_FIELDS,
     ModelDims,
     ModelParams,
     ParamGrads,
@@ -129,10 +130,6 @@ class EpochCounters:
     exhausted: int = 0
 
 
-_TABLE_FIELDS = ("unigram_table", "bigram_table")
-_DENSE_FIELDS = tuple(n for n in PARAM_FIELDS if n not in _TABLE_FIELDS)
-
-
 @dataclass
 class AdamOptimizer:
     """Adam for the dense parameters, momentum-free Adam for the hash tables.
@@ -163,18 +160,18 @@ class AdamOptimizer:
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamOptimizer":
         return cls(
-            m={n: np.zeros_like(getattr(params, n)) for n in _DENSE_FIELDS},
-            v={n: np.zeros_like(getattr(params, n)) for n in _DENSE_FIELDS},
-            table_v={n: np.zeros_like(getattr(params, n)) for n in _TABLE_FIELDS},
+            m={n: np.zeros_like(getattr(params, n)) for n in DENSE_FIELDS},
+            v={n: np.zeros_like(getattr(params, n)) for n in DENSE_FIELDS},
+            table_v={n: np.zeros_like(getattr(params, n)) for n in TABLE_FIELDS},
             table_last={n: np.zeros(getattr(params, n).shape[0], dtype=np.int64)
-                        for n in _TABLE_FIELDS},
+                        for n in TABLE_FIELDS},
         )
 
     def step(self, params: ModelParams, grads: ParamGrads, learning_rate: float) -> None:
         self.t += 1
         m_corr = 1.0 - self.beta1 ** self.t
         v_corr = 1.0 - self.beta2 ** self.t
-        for name in _DENSE_FIELDS:
+        for name in DENSE_FIELDS:
             g = getattr(grads, name)
             m = self.m[name]
             v = self.v[name]
@@ -184,22 +181,15 @@ class AdamOptimizer:
             v += (1.0 - self.beta2) * g * g
             p = getattr(params, name)
             p -= learning_rate * (m / m_corr) / (np.sqrt(v / v_corr) + self.eps)
-        for name, rows_attr in (("unigram_table", "touched_unigram_rows"),
-                                ("bigram_table", "touched_bigram_rows")):
+        for name in TABLE_FIELDS:
+            rows, g = getattr(grads, name).rows, getattr(grads, name).values
             table = getattr(params, name)
-            rows = getattr(grads, rows_attr)
-            if rows is None:
-                rows = np.arange(table.shape[0])
-            if not len(rows):
-                continue
-            g = getattr(grads, name)[rows]
-            v = self.table_v[name]
             decay = self.beta2 ** (self.t - self.table_last[name][rows])
-            v[rows] *= decay[:, None]
-            v[rows] += (1.0 - self.beta2) * g * g
+            v = self.table_v[name][rows] * decay[:, None]
+            v += (1.0 - self.beta2) * g * g
+            self.table_v[name][rows] = v
             self.table_last[name][rows] = self.t
-            v_hat = v[rows] / v_corr
-            table[rows] -= learning_rate * g / (np.sqrt(v_hat) + self.eps)
+            table[rows] -= learning_rate * g / (np.sqrt(v / v_corr) + self.eps)
         np.clip(params.log_temperature, LOG_TEMPERATURE_MIN, LOG_TEMPERATURE_MAX,
                 out=params.log_temperature)
 
@@ -238,7 +228,7 @@ def train_step(
         raise ValueError("empty batch")
     clips = [clip for clip, _ in batch]
     originals = [caption for _, caption in batch]
-    aug_config = AugmentationConfig(p_aug=config.p_aug, rng_seed=config.seed)
+    aug_config = AugmentationConfig(p_aug=config.p_aug)
 
     clap_captions: list[Caption] = []
     for caption in originals:

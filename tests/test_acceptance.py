@@ -5,7 +5,8 @@ Trained-model criteria (5-9) evaluate the default desk-scale setup: a
 seeds 1, 2, 3, with a criterion passing when at least two replicates satisfy
 it (criteria marked all-seeds must hold for every seed).  The module is
 self-contained but heavy: the session fixtures train twelve models and run
-two sweeps, about ten minutes on one core.
+two sweeps, about ten minutes on one core.  The criteria that train models
+carry the ``slow`` marker, so ``pytest -m "not slow"`` skips them.
 
 Criterion 7 expects the dissimilarity-term model to collapse to
 presence-based behavior (acc_half_fully <= 0.65).  This encoder instead
@@ -264,6 +265,7 @@ def test_criterion_04_protocol_oracles():
            "recall/mAP/triplet equal brute force on 50 random instances up to 8x8")
 
 
+@pytest.mark.slow
 def test_criterion_05_baseline_randomness(desk_lab):
     values = [desk_lab[s]["runs"]["baseline"]["triplet"].acc_orig_fully for s in SEEDS]
     flags = [0.35 <= v <= 0.65 for v in values]
@@ -271,6 +273,7 @@ def test_criterion_05_baseline_randomness(desk_lab):
            "acc_orig_fully per seed: " + ", ".join(f"{v:.3f}" for v in values))
 
 
+@pytest.mark.slow
 def test_criterion_06_loss_term_separation(desk_lab):
     flags, details = [], []
     for seed in SEEDS:
@@ -289,6 +292,7 @@ def test_criterion_06_loss_term_separation(desk_lab):
     report(6, "loss-term separation", two_of_three(flags), "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_07_loss_term_triplet_behavior(desk_lab):
     flags, details = [], []
     for seed in SEEDS:
@@ -298,6 +302,7 @@ def test_criterion_07_loss_term_triplet_behavior(desk_lab):
     report(7, "loss-term triplet behavior", two_of_three(flags), "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_08_combo_synergy(desk_lab):
     flags, details = [], []
     for seed in SEEDS:
@@ -307,6 +312,7 @@ def test_criterion_08_combo_synergy(desk_lab):
     report(8, "combo synergy", two_of_three(flags), "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_09_retrieval_ordering(desk_lab):
     flags, details = [], []
     for seed in SEEDS:
@@ -321,6 +327,7 @@ def test_criterion_09_retrieval_ordering(desk_lab):
     report(9, "retrieval ordering", two_of_three(flags), "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_10_determinism(tmp_path_factory):
     import hashlib
 
@@ -356,6 +363,7 @@ def test_criterion_10_determinism(tmp_path_factory):
            "checkpoints, logs, and reports byte-identical across reruns, all seeds")
 
 
+@pytest.mark.slow
 def test_criterion_11_runtime_budget(desk_lab, tmp_path_factory):
     root = tmp_path_factory.mktemp("runtime")
     data = root / "data"

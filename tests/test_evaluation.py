@@ -128,6 +128,20 @@ class TestRecallAtK:
         assert recall_at_k(S, 1, AUDIO_TO_TEXT) == pytest.approx(1 / 3)
 
     @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, (7, 7), elements=st.sampled_from([-1.0, 0.0, 0.5, 1.0])))
+    def test_heavy_ties_match_brute_force_exactly(self, S):
+        for direction in (AUDIO_TO_TEXT, TEXT_TO_AUDIO):
+            for k in range(1, 8):
+                assert recall_at_k(S, k, direction) == brute_recall(S, k, direction)
+            assert map_at_10(S, direction) == brute_map10(S, direction)
+
+    def test_non_finite_similarity_rejected(self):
+        S = np.eye(3)
+        S[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            recall_at_k(S, 1, AUDIO_TO_TEXT)
+
+    @settings(max_examples=60, deadline=None)
     @given(arrays(np.float64, (5, 5), elements=st.floats(-1, 1)))
     def test_monotone_in_k_and_matches_brute_force(self, S):
         for direction in (AUDIO_TO_TEXT, TEXT_TO_AUDIO):

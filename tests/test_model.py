@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fd_utils import finite_difference_grads, max_gradient_violation
+from fd_utils import dense_table, finite_difference_grads, max_gradient_violation
 from negclap.corpus import Caption, TagMention, Word, generate_dataset, generate_vocabulary, render_caption
 from negclap.model import (
+    DENSE_FIELDS,
+    TABLE_FIELDS,
     ModelDims,
     ParamGrads,
+    RowGrad,
     encode_audio,
     encode_audio_batch,
     encode_text,
@@ -14,6 +19,7 @@ from negclap.model import (
     hash_bucket,
     init_params,
     load_checkpoint,
+    _mlp_backward,
     model_backward,
     save_checkpoint,
     sgd_update,
@@ -118,8 +124,8 @@ class TestModelBackward:
         a_emb, a_cache = encode_audio_batch(small_params, feats)
         grads = model_backward(small_params, [(t_cache, np.zeros_like(t_emb))],
                                [(a_cache, np.zeros_like(a_emb))])
-        for _, arr in grads.items():
-            assert not np.any(arr)
+        for name, grad in grads.items():
+            assert not np.any(grad.values if name in TABLE_FIELDS else grad)
 
     def test_shape_mismatch_rejected(self, small_params):
         vocab = generate_vocabulary(8, 4)
@@ -146,6 +152,70 @@ class TestModelBackward:
         assert worst <= 1.0, f"gradient mismatch at {where} (ratio {worst:.2f})"
 
 
+# a few words over eight buckets, so bucket ids repeat within and across captions
+SCATTER_WORDS = ("a", "rock", "tune", "with", "not", "guitar", "no", "bass", "and", "drums")
+SCATTER_DIMS = ModelDims(d_t=5, d_h=6, d=4, d_a=3, hash_buckets=8)
+token_lists = st.lists(st.sampled_from(SCATTER_WORDS), min_size=1, max_size=5)
+text_pass = st.lists(token_lists, min_size=1, max_size=4)
+
+
+def pooled_with_add_at(params, cache):
+    """The text forward's pooled input, summed with np.add.at (reference)."""
+    B = len(cache.uni_counts)
+    x = np.zeros((B, params.dims.d_t))
+    np.add.at(x, cache.uni_rows, params.unigram_table[cache.uni_idx])
+    x /= cache.uni_counts[:, None]
+    if len(cache.bi_idx):
+        x_bi = np.zeros((B, params.dims.d_t))
+        np.add.at(x_bi, cache.bi_rows, params.bigram_table[cache.bi_idx])
+        x += x_bi / np.maximum(cache.bi_counts, 1.0)[:, None]
+    return x
+
+
+def table_grads_with_add_at(params, passes):
+    """Dense table gradients of text passes, accumulated with np.add.at (reference)."""
+    dense = {n: np.zeros_like(getattr(params, n)) for n in TABLE_FIELDS}
+    for cache, d_emb in passes:
+        d_x = _mlp_backward(cache.x, cache.h, cache.o, cache.norms, cache.emb, d_emb,
+                            params.text_hidden_w, params.text_out_w)[0]
+        np.add.at(dense["unigram_table"], cache.uni_idx,
+                  (d_x / cache.uni_counts[:, None])[cache.uni_rows])
+        np.add.at(dense["bigram_table"], cache.bi_idx,
+                  (d_x / np.maximum(cache.bi_counts, 1.0)[:, None])[cache.bi_rows])
+    return dense
+
+
+class TestRowSparseScatter:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(text_pass, min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+    @example([[["rock"], ["tune"]], [["a", "rock", "a", "rock"]]], 0)  # bigram-free pass
+    def test_matches_add_at_bit_for_bit(self, passes_tokens, seed):
+        params = init_params(SCATTER_DIMS, seed=3)
+        rng = np.random.default_rng(seed)
+        passes = []
+        for lists in passes_tokens:
+            emb, cache = encode_token_lists(params, lists)
+            assert cache.x.tobytes() == pooled_with_add_at(params, cache).tobytes()
+            passes.append((cache, rng.normal(size=emb.shape)))
+        grads = model_backward(params, passes)
+        for name, dense in table_grads_with_add_at(params, passes).items():
+            grad = getattr(grads, name)
+            ids = np.concatenate([getattr(c, "uni_idx" if name == "unigram_table"
+                                          else "bi_idx") for c, _ in passes])
+            np.testing.assert_array_equal(grad.rows, np.unique(ids))
+            assert grad.values.shape == (len(grad.rows), SCATTER_DIMS.d_t)
+            assert dense_table(grad, SCATTER_DIMS.hash_buckets).tobytes() == dense.tobytes()
+
+    def test_forward_pooling_across_chunks_matches_add_at(self):
+        params = init_params(ModelDims(d_t=8, d_h=8, d=4, d_a=3, hash_buckets=16), seed=4)
+        rng = np.random.default_rng(9)
+        lists = [[SCATTER_WORDS[i] for i in rng.integers(0, len(SCATTER_WORDS),
+                                                         size=rng.integers(1, 9))]
+                 for _ in range(200)]
+        _, cache = encode_token_lists(params, lists)
+        assert cache.x.tobytes() == pooled_with_add_at(params, cache).tobytes()
+
+
 class TestSgdUpdate:
     def test_step_and_temperature_clamp(self, small_params):
         params = small_params.copy()
@@ -155,6 +225,23 @@ class TestSgdUpdate:
         sgd_update(params, grads, learning_rate=0.5)
         np.testing.assert_allclose(params.text_out_b, small_params.text_out_b - 0.5)
         assert float(params.log_temperature) == pytest.approx(np.log(100.0))
+
+    def test_row_sparse_step_equals_dense_step(self, small_params):
+        params = small_params.copy()
+        rng = np.random.default_rng(2)
+        grads = ParamGrads.zeros_like(params)
+        for name in DENSE_FIELDS:
+            getattr(grads, name)[...] = rng.normal(size=getattr(params, name).shape)
+        n_rows, d_t = params.unigram_table.shape
+        grads.unigram_table = RowGrad(np.array([0, 5, 17]), rng.normal(size=(3, d_t)))
+        grads.bigram_table = RowGrad.empty(d_t)
+        expected = {name: getattr(small_params, name)
+                    - 0.3 * (dense_table(grad, n_rows) if name in TABLE_FIELDS else grad)
+                    for name, grad in grads.items()}
+        sgd_update(params, grads, learning_rate=0.3)
+        for name, arr in params.items():
+            if name != "log_temperature":
+                assert arr.tobytes() == expected[name].tobytes(), name
 
 
 class TestCheckpoint:

@@ -132,6 +132,14 @@ class TestDissimilarityLoss:
         loss, _ = dissimilarity_loss(unit_rows(raw_a), unit_rows(raw_b))
         assert 0.0 <= loss <= 2.0 + 1e-9
 
+    def test_antipodal_rows_of_ones_clip_to_zero(self):
+        # unclipped, rounding gives 1 + (-1) = -2.2e-16 here
+        a = unit_rows(np.ones((3, 5)))
+        loss, grads = dissimilarity_loss(a, -a)
+        assert loss == 0.0
+        np.testing.assert_array_equal(grads.d_anchor, -a / 3)
+        np.testing.assert_array_equal(grads.d_negated, a / 3)
+
     def test_gradients(self):
         a = random_units(5, 4, 1)
         b = random_units(5, 4, 2)

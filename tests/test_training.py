@@ -142,25 +142,26 @@ class TestTrainStep:
 
 class TestAdamOptimizer:
     def test_sparse_table_update_matches_dense_computation(self):
-        from negclap.model import ParamGrads, init_params
+        from negclap.model import DENSE_FIELDS, ParamGrads, RowGrad, init_params
 
         params_sparse = init_params(TINY_DIMS, 7)
         params_dense = params_sparse.copy()
         opt_sparse = AdamOptimizer.for_params(params_sparse)
         opt_dense = AdamOptimizer.for_params(params_dense)
         rng = np.random.default_rng(0)
+        every_row = np.arange(TINY_DIMS.hash_buckets)
         for step in range(12):
             grads = ParamGrads.zeros_like(params_sparse)
-            rows = rng.choice(TINY_DIMS.hash_buckets, size=5, replace=False)
-            grads.unigram_table[rows] = rng.normal(size=(5, TINY_DIMS.d_t))
+            rows = np.sort(rng.choice(TINY_DIMS.hash_buckets, size=5, replace=False))
+            grads.unigram_table = RowGrad(rows, rng.normal(size=(5, TINY_DIMS.d_t)))
             grads.text_out_b += rng.normal(size=TINY_DIMS.d)
+            # dense path: give every row to the optimizer, zeros outside the batch's rows
+            dense_uni = np.zeros((TINY_DIMS.hash_buckets, TINY_DIMS.d_t))
+            dense_uni[rows] = grads.unigram_table.values
             dense_grads = ParamGrads(
-                **{name: arr.copy() for name, arr in grads.items()})
-            grads.touched_unigram_rows = np.sort(rows)
-            grads.touched_bigram_rows = np.empty(0, np.intp)
-            # dense path: give every row to the optimizer
-            dense_grads.touched_unigram_rows = np.arange(TINY_DIMS.hash_buckets)
-            dense_grads.touched_bigram_rows = np.arange(TINY_DIMS.hash_buckets)
+                **{name: getattr(grads, name).copy() for name in DENSE_FIELDS},
+                unigram_table=RowGrad(every_row, dense_uni),
+                bigram_table=RowGrad(every_row, np.zeros_like(dense_uni)))
             opt_sparse.step(params_sparse, grads, 0.01)
             opt_dense.step(params_dense, dense_grads, 0.01)
         for name, arr in params_sparse.items():
