@@ -25,10 +25,12 @@ from .corpus import (
     split_dataset,
 )
 from .evaluation import (
+    EvalEmbeddings,
     EvalVariantSet,
     RetrievalReport,
     TripletReport,
     build_eval_variants,
+    embed_eval_variants,
     map_at_10,
     recall_at_k,
     retrieval_protocol,
@@ -39,6 +41,7 @@ from .model import (
     ModelParams,
     ParamGrads,
     RowGrad,
+    TokenIndex,
     encode_audio,
     encode_text,
     init_params,

@@ -161,8 +161,9 @@ def _cmd_eval(args) -> int:
         )
     params = model.load_checkpoint(args.checkpoint)
     variants = evaluation.build_eval_variants(test_ds, args.eval_seed)
-    retrieval = evaluation.retrieval_protocol(params, test_ds, variants, args.k_retrieval)
-    triplet = evaluation.triplet_protocol(params, test_ds, variants)
+    embeddings = evaluation.embed_eval_variants(params, test_ds, variants)
+    retrieval = evaluation.retrieval_protocol(embeddings, args.k_retrieval)
+    triplet = evaluation.triplet_protocol(embeddings)
     args.out.mkdir(parents=True, exist_ok=True)
     rows = evaluation.report_rows(args.label, float("nan"), float("nan"), retrieval, triplet)
     for row in rows:  # single-checkpoint eval has no training hyperparameters

@@ -244,16 +244,17 @@ def split_dataset(dataset: Dataset, n_test: int) -> tuple[Dataset, Dataset]:
     return train, test
 
 
+def render_token(tok: CaptionToken, vocab: Vocabulary) -> str:
+    """One caption token as text: a word verbatim, a mention as ``[negator] surface``."""
+    if isinstance(tok, Word):
+        return tok.text
+    surface = vocab.surface(tok.tag_id)
+    return f"{tok.negator} {surface}" if tok.negated else surface
+
+
 def render_caption(caption: Caption, vocab: Vocabulary) -> str:
-    """Flat lowercase string: words verbatim, mentions as ``[negator] surface``."""
-    parts: list[str] = []
-    for tok in caption.tokens:
-        if isinstance(tok, Word):
-            parts.append(tok.text)
-        else:
-            surface = vocab.surface(tok.tag_id)
-            parts.append(f"{tok.negator} {surface}" if tok.negated else surface)
-    return " ".join(parts)
+    """Flat lowercase string: the rendered tokens joined by single spaces."""
+    return " ".join([render_token(tok, vocab) for tok in caption.tokens])
 
 
 def validate_dataset(dataset: Dataset, check_tag_consistency: bool = True) -> None:

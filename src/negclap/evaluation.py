@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Caption, Dataset
-from .model import ModelParams, encode_audio_batch, encode_text_batch
+from .model import ModelParams, TokenIndex, encode_audio_batch, encode_token_lists
 from .negation import fully_negate, half_negate
 from .seeding import seeded_rng
 
@@ -45,6 +45,22 @@ class EvalVariantSet:
 
     def __len__(self) -> int:
         return len(self.original)
+
+
+@dataclass(frozen=True)
+class EvalEmbeddings:
+    """One model's unit embeddings of the test audio and of each caption variant.
+
+    Row i of every matrix belongs to test pair i.  Both protocols read the
+    same embeddings, so each is computed once per (model, variant set).
+    """
+    audio: np.ndarray
+    original: np.ndarray
+    half: np.ndarray
+    fully: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.audio)
 
 
 @dataclass
@@ -116,27 +132,32 @@ def map_at_10(sim: np.ndarray, direction: str) -> float:
     return float(ap.mean())
 
 
-def _similarity_matrix(params: ModelParams, dataset: Dataset,
-                       captions: Sequence[Caption]) -> np.ndarray:
-    feats = np.stack([clip.features for clip, _ in dataset.pairs])
-    audio_embs, _ = encode_audio_batch(params, feats)
-    text_embs, _ = encode_text_batch(params, captions, dataset.vocabulary)
-    return audio_embs @ text_embs.T
+def embed_eval_variants(params: ModelParams, test_dataset: Dataset,
+                        variants: EvalVariantSet) -> EvalEmbeddings:
+    """Embed the test audio once and each caption variant once.
 
-
-def retrieval_protocol(params: ModelParams, test_dataset: Dataset,
-                       variants: EvalVariantSet, k_retrieval: int = 10) -> RetrievalReport:
-    """R@K for each caption variant in both directions; mAP@10 on originals."""
-    n = len(test_dataset.pairs)
-    if len(variants) != n:
+    The variants' bucket ids come from one token index, so each distinct
+    token string of the test captions is hashed once.
+    """
+    if len(variants) != len(test_dataset.pairs):
         raise ValueError("variant set does not match the test set")
+    feats = np.stack([clip.features for clip, _ in test_dataset.pairs])
+    audio, _ = encode_audio_batch(params, feats)
+    index = TokenIndex(test_dataset.vocabulary, params.dims.hash_buckets)
+    text = {v: encode_token_lists(params, index.ids(getattr(variants, v)))[0]
+            for v in VARIANTS}
+    return EvalEmbeddings(audio=audio, **text)
+
+
+def retrieval_protocol(embeddings: EvalEmbeddings, k_retrieval: int = 10) -> RetrievalReport:
+    """R@K for each caption variant in both directions; mAP@10 on originals."""
+    n = len(embeddings)
     if not 1 <= k_retrieval <= n:
         raise ValueError(f"k_retrieval must lie in [1, {n}], got {k_retrieval}")
     r_at_k: dict[tuple[str, str], float] = {}
     map10: dict[str, float] = {}
     for variant in VARIANTS:
-        captions = getattr(variants, variant if variant != "original" else "original")
-        sim = _similarity_matrix(params, test_dataset, captions)
+        sim = embeddings.audio @ getattr(embeddings, variant).T
         for direction in DIRECTIONS:
             r_at_k[(variant, direction)] = recall_at_k(sim, k_retrieval, direction)
             if variant == "original":
@@ -144,25 +165,14 @@ def retrieval_protocol(params: ModelParams, test_dataset: Dataset,
     return RetrievalReport(k=k_retrieval, r_at_k=r_at_k, map_at_10=map10)
 
 
-def triplet_protocol(params: ModelParams, test_dataset: Dataset,
-                     variants: EvalVariantSet) -> TripletReport:
+def triplet_protocol(embeddings: EvalEmbeddings) -> TripletReport:
     """Pairwise accuracies for (original, fully), (original, half), (half, fully).
 
     For each pair the first-named caption is the more relevant one; a
     comparison succeeds when the audio is strictly more similar to it.
     Exact ties are failures and are tallied in tie_count.
     """
-    n = len(test_dataset.pairs)
-    if len(variants) != n:
-        raise ValueError("variant set does not match the test set")
-    feats = np.stack([clip.features for clip, _ in test_dataset.pairs])
-    audio, _ = encode_audio_batch(params, feats)
-    vocab = test_dataset.vocabulary
-    emb = {}
-    for variant in VARIANTS:
-        embs, _ = encode_text_batch(params, getattr(variants, variant), vocab)
-        emb[variant] = embs
-    sims = {v: np.sum(audio * emb[v], axis=1) for v in VARIANTS}
+    sims = {v: np.sum(embeddings.audio * getattr(embeddings, v), axis=1) for v in VARIANTS}
 
     ties = 0
     accs = {}

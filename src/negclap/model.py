@@ -18,12 +18,13 @@ import math
 import string
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import AudioClip, Caption, Vocabulary, render_caption
+from .corpus import AudioClip, Caption, Vocabulary, Word, render_token
 from .seeding import seeded_rng
 
 CHECKPOINT_FORMAT = "negclap-ckpt"
@@ -194,6 +195,84 @@ def hash_bucket(token: str, n_buckets: int) -> int:
     return h % n_buckets
 
 
+# One caption's tokens as bucket ids: the unigram bucket of every token in
+# order, then the bigram bucket of every adjacent pair in order.
+CaptionIds = tuple[list[int], list[int]]
+
+
+class TokenIndex:
+    """Bucket ids of captions over one vocabulary, each token string hashed once.
+
+    Each distinct token string gets a small id and its unigram bucket when
+    first seen; a bigram bucket is hashed when its pair of token ids first
+    occurs.  Each structured caption token (a ``Word``, or a ``TagMention``
+    with its negator) is rendered and tokenized once, and a caption's token
+    ids are its structured tokens' ids in order.  That equals tokenizing the
+    rendered caption because ``render_caption`` joins the rendered tokens
+    with a space and ``tokenize`` splits on whitespace.
+
+    An index belongs to the one train or eval call that builds it.
+    """
+
+    def __init__(self, vocab: Vocabulary, n_buckets: int):
+        self.vocab = vocab
+        self.n_buckets = n_buckets
+        self._token_ids: dict[str, int] = {}
+        self._strings: list[str] = []
+        self._unigram: list[int] = []
+        self._bigram: dict[tuple[int, int], int] = {}
+        self._pieces: dict[object, tuple[int, ...]] = {}
+        self._kept: dict[int, tuple[Caption, CaptionIds]] = {}
+
+    def _token_id(self, token: str) -> int:
+        tid = self._token_ids.get(token)
+        if tid is None:
+            tid = self._token_ids[token] = len(self._strings)
+            self._strings.append(token)
+            self._unigram.append(hash_bucket(token, self.n_buckets))
+        return tid
+
+    def _pair_bucket(self, pair: tuple[int, int]) -> int:
+        a, b = pair
+        bucket = self._bigram[pair] = hash_bucket(
+            self._strings[a] + " " + self._strings[b], self.n_buckets)
+        return bucket
+
+    def _caption_ids(self, caption: Caption) -> CaptionIds:
+        kept = self._kept.get(id(caption))
+        if kept is not None:
+            return kept[1]
+        pieces = self._pieces
+        ids: list[int] = []
+        for tok in caption.tokens:
+            key = tok.text if isinstance(tok, Word) else (tok.tag_id, tok.negator)
+            piece = pieces.get(key)
+            if piece is None:
+                rendered = render_token(tok, self.vocab)
+                piece = pieces[key] = tuple(map(self._token_id, tokenize(rendered)))
+            ids += piece
+        pairs = list(zip(ids, ids[1:]))
+        bi = list(map(self._bigram.get, pairs))
+        if None in bi:
+            bi = [self._pair_bucket(p) if b is None else b for p, b in zip(pairs, bi)]
+        return list(map(self._unigram.__getitem__, ids)), bi
+
+    def ids(self, captions: Iterable[Caption]) -> list[CaptionIds]:
+        """Each caption's bucket ids, in order."""
+        return [self._caption_ids(c) for c in captions]
+
+    def keep(self, captions: Iterable[Caption]) -> None:
+        """Compute and hold the ids of these caption objects for later lookups.
+
+        For captions encoded again and again within the call, such as a
+        dataset's originals.  Entries are keyed by object ``id``; the index
+        holds a reference to each caption, so no other object can take over
+        that ``id`` while the index lives.
+        """
+        for c in captions:
+            self._kept[id(c)] = (c, self._caption_ids(c))
+
+
 @dataclass
 class TextBatchCache:
     uni_rows: np.ndarray
@@ -261,6 +340,8 @@ _POOL_CHUNK = 64
 def _pool_rows(table: np.ndarray, bucket_ids: np.ndarray, owner: np.ndarray,
                n_out: int) -> np.ndarray:
     """Sum of ``table[bucket_ids[i]]`` into row ``owner[i]``; ``owner`` is nondecreasing."""
+    if n_out <= _POOL_CHUNK:  # a single chunk: the training batches
+        return _scatter_rows(owner, table[bucket_ids], n_out)
     x = np.empty((n_out, table.shape[1]))
     bounds = np.searchsorted(owner, np.arange(0, n_out + _POOL_CHUNK, _POOL_CHUNK))
     for r0, a, b in zip(range(0, n_out, _POOL_CHUNK), bounds, bounds[1:]):
@@ -270,54 +351,44 @@ def _pool_rows(table: np.ndarray, bucket_ids: np.ndarray, owner: np.ndarray,
 
 
 def encode_token_lists(params: ModelParams,
-                       token_lists: Sequence[Sequence[str]]) -> tuple[np.ndarray, TextBatchCache]:
-    """Batch text forward over pre-tokenized inputs."""
-    dims = params.dims
+                       token_lists: Sequence[CaptionIds]) -> tuple[np.ndarray, TextBatchCache]:
+    """Batch text forward over tokenized captions given as bucket ids (see ``TokenIndex``)."""
     B = len(token_lists)
     if B == 0:
         raise ValueError("empty batch")
-    uni_rows: list[int] = []
-    uni_idx: list[int] = []
-    bi_rows: list[int] = []
-    bi_idx: list[int] = []
-    uni_counts = np.zeros(B)
-    bi_counts = np.zeros(B)
-    for r, toks in enumerate(token_lists):
-        if not toks:
-            raise ValueError(f"item {r}: caption renders to no tokens")
-        for t in toks:
-            uni_idx.append(hash_bucket(t, dims.hash_buckets))
-            uni_rows.append(r)
-        uni_counts[r] = len(toks)
-        for t1, t2 in zip(toks, toks[1:]):
-            bi_idx.append(hash_bucket(t1 + " " + t2, dims.hash_buckets))
-            bi_rows.append(r)
-        bi_counts[r] = max(len(toks) - 1, 0)
+    uni_lens = [len(uni) for uni, _ in token_lists]
+    bi_lens = [len(bi) for _, bi in token_lists]
+    if 0 in uni_lens:
+        raise ValueError(f"item {uni_lens.index(0)}: caption renders to no tokens")
+    uni_counts = np.array(uni_lens, dtype=np.float64)
+    bi_counts = np.array(bi_lens, dtype=np.float64)
+    rows = np.arange(B)
+    uni_rows = np.repeat(rows, uni_lens)
+    uni_idx = np.fromiter(chain.from_iterable(uni for uni, _ in token_lists), np.intp,
+                          len(uni_rows))
+    bi_rows = np.repeat(rows, bi_lens)
+    bi_idx = np.fromiter(chain.from_iterable(bi for _, bi in token_lists), np.intp,
+                         len(bi_rows))
 
-    uni_rows_a = np.asarray(uni_rows, dtype=np.intp)
-    uni_idx_a = np.asarray(uni_idx, dtype=np.intp)
-    bi_rows_a = np.asarray(bi_rows, dtype=np.intp)
-    bi_idx_a = np.asarray(bi_idx, dtype=np.intp)
-
-    x = _pool_rows(params.unigram_table, uni_idx_a, uni_rows_a, B)
+    x = _pool_rows(params.unigram_table, uni_idx, uni_rows, B)
     x /= uni_counts[:, None]
-    if len(bi_idx_a):
-        x_bi = _pool_rows(params.bigram_table, bi_idx_a, bi_rows_a, B)
+    if len(bi_idx):
+        x_bi = _pool_rows(params.bigram_table, bi_idx, bi_rows, B)
         safe = np.maximum(bi_counts, 1.0)
         x += x_bi / safe[:, None]
 
     h, o, norms, emb = _mlp_forward(
         x, params.text_hidden_w, params.text_hidden_b, params.text_out_w, params.text_out_b
     )
-    cache = TextBatchCache(uni_rows_a, uni_idx_a, uni_counts, bi_rows_a, bi_idx_a,
+    cache = TextBatchCache(uni_rows, uni_idx, uni_counts, bi_rows, bi_idx,
                            bi_counts, x, h, o, norms, emb)
     return emb, cache
 
 
 def encode_text_batch(params: ModelParams, captions: Sequence[Caption],
                       vocab: Vocabulary) -> tuple[np.ndarray, TextBatchCache]:
-    token_lists = [tokenize(render_caption(c, vocab)) for c in captions]
-    return encode_token_lists(params, token_lists)
+    index = TokenIndex(vocab, params.dims.hash_buckets)
+    return encode_token_lists(params, index.ids(captions))
 
 
 def encode_audio_batch(params: ModelParams,
@@ -441,35 +512,87 @@ def save_checkpoint(path: str | Path, params: ModelParams) -> None:
             f.write(b"\n")
 
 
+def param_shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter array, by field name."""
+    table = (dims.hash_buckets, dims.d_t)
+    return {
+        "unigram_table": table,
+        "bigram_table": table,
+        "text_hidden_w": (dims.d_t, dims.d_h),
+        "text_hidden_b": (dims.d_h,),
+        "text_out_w": (dims.d_h, dims.d),
+        "text_out_b": (dims.d,),
+        "audio_hidden_w": (dims.d_a, dims.d_h),
+        "audio_hidden_b": (dims.d_h,),
+        "audio_out_w": (dims.d_h, dims.d),
+        "audio_out_b": (dims.d,),
+        "log_temperature": (),
+    }
+
+
 def load_checkpoint(path: str | Path) -> ModelParams:
-    with open(path, "rb") as f:
-        header_line = f.readline()
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    The header must hold positive integer dims and hash_buckets and an
+    integer seed; every block must have the shape those dims give and hold
+    finite values.  Any violation raises ``ValueError`` naming the file and
+    the field.
+    """
+    def bad(message: str) -> ValueError:
+        return ValueError(f"checkpoint {path}: {message}")
+
+    def json_object(line: bytes, what: str) -> dict:
         try:
-            header = json.loads(header_line.decode("utf-8"))
+            obj = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise ValueError(f"bad checkpoint header: {e}") from e
+            raise bad(f"bad {what}: {e}") from e
+        if not isinstance(obj, dict):
+            raise bad(f"bad {what}: expected a JSON object")
+        return obj
+
+    def header_int(obj: dict, key: str, field: str, minimum: int | None = 1) -> int:
+        if key not in obj:
+            raise bad(f"header lacks {field!r}")
+        value = obj[key]
+        if type(value) is not int or (minimum is not None and value < minimum):
+            kind = "an integer" if minimum is None else f"an integer >= {minimum}"
+            raise bad(f"header field {field!r} must be {kind}, got {value!r}")
+        return value
+
+    with open(path, "rb") as f:
+        header = json_object(f.readline(), "header")
         if header.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"bad checkpoint format marker {header.get('format')!r}")
+            raise bad(f"bad format marker {header.get('format')!r}")
         if header.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header.get('version')!r}")
-        d = header["dims"]
-        dims = ModelDims(d_t=int(d["d_t"]), d_h=int(d["d_h"]), d=int(d["d"]),
-                         d_a=int(d["d_a"]), hash_buckets=int(header["hash_buckets"]))
+            raise bad(f"unsupported version {header.get('version')!r}")
+        d = header.get("dims")
+        if not isinstance(d, dict):
+            raise bad("header field 'dims' must be an object" if "dims" in header
+                      else "header lacks 'dims'")
+        dims = ModelDims(**{k: header_int(d, k, f"dims.{k}") for k in ("d_t", "d_h", "d", "d_a")},
+                         hash_buckets=header_int(header, "hash_buckets", "hash_buckets"))
+        seed = header_int(header, "seed", "seed", minimum=None)
         arrays = {}
-        for name in PARAM_FIELDS:
+        for name, shape in param_shapes(dims).items():
             meta_line = f.readline()
             if not meta_line:
-                raise ValueError(f"truncated checkpoint: missing block for {name!r}")
-            meta = json.loads(meta_line.decode("utf-8"))
+                raise bad(f"truncated: missing block for {name!r}")
+            meta = json_object(meta_line, f"meta line for {name!r}")
             if meta.get("name") != name:
-                raise ValueError(f"expected block {name!r}, found {meta.get('name')!r}")
-            shape = tuple(int(s) for s in meta["shape"])
-            count = int(np.prod(shape)) if shape else 1
+                raise bad(f"expected block {name!r}, found {meta.get('name')!r}")
+            if meta.get("shape") != list(shape):
+                raise bad(f"{name!r} has shape {meta.get('shape')!r}, "
+                          f"but the header dims give {list(shape)}")
+            count = math.prod(shape)
             payload = f.read(count * 4)
             if len(payload) != count * 4:
-                raise ValueError(f"truncated payload for {name!r}")
+                raise bad(f"truncated payload for {name!r}")
             arr = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(shape)
+            if not np.isfinite(arr).all():
+                raise bad(f"{name!r} holds non-finite values")
             arrays[name] = arr
             if f.read(1) != b"\n":
-                raise ValueError(f"missing block terminator after {name!r}")
-    return ModelParams(dims=dims, seed=int(header["seed"]), **arrays)
+                raise bad(f"missing block terminator after {name!r}")
+        if f.read(1):
+            raise bad("trailing bytes after the last block")
+    return ModelParams(dims=dims, seed=seed, **arrays)

@@ -21,7 +21,15 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Caption, Vocabulary
-from .model import ModelParams, ParamGrads, encode_audio_batch, encode_text_batch, model_backward
+from .model import (
+    ModelParams,
+    ParamGrads,
+    TokenIndex,
+    encode_audio_batch,
+    encode_text_batch,
+    encode_token_lists,
+    model_backward,
+)
 
 
 @dataclass(frozen=True)
@@ -156,8 +164,9 @@ def dissimilarity_through_encoders(
     """Dissimilarity loss of paired caption batches, with full parameter gradients."""
     if len(anchor_captions) != len(negated_captions):
         raise ValueError("anchor and negated caption batches must have equal length")
-    anchor_embs, anchor_cache = encode_text_batch(params, anchor_captions, vocab)
-    negated_embs, negated_cache = encode_text_batch(params, negated_captions, vocab)
+    index = TokenIndex(vocab, params.dims.hash_buckets)
+    anchor_embs, anchor_cache = encode_token_lists(params, index.ids(anchor_captions))
+    negated_embs, negated_cache = encode_token_lists(params, index.ids(negated_captions))
     loss, g = dissimilarity_loss(anchor_embs, negated_embs)
     if not with_grads:
         return loss, None
@@ -173,27 +182,32 @@ def total_loss_through_encoders(
     anchor_captions: Sequence[Caption] | None = None,
     negated_captions: Sequence[Caption] | None = None,
     with_grads: bool = True,
+    index: TokenIndex | None = None,
 ) -> tuple[LossBreakdown, ParamGrads | None]:
     """Full-chain loss for one training step.
 
     The contrastive term sees (audio, clap_captions); the dissimilarity term,
     when k > 0 and pairs are given, sees (anchor_captions, negated_captions),
     which lets the contrastive side use augmented captions while the
-    repulsion anchors stay on the originals.
+    repulsion anchors stay on the originals.  Captions become bucket ids
+    through ``index`` (a ``TokenIndex`` over ``vocab``), or through a fresh
+    index when none is given.
     """
     if k < 0:
         raise ValueError(f"term weight k must be nonnegative, got {k}")
     if (anchor_captions is None) != (negated_captions is None):
         raise ValueError("anchor and negated captions must be supplied together")
+    if index is None:
+        index = TokenIndex(vocab, params.dims.hash_buckets)
     audio_embs, audio_cache = encode_audio_batch(params, audio_features)
-    text_embs, text_cache = encode_text_batch(params, clap_captions, vocab)
+    text_embs, text_cache = encode_token_lists(params, index.ids(clap_captions))
     anchor_embs = negated_embs = None
     anchor_cache = negated_cache = None
     if anchor_captions is not None:
         if len(anchor_captions) != len(negated_captions):
             raise ValueError("anchor and negated caption batches must have equal length")
-        anchor_embs, anchor_cache = encode_text_batch(params, anchor_captions, vocab)
-        negated_embs, negated_cache = encode_text_batch(params, negated_captions, vocab)
+        anchor_embs, anchor_cache = encode_token_lists(params, index.ids(anchor_captions))
+        negated_embs, negated_cache = encode_token_lists(params, index.ids(negated_captions))
     breakdown, g = total_loss(
         audio_embs, text_embs, k=k, log_temperature=float(params.log_temperature),
         anchor_embs=anchor_embs, negated_embs=negated_embs,

@@ -29,6 +29,7 @@ from .evaluation import (
     RetrievalReport,
     TripletReport,
     build_eval_variants,
+    embed_eval_variants,
     map_at_10,
     report_rows,
     retrieval_protocol,
@@ -42,11 +43,13 @@ from .model import (
     LOG_TEMPERATURE_MIN,
     DENSE_FIELDS,
     TABLE_FIELDS,
+    CaptionIds,
     ModelDims,
     ModelParams,
     ParamGrads,
+    TokenIndex,
     encode_audio_batch,
-    encode_text_batch,
+    encode_token_lists,
     init_params,
     sgd_update,
 )
@@ -148,8 +151,8 @@ class AdamOptimizer:
     computation while touching only the rows a batch used.
     """
 
-    m: dict
-    v: dict
+    m: np.ndarray  # dense parameters' moments, flat in DENSE_FIELDS order
+    v: np.ndarray
     table_v: dict
     table_last: dict
     t: int = 0
@@ -159,9 +162,10 @@ class AdamOptimizer:
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamOptimizer":
+        size = sum(getattr(params, n).size for n in DENSE_FIELDS)
         return cls(
-            m={n: np.zeros_like(getattr(params, n)) for n in DENSE_FIELDS},
-            v={n: np.zeros_like(getattr(params, n)) for n in DENSE_FIELDS},
+            m=np.zeros(size),
+            v=np.zeros(size),
             table_v={n: np.zeros_like(getattr(params, n)) for n in TABLE_FIELDS},
             table_last={n: np.zeros(getattr(params, n).shape[0], dtype=np.int64)
                         for n in TABLE_FIELDS},
@@ -171,16 +175,19 @@ class AdamOptimizer:
         self.t += 1
         m_corr = 1.0 - self.beta1 ** self.t
         v_corr = 1.0 - self.beta2 ** self.t
+        # one pass over all dense entries: the same elementwise operations as
+        # a per-parameter update, so the result is bit-identical to it
+        g = np.concatenate([getattr(grads, n).ravel() for n in DENSE_FIELDS])
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * g * g
+        update = learning_rate * (self.m / m_corr) / (np.sqrt(self.v / v_corr) + self.eps)
+        start = 0
         for name in DENSE_FIELDS:
-            g = getattr(grads, name)
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
             p = getattr(params, name)
-            p -= learning_rate * (m / m_corr) / (np.sqrt(v / v_corr) + self.eps)
+            p -= update[start:start + p.size].reshape(p.shape)
+            start += p.size
         for name in TABLE_FIELDS:
             rows, g = getattr(grads, name).rows, getattr(grads, name).values
             table = getattr(params, name)
@@ -215,6 +222,7 @@ def train_step(
     rng: np.random.Generator,
     counters: EpochCounters | None = None,
     optimizer: AdamOptimizer | None = None,
+    index: TokenIndex | None = None,
 ) -> tuple[ModelParams, LossBreakdown]:
     """One optimizer update on a batch of (clip, caption) pairs; params update in place.
 
@@ -222,7 +230,8 @@ def train_step(
     insert augmentation with p_aug (falling back to the original when the
     vocabulary is exhausted), and with k > 0 a fully negated counterpart of
     the original caption feeds the dissimilarity term.  Without an optimizer
-    the update degrades to one plain SGD step.
+    the update degrades to one plain SGD step.  ``index`` is the calling
+    run's token index over ``vocab``; without one the step builds its own.
     """
     if not batch:
         raise ValueError("empty batch")
@@ -250,7 +259,7 @@ def train_step(
     features = np.stack([clip.features for clip in clips])
     breakdown, grads = total_loss_through_encoders(
         params, vocab, features, clap_captions, k=config.k,
-        anchor_captions=anchors, negated_captions=negated,
+        anchor_captions=anchors, negated_captions=negated, index=index,
     )
     if optimizer is None:
         sgd_update(params, grads, config.learning_rate)
@@ -259,11 +268,10 @@ def train_step(
     return params, breakdown
 
 
-def _test_map_scores(params: ModelParams, test_dataset: Dataset,
+def _test_map_scores(params: ModelParams, test_token_lists: Sequence[CaptionIds],
                      audio_features: np.ndarray) -> tuple[float, float]:
     audio_embs, _ = encode_audio_batch(params, audio_features)
-    captions = [caption for _, caption in test_dataset.pairs]
-    text_embs, _ = encode_text_batch(params, captions, test_dataset.vocabulary)
+    text_embs, _ = encode_token_lists(params, test_token_lists)
     sim = audio_embs @ text_embs.T
     return map_at_10(sim, "text_to_audio"), map_at_10(sim, "audio_to_text")
 
@@ -287,6 +295,11 @@ def train(
     params = init_params(dims, spawn_seed(config.seed, _INIT_STREAM))
     optimizer = AdamOptimizer.for_params(params)
     test_features = np.stack([clip.features for clip, _ in dataset_test.pairs])
+    # bucket ids of the original captions, computed once for the whole run
+    index = TokenIndex(vocab, dims.hash_buckets)
+    index.keep(caption for _, caption in dataset_train.pairs)
+    test_token_lists = TokenIndex(dataset_test.vocabulary, dims.hash_buckets).ids(
+        caption for _, caption in dataset_test.pairs)
 
     best: CheckpointRecord | None = None
     logs: list[EpochLog] = []
@@ -299,11 +312,11 @@ def train(
         for idx in batches:
             batch = [dataset_train.pairs[i] for i in idx]
             _, breakdown = train_step(params, batch, config, vocab, epoch_rng,
-                                      counters, optimizer)
+                                      counters, optimizer, index)
             sums += (breakdown.l_clap, breakdown.l_diss, breakdown.l_total)
         means = sums / len(batches)
 
-        map_t2a, map_a2t = _test_map_scores(params, dataset_test, test_features)
+        map_t2a, map_a2t = _test_map_scores(params, test_token_lists, test_features)
         map_avg = 0.5 * (map_t2a + map_a2t)
         logs.append(EpochLog(
             epoch=epoch, l_clap=float(means[0]), l_diss=float(means[1]),
@@ -398,8 +411,9 @@ def sweep(
     rows: list[SweepRow] = []
     for config in configs:
         record, _ = train(dataset_train, dataset_test, config, dims=dims)
-        retrieval = retrieval_protocol(record.params, dataset_test, variants, k_retrieval)
-        triplet = triplet_protocol(record.params, dataset_test, variants)
+        embeddings = embed_eval_variants(record.params, dataset_test, variants)
+        retrieval = retrieval_protocol(embeddings, k_retrieval)
+        triplet = triplet_protocol(embeddings)
         rows.append(SweepRow(config=config, best_epoch=record.epoch,
                              selection_score=record.selection_score,
                              retrieval=retrieval, triplet=triplet))

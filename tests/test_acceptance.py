@@ -39,6 +39,7 @@ from negclap.evaluation import (
     AUDIO_TO_TEXT,
     TEXT_TO_AUDIO,
     build_eval_variants,
+    embed_eval_variants,
     map_at_10,
     recall_at_k,
     retrieval_protocol,
@@ -93,11 +94,12 @@ def desk_lab():
             config = TrainConfig(condition=condition, seed=seed, p_aug=p_aug, k=k,
                                  **TRAIN)
             record, logs = train(train_ds, test_ds, config)
+            embeddings = embed_eval_variants(record.params, test_ds, variants)
             runs[condition] = {
                 "record": record,
                 "logs": logs,
-                "retrieval": retrieval_protocol(record.params, test_ds, variants, 10),
-                "triplet": triplet_protocol(record.params, test_ds, variants),
+                "retrieval": retrieval_protocol(embeddings, 10),
+                "triplet": triplet_protocol(embeddings),
             }
         lab[seed] = {"train": train_ds, "test": test_ds, "runs": runs}
     return lab
@@ -251,7 +253,7 @@ def test_criterion_04_protocol_oracles():
         dims = ModelDims(d_t=12, d_h=12, d=8, d_a=10, hash_buckets=32)
         params = init_params(dims, seed=instance)
         variants = build_eval_variants(ds, eval_seed=instance)
-        observed = triplet_protocol(params, ds, variants)
+        observed = triplet_protocol(embed_eval_variants(params, ds, variants))
         audio, _ = encode_audio_batch(
             params, np.stack([c.features for c, _ in ds.pairs]))
         embs = {

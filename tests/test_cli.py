@@ -136,6 +136,18 @@ class TestEval:
                      "--out", str(tmp_path / "e")])
         assert code == 2
 
+    def test_checkpoint_without_dims_is_usage_error(self, tmp_path, capsys):
+        data, ckpt = self._trained(tmp_path)
+        head, rest = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        del header["dims"]
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--eval-seed", "9", "--out", str(tmp_path / "e")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "'dims'" in err
+
     def test_report_schema(self, tmp_path):
         data, ckpt = self._trained(tmp_path)
         out = tmp_path / "e"

@@ -22,6 +22,7 @@ from negclap.evaluation import (
     TEXT_TO_AUDIO,
     TripletReport,
     build_eval_variants,
+    embed_eval_variants,
     map_at_10,
     recall_at_k,
     report_rows,
@@ -31,7 +32,19 @@ from negclap.evaluation import (
     write_fig_triplet_csv,
     write_report_csv,
 )
-from negclap.model import ModelDims, encode_audio, encode_text, init_params
+from negclap import evaluation
+from negclap.cli import main as cli_main
+from negclap.corpus import save_dataset
+from negclap.model import (
+    ModelDims,
+    encode_audio,
+    encode_audio_batch,
+    encode_text,
+    encode_text_batch,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from negclap.corpus import render_caption
 
 
@@ -224,7 +237,7 @@ class TestRetrievalProtocol:
     def test_matches_brute_force_recomputation(self):
         params, ds = make_tiny_setup(5)
         variants = build_eval_variants(ds, eval_seed=11)
-        report = retrieval_protocol(params, ds, variants, k_retrieval=3)
+        report = retrieval_protocol(embed_eval_variants(params, ds, variants), k_retrieval=3)
         audio = np.stack([encode_audio(params, clip) for clip, _ in ds.pairs])
         for variant_name in ("original", "half", "fully"):
             caps = getattr(variants, variant_name)
@@ -241,14 +254,15 @@ class TestRetrievalProtocol:
         params, ds = make_tiny_setup(6)
         variants = build_eval_variants(ds, eval_seed=1)
         with pytest.raises(ValueError):
-            retrieval_protocol(params, ds, variants, k_retrieval=len(ds.pairs) + 1)
+            retrieval_protocol(embed_eval_variants(params, ds, variants),
+                               k_retrieval=len(ds.pairs) + 1)
 
 
 class TestTripletProtocol:
     def test_matches_brute_force(self):
         params, ds = make_tiny_setup(7, n=5)
         variants = build_eval_variants(ds, eval_seed=2)
-        report = triplet_protocol(params, ds, variants)
+        report = triplet_protocol(embed_eval_variants(params, ds, variants))
         audio = np.stack([encode_audio(params, clip) for clip, _ in ds.pairs])
         embed = lambda caps: np.stack(
             [encode_text(params, c, ds.vocabulary) for c in caps])
@@ -277,7 +291,7 @@ class TestTripletProtocol:
         variants = build_eval_variants(ds, eval_seed=3)
         tied = type(variants)(original=variants.original, half=variants.original,
                               fully=variants.original)
-        report = triplet_protocol(params, ds, tied)
+        report = triplet_protocol(embed_eval_variants(params, ds, tied))
         assert report.acc_orig_fully == 0.0
         assert report.acc_orig_half == 0.0
         assert report.acc_half_fully == 0.0
@@ -287,7 +301,7 @@ class TestTripletProtocol:
         # triplet accuracies depend only on the similarity ordering
         params, ds = make_tiny_setup(9, n=6)
         variants = build_eval_variants(ds, eval_seed=4)
-        base = triplet_protocol(params, ds, variants)
+        base = triplet_protocol(embed_eval_variants(params, ds, variants))
         audio = np.stack([encode_audio(params, clip) for clip, _ in ds.pairs])
         embed = lambda caps: np.stack(
             [encode_text(params, c, ds.vocabulary) for c in caps])
@@ -301,12 +315,63 @@ class TestTripletProtocol:
                 [base.acc_orig_fully, base.acc_orig_half, base.acc_half_fully])
 
 
+class TestEmbedOnce:
+    def test_eval_embeds_audio_once_and_each_variant_once(self, tmp_path, monkeypatch):
+        vocab = generate_vocabulary(10, 12)
+        ds = generate_dataset(vocab, 64, d_a=12, rng_seed=12)
+        ds = Dataset(vocab, ds.pairs, split="test")
+        data = tmp_path / "test.jsonl"
+        save_dataset(ds, data)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, init_params(ModelDims(d_t=16, d_h=16, d=8, d_a=12,
+                                                    hash_buckets=64), seed=12))
+        calls = {"audio": [], "text": []}
+
+        def counting(kind, encoder):
+            def wrapped(params, batch):
+                calls[kind].append(len(batch))
+                return encoder(params, batch)
+            return wrapped
+
+        monkeypatch.setattr(evaluation, "encode_audio_batch",
+                            counting("audio", evaluation.encode_audio_batch))
+        monkeypatch.setattr(evaluation, "encode_token_lists",
+                            counting("text", evaluation.encode_token_lists))
+        out = tmp_path / "eval"
+        assert cli_main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                         "--eval-seed", "3", "--k-retrieval", "10", "--out", str(out)]) == 0
+        assert calls == {"audio": [64], "text": [64, 64, 64]}
+
+        # every reported value equals brute force over per-variant encodes
+        params = load_checkpoint(ckpt)
+        variants = build_eval_variants(ds, eval_seed=3)
+        audio, _ = encode_audio_batch(params, np.stack([c.features for c, _ in ds.pairs]))
+        text = {v: encode_text_batch(params, getattr(variants, v), vocab)[0]
+                for v in ("original", "half", "fully")}
+        triplet = brute_triplet(audio, text["original"], text["half"], text["fully"])
+        with open(out / "report.csv") as f:
+            rows = list(csv.DictReader(f))
+        for row in rows[:-1]:
+            S = audio @ text[row["variant"]].T
+            assert float(row["r_at_10"]) == brute_recall(S, 10, row["direction"])
+            if row["variant"] == "original":
+                assert float(row["map_at_10"]) == brute_map10(S, row["direction"])
+        summary = rows[-1]
+        assert summary["variant"] == "summary"
+        assert float(summary["map_at_10"]) == float(np.mean(
+            [brute_map10(audio @ text["original"].T, d) for d in (TEXT_TO_AUDIO, AUDIO_TO_TEXT)]))
+        assert (float(summary["acc_orig_fully"]), float(summary["acc_orig_half"]),
+                float(summary["acc_half_fully"])) == (
+            triplet.acc_orig_fully, triplet.acc_orig_half, triplet.acc_half_fully)
+
+
 class TestReportWriters:
     def test_report_rows_shape_and_columns(self, tmp_path):
         params, ds = make_tiny_setup(10)
         variants = build_eval_variants(ds, eval_seed=5)
-        retrieval = retrieval_protocol(params, ds, variants, k_retrieval=3)
-        triplet = triplet_protocol(params, ds, variants)
+        embeddings = embed_eval_variants(params, ds, variants)
+        retrieval = retrieval_protocol(embeddings, k_retrieval=3)
+        triplet = triplet_protocol(embeddings)
         rows = report_rows("baseline", 0.0, 0.0, retrieval, triplet)
         assert len(rows) == 7  # 3 variants x 2 directions + summary
         path = tmp_path / "report.csv"
@@ -320,8 +385,9 @@ class TestReportWriters:
     def test_fig_writers(self, tmp_path):
         params, ds = make_tiny_setup(11)
         variants = build_eval_variants(ds, eval_seed=6)
-        retrieval = retrieval_protocol(params, ds, variants, k_retrieval=3)
-        triplet = triplet_protocol(params, ds, variants)
+        embeddings = embed_eval_variants(params, ds, variants)
+        retrieval = retrieval_protocol(embeddings, k_retrieval=3)
+        triplet = triplet_protocol(embeddings)
         rp = tmp_path / "fig_retrieval_baseline.csv"
         write_fig_retrieval_csv(rp, retrieval)
         with open(rp) as f:

@@ -1,16 +1,29 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fd_utils import dense_table, finite_difference_grads, max_gradient_violation
-from negclap.corpus import Caption, TagMention, Word, generate_dataset, generate_vocabulary, render_caption
+from negclap.corpus import (
+    Caption,
+    Tag,
+    TagMention,
+    Vocabulary,
+    Word,
+    generate_dataset,
+    generate_vocabulary,
+    render_caption,
+)
 from negclap.model import (
     DENSE_FIELDS,
     TABLE_FIELDS,
     ModelDims,
     ParamGrads,
     RowGrad,
+    TokenIndex,
     encode_audio,
     encode_audio_batch,
     encode_text,
@@ -27,6 +40,12 @@ from negclap.model import (
     tokenize,
 )
 from negclap.objective import clap_loss_through_encoders
+
+
+def reference_ids(tokens, n_buckets):
+    """A token list's unigram and bigram bucket ids, each string hashed on its own."""
+    return ([hash_bucket(t, n_buckets) for t in tokens],
+            [hash_bucket(a + " " + b, n_buckets) for a, b in zip(tokens, tokens[1:])])
 
 
 class TestTokenize:
@@ -73,13 +92,16 @@ class TestEncoders:
         assert np.linalg.norm(e1 - e2) > 1e-3
 
     def test_word_order_matters(self, small_params):
-        a = encode_token_lists(small_params, [["slow", "rock", "loud", "guitar"]])[0][0]
-        b = encode_token_lists(small_params, [["loud", "rock", "slow", "guitar"]])[0][0]
+        n = small_params.dims.hash_buckets
+        a = encode_token_lists(small_params,
+                               [reference_ids(["slow", "rock", "loud", "guitar"], n)])[0][0]
+        b = encode_token_lists(small_params,
+                               [reference_ids(["loud", "rock", "slow", "guitar"], n)])[0][0]
         assert np.linalg.norm(a - b) > 1e-6
 
     def test_empty_caption_rejected(self, small_params):
         with pytest.raises(ValueError):
-            encode_token_lists(small_params, [[]])
+            encode_token_lists(small_params, [([], [])])
 
     def test_audio_unit_norm_and_determinism(self, small_params):
         rng = np.random.default_rng(0)
@@ -194,7 +216,8 @@ class TestRowSparseScatter:
         rng = np.random.default_rng(seed)
         passes = []
         for lists in passes_tokens:
-            emb, cache = encode_token_lists(params, lists)
+            emb, cache = encode_token_lists(
+                params, [reference_ids(t, SCATTER_DIMS.hash_buckets) for t in lists])
             assert cache.x.tobytes() == pooled_with_add_at(params, cache).tobytes()
             passes.append((cache, rng.normal(size=emb.shape)))
         grads = model_backward(params, passes)
@@ -212,8 +235,78 @@ class TestRowSparseScatter:
         lists = [[SCATTER_WORDS[i] for i in rng.integers(0, len(SCATTER_WORDS),
                                                          size=rng.integers(1, 9))]
                  for _ in range(200)]
-        _, cache = encode_token_lists(params, lists)
+        _, cache = encode_token_lists(params, [reference_ids(t, 16) for t in lists])
         assert cache.x.tobytes() == pooled_with_add_at(params, cache).tobytes()
+
+
+# surfaces and word texts that exercise tokenize: case, punctuation, inner and
+# non-ASCII whitespace, a final sigma, and text that strips to nothing
+ID_VOCAB = Vocabulary(
+    tags=tuple(Tag(i, s) for i, s in enumerate(
+        ("rock", "Hip Hop", "guitar,", "...", "ΟΔΟΣ", "no\u00a0wave"))),
+    negators=("not", "no", "without"),
+)
+word_texts = st.text(st.sampled_from(list("abrkAZ.,!'-() \t\n\u00a0\u2003ΣσİΟ")), max_size=7)
+caption_tokens = st.one_of(
+    st.builds(Word, word_texts),
+    st.builds(TagMention, st.integers(0, len(ID_VOCAB.tags) - 1)),
+    st.builds(lambda t, n: TagMention(t, True, n),
+              st.integers(0, len(ID_VOCAB.tags) - 1), st.sampled_from(ID_VOCAB.negators)),
+)
+captions = st.builds(Caption, st.lists(caption_tokens, min_size=1, max_size=8).map(tuple))
+# hash_bucket modulo 2**m keeps only the low bits of a multiplicative hash,
+# which over eight buckets cannot tell "a b" from "b a"; 61 buckets can
+ID_DIMS = ModelDims(d_t=5, d_h=6, d=4, d_a=3, hash_buckets=61)
+
+
+class TestTokenIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(captions, min_size=1, max_size=6), st.integers(0, 6))
+    @example([Caption((Word("A"), Word("rock"))), Caption((Word("..."),))], 0)
+    def test_id_path_matches_string_reference(self, caps, n_kept):
+        params = init_params(ID_DIMS, seed=5)
+        n = ID_DIMS.hash_buckets
+        token_lists = [tokenize(render_caption(c, ID_VOCAB)) for c in caps]
+        empty = [r for r, tokens in enumerate(token_lists) if not tokens]
+        if empty:
+            with pytest.raises(ValueError, match=f"item {empty[0]}: caption renders to no tokens"):
+                encode_text_batch(params, caps, ID_VOCAB)
+            caps = [c for c, tokens in zip(caps, token_lists) if tokens]
+            token_lists = [tokens for tokens in token_lists if tokens]
+            if not caps:
+                return
+        uni_idx, uni_rows, bi_idx, bi_rows = [], [], [], []
+        for r, tokens in enumerate(token_lists):
+            for t in tokens:
+                uni_idx.append(hash_bucket(t, n))
+                uni_rows.append(r)
+            for a, b in zip(tokens, tokens[1:]):
+                bi_idx.append(hash_bucket(a + " " + b, n))
+                bi_rows.append(r)
+        x = np.zeros((len(caps), params.dims.d_t))
+        np.add.at(x, uni_rows, params.unigram_table[uni_idx])
+        x /= np.array([len(t) for t in token_lists], dtype=float)[:, None]
+        if bi_idx:
+            x_bi = np.zeros_like(x)
+            np.add.at(x_bi, bi_rows, params.bigram_table[bi_idx])
+            x += x_bi / np.array([max(len(t) - 1, 1) for t in token_lists], dtype=float)[:, None]
+        o = np.tanh(x @ params.text_hidden_w + params.text_hidden_b) @ params.text_out_w \
+            + params.text_out_b
+        emb_ref = o / np.linalg.norm(o, axis=1, keepdims=True)
+
+        # one index reused across batches, some captions held by identity
+        index = TokenIndex(ID_VOCAB, n)
+        index.keep(caps[:n_kept])
+        batches = [encode_text_batch(params, caps, ID_VOCAB),
+                   encode_token_lists(params, index.ids(caps)),
+                   encode_token_lists(params, index.ids(caps))]
+        for emb, cache in batches:
+            assert cache.uni_idx.tolist() == uni_idx
+            assert cache.uni_rows.tolist() == uni_rows
+            assert cache.bi_idx.tolist() == bi_idx
+            assert cache.bi_rows.tolist() == bi_rows
+            assert cache.x.tobytes() == x.tobytes()
+            assert emb.tobytes() == emb_ref.tobytes()
 
 
 class TestSgdUpdate:
@@ -273,4 +366,48 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 64])
         with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    def _with_header(self, tmp_path, params, edit):
+        """Save ``params``, then rewrite the header line through ``edit``."""
+        path = tmp_path / "edited.ckpt"
+        save_checkpoint(path, params)
+        head, rest = path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        edit(header)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+        return path
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda h: h.pop("dims"), "'dims'"),
+        (lambda h: h.pop("hash_buckets"), "'hash_buckets'"),
+        (lambda h: h.pop("seed"), "'seed'"),
+        (lambda h: h["dims"].pop("d_a"), "'dims.d_a'"),
+        (lambda h: h.update(hash_buckets=7), "'unigram_table' has shape [4096, 64]"),
+        (lambda h: h["dims"].update(d_t=16), "'unigram_table' has shape [4096, 64]"),
+        (lambda h: h["dims"].update(d_h=0), "'dims.d_h' must be an integer >= 1"),
+        (lambda h: h.update(hash_buckets="4096"), "'hash_buckets' must be an integer"),
+    ], ids=["no-dims", "no-hash-buckets", "no-seed", "no-d_a", "hash-buckets-7",
+            "d_t-16", "zero-d_h", "string-hash-buckets"])
+    def test_header_disagreeing_with_payload_rejected(self, tmp_path, edit, field):
+        path = self._with_header(tmp_path, init_params(ModelDims(), seed=0), edit)
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+        assert field in str(info.value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, small_params, tmp_path, value):
+        params = small_params.copy()
+        params.text_out_w[1, 2] = value
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, params)
+        with pytest.raises(ValueError, match="'text_out_w' holds non-finite values"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, small_params, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, small_params)
+        path.write_bytes(path.read_bytes() + b"x")
+        with pytest.raises(ValueError, match="trailing bytes"):
             load_checkpoint(path)

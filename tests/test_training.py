@@ -169,6 +169,34 @@ class TestAdamOptimizer:
                                        err_msg=name)
 
 
+    def test_flat_dense_update_matches_per_parameter_adam(self):
+        from negclap.model import DENSE_FIELDS, ParamGrads, init_params
+
+        params = init_params(TINY_DIMS, 7)
+        reference = params.copy()
+        opt = AdamOptimizer.for_params(params)
+        m = {n: np.zeros_like(getattr(params, n)) for n in DENSE_FIELDS}
+        v = {n: np.zeros_like(getattr(params, n)) for n in DENSE_FIELDS}
+        rng = np.random.default_rng(3)
+        for t in range(1, 6):
+            grads = ParamGrads.zeros_like(params)
+            for name in DENSE_FIELDS:
+                getattr(grads, name)[...] = rng.normal(size=getattr(params, name).shape)
+            opt.step(params, grads, 0.01)
+            # reference: Adam one parameter array at a time
+            m_corr, v_corr = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for name in DENSE_FIELDS:
+                g = getattr(grads, name)
+                m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+                v[name] = 0.999 * v[name] + (1.0 - 0.999) * g * g
+                p = getattr(reference, name)
+                p -= 0.01 * (m[name] / m_corr) / (np.sqrt(v[name] / v_corr) + 1e-8)
+            np.clip(reference.log_temperature, np.log(1.0), np.log(100.0),
+                    out=reference.log_temperature)
+            for name in DENSE_FIELDS:
+                assert getattr(params, name).tobytes() == getattr(reference, name).tobytes(), name
+
+
 class TestTrain:
     def _config(self, cond="baseline", **kw):
         base = dict(condition=cond, seed=2, batch_size=16, epochs=2,
