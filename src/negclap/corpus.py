@@ -176,19 +176,29 @@ _TEMPLATES: tuple[tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]], ...]
 )
 
 
+# Tokens are immutable, so every templated caption shares these Word objects.
+_TEMPLATE_WORDS = tuple(
+    tuple(tuple(Word(w) for w in part) for part in template) for template in _TEMPLATES
+)
+_AND = Word("and")
+
+
 def caption_from_tags(tag_ids: Sequence[int], template_index: int) -> Caption:
     """Templated caption mentioning the given tags, in order."""
-    if not tag_ids:
+    return _templated_caption([TagMention(t) for t in tag_ids], template_index)
+
+
+def _templated_caption(mentions: Sequence[TagMention], template_index: int) -> Caption:
+    if not mentions:
         raise ValueError("a caption needs at least one tag")
-    prefix, mid, suffix = _TEMPLATES[template_index % len(_TEMPLATES)]
-    toks: list[CaptionToken] = [Word(w) for w in prefix]
-    toks.append(TagMention(tag_ids[0]))
-    if len(tag_ids) > 1:
-        toks += [Word(w) for w in mid]
-        toks.append(TagMention(tag_ids[1]))
-        for t in tag_ids[2:]:
-            toks += [Word("and"), TagMention(t)]
-    toks += [Word(w) for w in suffix]
+    prefix, mid, suffix = _TEMPLATE_WORDS[template_index % len(_TEMPLATE_WORDS)]
+    toks: list[CaptionToken] = [*prefix, mentions[0]]
+    if len(mentions) > 1:
+        toks += mid
+        toks.append(mentions[1])
+        for m in mentions[2:]:
+            toks += (_AND, m)
+    toks += suffix
     return Caption(tokens=tuple(toks))
 
 
@@ -218,20 +228,34 @@ def generate_dataset(
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be nonnegative")
 
-    directions = tag_directions(len(vocab.tags), d_a, rng_seed)
+    n_vocab = len(vocab.tags)
     tag_rng = seeded_rng(rng_seed, _TAGSETS_STREAM)
-    noise_rng = seeded_rng(rng_seed, _NOISE_STREAM)
-
-    pairs: list[tuple[AudioClip, Caption]] = []
-    for i in range(n_clips):
+    chosen = []
+    for _ in range(n_clips):
         n_tags = int(tag_rng.integers(lo, hi + 1))
-        chosen = [int(t) for t in tag_rng.choice(len(vocab.tags), size=n_tags, replace=False)]
-        base = directions[chosen].sum(axis=0)
-        base /= max(float(np.linalg.norm(base)), 1e-12)
-        features = base + noise_sigma * noise_rng.normal(size=d_a)
-        clip = AudioClip(id=i, features=features, tag_ids=frozenset(chosen))
-        caption = caption_from_tags(chosen, template_index=i)
-        pairs.append((clip, caption))
+        chosen.append(tag_rng.choice(n_vocab, size=n_tags, replace=False).tolist())
+
+    # A clip's base adds its tags' directions in draw order, as
+    # ``directions[tags].sum(axis=0)`` does, then divides by
+    # ``np.linalg.norm``, which is sqrt(dot(base, base)).
+    directions = tag_directions(n_vocab, d_a, rng_seed)
+    bases = directions[[tags[0] for tags in chosen]]
+    for j in range(1, hi):
+        rows = [i for i, tags in enumerate(chosen) if len(tags) > j]
+        bases[rows] += directions[[chosen[i][j] for i in rows]]
+    norms = np.sqrt([base.dot(base) for base in bases])
+    bases /= np.maximum(norms, 1e-12)[:, None]
+    # The noise stream serves only the noise, so one draw equals the
+    # per-clip draws in clip order.
+    noise = seeded_rng(rng_seed, _NOISE_STREAM).normal(size=(n_clips, d_a))
+    features = bases + noise_sigma * noise
+
+    mentions = [TagMention(t) for t in range(n_vocab)]
+    pairs = [
+        (AudioClip(id=i, features=features[i], tag_ids=frozenset(tags)),
+         _templated_caption([mentions[t] for t in tags], template_index=i))
+        for i, tags in enumerate(chosen)
+    ]
     return Dataset(vocabulary=vocab, pairs=pairs, split=split)
 
 
@@ -259,6 +283,12 @@ def render_caption(caption: Caption, vocab: Vocabulary) -> str:
 
 def validate_dataset(dataset: Dataset, check_tag_consistency: bool = True) -> None:
     """Raise DatasetValidationError naming the first violated invariant."""
+    finite = [bool(np.isfinite(clip.features).all()) for clip, _ in dataset.pairs]
+    _validate(dataset, finite, check_tag_consistency)
+
+
+def _validate(dataset: Dataset, finite: Sequence[bool], check_tag_consistency: bool) -> None:
+    """validate_dataset, given whether each clip's features are all finite."""
     vocab = dataset.vocabulary
     if len(vocab.tags) < 2:
         raise DatasetValidationError("vocabulary must hold at least 2 tags")
@@ -274,7 +304,7 @@ def validate_dataset(dataset: Dataset, check_tag_consistency: bool = True) -> No
     seen_ids: set[int] = set()
     n_tags = len(vocab.tags)
     d_a = None
-    for clip, caption in dataset.pairs:
+    for (clip, caption), is_finite in zip(dataset.pairs, finite):
         if clip.id in seen_ids:
             raise DatasetValidationError(f"duplicate clip id {clip.id}")
         seen_ids.add(clip.id)
@@ -284,23 +314,25 @@ def validate_dataset(dataset: Dataset, check_tag_consistency: bool = True) -> No
             raise DatasetValidationError(
                 f"clip {clip.id}: feature dimension {clip.features.shape} != ({d_a},)"
             )
-        if not np.all(np.isfinite(clip.features)):
+        if not is_finite:
             raise DatasetValidationError(f"clip {clip.id}: features must be finite")
         if not clip.tag_ids:
             raise DatasetValidationError(f"clip {clip.id}: tag set must be nonempty")
-        if not all(0 <= t < n_tags for t in clip.tag_ids):
+        if min(clip.tag_ids) < 0 or max(clip.tag_ids) >= n_tags:
             raise DatasetValidationError(f"clip {clip.id}: tag id out of range")
         mentions = caption.mentions()
         if not mentions:
             raise DatasetValidationError(f"clip {clip.id}: caption has no tag mention")
+        plain = []
         for m in mentions:
             if not 0 <= m.tag_id < n_tags:
                 raise DatasetValidationError(f"clip {clip.id}: caption tag id out of range")
-            if m.negated and m.negator not in vocab.negators:
+            if not m.negated:
+                plain.append(m.tag_id)
+            elif m.negator not in vocab.negators:
                 raise DatasetValidationError(
                     f"clip {clip.id}: negator {m.negator!r} not in vocabulary"
                 )
-        plain = caption.plain_tag_ids()
         if len(set(plain)) != len(plain):
             raise DatasetValidationError(f"clip {clip.id}: repeated non-negated tag mention")
         if check_tag_consistency and frozenset(plain) != clip.tag_ids:
@@ -313,15 +345,6 @@ def _token_to_json(tok: CaptionToken) -> dict:
     if isinstance(tok, Word):
         return {"w": tok.text}
     return {"t": tok.tag_id, "neg": tok.negator}
-
-
-def _token_from_json(obj: dict) -> CaptionToken:
-    if "w" in obj:
-        return Word(str(obj["w"]))
-    if "t" in obj:
-        neg = obj.get("neg")
-        return TagMention(int(obj["t"]), negated=neg is not None, negator=neg)
-    raise ValueError(f"unrecognized caption token {obj!r}")
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -343,69 +366,156 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
         "tags": list(vocab.surfaces),
         "split": dataset.split,
     }
+    # Each token object's JSON is built once; the entry holds the token so
+    # that its id stays its own while the cache lives.
+    token_json: dict[int, tuple[CaptionToken, str]] = {}
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(json.dumps(header) + "\n")
         for clip, caption in dataset.pairs:
-            record = {
-                "id": clip.id,
-                "tags": sorted(clip.tag_ids),
-                "features": [float(x) for x in clip.features],
-                "caption": [_token_to_json(t) for t in caption.tokens],
-            }
-            f.write(json.dumps(record) + "\n")
+            tokens = []
+            for tok in caption.tokens:
+                entry = token_json.get(id(tok))
+                if entry is None:
+                    entry = token_json[id(tok)] = (tok, json.dumps(_token_to_json(tok)))
+                tokens.append(entry[1])
+            features = np.asarray(clip.features, dtype=np.float64).tolist()
+            head = json.dumps({"id": clip.id, "tags": sorted(clip.tag_ids),
+                               "features": features})
+            # the bytes json.dumps writes with the "caption" list as a fourth key
+            f.write(f'{head[:-1]}, "caption": [{", ".join(tokens)}]}}\n')
+
+
+# The strict-type rule: every field must hold the JSON type save_dataset
+# writes.  Python's json gives bool for true/false and float for any number
+# with a fraction or exponent (1e400 is inf), so ``type(v) is int`` accepts
+# exactly the JSON integers.
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _integer(value: object, name: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _string(value: object, name: str) -> str:
+    if type(value) is not str:
+        raise ValueError(f"{name} must be a JSON string, got {value!r}")
+    return value
+
+
+def _list(value: object, name: str) -> list:
+    if type(value) is not list:
+        raise ValueError(f"{name} must be a JSON array, got {value!r}")
+    return value
+
+
+def _token_from_json(obj: object, shared: dict) -> CaptionToken:
+    """Decode one caption token, reusing the equal token already in ``shared``."""
+    if type(obj) is not dict:
+        raise ValueError(f"caption token must be a JSON object, got {obj!r}")
+    if "w" in obj:
+        key = _string(obj["w"], "w")
+    elif "t" in obj:
+        neg = obj["neg"]
+        key = (_integer(obj["t"], "t"), None if neg is None else _string(neg, "neg"))
+    else:
+        raise ValueError(f"unrecognized caption token {obj!r}")
+    tok = shared.get(key)
+    if tok is None:
+        tok = shared[key] = (
+            Word(key) if type(key) is str
+            else TagMention(key[0], negated=key[1] is not None, negator=key[1])
+        )
+    return tok
+
+
+def _parse_line(line: str, line_number: int) -> dict:
+    try:
+        obj = json.loads(line.rstrip("\n"))
+    except (ValueError, RecursionError) as e:
+        raise DatasetParseError(str(e), line_number=line_number) from e
+    if type(obj) is not dict:
+        raise DatasetParseError("expected a JSON object", line_number=line_number)
+    return obj
 
 
 def load_dataset(path: str | Path, check_tag_consistency: bool = True) -> Dataset:
-    """Parse and validate a dataset file written by save_dataset."""
+    """Parse and validate a dataset file written by save_dataset.
+
+    The file is read line by line.  All clips' features go into one
+    ``(n, d_a)`` float64 matrix, and each clip holds a row view of it; equal
+    caption tokens are one shared object.  Every field must hold the JSON
+    type save_dataset writes, or DatasetParseError names the line.
+    """
     with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise DatasetParseError("empty file", line_number=1)
-
-    def parse_line(idx: int) -> dict:
+        first = f.readline()
+        if not first:
+            raise DatasetParseError("empty file", line_number=1)
+        header = _parse_line(first, 1)
+        if header.get("format") != DATASET_FORMAT:
+            raise DatasetParseError(f"bad format marker {header.get('format')!r}", line_number=1)
+        if type(header.get("version")) is not int or header["version"] != DATASET_VERSION:
+            raise DatasetParseError(
+                f"unsupported version {header.get('version')!r}", line_number=1)
         try:
-            obj = json.loads(lines[idx])
-        except json.JSONDecodeError as e:
-            raise DatasetParseError(str(e), line_number=idx + 1) from e
-        if not isinstance(obj, dict):
-            raise DatasetParseError("expected a JSON object", line_number=idx + 1)
-        return obj
+            surfaces = [_string(s, "tags[]") for s in _list(header["tags"], "tags")]
+            negators = tuple(
+                _string(s, "negators[]") for s in _list(header["negators"], "negators"))
+            d_a = _integer(header["d_a"], "d_a")
+            n_tags = _integer(header["n_tags"], "n_tags")
+            split = _string(header["split"], "split")
+        except (KeyError, ValueError) as e:
+            raise DatasetParseError(f"bad header: {e}", line_number=1) from e
+        if len(surfaces) != n_tags:
+            raise DatasetParseError("header n_tags does not match tag list", line_number=1)
+        vocab = Vocabulary(tags=tuple(Tag(i, s) for i, s in enumerate(surfaces)),
+                           negators=negators)
 
-    header = parse_line(0)
-    if header.get("format") != DATASET_FORMAT:
-        raise DatasetParseError(f"bad format marker {header.get('format')!r}", line_number=1)
-    if header.get("version") != DATASET_VERSION:
-        raise DatasetParseError(f"unsupported version {header.get('version')!r}", line_number=1)
-    try:
-        surfaces = [str(s) for s in header["tags"]]
-        negators = tuple(str(s) for s in header["negators"])
-        d_a = int(header["d_a"])
-        n_tags = int(header["n_tags"])
-        split = str(header.get("split", "train"))
-    except (KeyError, TypeError, ValueError) as e:
-        raise DatasetParseError(f"bad header: {e}", line_number=1) from e
-    if len(surfaces) != n_tags:
-        raise DatasetParseError("header n_tags does not match tag list", line_number=1)
-    vocab = Vocabulary(tags=tuple(Tag(i, s) for i, s in enumerate(surfaces)), negators=negators)
+        ids: list[int] = []
+        tag_sets: list[frozenset[int]] = []
+        captions: list[Caption] = []
+        shared: dict = {}
+        rows = None  # (capacity, d_a) feature buffer, grown by doubling
+        for line_number, line in enumerate(f, start=2):
+            obj = _parse_line(line, line_number)
+            try:
+                clip_id = _integer(obj["id"], "id")
+                features = _list(obj["features"], "features")
+                if not _NUMBER_TYPES.issuperset(map(type, features)):
+                    raise ValueError("features must hold only JSON numbers")
+                tags = _list(obj["tags"], "tags")
+                tag_ids = frozenset(_integer(t, "tags[]") for t in tags)
+                tokens = tuple(
+                    _token_from_json(t, shared) for t in _list(obj["caption"], "caption"))
+            except (KeyError, ValueError) as e:
+                raise DatasetParseError(f"bad pair record: {e}", line_number=line_number) from e
+            if len(features) != d_a:
+                raise DatasetValidationError(
+                    f"line {line_number}: feature dimension ({len(features)},) != ({d_a},)"
+                )
+            n = len(ids)
+            if rows is None:
+                # allocated only once a record has matched d_a, so a huge
+                # header d_a allocates nothing
+                rows = np.empty((1024, d_a))
+            elif n == len(rows):
+                rows.resize((2 * n, d_a), refcheck=False)  # no views exist yet
+            try:
+                rows[n] = features
+            except OverflowError as e:  # an integer beyond the float range
+                raise DatasetParseError(f"bad pair record: {e}", line_number=line_number) from e
+            ids.append(clip_id)
+            tag_sets.append(tag_ids)
+            captions.append(Caption(tokens=tokens))
 
-    pairs: list[tuple[AudioClip, Caption]] = []
-    for idx in range(1, len(lines)):
-        obj = parse_line(idx)
-        try:
-            clip = AudioClip(
-                id=int(obj["id"]),
-                features=np.asarray(obj["features"], dtype=np.float64),
-                tag_ids=frozenset(int(t) for t in obj["tags"]),
-            )
-            caption = Caption(tokens=tuple(_token_from_json(t) for t in obj["caption"]))
-        except (KeyError, TypeError, ValueError) as e:
-            raise DatasetParseError(f"bad pair record: {e}", line_number=idx + 1) from e
-        if clip.features.ndim != 1 or clip.features.shape[0] != d_a:
-            raise DatasetValidationError(
-                f"line {idx + 1}: feature dimension {clip.features.shape} != ({d_a},)"
-            )
-        pairs.append((clip, caption))
-
+    if rows is None:
+        pairs, finite = [], []
+    else:
+        rows.resize((len(ids), d_a), refcheck=False)
+        finite = np.isfinite(rows).all(axis=1)
+        pairs = [(AudioClip(id=i, features=row, tag_ids=t), c)
+                 for i, row, t, c in zip(ids, rows, tag_sets, captions)]
     dataset = Dataset(vocabulary=vocab, pairs=pairs, split=split)
-    validate_dataset(dataset, check_tag_consistency=check_tag_consistency)
+    _validate(dataset, finite, check_tag_consistency)
     return dataset

@@ -116,20 +116,26 @@ def _match_ranks(sim: np.ndarray, direction: str) -> np.ndarray:
     return 1 + np.count_nonzero(M > match, axis=1) + ties_before
 
 
+def _recall_from_ranks(ranks: np.ndarray, k: int) -> float:
+    return float(np.mean(ranks <= k))
+
+
+def _map10_from_ranks(ranks: np.ndarray) -> float:
+    ap = np.where(ranks <= 10, 1.0 / ranks, 0.0)
+    return float(ap.mean())
+
+
 def recall_at_k(sim: np.ndarray, k: int, direction: str) -> float:
     """Fraction of queries whose matching item ranks within the top k."""
     n = np.asarray(sim).shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    ranks = _match_ranks(sim, direction)
-    return float(np.mean(ranks <= k))
+    return _recall_from_ranks(_match_ranks(sim, direction), k)
 
 
 def map_at_10(sim: np.ndarray, direction: str) -> float:
     """Mean of 1/rank over queries whose match ranks within the top 10, else 0."""
-    ranks = _match_ranks(sim, direction)
-    ap = np.where(ranks <= 10, 1.0 / ranks, 0.0)
-    return float(ap.mean())
+    return _map10_from_ranks(_match_ranks(sim, direction))
 
 
 def embed_eval_variants(params: ModelParams, test_dataset: Dataset,
@@ -159,9 +165,10 @@ def retrieval_protocol(embeddings: EvalEmbeddings, k_retrieval: int = 10) -> Ret
     for variant in VARIANTS:
         sim = embeddings.audio @ getattr(embeddings, variant).T
         for direction in DIRECTIONS:
-            r_at_k[(variant, direction)] = recall_at_k(sim, k_retrieval, direction)
+            ranks = _match_ranks(sim, direction)  # once per variant and direction
+            r_at_k[(variant, direction)] = _recall_from_ranks(ranks, k_retrieval)
             if variant == "original":
-                map10[direction] = map_at_10(sim, direction)
+                map10[direction] = _map10_from_ranks(ranks)
     return RetrievalReport(k=k_retrieval, r_at_k=r_at_k, map_at_10=map10)
 
 

@@ -48,6 +48,17 @@ class TestGenData:
         assert sha256(a / "train.jsonl") == sha256(b / "train.jsonl")
         assert sha256(a / "test.jsonl") == sha256(b / "test.jsonl")
 
+    def test_toy_files_are_pinned(self, tmp_path):
+        # Digests of the files this command wrote before corpus generation
+        # and saving were batched; any byte drift in either path shows here.
+        out = tmp_path / "d"
+        assert main(["gen-data", "--n-clips", "300", "--n-test", "60", "--d-a", "16",
+                     "--seed", "5", "--out", str(out)]) == 0
+        assert sha256(out / "train.jsonl") == \
+            "eb5abe9b6e509ec6886bbcaf453e7d7da2fde1804c94b1e457b5d40ca07626f2"
+        assert sha256(out / "test.jsonl") == \
+            "f5903c874d15db85f2bddc2f53a925b1646316972f6afe7af08db1559ce8c3f9"
+
     def test_too_many_test_clips_rejected(self, tmp_path):
         code = main(["gen-data", "--n-clips", "10", "--n-test", "10",
                      "--seed", "1", "--out", str(tmp_path / "d")])

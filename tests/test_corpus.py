@@ -1,9 +1,15 @@
+import contextlib
+import io
 import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from negclap import corpus
+from negclap.cli import main as cli_main
 from negclap.corpus import (
     Caption,
     Dataset,
@@ -21,6 +27,25 @@ from negclap.corpus import (
     tag_directions,
     validate_dataset,
 )
+from negclap.seeding import seeded_rng
+
+
+def reference_dataset(vocab, n_clips, tags_per_clip, d_a, noise_sigma, rng_seed):
+    """generate_dataset as one loop over clips, drawing each clip's noise on its own."""
+    lo, hi = tags_per_clip
+    directions = tag_directions(len(vocab.tags), d_a, rng_seed)
+    tag_rng = seeded_rng(rng_seed, corpus._TAGSETS_STREAM)
+    noise_rng = seeded_rng(rng_seed, corpus._NOISE_STREAM)
+    pairs = []
+    for i in range(n_clips):
+        n_tags = int(tag_rng.integers(lo, hi + 1))
+        chosen = [int(t) for t in tag_rng.choice(len(vocab.tags), size=n_tags, replace=False)]
+        base = directions[chosen].sum(axis=0)
+        base /= max(float(np.linalg.norm(base)), 1e-12)
+        features = base + noise_sigma * noise_rng.normal(size=d_a)
+        clip = corpus.AudioClip(id=i, features=features, tag_ids=frozenset(chosen))
+        pairs.append((clip, caption_from_tags(chosen, template_index=i)))
+    return Dataset(vocabulary=vocab, pairs=pairs, split="train")
 
 
 class TestGenerateVocabulary:
@@ -65,6 +90,22 @@ class TestGenerateDataset:
         a = generate_dataset(vocab, 25, d_a=16, rng_seed=4, tags_per_clip=(2, 3))
         b = generate_dataset(vocab, 25, d_a=16, rng_seed=4, tags_per_clip=(2, 3))
         assert a == b
+
+    @pytest.mark.parametrize("n_tags,n_clips,tags_per_clip,d_a,noise_sigma,seed", [
+        (50, 600, (2, 4), 64, 0.05, 42),
+        (12, 300, (1, 1), 16, 0.0, 5),
+        (6, 200, (2, 6), 3, 0.3, 9),
+        (3, 50, (3, 3), 1, 0.05, 2),
+    ])
+    def test_equals_per_clip_reference_bit_for_bit(self, n_tags, n_clips, tags_per_clip,
+                                                   d_a, noise_sigma, seed):
+        vocab = generate_vocabulary(n_tags, seed)
+        got = generate_dataset(vocab, n_clips, tags_per_clip=tags_per_clip, d_a=d_a,
+                               noise_sigma=noise_sigma, rng_seed=seed)
+        want = reference_dataset(vocab, n_clips, tags_per_clip, d_a, noise_sigma, seed)
+        for (c1, cap1), (c2, cap2) in zip(got.pairs, want.pairs, strict=True):
+            assert (c1.id, c1.tag_ids, cap1) == (c2.id, c2.tag_ids, cap2)
+            assert c1.features.tobytes() == c2.features.tobytes()
 
     def test_empty_tag_range_rejected(self):
         vocab = generate_vocabulary(6, 2)
@@ -226,6 +267,19 @@ class TestSaveLoad:
         loaded = load_dataset(path, check_tag_consistency=False)
         assert loaded == ds
 
+    def test_load_shares_tokens_and_one_feature_matrix(self, tmp_path):
+        # 2100 records make the feature buffer grow twice
+        ds = generate_dataset(generate_vocabulary(6, 4), 2100, d_a=3, rng_seed=4)
+        path = tmp_path / "ds.jsonl"
+        save_dataset(ds, path)
+        loaded = load_dataset(path)
+        assert loaded == ds
+        matrix = loaded.pairs[0][0].features.base
+        assert matrix.shape == (2100, 3)
+        assert all(clip.features.base is matrix for clip, _ in loaded.pairs)
+        tokens = [tok for _, caption in loaded.pairs for tok in caption.tokens]
+        assert len({id(tok) for tok in tokens}) == len(set(tokens))
+
     def test_empty_dataset_not_saved(self, tmp_path):
         ds = self._dataset()
         empty = Dataset(ds.vocabulary, [], split="train")
@@ -257,3 +311,211 @@ def test_validate_dataset_names_violated_invariant():
     ds.pairs[0] = (clip, Caption(tokens=words_only))
     with pytest.raises(DatasetValidationError, match="tag mention"):
         validate_dataset(ds)
+
+
+SENTINEL = "@@value@@"
+
+
+def toy_lines(tmp_path):
+    ds = generate_dataset(generate_vocabulary(6, 1), 12, d_a=4, rng_seed=1)
+    path = tmp_path / "toy.jsonl"
+    save_dataset(ds, path)
+    return path.read_text().splitlines(keepends=True)
+
+
+def with_literal(line, key_path, literal):
+    """``line`` with the JSON value at ``key_path`` replaced by the raw text ``literal``."""
+    obj = json.loads(line)
+    node = obj
+    for key in key_path[:-1]:
+        node = node[key]
+    node[key_path[-1]] = SENTINEL
+    return json.dumps(obj).replace(json.dumps(SENTINEL), literal) + "\n"
+
+
+def augment(path, out):
+    """Exit code and stderr of ``negclap augment`` on ``path``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main(["augment", "--data", str(path), "--op", "insert",
+                         "--seed", "0", "--out", str(out)])
+    return code, err.getvalue()
+
+
+# (line index, key path) of each field that must hold a JSON integer
+INTEGER_FIELDS = {
+    "header n_tags": (0, ("n_tags",)),
+    "header d_a": (0, ("d_a",)),
+    "record id": (1, ("id",)),
+    "record tags": (1, ("tags", 0)),
+    "caption t": (1, ("caption", 1, "t")),
+}
+
+
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_overflowing_integer_is_parse_error_naming_the_line(tmp_path, field):
+    # JSON 1e400 decodes to float inf; int(inf) used to escape as OverflowError
+    lines = toy_lines(tmp_path)
+    assert json.loads(lines[1])["caption"][1].keys() == {"t", "neg"}
+    index, key_path = INTEGER_FIELDS[field]
+    lines[index] = with_literal(lines[index], key_path, "1e400")
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(lines))
+    with pytest.raises(DatasetParseError) as err:
+        load_dataset(path)
+    assert err.value.line_number == index + 1
+    code, stderr = augment(path, tmp_path / "out.jsonl")
+    assert code == 1
+    assert f"line {index + 1}:" in stderr
+
+
+@pytest.mark.parametrize("key_path,literal", [
+    (("features", 0), '"0.5"'),
+    (("features", 1), "true"),
+    (("features", 2), "false"),
+    (("features", 3), "null"),
+    (("features",), '"0.5"'),
+    (("tags",), '"12"'),
+    (("tags", 0), "true"),
+    (("tags", 0), "1.0"),
+    (("id",), "false"),
+    (("id",), '"3"'),
+    (("caption", 1, "t"), "true"),
+    (("caption", 1, "t"), "2.0"),
+    (("caption", 1, "neg"), "5"),
+    (("caption", 0, "w"), "7"),
+])
+def test_record_field_of_wrong_json_type_is_parse_error(tmp_path, key_path, literal):
+    lines = toy_lines(tmp_path)
+    assert json.loads(lines[1])["caption"][:2] == [{"w": "a"}, {"t": 4, "neg": None}]
+    lines[1] = with_literal(lines[1], key_path, literal)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(lines))
+    with pytest.raises(DatasetParseError) as err:
+        load_dataset(path)
+    assert err.value.line_number == 2
+    assert augment(path, tmp_path / "out.jsonl")[0] == 1
+
+
+@pytest.mark.parametrize("key_path,literal", [
+    (("version",), "true"),
+    (("version",), "1.0"),
+    (("d_a",), '"4"'),
+    (("d_a",), "4.0"),
+    (("n_tags",), "true"),
+    (("tags",), '"abcdef"'),
+    (("tags", 0), "3"),
+    (("negators", 0), "null"),
+    (("split",), "1"),
+])
+def test_header_field_of_wrong_json_type_is_parse_error(tmp_path, key_path, literal):
+    lines = toy_lines(tmp_path)
+    lines[0] = with_literal(lines[0], key_path, literal)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(lines))
+    with pytest.raises(DatasetParseError) as err:
+        load_dataset(path)
+    assert err.value.line_number == 1
+
+
+@pytest.mark.parametrize("literal", [
+    "[" * 100_000,     # nesting deeper than the decoder's recursion limit
+    "1" * 5000,        # more digits than Python converts to an int
+    "1" + "0" * 400,   # an integer no float holds
+], ids=["deep nesting", "5000 digits", "10**400"])
+def test_feature_that_cannot_decode_is_parse_error(tmp_path, literal):
+    lines = toy_lines(tmp_path)
+    lines[1] = with_literal(lines[1], ("features", 0), literal)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(lines))
+    with pytest.raises(DatasetParseError) as err:
+        load_dataset(path)
+    assert err.value.line_number == 2
+
+
+class TestFuzzedDatasetFile:
+    """Damaged dataset files end in exit 1 or 2 with a message, never a traceback.
+
+    Each example starts from a saved toy corpus.  The file carries no record
+    count, so a cut at a line boundary leaves a valid, shorter dataset, and
+    a replaced digit or letter can leave a valid one too; those mutations
+    only have to exit cleanly, and an accepted file must augment completely.
+    """
+
+    @pytest.fixture(scope="class")
+    def toy(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        return tmp, "".join(toy_lines(tmp)).encode()
+
+    @staticmethod
+    def rejected(tmp, data):
+        path = tmp / "mutated.jsonl"
+        path.write_bytes(data)
+        code, stderr = augment(path, tmp / "out.jsonl")
+        assert code in (1, 2)
+        assert stderr.startswith("error: ")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_truncation_inside_a_line(self, toy, data):
+        tmp, text = toy
+        cuts = [0] + [i for i in range(1, len(text))
+                      if text[i - 1:i] != b"\n" and text[i:i + 1] != b"\n"]
+        self.rejected(tmp, text[:data.draw(st.sampled_from(cuts))])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_replaced_structural_byte(self, toy, data):
+        tmp, text = toy
+        position = data.draw(st.sampled_from(
+            [i for i, b in enumerate(text) if b in b'{}[]:,"']))
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != text[position]))
+        self.rejected(tmp, text[:position] + bytes([byte]) + text[position + 1:])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_replaced_byte_anywhere(self, toy, data):
+        tmp, text = toy
+        position = data.draw(st.integers(0, len(text) - 1))
+        byte = data.draw(st.integers(0, 255))
+        path, out = tmp / "mutated.jsonl", tmp / "out.jsonl"
+        path.write_bytes(text[:position] + bytes([byte]) + text[position + 1:])
+        out.unlink(missing_ok=True)
+        code, _ = augment(path, out)
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert len(load_dataset(out).pairs) == len(load_dataset(path).pairs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_dropped_key(self, toy, data):
+        tmp, text = toy
+        lines = text.decode().splitlines(keepends=True)
+        index = data.draw(st.integers(0, len(lines) - 1))
+        obj = json.loads(lines[index])
+        owner = data.draw(st.sampled_from([obj] + ([] if index == 0 else obj["caption"])))
+        del owner[data.draw(st.sampled_from(sorted(owner)))]
+        lines[index] = json.dumps(obj) + "\n"
+        self.rejected(tmp, "".join(lines).encode())
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_numeric_field_of_another_type(self, toy, data):
+        tmp, text = toy
+        lines = text.decode().splitlines(keepends=True)
+        index = data.draw(st.integers(0, len(lines) - 1))
+        obj = json.loads(lines[index])
+        if index == 0:
+            key_path = (data.draw(st.sampled_from(["version", "n_tags", "d_a"])),)
+        else:
+            field = data.draw(st.sampled_from(["id", "tags", "features", "t"]))
+            if field == "id":
+                key_path = ("id",)
+            elif field == "t":
+                mentions = [i for i, tok in enumerate(obj["caption"]) if "t" in tok]
+                key_path = ("caption", data.draw(st.sampled_from(mentions)), "t")
+            else:
+                key_path = (field, data.draw(st.integers(0, len(obj[field]) - 1)))
+        literal = data.draw(st.sampled_from(['"7"', "true", "false", "null", "1e400"]))
+        lines[index] = with_literal(lines[index], key_path, literal)
+        self.rejected(tmp, "".join(lines).encode())

@@ -250,6 +250,22 @@ class TestRetrievalProtocol:
                     assert report.map_at_10[direction] == pytest.approx(
                         brute_map10(S, direction))
 
+    def test_ranks_each_variant_and_direction_once(self, monkeypatch):
+        params, ds = make_tiny_setup(5)
+        embeddings = embed_eval_variants(params, ds, build_eval_variants(ds, eval_seed=11))
+        expected = retrieval_protocol(embeddings, k_retrieval=3)
+        calls = []
+
+        def counting(sim, direction):
+            calls.append(direction)
+            return rank(sim, direction)
+
+        rank = evaluation._match_ranks
+        monkeypatch.setattr(evaluation, "_match_ranks", counting)
+        report = retrieval_protocol(embeddings, k_retrieval=3)
+        assert len(calls) == 6  # 3 variants x 2 directions; R@K and mAP@10 share ranks
+        assert report == expected
+
     def test_k_larger_than_test_set_rejected(self):
         params, ds = make_tiny_setup(6)
         variants = build_eval_variants(ds, eval_seed=1)
