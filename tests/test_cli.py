@@ -65,6 +65,88 @@ class TestGenData:
         assert code == 2
 
 
+# sha256 of every file the toy chain below writes.  A refactor that keeps the
+# bytes passes; a change to any float summation order in training, the
+# objective or the evaluation fails.  The digests depend on numpy and the
+# BLAS it links, since both set the rounding of every matrix product.
+TOY_CHAIN_DIGESTS = {
+    "baseline/checkpoint.ckpt":
+        "0533f8382959d8dc0003cb8d2cf33e55520db0cff127e305e0af3609a3d62753",
+    "baseline/eval/fig_retrieval_baseline.csv":
+        "ab61c7eccaf80b8384519616a2fba0688cba2e77bffd3370797e2af6300c873e",
+    "baseline/eval/fig_triplet.csv":
+        "a5c765b73987e0985659a318d0bfcfe49f6834685827687bfcc48d4b9e065a71",
+    "baseline/eval/report.csv":
+        "3eb05e28b0f06cb960bc2c408fb1e451e0c6595fbe0587a088ec85044ecf161a",
+    "baseline/train_log.csv":
+        "8cb26c270bae8692884e087d906bcc72a8683108f3f0171e5954719f8b1fa1fa",
+    "combo/checkpoint.ckpt":
+        "ea6aa2c30e02e1d867f392747256be4f41a3d3d5a953f21ad775fc70de23e4f1",
+    "combo/eval/fig_retrieval_combo.csv":
+        "d3cf2687f7f1862cdbe06f47a8a052fa2340394b09a0a0e8fab69fc9abe37f00",
+    "combo/eval/fig_triplet.csv":
+        "a76ac3ba9652b1e6eb8f166746db3410f717fbb6d16d1320e5d2f69f45e6e902",
+    "combo/eval/report.csv":
+        "9ff9b69f38d3821e34a3e3ceaaeffa89cf23f3746ce14dc96eb5988a055478bf",
+    "combo/train_log.csv":
+        "3974c8d86f885a67bd47db57c1268e0688b6e4f5a7ba4a4abcea5e0ff0d44600",
+    "data/test.jsonl":
+        "efec263c72ae8fbe953d05daa8b33a77283bf232d9ab0d74e284e4a79f94e0fc",
+    "data/train.jsonl":
+        "d9aaa431f0eba6efe53fc6c245f55f6e5f26ce0fec3fe8cfc0cb3c0447e0632d",
+    "loss-term/checkpoint.ckpt":
+        "554dbe49e8962944da9a1df3cc4cc88594d40d029e9c60c3822b962c4153d4d1",
+    "loss-term/eval/fig_retrieval_loss-term.csv":
+        "f4a6e59fd8cbaa0214206ca7fb2205bdee725ba9f51e5b4379f485f9a2082605",
+    "loss-term/eval/fig_triplet.csv":
+        "1ca8469560524d946b1f622eabf34ea4b48cb8441ddeecfea10141ebc6b0cf89",
+    "loss-term/eval/report.csv":
+        "e0ccf0ea9debd7d7108942709d3d4ac8de7728ff023762553176c851abb682a3",
+    "loss-term/train_log.csv":
+        "f2adf7ffccdcad030317b3b488acc3f387b4bb9836305c622f8889197295dc47",
+    "sweep/fig_retrieval_baseline.csv":
+        "b73ac12ec6bfd8fcb34ba8ced6a0885f5a01c7ddea5a0314567993b0e77275f6",
+    "sweep/fig_retrieval_combo_p0.6_k0.001.csv":
+        "0cbccd82ddc31c864c83300bc3fde7a1bcce13727012781521679520bf3c62e6",
+    "sweep/fig_retrieval_combo_p0.6_k0.01.csv":
+        "d9ab907929bb3db879fdd57ba0c58df2db92b86467ee0fad22fd5ef0e6c5dd0d",
+    "sweep/fig_retrieval_loss_term_k0.001.csv":
+        "bc059021c55f598786d5c2947afa1a7e021560dc4a621503baa9a56a6dd2bbec",
+    "sweep/fig_retrieval_loss_term_k0.01.csv":
+        "b49baa6cb3b7361092583a4e9880421f9bacc39d39c05fc115ffe24578e27c93",
+    "sweep/fig_retrieval_text_aug_p0.6.csv":
+        "1d5c90372eb100e8033f128c23c85c8744d3c2e2ee4d0c23337786415238866c",
+    "sweep/fig_retrieval_text_aug_p1.csv":
+        "b6545293a02fdf3729012a58d6d8a98c69e89eb17204138ba566de54209b05e5",
+    "sweep/fig_triplet.csv":
+        "6864e2e0d6eb8f7e5252d054afbfb8174b17119c16867b923c6acff84a29b16b",
+    "sweep/report.csv":
+        "d6fe270bc21633a80ec29a09ce2f8ef2e9a0f17c07b09b84e6ae7d36ecaf2453",
+}
+
+
+class TestToyChain:
+    def test_files_are_pinned(self, tmp_path):
+        data = tmp_path / "data"
+        steps = [["gen-data", "--n-tags", "12", "--n-clips", "300", "--n-test", "64",
+                  "--seed", "5", "--out", str(data)]]
+        for condition, flags in (("baseline", []), ("loss-term", ["--k", "1e-2"]),
+                                 ("combo", ["--p-aug", "0.6", "--k", "1e-2"])):
+            out = tmp_path / condition
+            steps.append(["train", "--data", str(data), "--condition", condition, *flags,
+                          "--epochs", "2", "--seed", "1", "--out", str(out)])
+            steps.append(["eval", "--checkpoint", str(out / "checkpoint.ckpt"),
+                          "--data", str(data), "--eval-seed", "777", "--label", condition,
+                          "--out", str(out / "eval")])
+        steps.append(["sweep", "--data", str(data), "--quick", "--seed", "1",
+                      "--eval-seed", "777", "--out", str(tmp_path / "sweep")])
+        for argv in steps:
+            assert main(argv) == 0, argv
+        written = {p.relative_to(tmp_path).as_posix(): sha256(p)
+                   for p in tmp_path.rglob("*") if p.is_file()}
+        assert written == TOY_CHAIN_DIGESTS
+
+
 class TestAugment:
     def test_insert_output_still_loads_strictly(self, tmp_path):
         data = gen_small(tmp_path)
