@@ -63,7 +63,6 @@ from .objective import (
     LossBreakdown,
     clap_loss,
     dissimilarity_loss,
-    total_loss,
     total_loss_through_encoders,
 )
 from .training import (

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -430,9 +430,29 @@ def _token_from_json(obj: object, shared: dict) -> CaptionToken:
     return tok
 
 
+def _numbered_lines(f, path: str | Path) -> Iterator[tuple[int, str]]:
+    """The lines of a binary file, numbered from 1 and decoded one at a time.
+
+    ``bytes.splitlines`` breaks at ``\\n``, ``\\r\\n`` and ``\\r``, the newlines a
+    text-mode read recognizes, and a binary read ends each chunk at ``\\n``,
+    so the lines are those a text-mode read gives.  Decoding per line lets
+    an invalid UTF-8 byte be reported with its line.
+    """
+    line_number = 0
+    for chunk in f:
+        for raw in chunk.splitlines():
+            line_number += 1
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise DatasetParseError(f"invalid UTF-8 in {path}: {e}",
+                                        line_number=line_number) from e
+            yield line_number, line
+
+
 def _parse_line(line: str, line_number: int) -> dict:
     try:
-        obj = json.loads(line.rstrip("\n"))
+        obj = json.loads(line)
     except (ValueError, RecursionError) as e:
         raise DatasetParseError(str(e), line_number=line_number) from e
     if type(obj) is not dict:
@@ -448,11 +468,12 @@ def load_dataset(path: str | Path, check_tag_consistency: bool = True) -> Datase
     caption tokens are one shared object.  Every field must hold the JSON
     type save_dataset writes, or DatasetParseError names the line.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        first = f.readline()
-        if not first:
+    with open(path, "rb") as f:
+        lines = _numbered_lines(f, path)
+        first = next(lines, None)
+        if first is None:
             raise DatasetParseError("empty file", line_number=1)
-        header = _parse_line(first, 1)
+        header = _parse_line(first[1], 1)
         if header.get("format") != DATASET_FORMAT:
             raise DatasetParseError(f"bad format marker {header.get('format')!r}", line_number=1)
         if type(header.get("version")) is not int or header["version"] != DATASET_VERSION:
@@ -477,7 +498,7 @@ def load_dataset(path: str | Path, check_tag_consistency: bool = True) -> Datase
         captions: list[Caption] = []
         shared: dict = {}
         rows = None  # (capacity, d_a) feature buffer, grown by doubling
-        for line_number, line in enumerate(f, start=2):
+        for line_number, line in lines:
             obj = _parse_line(line, line_number)
             try:
                 clip_id = _integer(obj["id"], "id")

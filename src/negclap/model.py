@@ -34,7 +34,7 @@ LOG_TEMPERATURE_INIT = math.log(14.3)
 LOG_TEMPERATURE_MIN = 0.0
 LOG_TEMPERATURE_MAX = math.log(100.0)
 # 0.02 puts pre-normalization outputs near 1e-3; the 1/||o|| factor in the
-# normalization backward then makes the first SGD step collapse every
+# normalization backward then makes the first update collapse every
 # embedding onto the output bias.  0.1 keeps ||o|| near 1.
 DEFAULT_INIT_SCALE = 0.1
 DEFAULT_TABLE_SCALE = 0.1
@@ -480,18 +480,6 @@ def model_backward(
     return grads
 
 
-def sgd_update(params: ModelParams, grads: ParamGrads, learning_rate: float) -> None:
-    """In-place SGD step; log_temperature is clamped to [ln 1, ln 100] afterwards."""
-    for name in DENSE_FIELDS:
-        arr = getattr(params, name)
-        arr -= learning_rate * getattr(grads, name)
-    for name in TABLE_FIELDS:
-        grad = getattr(grads, name)
-        getattr(params, name)[grad.rows] -= learning_rate * grad.values
-    np.clip(params.log_temperature, LOG_TEMPERATURE_MIN, LOG_TEMPERATURE_MAX,
-            out=params.log_temperature)
-
-
 def save_checkpoint(path: str | Path, params: ModelParams) -> None:
     """Header line, then per-parameter JSON meta + float32 little-endian payload."""
     dims = params.dims
@@ -533,10 +521,11 @@ def param_shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
 def load_checkpoint(path: str | Path) -> ModelParams:
     """Read a checkpoint written by ``save_checkpoint``.
 
-    The header must hold positive integer dims and hash_buckets and an
-    integer seed; every block must have the shape those dims give and hold
-    finite values.  Any violation raises ``ValueError`` naming the file and
-    the field.
+    The header must hold the format marker, the version as a JSON integer,
+    positive integer dims and hash_buckets and an integer seed; every block
+    must have the shape those dims give and hold finite values.  Any
+    violation, a line nested too deep for the JSON decoder included, raises
+    ``ValueError`` naming the file and the field.
     """
     def bad(message: str) -> ValueError:
         return ValueError(f"checkpoint {path}: {message}")
@@ -544,7 +533,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     def json_object(line: bytes, what: str) -> dict:
         try:
             obj = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, or nested too deep
             raise bad(f"bad {what}: {e}") from e
         if not isinstance(obj, dict):
             raise bad(f"bad {what}: expected a JSON object")
@@ -563,7 +552,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         header = json_object(f.readline(), "header")
         if header.get("format") != CHECKPOINT_FORMAT:
             raise bad(f"bad format marker {header.get('format')!r}")
-        if header.get("version") != CHECKPOINT_VERSION:
+        if type(header.get("version")) is not int or header["version"] != CHECKPOINT_VERSION:
             raise bad(f"unsupported version {header.get('version')!r}")
         d = header.get("dims")
         if not isinstance(d, dict):

@@ -1,4 +1,4 @@
-"""Training objectives: symmetric contrastive loss, dissimilarity term, weighted total.
+"""Training objective: symmetric contrastive loss plus a weighted dissimilarity term.
 
 The contrastive term is a symmetric softmax cross-entropy over a
 temperature-scaled audio/text similarity matrix.  The dissimilarity term is
@@ -7,9 +7,13 @@ fully negated counterpart; minimizing it pushes the pair apart, and for
 unit-norm inputs its value lies in [0, 2].  Gradients flow into both sides
 of every pair (no stop-gradient anywhere).
 
-Embedding-level functions return gradients with respect to the (unit-norm)
-embedding matrices; the ``*_through_encoders`` helpers chain those through
-``model_backward`` to full parameter gradients.  Everything accumulates in
+``clap_loss`` and ``dissimilarity_loss`` work on (unit-norm) embedding
+matrices and return their gradients with respect to them.
+``total_loss_through_encoders`` is the one chain from captions and audio
+features to full parameter gradients: it encodes, calls both losses,
+weights the dissimilarity gradients by ``k`` and runs ``model_backward``
+once.  The two ``*_through_encoders`` wrappers evaluate one term each
+through that chain, for the gradient oracle.  Everything accumulates in
 float64.
 """
 
@@ -26,7 +30,6 @@ from .model import (
     ParamGrads,
     TokenIndex,
     encode_audio_batch,
-    encode_text_batch,
     encode_token_lists,
     model_backward,
 )
@@ -38,28 +41,6 @@ class LossBreakdown:
     l_diss: float
     k: float
     l_total: float
-
-
-@dataclass
-class ClapGrads:
-    d_audio: np.ndarray
-    d_text: np.ndarray
-    d_log_temperature: float
-
-
-@dataclass
-class DissGrads:
-    d_anchor: np.ndarray
-    d_negated: np.ndarray
-
-
-@dataclass
-class TotalGrads:
-    d_audio: np.ndarray
-    d_text: np.ndarray
-    d_anchor: np.ndarray | None
-    d_negated: np.ndarray | None
-    d_log_temperature: float
 
 
 def _check_batch(*embs: np.ndarray) -> int:
@@ -78,12 +59,13 @@ def _log_softmax(scores: np.ndarray, axis: int) -> np.ndarray:
 
 
 def clap_loss(audio_embs: np.ndarray, text_embs: np.ndarray,
-              log_temperature: float) -> tuple[float, ClapGrads]:
+              log_temperature: float) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Symmetric contrastive cross-entropy over exp(log_temperature)-scaled cosines.
 
     Entry (i, j) of the logit matrix scores audio i against caption j; the
     diagonal holds the matching pairs.  Rows are the audio-to-text
-    direction, columns text-to-audio, and the loss averages both.
+    direction, columns text-to-audio, and the loss averages both.  Returns
+    ``(loss, d_audio, d_text, d_log_temperature)``.
     """
     B = _check_batch(audio_embs, text_embs)
     tau = float(np.exp(log_temperature))
@@ -98,47 +80,68 @@ def clap_loss(audio_embs: np.ndarray, text_embs: np.ndarray,
     g_scores = (np.exp(log_p_rows) - eye + np.exp(log_p_cols) - eye) / (2.0 * B)
     d_audio = tau * (g_scores @ text_embs)
     d_text = tau * (g_scores.T @ audio_embs)
-    d_log_temperature = float(np.sum(g_scores * scores))
-    return float(loss), ClapGrads(d_audio, d_text, d_log_temperature)
+    return float(loss), d_audio, d_text, float(np.sum(g_scores * scores))
 
 
 def dissimilarity_loss(caption_embs: np.ndarray,
-                       negated_embs: np.ndarray) -> tuple[float, DissGrads]:
+                       negated_embs: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """1 + mean cosine between paired caption / fully-negated embeddings.
 
     The value is clipped to [0, 2], the range it spans for unit-norm
-    inputs; the gradients are those of the unclipped expression.
+    inputs; the gradients are those of the unclipped expression.  Returns
+    ``(loss, d_anchor, d_negated)``.
     """
     B = _check_batch(caption_embs, negated_embs)
     # rounding can land antipodal or identical unit pairs an ulp outside [0, 2]
     loss = min(max(1.0 + float(np.sum(caption_embs * negated_embs)) / B, 0.0), 2.0)
-    return loss, DissGrads(d_anchor=negated_embs / B, d_negated=caption_embs / B)
+    return loss, negated_embs / B, caption_embs / B
 
 
-def total_loss(audio_embs: np.ndarray, text_embs: np.ndarray, *, k: float,
-               log_temperature: float,
-               anchor_embs: np.ndarray | None = None,
-               negated_embs: np.ndarray | None = None) -> tuple[LossBreakdown, TotalGrads]:
-    """l_clap + k * l_diss with correspondingly weighted gradients.
+def total_loss_through_encoders(
+    params: ModelParams, vocab: Vocabulary, audio_features: np.ndarray | None,
+    clap_captions: Sequence[Caption] | None, *, k: float,
+    anchor_captions: Sequence[Caption] | None = None,
+    negated_captions: Sequence[Caption] | None = None,
+    with_grads: bool = True,
+    index: TokenIndex | None = None,
+) -> tuple[LossBreakdown, ParamGrads | None]:
+    """l_clap + k * l_diss of one training step, with full parameter gradients.
 
-    The dissimilarity pair is optional; without it l_diss is reported as 0.
-    With k = 0 the result reduces exactly to clap_loss (anchor gradients, if
-    present, are exact zeros).
+    The contrastive term sees (audio_features, clap_captions); the
+    dissimilarity term, when pairs are given, sees (anchor_captions,
+    negated_captions), which lets the contrastive side use augmented
+    captions while the repulsion anchors stay on the originals.  A term
+    whose inputs are None is left out and reported as 0.  Captions become
+    bucket ids through ``index`` (a ``TokenIndex`` over ``vocab``), or
+    through a fresh index when none is given.
     """
     if k < 0:
         raise ValueError(f"term weight k must be nonnegative, got {k}")
-    if (anchor_embs is None) != (negated_embs is None):
-        raise ValueError("anchor and negated embeddings must be supplied together")
-    l_clap, cg = clap_loss(audio_embs, text_embs, log_temperature)
-    if anchor_embs is not None:
-        l_diss, dg = dissimilarity_loss(anchor_embs, negated_embs)
-        d_anchor = k * dg.d_anchor
-        d_negated = k * dg.d_negated
-    else:
-        l_diss, d_anchor, d_negated = 0.0, None, None
+    if (audio_features is None) != (clap_captions is None):
+        raise ValueError("audio features and contrastive captions must be supplied together")
+    if (anchor_captions is None) != (negated_captions is None):
+        raise ValueError("anchor and negated captions must be supplied together")
+    if index is None:
+        index = TokenIndex(vocab, params.dims.hash_buckets)
+    text_passes, audio_passes = [], []
+    l_clap = l_diss = d_log_temperature = 0.0
+    if clap_captions is not None:
+        audio_embs, audio_cache = encode_audio_batch(params, audio_features)
+        text_embs, text_cache = encode_token_lists(params, index.ids(clap_captions))
+        l_clap, d_audio, d_text, d_log_temperature = clap_loss(
+            audio_embs, text_embs, float(params.log_temperature))
+        text_passes.append((text_cache, d_text))
+        audio_passes.append((audio_cache, d_audio))
+    if anchor_captions is not None:
+        anchor_embs, anchor_cache = encode_token_lists(params, index.ids(anchor_captions))
+        negated_embs, negated_cache = encode_token_lists(params, index.ids(negated_captions))
+        l_diss, d_anchor, d_negated = dissimilarity_loss(anchor_embs, negated_embs)
+        text_passes += [(anchor_cache, k * d_anchor), (negated_cache, k * d_negated)]
     breakdown = LossBreakdown(l_clap=l_clap, l_diss=l_diss, k=k, l_total=l_clap + k * l_diss)
-    grads = TotalGrads(d_audio=cg.d_audio, d_text=cg.d_text, d_anchor=d_anchor,
-                       d_negated=d_negated, d_log_temperature=cg.d_log_temperature)
+    if not with_grads:
+        return breakdown, None
+    grads = model_backward(params, text_passes, audio_passes)
+    grads.log_temperature += d_log_temperature
     return breakdown, grads
 
 
@@ -146,77 +149,18 @@ def clap_loss_through_encoders(
     params: ModelParams, vocab: Vocabulary, audio_features: np.ndarray,
     captions: Sequence[Caption], with_grads: bool = True,
 ) -> tuple[float, ParamGrads | None]:
-    """Contrastive loss of a batch, with full parameter gradients."""
-    audio_embs, audio_cache = encode_audio_batch(params, audio_features)
-    text_embs, text_cache = encode_text_batch(params, captions, vocab)
-    loss, g = clap_loss(audio_embs, text_embs, float(params.log_temperature))
-    if not with_grads:
-        return loss, None
-    grads = model_backward(params, [(text_cache, g.d_text)], [(audio_cache, g.d_audio)])
-    grads.log_temperature += g.d_log_temperature
-    return loss, grads
+    """Contrastive loss of a batch alone, with full parameter gradients."""
+    breakdown, grads = total_loss_through_encoders(
+        params, vocab, audio_features, captions, k=0.0, with_grads=with_grads)
+    return breakdown.l_clap, grads
 
 
 def dissimilarity_through_encoders(
     params: ModelParams, vocab: Vocabulary, anchor_captions: Sequence[Caption],
     negated_captions: Sequence[Caption], with_grads: bool = True,
 ) -> tuple[float, ParamGrads | None]:
-    """Dissimilarity loss of paired caption batches, with full parameter gradients."""
-    if len(anchor_captions) != len(negated_captions):
-        raise ValueError("anchor and negated caption batches must have equal length")
-    index = TokenIndex(vocab, params.dims.hash_buckets)
-    anchor_embs, anchor_cache = encode_token_lists(params, index.ids(anchor_captions))
-    negated_embs, negated_cache = encode_token_lists(params, index.ids(negated_captions))
-    loss, g = dissimilarity_loss(anchor_embs, negated_embs)
-    if not with_grads:
-        return loss, None
-    grads = model_backward(
-        params, [(anchor_cache, g.d_anchor), (negated_cache, g.d_negated)], []
-    )
-    return loss, grads
-
-
-def total_loss_through_encoders(
-    params: ModelParams, vocab: Vocabulary, audio_features: np.ndarray,
-    clap_captions: Sequence[Caption], *, k: float,
-    anchor_captions: Sequence[Caption] | None = None,
-    negated_captions: Sequence[Caption] | None = None,
-    with_grads: bool = True,
-    index: TokenIndex | None = None,
-) -> tuple[LossBreakdown, ParamGrads | None]:
-    """Full-chain loss for one training step.
-
-    The contrastive term sees (audio, clap_captions); the dissimilarity term,
-    when k > 0 and pairs are given, sees (anchor_captions, negated_captions),
-    which lets the contrastive side use augmented captions while the
-    repulsion anchors stay on the originals.  Captions become bucket ids
-    through ``index`` (a ``TokenIndex`` over ``vocab``), or through a fresh
-    index when none is given.
-    """
-    if k < 0:
-        raise ValueError(f"term weight k must be nonnegative, got {k}")
-    if (anchor_captions is None) != (negated_captions is None):
-        raise ValueError("anchor and negated captions must be supplied together")
-    if index is None:
-        index = TokenIndex(vocab, params.dims.hash_buckets)
-    audio_embs, audio_cache = encode_audio_batch(params, audio_features)
-    text_embs, text_cache = encode_token_lists(params, index.ids(clap_captions))
-    anchor_embs = negated_embs = None
-    anchor_cache = negated_cache = None
-    if anchor_captions is not None:
-        if len(anchor_captions) != len(negated_captions):
-            raise ValueError("anchor and negated caption batches must have equal length")
-        anchor_embs, anchor_cache = encode_token_lists(params, index.ids(anchor_captions))
-        negated_embs, negated_cache = encode_token_lists(params, index.ids(negated_captions))
-    breakdown, g = total_loss(
-        audio_embs, text_embs, k=k, log_temperature=float(params.log_temperature),
-        anchor_embs=anchor_embs, negated_embs=negated_embs,
-    )
-    if not with_grads:
-        return breakdown, None
-    text_passes = [(text_cache, g.d_text)]
-    if anchor_cache is not None:
-        text_passes += [(anchor_cache, g.d_anchor), (negated_cache, g.d_negated)]
-    grads = model_backward(params, text_passes, [(audio_cache, g.d_audio)])
-    grads.log_temperature += g.d_log_temperature
-    return breakdown, grads
+    """Dissimilarity loss of paired caption batches alone, with full parameter gradients."""
+    breakdown, grads = total_loss_through_encoders(
+        params, vocab, None, None, k=1.0, anchor_captions=anchor_captions,
+        negated_captions=negated_captions, with_grads=with_grads)
+    return breakdown.l_diss, grads

@@ -51,7 +51,6 @@ from .model import (
     encode_audio_batch,
     encode_token_lists,
     init_params,
-    sgd_update,
 )
 from .negation import AugmentationConfig, AugmentationExhausted, apply_augmentation, fully_negate
 from .objective import LossBreakdown, total_loss_through_encoders
@@ -220,8 +219,8 @@ def train_step(
     config: TrainConfig,
     vocab: Vocabulary,
     rng: np.random.Generator,
+    optimizer: AdamOptimizer,
     counters: EpochCounters | None = None,
-    optimizer: AdamOptimizer | None = None,
     index: TokenIndex | None = None,
 ) -> tuple[ModelParams, LossBreakdown]:
     """One optimizer update on a batch of (clip, caption) pairs; params update in place.
@@ -229,9 +228,9 @@ def train_step(
     Per item: the caption entering the contrastive term passes through the
     insert augmentation with p_aug (falling back to the original when the
     vocabulary is exhausted), and with k > 0 a fully negated counterpart of
-    the original caption feeds the dissimilarity term.  Without an optimizer
-    the update degrades to one plain SGD step.  ``index`` is the calling
-    run's token index over ``vocab``; without one the step builds its own.
+    the original caption feeds the dissimilarity term.  ``index`` is the
+    calling run's token index over ``vocab``; without one the step builds
+    its own.
     """
     if not batch:
         raise ValueError("empty batch")
@@ -261,10 +260,7 @@ def train_step(
         params, vocab, features, clap_captions, k=config.k,
         anchor_captions=anchors, negated_captions=negated, index=index,
     )
-    if optimizer is None:
-        sgd_update(params, grads, config.learning_rate)
-    else:
-        optimizer.step(params, grads, config.learning_rate)
+    optimizer.step(params, grads, config.learning_rate)
     return params, breakdown
 
 
@@ -312,7 +308,7 @@ def train(
         for idx in batches:
             batch = [dataset_train.pairs[i] for i in idx]
             _, breakdown = train_step(params, batch, config, vocab, epoch_rng,
-                                      counters, optimizer, index)
+                                      optimizer, counters, index)
             sums += (breakdown.l_clap, breakdown.l_diss, breakdown.l_total)
         means = sums / len(batches)
 

@@ -170,12 +170,12 @@ def test_criterion_02_dissimilarity_bounds():
         raw = rng.normal(size=(10_000, 2, 16))
         units = raw / np.linalg.norm(raw, axis=2, keepdims=True)
         for a, b in units:
-            loss, _ = dissimilarity_loss(a[None, :], b[None, :])
+            loss = dissimilarity_loss(a[None, :], b[None, :])[0]
             if not 0.0 <= loss <= 2.0:
                 ok = False
         e = units[0, 0][None, :]
-        same, _ = dissimilarity_loss(e, e)
-        opposite, _ = dissimilarity_loss(e, -e)
+        same = dissimilarity_loss(e, e)[0]
+        opposite = dissimilarity_loss(e, -e)[0]
         ok = ok and abs(same - 2.0) <= 1e-9 and abs(opposite - 0.0) <= 1e-9
     report(2, "dissimilarity bounds", ok,
            "10,000 random unit pairs per seed in [0, 2]; equality cases exact to 1e-9")

@@ -171,6 +171,18 @@ class TestAugment:
         ds = load_dataset(out, check_tag_consistency=False)
         assert all(m.negated for _, c in ds.pairs for m in c.mentions())
 
+    def test_invalid_utf8_is_parse_error_naming_file_and_line(self, tmp_path, capsys):
+        path = gen_small(tmp_path) / "train.jsonl"
+        data = bytearray(path.read_bytes())
+        data[2000] = 0xFF
+        path.write_bytes(bytes(data))
+        code = main(["augment", "--data", str(path), "--op", "insert", "--seed", "5",
+                     "--out", str(tmp_path / "aug.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        line = data[:2000].count(b"\n") + 1
+        assert err.startswith(f"error: line {line}: invalid UTF-8 in {path}: ")
+
     def test_missing_input_is_io_error(self, tmp_path):
         code = main(["augment", "--data", str(tmp_path / "nope.jsonl"),
                      "--op", "half", "--seed", "1",
@@ -240,6 +252,23 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert str(ckpt) in err and "'dims'" in err
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda head: head.replace(b'"version": 1,', b'"version": true,'),
+         "unsupported version True"),
+        (lambda head: head.replace(b'"version": 1,', b'"version": 1.0,'),
+         "unsupported version 1.0"),
+        (lambda head: b"[" * 100_000, "bad header: maximum recursion depth"),
+    ], ids=["version-true", "version-float", "nested-too-deep"])
+    def test_malformed_header_is_usage_error(self, tmp_path, capsys, edit, problem):
+        data, ckpt = self._trained(tmp_path)
+        head, rest = ckpt.read_bytes().split(b"\n", 1)
+        assert edit(head) != head
+        ckpt.write_bytes(edit(head) + b"\n" + rest)
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--eval-seed", "9", "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: checkpoint {ckpt}: {problem}")
 
     def test_report_schema(self, tmp_path):
         data, ckpt = self._trained(tmp_path)

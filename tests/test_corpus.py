@@ -238,6 +238,26 @@ class TestSaveLoad:
             load_dataset(path)
         assert err.value.line_number == len(ds.pairs) + 1
 
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_other_line_endings_load_the_same(self, tmp_path, newline):
+        ds = self._dataset()
+        path = tmp_path / "ds.jsonl"
+        save_dataset(ds, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", newline))
+        assert load_dataset(path) == ds
+
+    def test_invalid_utf8_is_parse_error_naming_file_and_line(self, tmp_path):
+        ds = self._dataset()
+        path = tmp_path / "ds.jsonl"
+        save_dataset(ds, path)
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b'"w": "', b'"w": "\xff', 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DatasetParseError, match="invalid UTF-8") as err:
+            load_dataset(path)
+        assert err.value.line_number == 4
+        assert str(path) in str(err.value)
+
     def test_bad_header_is_parse_error(self, tmp_path):
         path = tmp_path / "ds.jsonl"
         path.write_text('{"format": "something-else", "version": 1}\n')

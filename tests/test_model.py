@@ -18,11 +18,8 @@ from negclap.corpus import (
     render_caption,
 )
 from negclap.model import (
-    DENSE_FIELDS,
     TABLE_FIELDS,
     ModelDims,
-    ParamGrads,
-    RowGrad,
     TokenIndex,
     encode_audio,
     encode_audio_batch,
@@ -35,7 +32,6 @@ from negclap.model import (
     _mlp_backward,
     model_backward,
     save_checkpoint,
-    sgd_update,
     similarity,
     tokenize,
 )
@@ -307,34 +303,6 @@ class TestTokenIndex:
             assert cache.bi_rows.tolist() == bi_rows
             assert cache.x.tobytes() == x.tobytes()
             assert emb.tobytes() == emb_ref.tobytes()
-
-
-class TestSgdUpdate:
-    def test_step_and_temperature_clamp(self, small_params):
-        params = small_params.copy()
-        grads = ParamGrads.zeros_like(params)
-        grads.text_out_b += 1.0
-        grads.log_temperature += -100.0
-        sgd_update(params, grads, learning_rate=0.5)
-        np.testing.assert_allclose(params.text_out_b, small_params.text_out_b - 0.5)
-        assert float(params.log_temperature) == pytest.approx(np.log(100.0))
-
-    def test_row_sparse_step_equals_dense_step(self, small_params):
-        params = small_params.copy()
-        rng = np.random.default_rng(2)
-        grads = ParamGrads.zeros_like(params)
-        for name in DENSE_FIELDS:
-            getattr(grads, name)[...] = rng.normal(size=getattr(params, name).shape)
-        n_rows, d_t = params.unigram_table.shape
-        grads.unigram_table = RowGrad(np.array([0, 5, 17]), rng.normal(size=(3, d_t)))
-        grads.bigram_table = RowGrad.empty(d_t)
-        expected = {name: getattr(small_params, name)
-                    - 0.3 * (dense_table(grad, n_rows) if name in TABLE_FIELDS else grad)
-                    for name, grad in grads.items()}
-        sgd_update(params, grads, learning_rate=0.3)
-        for name, arr in params.items():
-            if name != "log_temperature":
-                assert arr.tobytes() == expected[name].tobytes(), name
 
 
 class TestCheckpoint:

@@ -100,7 +100,8 @@ class TestTrainStep:
         params = init_params(TINY_DIMS, 3)
         counters = EpochCounters()
         _, breakdown = train_step(params, self._batch(train_ds), config,
-                                  train_ds.vocabulary, seeded_rng(0), counters)
+                                  train_ds.vocabulary, seeded_rng(0),
+                                  AdamOptimizer.for_params(params), counters)
         assert breakdown.l_diss == 0.0
         assert breakdown.k == 0.0
         assert breakdown.l_total == breakdown.l_clap
@@ -114,7 +115,8 @@ class TestTrainStep:
         params = init_params(TINY_DIMS, 3)
         counters = EpochCounters()
         _, breakdown = train_step(params, self._batch(train_ds), config,
-                                  train_ds.vocabulary, seeded_rng(0), counters)
+                                  train_ds.vocabulary, seeded_rng(0),
+                                  AdamOptimizer.for_params(params), counters)
         assert counters.augmented == 0
         assert 0.0 <= breakdown.l_diss <= 2.0 + 1e-9
         assert breakdown.l_total == breakdown.l_clap + 1e-2 * breakdown.l_diss
@@ -127,7 +129,7 @@ class TestTrainStep:
         params = init_params(TINY_DIMS, 3)
         counters = EpochCounters()
         train_step(params, self._batch(train_ds), config, train_ds.vocabulary,
-                   seeded_rng(0), counters)
+                   seeded_rng(0), AdamOptimizer.for_params(params), counters)
         assert counters.augmented == 8
 
     def test_empty_batch_rejected(self):
@@ -137,7 +139,8 @@ class TestTrainStep:
 
         params = init_params(TINY_DIMS, 3)
         with pytest.raises(ValueError):
-            train_step(params, [], config, train_ds.vocabulary, seeded_rng(0))
+            train_step(params, [], config, train_ds.vocabulary, seeded_rng(0),
+                       AdamOptimizer.for_params(params))
 
 
 class TestAdamOptimizer:
@@ -195,6 +198,19 @@ class TestAdamOptimizer:
                     out=reference.log_temperature)
             for name in DENSE_FIELDS:
                 assert getattr(params, name).tobytes() == getattr(reference, name).tobytes(), name
+
+    def test_temperature_clamped_after_step(self):
+        from negclap.model import ParamGrads, init_params
+
+        # a first Adam step moves by about the learning rate, past either bound
+        for start, grad, bound in ((np.log(100.0) - 1e-3, -1.0, np.log(100.0)),
+                                   (1e-3, 1.0, 0.0)):
+            params = init_params(TINY_DIMS, 7)
+            params.log_temperature[...] = start
+            grads = ParamGrads.zeros_like(params)
+            grads.log_temperature += grad
+            AdamOptimizer.for_params(params).step(params, grads, learning_rate=0.5)
+            assert float(params.log_temperature) == bound
 
 
 class TestTrain:
