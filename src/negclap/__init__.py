@@ -52,7 +52,6 @@ from .model import (
     tokenize,
 )
 from .negation import (
-    AugmentationConfig,
     AugmentationExhausted,
     apply_augmentation,
     fully_negate,

@@ -113,13 +113,12 @@ def _cmd_augment(args) -> int:
     dataset = corpus.load_dataset(args.data)
     vocab = dataset.vocabulary
     rng = seeded_rng(args.seed, 0)
-    config = negation.AugmentationConfig(p_aug=args.p_aug)
     skipped = 0
     new_pairs = []
     for clip, caption in dataset.pairs:
         if args.op == "insert":
             try:
-                caption = negation.apply_augmentation(caption, vocab, config, rng)
+                caption = negation.apply_augmentation(caption, vocab, args.p_aug, rng)
             except negation.AugmentationExhausted:
                 skipped += 1
         elif args.op == "half":

@@ -141,21 +141,19 @@ class ParamGrads:
             yield name, getattr(self, name)
 
 
-def init_params(dims: ModelDims, seed: int, init_scale: float = DEFAULT_INIT_SCALE,
-                table_scale: float | None = None) -> ModelParams:
+def init_params(dims: ModelDims, seed: int,
+                init_scale: float = DEFAULT_INIT_SCALE) -> ModelParams:
     """Gaussian weights and tables, zero biases, ln(14.3) temperature.
 
-    table_scale (default DEFAULT_TABLE_SCALE) controls the embedding tables
-    separately from the affine weights: rows the corpus never touches keep
-    their init magnitude forever, and their size is what an untrained model
+    The embedding tables draw at DEFAULT_TABLE_SCALE, separately from the
+    affine weights' init_scale: rows the corpus never touches keep their
+    init magnitude forever, and their size is what an untrained model
     "hears" when a caption gains unseen tokens.
     """
-    if table_scale is None:
-        table_scale = DEFAULT_TABLE_SCALE
     rng = seeded_rng(seed, 0)
 
     def table(*shape):
-        return rng.normal(0.0, table_scale, size=shape)
+        return rng.normal(0.0, DEFAULT_TABLE_SCALE, size=shape)
 
     def gauss(*shape):
         return rng.normal(0.0, init_scale, size=shape)
@@ -222,7 +220,6 @@ class TokenIndex:
         self._unigram: list[int] = []
         self._bigram: dict[tuple[int, int], int] = {}
         self._pieces: dict[object, tuple[int, ...]] = {}
-        self._kept: dict[int, tuple[Caption, CaptionIds]] = {}
 
     def _token_id(self, token: str) -> int:
         tid = self._token_ids.get(token)
@@ -239,9 +236,6 @@ class TokenIndex:
         return bucket
 
     def _caption_ids(self, caption: Caption) -> CaptionIds:
-        kept = self._kept.get(id(caption))
-        if kept is not None:
-            return kept[1]
         pieces = self._pieces
         ids: list[int] = []
         for tok in caption.tokens:
@@ -260,17 +254,6 @@ class TokenIndex:
     def ids(self, captions: Iterable[Caption]) -> list[CaptionIds]:
         """Each caption's bucket ids, in order."""
         return [self._caption_ids(c) for c in captions]
-
-    def keep(self, captions: Iterable[Caption]) -> None:
-        """Compute and hold the ids of these caption objects for later lookups.
-
-        For captions encoded again and again within the call, such as a
-        dataset's originals.  Entries are keyed by object ``id``; the index
-        holds a reference to each caption, so no other object can take over
-        that ``id`` while the index lives.
-        """
-        for c in captions:
-            self._kept[id(c)] = (c, self._caption_ids(c))
 
 
 @dataclass
@@ -481,7 +464,20 @@ def model_backward(
 
 
 def save_checkpoint(path: str | Path, params: ModelParams) -> None:
-    """Header line, then per-parameter JSON meta + float32 little-endian payload."""
+    """Header line, then per-parameter JSON meta + float32 little-endian payload.
+
+    Raises ``ValueError`` naming the parameter, before the file is opened,
+    when a value is not finite in float32 (a diverged run overflows there),
+    since ``load_checkpoint`` would refuse the file.
+    """
+    payloads = {}
+    for name, arr in params.items():
+        with np.errstate(over="ignore"):  # overflow is reported just below
+            arr32 = np.asarray(arr, dtype=np.float64).astype("<f4")
+        if not np.isfinite(arr32).all():
+            raise ValueError(f"cannot save checkpoint {path}: parameter {name!r} "
+                             "holds values that are not finite in float32")
+        payloads[name] = arr32
     dims = params.dims
     header = {
         "format": CHECKPOINT_FORMAT,
@@ -492,11 +488,10 @@ def save_checkpoint(path: str | Path, params: ModelParams) -> None:
     }
     with open(path, "wb") as f:
         f.write(json.dumps(header).encode("utf-8") + b"\n")
-        for name, arr in params.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            meta = {"name": name, "shape": list(arr.shape)}
+        for name, arr32 in payloads.items():
+            meta = {"name": name, "shape": list(arr32.shape)}
             f.write(json.dumps(meta).encode("utf-8") + b"\n")
-            f.write(arr.astype("<f4").tobytes(order="C"))
+            f.write(arr32.tobytes(order="C"))
             f.write(b"\n")
 
 

@@ -15,7 +15,6 @@ are already negated are never touched, so negation never stacks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,15 +23,6 @@ from .corpus import Caption, TagMention, Vocabulary
 
 class AugmentationExhausted(RuntimeError):
     """Raised when every vocabulary tag already occurs in the caption."""
-
-
-@dataclass(frozen=True)
-class AugmentationConfig:
-    p_aug: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_aug <= 1.0:
-            raise ValueError(f"p_aug must lie in [0, 1], got {self.p_aug}")
 
 
 def negation_insert(caption: Caption, vocab: Vocabulary, rng: np.random.Generator) -> Caption:
@@ -93,14 +83,14 @@ def fully_negate(caption: Caption, vocab: Vocabulary, rng: np.random.Generator) 
     return _negate_selected(caption, set(positions), vocab, rng)
 
 
-def apply_augmentation(caption: Caption, vocab: Vocabulary, config: AugmentationConfig,
+def apply_augmentation(caption: Caption, vocab: Vocabulary, p_aug: float,
                        rng: np.random.Generator) -> Caption:
-    """With probability ``config.p_aug`` return negation_insert(caption), else caption.
+    """With probability ``p_aug`` return negation_insert(caption), else caption.
 
     The Bernoulli draw and any inner draws come from ``rng``; the input
     object is returned unchanged when the draw fails.  AugmentationExhausted
     propagates so callers can decide on a fallback.
     """
-    if rng.random() < config.p_aug:
+    if rng.random() < p_aug:
         return negation_insert(caption, vocab, rng)
     return caption

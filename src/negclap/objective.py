@@ -9,12 +9,12 @@ of every pair (no stop-gradient anywhere).
 
 ``clap_loss`` and ``dissimilarity_loss`` work on (unit-norm) embedding
 matrices and return their gradients with respect to them.
-``total_loss_through_encoders`` is the one chain from captions and audio
-features to full parameter gradients: it encodes, calls both losses,
-weights the dissimilarity gradients by ``k`` and runs ``model_backward``
-once.  The two ``*_through_encoders`` wrappers evaluate one term each
-through that chain, for the gradient oracle.  Everything accumulates in
-float64.
+``total_loss_through_encoders`` is the one chain from captions, given as
+bucket ids, and audio features to full parameter gradients: it encodes,
+calls both losses, weights the dissimilarity gradients by ``k`` and runs
+``model_backward`` once.  The two ``*_through_encoders`` wrappers evaluate
+one term each through that chain, for the gradient oracle.  Everything
+accumulates in float64.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Caption, Vocabulary
 from .model import (
+    CaptionIds,
     ModelParams,
     ParamGrads,
-    TokenIndex,
     encode_audio_batch,
     encode_token_lists,
     model_backward,
@@ -98,43 +97,38 @@ def dissimilarity_loss(caption_embs: np.ndarray,
 
 
 def total_loss_through_encoders(
-    params: ModelParams, vocab: Vocabulary, audio_features: np.ndarray | None,
-    clap_captions: Sequence[Caption] | None, *, k: float,
-    anchor_captions: Sequence[Caption] | None = None,
-    negated_captions: Sequence[Caption] | None = None,
+    params: ModelParams, audio_features: np.ndarray | None,
+    clap_ids: Sequence[CaptionIds] | None, *, k: float,
+    anchor_ids: Sequence[CaptionIds] | None = None,
+    negated_ids: Sequence[CaptionIds] | None = None,
     with_grads: bool = True,
-    index: TokenIndex | None = None,
 ) -> tuple[LossBreakdown, ParamGrads | None]:
     """l_clap + k * l_diss of one training step, with full parameter gradients.
 
-    The contrastive term sees (audio_features, clap_captions); the
-    dissimilarity term, when pairs are given, sees (anchor_captions,
-    negated_captions), which lets the contrastive side use augmented
-    captions while the repulsion anchors stay on the originals.  A term
-    whose inputs are None is left out and reported as 0.  Captions become
-    bucket ids through ``index`` (a ``TokenIndex`` over ``vocab``), or
-    through a fresh index when none is given.
+    Captions arrive as bucket ids (see ``TokenIndex``).  The contrastive
+    term sees (audio_features, clap_ids); the dissimilarity term, when pairs
+    are given, sees (anchor_ids, negated_ids), which lets the contrastive
+    side use augmented captions while the repulsion anchors stay on the
+    originals.  A term whose inputs are None is left out and reported as 0.
     """
     if k < 0:
         raise ValueError(f"term weight k must be nonnegative, got {k}")
-    if (audio_features is None) != (clap_captions is None):
+    if (audio_features is None) != (clap_ids is None):
         raise ValueError("audio features and contrastive captions must be supplied together")
-    if (anchor_captions is None) != (negated_captions is None):
+    if (anchor_ids is None) != (negated_ids is None):
         raise ValueError("anchor and negated captions must be supplied together")
-    if index is None:
-        index = TokenIndex(vocab, params.dims.hash_buckets)
     text_passes, audio_passes = [], []
     l_clap = l_diss = d_log_temperature = 0.0
-    if clap_captions is not None:
+    if clap_ids is not None:
         audio_embs, audio_cache = encode_audio_batch(params, audio_features)
-        text_embs, text_cache = encode_token_lists(params, index.ids(clap_captions))
+        text_embs, text_cache = encode_token_lists(params, clap_ids)
         l_clap, d_audio, d_text, d_log_temperature = clap_loss(
             audio_embs, text_embs, float(params.log_temperature))
         text_passes.append((text_cache, d_text))
         audio_passes.append((audio_cache, d_audio))
-    if anchor_captions is not None:
-        anchor_embs, anchor_cache = encode_token_lists(params, index.ids(anchor_captions))
-        negated_embs, negated_cache = encode_token_lists(params, index.ids(negated_captions))
+    if anchor_ids is not None:
+        anchor_embs, anchor_cache = encode_token_lists(params, anchor_ids)
+        negated_embs, negated_cache = encode_token_lists(params, negated_ids)
         l_diss, d_anchor, d_negated = dissimilarity_loss(anchor_embs, negated_embs)
         text_passes += [(anchor_cache, k * d_anchor), (negated_cache, k * d_negated)]
     breakdown = LossBreakdown(l_clap=l_clap, l_diss=l_diss, k=k, l_total=l_clap + k * l_diss)
@@ -146,21 +140,21 @@ def total_loss_through_encoders(
 
 
 def clap_loss_through_encoders(
-    params: ModelParams, vocab: Vocabulary, audio_features: np.ndarray,
-    captions: Sequence[Caption], with_grads: bool = True,
+    params: ModelParams, audio_features: np.ndarray, clap_ids: Sequence[CaptionIds],
+    with_grads: bool = True,
 ) -> tuple[float, ParamGrads | None]:
     """Contrastive loss of a batch alone, with full parameter gradients."""
     breakdown, grads = total_loss_through_encoders(
-        params, vocab, audio_features, captions, k=0.0, with_grads=with_grads)
+        params, audio_features, clap_ids, k=0.0, with_grads=with_grads)
     return breakdown.l_clap, grads
 
 
 def dissimilarity_through_encoders(
-    params: ModelParams, vocab: Vocabulary, anchor_captions: Sequence[Caption],
-    negated_captions: Sequence[Caption], with_grads: bool = True,
+    params: ModelParams, anchor_ids: Sequence[CaptionIds],
+    negated_ids: Sequence[CaptionIds], with_grads: bool = True,
 ) -> tuple[float, ParamGrads | None]:
     """Dissimilarity loss of paired caption batches alone, with full parameter gradients."""
     breakdown, grads = total_loss_through_encoders(
-        params, vocab, None, None, k=1.0, anchor_captions=anchor_captions,
-        negated_captions=negated_captions, with_grads=with_grads)
+        params, None, None, k=1.0, anchor_ids=anchor_ids, negated_ids=negated_ids,
+        with_grads=with_grads)
     return breakdown.l_diss, grads

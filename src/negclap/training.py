@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Caption, Dataset, Vocabulary
+from .corpus import Dataset
 from .evaluation import (
     RetrievalReport,
     TripletReport,
@@ -52,7 +52,7 @@ from .model import (
     encode_token_lists,
     init_params,
 )
-from .negation import AugmentationConfig, AugmentationExhausted, apply_augmentation, fully_negate
+from .negation import AugmentationExhausted, apply_augmentation, fully_negate
 from .objective import LossBreakdown, total_loss_through_encoders
 from .seeding import seeded_rng, spawn_seed
 
@@ -124,12 +124,6 @@ class EpochLog:
     map10_avg: float
     n_augmented: int = 0
     n_aug_exhausted: int = 0
-
-
-@dataclass
-class EpochCounters:
-    augmented: int = 0
-    exhausted: int = 0
 
 
 @dataclass
@@ -216,52 +210,50 @@ def make_batches(dataset: Dataset, batch_size: int, epoch_seed: int) -> list[np.
 def train_step(
     params: ModelParams,
     batch: Sequence[tuple],
+    batch_ids: Sequence[CaptionIds],
     config: TrainConfig,
-    vocab: Vocabulary,
+    index: TokenIndex,
     rng: np.random.Generator,
     optimizer: AdamOptimizer,
-    counters: EpochCounters | None = None,
-    index: TokenIndex | None = None,
-) -> tuple[ModelParams, LossBreakdown]:
+) -> tuple[LossBreakdown, int, int]:
     """One optimizer update on a batch of (clip, caption) pairs; params update in place.
 
-    Per item: the caption entering the contrastive term passes through the
-    insert augmentation with p_aug (falling back to the original when the
-    vocabulary is exhausted), and with k > 0 a fully negated counterpart of
-    the original caption feeds the dissimilarity term.  ``index`` is the
-    calling run's token index over ``vocab``; without one the step builds
-    its own.
+    ``batch_ids`` holds the bucket ids of the batch's captions and ``index``
+    is the run's token index over their vocabulary.  Per item: the caption
+    entering the contrastive term passes through the insert augmentation
+    with p_aug (falling back to the original when the vocabulary is
+    exhausted), and with k > 0 a fully negated counterpart of the original
+    caption feeds the dissimilarity term.  Only the augmented and negated
+    captions are indexed.  Returns the loss breakdown and the numbers of
+    augmented and exhausted items.
     """
     if not batch:
         raise ValueError("empty batch")
-    clips = [clip for clip, _ in batch]
-    originals = [caption for _, caption in batch]
-    aug_config = AugmentationConfig(p_aug=config.p_aug)
-
-    clap_captions: list[Caption] = []
-    for caption in originals:
+    vocab = index.vocab
+    clap_ids = list(batch_ids)
+    n_augmented = n_exhausted = 0
+    for i, (_, caption) in enumerate(batch):
         try:
-            out = apply_augmentation(caption, vocab, aug_config, rng)
+            out = apply_augmentation(caption, vocab, config.p_aug, rng)
         except AugmentationExhausted:
-            out = caption
-            if counters is not None:
-                counters.exhausted += 1
-        if counters is not None and len(out.tokens) != len(caption.tokens):
-            counters.augmented += 1
-        clap_captions.append(out)
+            n_exhausted += 1
+            continue
+        if out is not caption:  # no insert drawn returns the input object itself
+            n_augmented += 1
+            clap_ids[i] = index.ids([out])[0]
 
-    anchors = negated = None
+    anchor_ids = negated_ids = None
     if config.k > 0:
-        anchors = originals
-        negated = [fully_negate(c, vocab, rng) for c in originals]
+        anchor_ids = batch_ids
+        negated_ids = index.ids(fully_negate(caption, vocab, rng) for _, caption in batch)
 
-    features = np.stack([clip.features for clip in clips])
+    features = np.stack([clip.features for clip, _ in batch])
     breakdown, grads = total_loss_through_encoders(
-        params, vocab, features, clap_captions, k=config.k,
-        anchor_captions=anchors, negated_captions=negated, index=index,
+        params, features, clap_ids, k=config.k,
+        anchor_ids=anchor_ids, negated_ids=negated_ids,
     )
     optimizer.step(params, grads, config.learning_rate)
-    return params, breakdown
+    return breakdown, n_augmented, n_exhausted
 
 
 def _test_map_scores(params: ModelParams, test_token_lists: Sequence[CaptionIds],
@@ -287,13 +279,12 @@ def train(
         d_a = int(dataset_train.pairs[0][0].features.shape[0])
         dims = ModelDims(d_a=d_a)
 
-    vocab = dataset_train.vocabulary
     params = init_params(dims, spawn_seed(config.seed, _INIT_STREAM))
     optimizer = AdamOptimizer.for_params(params)
     test_features = np.stack([clip.features for clip, _ in dataset_test.pairs])
     # bucket ids of the original captions, computed once for the whole run
-    index = TokenIndex(vocab, dims.hash_buckets)
-    index.keep(caption for _, caption in dataset_train.pairs)
+    index = TokenIndex(dataset_train.vocabulary, dims.hash_buckets)
+    train_caption_ids = index.ids(caption for _, caption in dataset_train.pairs)
     test_token_lists = TokenIndex(dataset_test.vocabulary, dims.hash_buckets).ids(
         caption for _, caption in dataset_test.pairs)
 
@@ -303,12 +294,14 @@ def train(
         epoch_rng = seeded_rng(config.seed, _EPOCH_STREAM, epoch)
         batches = make_batches(dataset_train, config.batch_size,
                                spawn_seed(config.seed, _SHUFFLE_STREAM, epoch))
-        counters = EpochCounters()
+        n_augmented = n_exhausted = 0
         sums = np.zeros(3)
         for idx in batches:
-            batch = [dataset_train.pairs[i] for i in idx]
-            _, breakdown = train_step(params, batch, config, vocab, epoch_rng,
-                                      optimizer, counters, index)
+            breakdown, augmented, exhausted = train_step(
+                params, [dataset_train.pairs[i] for i in idx],
+                [train_caption_ids[i] for i in idx], config, index, epoch_rng, optimizer)
+            n_augmented += augmented
+            n_exhausted += exhausted
             sums += (breakdown.l_clap, breakdown.l_diss, breakdown.l_total)
         means = sums / len(batches)
 
@@ -318,7 +311,7 @@ def train(
             epoch=epoch, l_clap=float(means[0]), l_diss=float(means[1]),
             l_total=float(means[2]), k=config.k, p_aug=config.p_aug,
             map10_t2a=map_t2a, map10_a2t=map_a2t, map10_avg=map_avg,
-            n_augmented=counters.augmented, n_aug_exhausted=counters.exhausted,
+            n_augmented=n_augmented, n_aug_exhausted=n_exhausted,
         ))
         if best is None or map_avg > best.selection_score:
             best = CheckpointRecord(epoch=epoch, params=params.copy(), selection_score=map_avg)

@@ -45,7 +45,13 @@ from negclap.evaluation import (
     retrieval_protocol,
     triplet_protocol,
 )
-from negclap.model import ModelDims, encode_audio_batch, encode_text_batch, init_params
+from negclap.model import (
+    ModelDims,
+    TokenIndex,
+    encode_audio_batch,
+    encode_text_batch,
+    init_params,
+)
 from negclap.negation import fully_negate, half_negate, negation_insert
 from negclap.objective import (
     clap_loss_through_encoders,
@@ -132,25 +138,24 @@ def test_criterion_01_gradient_oracle():
         captions = [c for _, c in ds.pairs]
         feats = np.stack([clip.features for clip, _ in ds.pairs])
         negated = [fully_negate(c, vocab, seeded_rng(seed, 1)) for c in captions]
+        index = TokenIndex(vocab, dims.hash_buckets)
+        ids, neg_ids = index.ids(captions), index.ids(negated)
 
         checks = {
             "clap": (
-                clap_loss_through_encoders(params, vocab, feats, captions)[1],
-                lambda p: clap_loss_through_encoders(p, vocab, feats, captions,
-                                                     with_grads=False)[0],
+                clap_loss_through_encoders(params, feats, ids)[1],
+                lambda p: clap_loss_through_encoders(p, feats, ids, with_grads=False)[0],
             ),
             "dissimilarity": (
-                dissimilarity_through_encoders(params, vocab, captions, negated)[1],
-                lambda p: dissimilarity_through_encoders(p, vocab, captions, negated,
-                                                         with_grads=False)[0],
+                dissimilarity_through_encoders(params, ids, neg_ids)[1],
+                lambda p: dissimilarity_through_encoders(p, ids, neg_ids, with_grads=False)[0],
             ),
             "total": (
-                total_loss_through_encoders(params, vocab, feats, captions, k=1e-2,
-                                            anchor_captions=captions,
-                                            negated_captions=negated)[1],
+                total_loss_through_encoders(params, feats, ids, k=1e-2,
+                                            anchor_ids=ids, negated_ids=neg_ids)[1],
                 lambda p: total_loss_through_encoders(
-                    p, vocab, feats, captions, k=1e-2, anchor_captions=captions,
-                    negated_captions=negated, with_grads=False)[0].l_total,
+                    p, feats, ids, k=1e-2, anchor_ids=ids, negated_ids=neg_ids,
+                    with_grads=False)[0].l_total,
             ),
         }
         for name, (analytic, loss_fn) in checks.items():

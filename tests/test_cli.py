@@ -183,6 +183,15 @@ class TestAugment:
         line = data[:2000].count(b"\n") + 1
         assert err.startswith(f"error: line {line}: invalid UTF-8 in {path}: ")
 
+    def test_out_of_range_probability_is_usage_error(self, tmp_path, capsys):
+        data = gen_small(tmp_path)
+        out = tmp_path / "aug.jsonl"
+        code = main(["augment", "--data", str(data / "test.jsonl"), "--op", "insert",
+                     "--p-aug", "1.5", "--seed", "5", "--out", str(out)])
+        assert code == 2
+        assert "--p-aug must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_is_io_error(self, tmp_path):
         code = main(["augment", "--data", str(tmp_path / "nope.jsonl"),
                      "--op", "half", "--seed", "1",
@@ -209,6 +218,21 @@ class TestTrain:
         with open(out / "train_log.csv") as f:
             rows = list(csv.reader(f))
         assert len(rows) == 1 + 2
+
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_diverged_run_is_usage_error_and_writes_no_checkpoint(self, tmp_path, capsys):
+        # at this rate the float64 parameters reach ~1e300, which is inf in float32
+        data = tmp_path / "data"
+        assert main(["gen-data", "--n-tags", "12", "--n-clips", "300", "--n-test", "64",
+                     "--seed", "5", "--out", str(data)]) == 0
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(data), "--condition", "baseline",
+                     "--epochs", "2", "--lr", "1e300", "--seed", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "parameter 'unigram_table' holds values that are not finite in float32" in err
+        assert not (out / "checkpoint.ckpt").exists()
 
 
 class TestEval:

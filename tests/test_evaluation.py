@@ -13,6 +13,7 @@ from negclap.corpus import (
     TagMention,
     generate_dataset,
     generate_vocabulary,
+    split_dataset,
 )
 from negclap.evaluation import (
     AUDIO_TO_TEXT,
@@ -46,6 +47,7 @@ from negclap.model import (
     save_checkpoint,
 )
 from negclap.corpus import render_caption
+from negclap.training import TrainConfig, train
 
 
 # --- independent brute-force oracles -------------------------------------
@@ -329,6 +331,24 @@ class TestTripletProtocol:
                     (("original", "fully"), ("original", "half"), ("half", "fully"))]
             assert wins == pytest.approx(
                 [base.acc_orig_fully, base.acc_orig_half, base.acc_half_fully])
+
+
+class TestCheckpointRoundTrip:
+    @pytest.mark.parametrize("condition, p_aug, k", [("baseline", 0.0, 0.0),
+                                                     ("combo", 0.6, 1e-2)])
+    def test_protocols_agree_after_float32_save_and_load(self, tmp_path, condition, p_aug, k):
+        # the checkpoint stores float32; the trained float64 model must rank the same
+        vocab = generate_vocabulary(12, 5)
+        train_ds, test_ds = split_dataset(generate_dataset(vocab, 300, d_a=16, rng_seed=5), 64)
+        record, _ = train(train_ds, test_ds, TrainConfig(condition=condition, seed=1,
+                                                         p_aug=p_aug, k=k, epochs=2))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, record.params)
+        variants = build_eval_variants(test_ds, 777)
+        direct = embed_eval_variants(record.params, test_ds, variants)
+        loaded = embed_eval_variants(load_checkpoint(path), test_ds, variants)
+        assert retrieval_protocol(loaded, 10) == retrieval_protocol(direct, 10)
+        assert triplet_protocol(loaded) == triplet_protocol(direct)
 
 
 class TestEmbedOnce:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from negclap.corpus import Caption, Tag, TagMention, Vocabulary, Word, render_caption
 from negclap.negation import (
-    AugmentationConfig,
     AugmentationExhausted,
     apply_augmentation,
     fully_negate,
@@ -166,28 +165,21 @@ class TestFullyNegate:
 
 class TestApplyAugmentation:
     def test_probability_zero_is_identity(self, song_vocab, tune_caption):
-        config = AugmentationConfig(p_aug=0.0)
         rng = seeded_rng(0)
         for _ in range(50):
-            assert apply_augmentation(tune_caption, song_vocab, config, rng) is tune_caption
+            assert apply_augmentation(tune_caption, song_vocab, 0.0, rng) is tune_caption
 
     def test_probability_one_always_inserts(self, song_vocab, tune_caption):
-        config = AugmentationConfig(p_aug=1.0)
         rng = seeded_rng(0)
         for _ in range(50):
-            out = apply_augmentation(tune_caption, song_vocab, config, rng)
+            out = apply_augmentation(tune_caption, song_vocab, 1.0, rng)
             assert len(out.mentions()) == len(tune_caption.mentions()) + 1
 
     def test_application_rate(self, song_vocab, tune_caption):
-        config = AugmentationConfig(p_aug=0.6)
         rng = seeded_rng(7)
         n = 10_000
         applied = sum(
-            apply_augmentation(tune_caption, song_vocab, config, rng) is not tune_caption
+            apply_augmentation(tune_caption, song_vocab, 0.6, rng) is not tune_caption
             for _ in range(n)
         )
         assert abs(applied - 0.6 * n) <= 150  # 3 sigma of Binomial(10000, 0.6)
-
-    def test_invalid_probability_rejected(self):
-        with pytest.raises(ValueError):
-            AugmentationConfig(p_aug=1.5)

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from fd_utils import dense_table, finite_difference_grads, max_gradient_violation
 from negclap.corpus import generate_dataset, generate_vocabulary
-from negclap.model import TABLE_FIELDS, ModelDims, init_params
+from negclap.model import TABLE_FIELDS, ModelDims, TokenIndex, init_params
 from negclap.negation import fully_negate
 from negclap.objective import (
     clap_loss,
@@ -30,7 +30,8 @@ def random_units(n, d, seed):
 
 
 def chain_setup(seed):
-    """A small model, four captioned clips and their fully negated captions."""
+    """A small model, four clips' features and the bucket ids of their captions
+    and of the fully negated captions."""
     dims = ModelDims(d_t=8, d_h=8, d=8, d_a=8, hash_buckets=32)
     params = init_params(dims, seed=seed, init_scale=0.2)
     params.log_temperature[...] = np.log(5.0)
@@ -40,7 +41,8 @@ def chain_setup(seed):
     feats = np.stack([clip.features for clip, _ in ds.pairs])
     rng = seeded_rng(seed, 42)
     negated = [fully_negate(c, vocab, rng) for c in captions]
-    return params, vocab, feats, captions, negated
+    index = TokenIndex(vocab, dims.hash_buckets)
+    return params, feats, index.ids(captions), index.ids(negated)
 
 
 def dense_grads(grads, params):
@@ -180,13 +182,12 @@ class TestTotalLoss:
     """The weighted total through the one chain that training runs."""
 
     def test_weighted_sum_and_breakdown(self):
-        params, vocab, feats, captions, negated = chain_setup(3)
+        params, feats, ids, neg_ids = chain_setup(3)
         k = 1e-2
         breakdown, grads = total_loss_through_encoders(
-            params, vocab, feats, captions, k=k,
-            anchor_captions=captions, negated_captions=negated)
-        l_clap, clap_grads = clap_loss_through_encoders(params, vocab, feats, captions)
-        l_diss, diss_grads = dissimilarity_through_encoders(params, vocab, captions, negated)
+            params, feats, ids, k=k, anchor_ids=ids, negated_ids=neg_ids)
+        l_clap, clap_grads = clap_loss_through_encoders(params, feats, ids)
+        l_diss, diss_grads = dissimilarity_through_encoders(params, ids, neg_ids)
         assert breakdown.l_clap == l_clap
         assert breakdown.l_diss == l_diss
         assert breakdown.k == k
@@ -203,11 +204,10 @@ class TestTotalLoss:
         assert 0.5 + 1e-2 * 1.2 == pytest.approx(0.512)
 
     def test_zero_weight_reduces_to_clap(self):
-        params, vocab, feats, captions, negated = chain_setup(7)
+        params, feats, ids, neg_ids = chain_setup(7)
         breakdown, grads = total_loss_through_encoders(
-            params, vocab, feats, captions, k=0.0,
-            anchor_captions=captions, negated_captions=negated)
-        l_clap, clap_grads = clap_loss_through_encoders(params, vocab, feats, captions)
+            params, feats, ids, k=0.0, anchor_ids=ids, negated_ids=neg_ids)
+        l_clap, clap_grads = clap_loss_through_encoders(params, feats, ids)
         assert breakdown.l_clap == l_clap
         assert breakdown.l_total == l_clap
         # the pair's passes carry exact zeros, so every gradient equals the clap term's
@@ -216,28 +216,26 @@ class TestTotalLoss:
             np.testing.assert_array_equal(total[name], grad, err_msg=name)
 
     def test_negative_weight_rejected(self):
-        params, vocab, feats, captions, _ = chain_setup(0)
+        params, feats, ids, _ = chain_setup(0)
         with pytest.raises(ValueError, match="nonnegative"):
-            total_loss_through_encoders(params, vocab, feats, captions, k=-0.1)
+            total_loss_through_encoders(params, feats, ids, k=-0.1)
 
     def test_unpaired_anchor_rejected(self):
-        params, vocab, feats, captions, negated = chain_setup(0)
+        params, feats, ids, neg_ids = chain_setup(0)
         with pytest.raises(ValueError, match="together"):
-            total_loss_through_encoders(params, vocab, feats, captions, k=1e-2,
-                                        anchor_captions=captions)
+            total_loss_through_encoders(params, feats, ids, k=1e-2, anchor_ids=ids)
         with pytest.raises(ValueError, match="together"):
-            total_loss_through_encoders(params, vocab, feats, None, k=0.0)
+            total_loss_through_encoders(params, feats, None, k=0.0)
         with pytest.raises(ValueError, match="shapes differ"):
-            total_loss_through_encoders(params, vocab, feats, captions, k=1e-2,
-                                        anchor_captions=captions,
-                                        negated_captions=negated[:-1])
+            total_loss_through_encoders(params, feats, ids, k=1e-2, anchor_ids=ids,
+                                        negated_ids=neg_ids[:-1])
 
     def test_monotone_in_weight(self):
-        params, vocab, feats, captions, negated = chain_setup(11)
+        params, feats, ids, neg_ids = chain_setup(11)
         totals = [
             total_loss_through_encoders(
-                params, vocab, feats, captions, k=k, anchor_captions=captions,
-                negated_captions=negated, with_grads=False)[0].l_total
+                params, feats, ids, k=k, anchor_ids=ids,
+                negated_ids=neg_ids, with_grads=False)[0].l_total
             for k in (0.0, 1e-4, 1e-3, 1e-2, 1e-1)
         ]
         assert totals == sorted(totals)
@@ -245,11 +243,10 @@ class TestTotalLoss:
 
 class TestFullChainGradients:
     def test_dissimilarity_chain_matches_finite_differences(self):
-        params, vocab, _, captions, negated = chain_setup(1)
-        _, analytic = dissimilarity_through_encoders(params, vocab, captions, negated)
+        params, _, ids, neg_ids = chain_setup(1)
+        _, analytic = dissimilarity_through_encoders(params, ids, neg_ids)
         numeric = finite_difference_grads(
-            lambda p: dissimilarity_through_encoders(p, vocab, captions, negated,
-                                                     with_grads=False)[0],
+            lambda p: dissimilarity_through_encoders(p, ids, neg_ids, with_grads=False)[0],
             params)
         worst, where = max_gradient_violation(analytic, numeric)
         assert worst <= 1.0, f"gradient mismatch at {where} (ratio {worst:.2f})"
@@ -258,14 +255,13 @@ class TestFullChainGradients:
 
     @pytest.mark.parametrize("k", [1e-1, 1e-2, 1e-3, 1e-4])
     def test_total_chain_matches_finite_differences(self, k):
-        params, vocab, feats, captions, negated = chain_setup(2)
+        params, feats, ids, neg_ids = chain_setup(2)
         _, analytic = total_loss_through_encoders(
-            params, vocab, feats, captions, k=k,
-            anchor_captions=captions, negated_captions=negated)
+            params, feats, ids, k=k, anchor_ids=ids, negated_ids=neg_ids)
         numeric = finite_difference_grads(
             lambda p: total_loss_through_encoders(
-                p, vocab, feats, captions, k=k, anchor_captions=captions,
-                negated_captions=negated, with_grads=False)[0].l_total,
+                p, feats, ids, k=k, anchor_ids=ids,
+                negated_ids=neg_ids, with_grads=False)[0].l_total,
             params)
         worst, where = max_gradient_violation(analytic, numeric)
         assert worst <= 1.0, f"k={k}: gradient mismatch at {where} (ratio {worst:.2f})"

@@ -9,7 +9,6 @@ from negclap.model import ModelDims
 from negclap.seeding import seeded_rng, spawn_seed
 from negclap.training import (
     AdamOptimizer,
-    EpochCounters,
     LOG_COLUMNS,
     SweepRow,
     TrainConfig,
@@ -55,6 +54,8 @@ class TestTrainConfig:
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
             TrainConfig(condition="baseline", seed=0, p_aug=-0.1)
+        with pytest.raises(ValueError, match="p_aug must lie in"):
+            TrainConfig(condition="text_aug", seed=0, p_aug=1.5)
         with pytest.raises(ValueError):
             TrainConfig(condition="baseline", seed=0, epochs=0)
         with pytest.raises(ValueError):
@@ -89,58 +90,50 @@ class TestMakeBatches:
 
 
 class TestTrainStep:
-    def _batch(self, train_ds, size=8):
-        return train_ds.pairs[:size]
+    def _step(self, condition, size=8, train_ds=None, **config):
+        """One step of ``condition`` on the first ``size`` pairs of the tiny train split."""
+        from negclap.model import TokenIndex, init_params
+
+        if train_ds is None:
+            train_ds, _ = tiny_splits()
+        batch = train_ds.pairs[:size]
+        index = TokenIndex(train_ds.vocabulary, TINY_DIMS.hash_buckets)
+        params = init_params(TINY_DIMS, 3)
+        return train_step(params, batch, index.ids(c for _, c in batch),
+                          TrainConfig(condition=condition, seed=1, batch_size=8, epochs=1,
+                                      **config),
+                          index, seeded_rng(0), AdamOptimizer.for_params(params))
 
     def test_baseline_reports_zero_dissimilarity(self):
-        train_ds, _ = tiny_splits()
-        config = TrainConfig(condition="baseline", seed=1, batch_size=8, epochs=1)
-        from negclap.model import init_params
-
-        params = init_params(TINY_DIMS, 3)
-        counters = EpochCounters()
-        _, breakdown = train_step(params, self._batch(train_ds), config,
-                                  train_ds.vocabulary, seeded_rng(0),
-                                  AdamOptimizer.for_params(params), counters)
+        breakdown, n_augmented, n_exhausted = self._step("baseline")
         assert breakdown.l_diss == 0.0
         assert breakdown.k == 0.0
         assert breakdown.l_total == breakdown.l_clap
-        assert counters.augmented == 0
+        assert (n_augmented, n_exhausted) == (0, 0)
 
     def test_loss_term_keeps_contrastive_captions_unaugmented(self):
-        train_ds, _ = tiny_splits()
-        config = TrainConfig(condition="loss_term", seed=1, k=1e-2, batch_size=8, epochs=1)
-        from negclap.model import init_params
-
-        params = init_params(TINY_DIMS, 3)
-        counters = EpochCounters()
-        _, breakdown = train_step(params, self._batch(train_ds), config,
-                                  train_ds.vocabulary, seeded_rng(0),
-                                  AdamOptimizer.for_params(params), counters)
-        assert counters.augmented == 0
+        breakdown, n_augmented, _ = self._step("loss_term", k=1e-2)
+        assert n_augmented == 0
         assert 0.0 <= breakdown.l_diss <= 2.0 + 1e-9
         assert breakdown.l_total == breakdown.l_clap + 1e-2 * breakdown.l_diss
 
     def test_full_augmentation_touches_every_caption(self):
-        train_ds, _ = tiny_splits()
-        config = TrainConfig(condition="text_aug", seed=1, p_aug=1.0, batch_size=8, epochs=1)
-        from negclap.model import init_params
-
-        params = init_params(TINY_DIMS, 3)
-        counters = EpochCounters()
-        train_step(params, self._batch(train_ds), config, train_ds.vocabulary,
-                   seeded_rng(0), AdamOptimizer.for_params(params), counters)
-        assert counters.augmented == 8
+        _, n_augmented, n_exhausted = self._step("text_aug", p_aug=1.0)
+        assert (n_augmented, n_exhausted) == (8, 0)
 
     def test_empty_batch_rejected(self):
-        train_ds, _ = tiny_splits()
-        config = TrainConfig(condition="baseline", seed=1, batch_size=8, epochs=1)
-        from negclap.model import init_params
-
-        params = init_params(TINY_DIMS, 3)
         with pytest.raises(ValueError):
-            train_step(params, [], config, train_ds.vocabulary, seeded_rng(0),
-                       AdamOptimizer.for_params(params))
+            self._step("baseline", size=0)
+
+    def test_exhausted_items_keep_their_original_captions(self):
+        # every caption mentions both vocabulary tags, so no insert is possible
+        vocab = generate_vocabulary(2, 0)
+        train_ds = generate_dataset(vocab, 8, tags_per_clip=(2, 2), d_a=TINY_DIMS.d_a,
+                                    rng_seed=0)
+        breakdown, n_augmented, n_exhausted = self._step("text_aug", train_ds=train_ds,
+                                                         p_aug=1.0)
+        assert (n_augmented, n_exhausted) == (0, 8)
+        assert breakdown.l_clap == self._step("baseline", train_ds=train_ds)[0].l_clap
 
 
 class TestAdamOptimizer:
