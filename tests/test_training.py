@@ -91,7 +91,8 @@ class TestMakeBatches:
 
 class TestTrainStep:
     def _step(self, condition, size=8, train_ds=None, **config):
-        """One step of ``condition`` on the first ``size`` pairs of the tiny train split."""
+        """One step of ``condition`` on the first ``size`` pairs of ``train_ds``
+        (by default the tiny train split)."""
         from negclap.model import TokenIndex, init_params
 
         if train_ds is None:
