@@ -89,8 +89,11 @@ def apply_augmentation(caption: Caption, vocab: Vocabulary, p_aug: float,
 
     The Bernoulli draw and any inner draws come from ``rng``; the input
     object is returned unchanged when the draw fails.  AugmentationExhausted
-    propagates so callers can decide on a fallback.
+    propagates so callers can decide on a fallback.  A ``p_aug`` outside
+    [0, 1] raises ValueError before any draw.
     """
+    if not 0.0 <= p_aug <= 1.0:
+        raise ValueError(f"p_aug must lie in [0, 1], got {p_aug}")
     if rng.random() < p_aug:
         return negation_insert(caption, vocab, rng)
     return caption

@@ -183,3 +183,10 @@ class TestApplyAugmentation:
             for _ in range(n)
         )
         assert abs(applied - 0.6 * n) <= 150  # 3 sigma of Binomial(10000, 0.6)
+
+    def test_invalid_probability_rejected(self, song_vocab, tune_caption):
+        for p_aug in (1.5, -0.1, math.nan):
+            rng = seeded_rng(0)
+            with pytest.raises(ValueError, match="p_aug must lie in"):
+                apply_augmentation(tune_caption, song_vocab, p_aug, rng)
+            assert rng.random() == seeded_rng(0).random()  # no draw consumed
