@@ -213,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as e:
+    except (ValueError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (corpus.DatasetError, OSError) as e:

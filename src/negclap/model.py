@@ -13,14 +13,15 @@ the test suite.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import string
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,36 +68,102 @@ PARAM_FIELDS = (
     "audio_out_b",
     "log_temperature",
 )
+TABLE_FIELDS = ("unigram_table", "bigram_table")
+DENSE_FIELDS = tuple(n for n in PARAM_FIELDS if n not in TABLE_FIELDS)
 
 
-@dataclass
-class ModelParams:
-    dims: ModelDims
-    seed: int
-    unigram_table: np.ndarray
-    bigram_table: np.ndarray
-    text_hidden_w: np.ndarray
-    text_hidden_b: np.ndarray
-    text_out_w: np.ndarray
-    text_out_b: np.ndarray
-    audio_hidden_w: np.ndarray
-    audio_hidden_b: np.ndarray
-    audio_out_w: np.ndarray
-    audio_out_b: np.ndarray
-    log_temperature: np.ndarray  # shape ()
+def param_shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter array, by field name."""
+    table = (dims.hash_buckets, dims.d_t)
+    return {
+        "unigram_table": table,
+        "bigram_table": table,
+        "text_hidden_w": (dims.d_t, dims.d_h),
+        "text_hidden_b": (dims.d_h,),
+        "text_out_w": (dims.d_h, dims.d),
+        "text_out_b": (dims.d,),
+        "audio_hidden_w": (dims.d_a, dims.d_h),
+        "audio_hidden_b": (dims.d_h,),
+        "audio_out_w": (dims.d_h, dims.d),
+        "audio_out_b": (dims.d,),
+        "log_temperature": (),
+    }
+
+
+@lru_cache(maxsize=None)
+def _dense_layout(dims: ModelDims) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+    """(name, start, stop, shape) of every dense parameter in the flat vector."""
+    layout, start = [], 0
+    for name in DENSE_FIELDS:
+        shape = param_shapes(dims)[name]
+        layout.append((name, start, start + math.prod(shape), shape))
+        start += math.prod(shape)
+    return tuple(layout)
+
+
+def dense_size(dims: ModelDims) -> int:
+    """Number of entries of the flat dense vector."""
+    return _dense_layout(dims)[-1][2]
+
+
+def _dense_views(dims: ModelDims, flat: np.ndarray) -> dict[str, np.ndarray]:
+    return {name: flat[a:b].reshape(shape) for name, a, b, shape in _dense_layout(dims)}
+
+
+def _view(name: str) -> property:
+    """A parameter-named view into a buffer; assigning to it writes into the buffer."""
+    def set_values(self, value):
+        view = self._views[name]
+        if value is not view:  # ``+=`` on the view has already updated it in place
+            view[...] = value
+
+    return property(lambda self: self._views[name], set_values, doc=f"{name}, a buffer view")
+
+
+class _DenseViews:
+    """The dense parameters' names, as views into a flat vector held in ``_views``."""
+    _views: dict[str, np.ndarray]
+
+    text_hidden_w = _view("text_hidden_w")
+    text_hidden_b = _view("text_hidden_b")
+    text_out_w = _view("text_out_w")
+    text_out_b = _view("text_out_b")
+    audio_hidden_w = _view("audio_hidden_w")
+    audio_hidden_b = _view("audio_hidden_b")
+    audio_out_w = _view("audio_out_w")
+    audio_out_b = _view("audio_out_b")
+    log_temperature = _view("log_temperature")  # shape ()
+
+
+class ModelParams(_DenseViews):
+    """Every weight of the model, held in two buffers.
+
+    ``tables`` is one ``(2 * hash_buckets, d_t)`` table: the unigram buckets
+    are its first half and the bigram buckets its second.  ``dense`` is one
+    float64 vector holding the other parameters back to back, in
+    ``DENSE_FIELDS`` order.  Each parameter is also readable by its name as
+    a view into its buffer, so writing through a view updates the model and
+    an optimizer can update all dense parameters in one pass over ``dense``.
+    """
+
+    def __init__(self, dims: ModelDims, seed: int, tables: np.ndarray, dense: np.ndarray):
+        H = dims.hash_buckets
+        if tables.shape != (2 * H, dims.d_t) or dense.shape != (dense_size(dims),):
+            raise ValueError(f"buffers of shape {tables.shape} and {dense.shape} "
+                             f"do not match {dims}")
+        self.dims, self.seed, self.tables, self.dense = dims, seed, tables, dense
+        self._views = {"unigram_table": tables[:H], "bigram_table": tables[H:],
+                       **_dense_views(dims, dense)}
+
+    unigram_table = _view("unigram_table")
+    bigram_table = _view("bigram_table")
 
     def items(self):
         for name in PARAM_FIELDS:
-            yield name, getattr(self, name)
+            yield name, self._views[name]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.dims, self.seed, *(getattr(self, n).copy() for n in PARAM_FIELDS)
-        )
-
-
-TABLE_FIELDS = ("unigram_table", "bigram_table")
-DENSE_FIELDS = tuple(n for n in PARAM_FIELDS if n not in TABLE_FIELDS)
+        return ModelParams(self.dims, self.seed, self.tables.copy(), self.dense.copy())
 
 
 @dataclass
@@ -115,30 +182,22 @@ class RowGrad:
         return cls(np.empty(0, np.intp), np.empty((0, d_t)))
 
 
-@dataclass
-class ParamGrads:
-    unigram_table: RowGrad
-    bigram_table: RowGrad
-    text_hidden_w: np.ndarray
-    text_hidden_b: np.ndarray
-    text_out_w: np.ndarray
-    text_out_b: np.ndarray
-    audio_hidden_w: np.ndarray
-    audio_hidden_b: np.ndarray
-    audio_out_w: np.ndarray
-    audio_out_b: np.ndarray
-    log_temperature: np.ndarray  # shape ()
+class ParamGrads(_DenseViews):
+    """Gradients of every parameter, laid out like ``ModelParams``.
+
+    ``table`` is the row-sparse gradient of ``ModelParams.tables`` (see
+    ``RowGrad``).  ``dense`` is laid out like ``ModelParams.dense``, and each
+    dense gradient is also readable by its parameter name as a view into it.
+    """
+
+    def __init__(self, dims: ModelDims, table: RowGrad, dense: np.ndarray):
+        self.dims, self.table, self.dense = dims, table, dense
+        self._views = _dense_views(dims, dense)
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "ParamGrads":
-        """Zero dense gradients and tables with no rows hit."""
-        d_t = params.dims.d_t
-        dense = {n: np.zeros_like(getattr(params, n)) for n in DENSE_FIELDS}
-        return cls(unigram_table=RowGrad.empty(d_t), bigram_table=RowGrad.empty(d_t), **dense)
-
-    def items(self):
-        for name in PARAM_FIELDS:
-            yield name, getattr(self, name)
+        """Zero dense gradients and a table with no rows hit."""
+        return cls(params.dims, RowGrad.empty(params.dims.d_t), np.zeros_like(params.dense))
 
 
 def init_params(dims: ModelDims, seed: int,
@@ -148,31 +207,17 @@ def init_params(dims: ModelDims, seed: int,
     The embedding tables draw at DEFAULT_TABLE_SCALE, separately from the
     affine weights' init_scale: rows the corpus never touches keep their
     init magnitude forever, and their size is what an untrained model
-    "hears" when a caption gains unseen tokens.
+    "hears" when a caption gains unseen tokens.  One draw fills the joint
+    table; it equals a unigram then a bigram draw of half the size.
     """
     rng = seeded_rng(seed, 0)
-
-    def table(*shape):
-        return rng.normal(0.0, DEFAULT_TABLE_SCALE, size=shape)
-
-    def gauss(*shape):
-        return rng.normal(0.0, init_scale, size=shape)
-
-    return ModelParams(
-        dims=dims,
-        seed=seed,
-        unigram_table=table(dims.hash_buckets, dims.d_t),
-        bigram_table=table(dims.hash_buckets, dims.d_t),
-        text_hidden_w=gauss(dims.d_t, dims.d_h),
-        text_hidden_b=np.zeros(dims.d_h),
-        text_out_w=gauss(dims.d_h, dims.d),
-        text_out_b=np.zeros(dims.d),
-        audio_hidden_w=gauss(dims.d_a, dims.d_h),
-        audio_hidden_b=np.zeros(dims.d_h),
-        audio_out_w=gauss(dims.d_h, dims.d),
-        audio_out_b=np.zeros(dims.d),
-        log_temperature=np.array(LOG_TEMPERATURE_INIT),
-    )
+    tables = rng.normal(0.0, DEFAULT_TABLE_SCALE, size=(2 * dims.hash_buckets, dims.d_t))
+    params = ModelParams(dims, seed, tables, np.zeros(dense_size(dims)))
+    for name in ("text_hidden_w", "text_out_w", "audio_hidden_w", "audio_out_w"):
+        weight = getattr(params, name)
+        weight[...] = rng.normal(0.0, init_scale, size=weight.shape)
+    params.log_temperature[...] = LOG_TEMPERATURE_INIT
+    return params
 
 
 def tokenize(rendered: str) -> list[str]:
@@ -193,9 +238,77 @@ def hash_bucket(token: str, n_buckets: int) -> int:
     return h % n_buckets
 
 
-# One caption's tokens as bucket ids: the unigram bucket of every token in
-# order, then the bigram bucket of every adjacent pair in order.
-CaptionIds = tuple[list[int], list[int]]
+# bucket ids are stored this narrow; a table of 2**31 rows would not fit in memory
+_ID_DTYPE = np.int32
+# captions indexed per vectorised lookup
+_IDS_CHUNK = 1024
+_TOKENS = operator.attrgetter("tokens")
+
+
+def _spans(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Flat indices of the ranges [starts[i], starts[i] + lens[i]), concatenated in order."""
+    ends = np.cumsum(lens)
+    shift = (starts - ends + lens).astype(_ID_DTYPE)
+    return np.repeat(shift, lens) + np.arange(ends[-1] if len(ends) else 0, dtype=_ID_DTYPE)
+
+
+def _starts(lens: np.ndarray) -> np.ndarray:
+    return np.cumsum(lens) - lens
+
+
+@dataclass(frozen=True, eq=False)
+class CaptionIds:
+    """Bucket ids of a sequence of captions, in CSR form.
+
+    ``uni`` holds the unigram bucket of every token, caption after caption,
+    and ``uni_len`` each caption's token count.  ``bi`` and ``bi_len`` hold
+    the bigram bucket of every adjacent token pair the same way, so a
+    caption of n tokens has max(n - 1, 0) of them.
+    """
+    uni: np.ndarray
+    uni_len: np.ndarray
+    bi: np.ndarray
+    bi_len: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.uni_len)
+
+    def take(self, rows: np.ndarray) -> "CaptionIds":
+        """The captions at ``rows``, in that order."""
+        uni_len, bi_len = self.uni_len[rows], self.bi_len[rows]
+        return CaptionIds(self.uni[_spans(_starts(self.uni_len)[rows], uni_len)], uni_len,
+                          self.bi[_spans(_starts(self.bi_len)[rows], bi_len)], bi_len)
+
+    def replaced(self, positions: Sequence[int], other: "CaptionIds") -> "CaptionIds":
+        """A copy whose caption ``positions[j]`` is caption j of ``other``."""
+        kept = np.ones(len(self), dtype=bool)
+        kept[positions] = False
+        out = []
+        for flat, lens, new_flat, new_lens in ((self.uni, self.uni_len, other.uni, other.uni_len),
+                                               (self.bi, self.bi_len, other.bi, other.bi_len)):
+            out_lens = lens.copy()
+            out_lens[positions] = new_lens
+            out_flat = np.empty(out_lens.sum(), dtype=flat.dtype)
+            out_starts = _starts(out_lens)
+            out_flat[_spans(out_starts[kept], lens[kept])] = \
+                flat[_spans(_starts(lens)[kept], lens[kept])]
+            out_flat[_spans(out_starts[positions], new_lens)] = new_flat
+            out += [out_flat, out_lens]
+        return CaptionIds(*out)
+
+    def batches(self, size: int) -> Iterator["CaptionIds"]:
+        """Runs of ``size`` consecutive captions, the last one possibly shorter, as views."""
+        uni_at = np.concatenate(([0], np.cumsum(self.uni_len)))
+        bi_at = np.concatenate(([0], np.cumsum(self.bi_len)))
+        for a in range(0, len(self), size):
+            b = min(a + size, len(self))
+            yield CaptionIds(self.uni[uni_at[a]:uni_at[b]], self.uni_len[a:b],
+                             self.bi[bi_at[a]:bi_at[b]], self.bi_len[a:b])
+
+    @staticmethod
+    def concat(parts: Sequence["CaptionIds"]) -> "CaptionIds":
+        return CaptionIds(*(np.concatenate([getattr(p, f) for p in parts])
+                            for f in ("uni", "uni_len", "bi", "bi_len")))
 
 
 class TokenIndex:
@@ -218,7 +331,7 @@ class TokenIndex:
         self._token_ids: dict[str, int] = {}
         self._strings: list[str] = []
         self._unigram: list[int] = []
-        self._bigram: dict[tuple[int, int], int] = {}
+        self._bigram: dict[int, int] = {}  # (first token id << 32 | second) -> bucket
         self._pieces: dict[object, tuple[int, ...]] = {}
 
     def _token_id(self, token: str) -> int:
@@ -229,44 +342,64 @@ class TokenIndex:
             self._unigram.append(hash_bucket(token, self.n_buckets))
         return tid
 
-    def _pair_bucket(self, pair: tuple[int, int]) -> int:
-        a, b = pair
-        bucket = self._bigram[pair] = hash_bucket(
-            self._strings[a] + " " + self._strings[b], self.n_buckets)
+    def _pair_bucket(self, key: int) -> int:
+        bucket = self._bigram.get(key)
+        if bucket is None:
+            pair = self._strings[key >> 32] + " " + self._strings[key & 0xFFFFFFFF]
+            bucket = self._bigram[key] = hash_bucket(pair, self.n_buckets)
         return bucket
 
-    def _caption_ids(self, caption: Caption) -> CaptionIds:
-        pieces = self._pieces
-        ids: list[int] = []
-        for tok in caption.tokens:
-            key = tok.text if isinstance(tok, Word) else (tok.tag_id, tok.negator)
-            piece = pieces.get(key)
-            if piece is None:
-                rendered = render_token(tok, self.vocab)
-                piece = pieces[key] = tuple(map(self._token_id, tokenize(rendered)))
-            ids += piece
-        pairs = list(zip(ids, ids[1:]))
-        bi = list(map(self._bigram.get, pairs))
-        if None in bi:
-            bi = [self._pair_bucket(p) if b is None else b for p, b in zip(pairs, bi)]
-        return list(map(self._unigram.__getitem__, ids)), bi
+    def ids(self, captions: Iterable[Caption]) -> CaptionIds:
+        """The captions' bucket ids, in order.
 
-    def ids(self, captions: Iterable[Caption]) -> list[CaptionIds]:
-        """Each caption's bucket ids, in order."""
-        return [self._caption_ids(c) for c in captions]
+        ``captions`` is consumed in chunks, so the temporaries of the
+        vectorised bigram lookup stay small and a generator's captions can
+        be dropped once indexed.
+        """
+        it = iter(captions)
+        parts = [self._chunk_ids(chunk)
+                 for chunk in iter(lambda: list(itertools.islice(it, _IDS_CHUNK)), [])]
+        return parts[0] if len(parts) == 1 else CaptionIds.concat(parts or [self._chunk_ids([])])
+
+    def _piece(self, tok) -> tuple[int, ...]:
+        """Token ids of one structured caption token."""
+        key = tok.text if isinstance(tok, Word) else (tok.tag_id, tok.negator)
+        piece = self._pieces.get(key)
+        if piece is None:
+            rendered = render_token(tok, self.vocab)
+            piece = self._pieces[key] = tuple(map(self._token_id, tokenize(rendered)))
+        return piece
+
+    def _chunk_ids(self, captions: list[Caption]) -> CaptionIds:
+        structured = list(itertools.chain.from_iterable(map(_TOKENS, captions)))
+        # every token object of the chunk is alive here, so its id() names it;
+        # captions share token objects, so few distinct ones need a lookup
+        piece_of = {key: self._piece(tok)
+                    for key, tok in dict(zip(map(id, structured), structured)).items()}
+        pieces = list(map(piece_of.__getitem__, map(id, structured)))
+        t = np.fromiter(itertools.chain.from_iterable(pieces), np.int64)
+        # a caption's token count: the summed lengths of its structured tokens' pieces
+        piece_len = np.fromiter(map(len, pieces), np.intp, len(pieces))
+        n_pieces = np.fromiter(map(len, map(_TOKENS, captions)), np.intp, len(captions))
+        token_end = np.concatenate(([0], np.cumsum(piece_len)))
+        uni_len = np.diff(token_end[np.concatenate(([0], np.cumsum(n_pieces)))])
+        # token j and token j + 1 form a pair unless token j ends its caption
+        paired = np.ones(max(len(t) - 1, 0), dtype=bool)
+        ends = np.cumsum(uni_len) - 1
+        paired[ends[(uni_len > 0) & (ends < len(paired))]] = False
+        keys, inverse = np.unique(((t[:-1] << 32) | t[1:])[paired], return_inverse=True)
+        buckets = np.fromiter(map(self._pair_bucket, keys.tolist()), _ID_DTYPE, len(keys))
+        return CaptionIds(np.array(self._unigram, dtype=_ID_DTYPE)[t], uni_len,
+                          buckets[inverse], np.maximum(uni_len - 1, 0))
 
 
 @dataclass
 class TextBatchCache:
-    uni_rows: np.ndarray
-    uni_idx: np.ndarray
-    uni_counts: np.ndarray
-    bi_rows: np.ndarray
-    bi_idx: np.ndarray
-    bi_counts: np.ndarray
+    ids: np.ndarray     # rows of ``ModelParams.tables`` the tokens hit, unigrams then bigrams
+    owner: np.ndarray   # pooled row of each: caption i's unigrams in row i, bigrams in B + i
+    counts: np.ndarray  # (2B,) the divisor of each pooled row
     x: np.ndarray
     h: np.ndarray
-    o: np.ndarray
     norms: np.ndarray
     emb: np.ndarray
 
@@ -275,20 +408,29 @@ class TextBatchCache:
 class AudioBatchCache:
     feats: np.ndarray
     h: np.ndarray
-    o: np.ndarray
     norms: np.ndarray
     emb: np.ndarray
 
 
 def _mlp_forward(x, w1, b1, w2, b2):
+    """Hidden activations, pre-normalization norms and unit embeddings.
+
+    Raises ``FloatingPointError`` when a norm is zero or not finite (a
+    diverged model overflows there), since the embedding would then be
+    meaningless.
+    """
     h = np.tanh(x @ w1 + b1)
     o = h @ w2 + b2
-    norms = np.linalg.norm(o, axis=1, keepdims=True)
-    emb = o / norms
-    return h, o, norms, emb
+    norms = np.sqrt(np.add.reduce(o * o, axis=1, keepdims=True))  # np.linalg.norm's arithmetic
+    if len(norms) and not 0.0 < norms.min() <= norms.max() < math.inf:
+        raise FloatingPointError(
+            "embedding norms before normalization must be finite and positive, "
+            f"got values in [{norms.min():g}, {norms.max():g}]")
+    return h, norms, o / norms
 
 
-def _mlp_backward(x, h, o, norms, emb, d_emb, w1, w2):
+def _mlp_backward(x, h, norms, emb, d_emb, w2):
+    """Gradients of the MLP's parameters, and of its hidden pre-activations."""
     # normalization: d_o = (d_emb - (d_emb . emb) emb) / ||o||
     proj = np.sum(d_emb * emb, axis=1, keepdims=True)
     d_o = (d_emb - proj * emb) / norms
@@ -298,8 +440,7 @@ def _mlp_backward(x, h, o, norms, emb, d_emb, w1, w2):
     d_pre = d_h * (1.0 - h * h)
     d_w1 = x.T @ d_pre
     d_b1 = d_pre.sum(axis=0)
-    d_x = d_pre @ w1.T
-    return d_x, d_w1, d_b1, d_w2, d_b2
+    return d_pre, d_w1, d_b1, d_w2, d_b2
 
 
 def _scatter_rows(index: np.ndarray, values: np.ndarray, n_out: int) -> np.ndarray:
@@ -315,57 +456,48 @@ def _scatter_rows(index: np.ndarray, values: np.ndarray, n_out: int) -> np.ndarr
     return np.bincount(flat, weights=values.ravel(), minlength=n_out * d).reshape(n_out, d)
 
 
-# captions pooled per bincount in the forward, so the flat scatter index
-# stays small at evaluation batch sizes
+# pooled rows per bincount in the forward, so the flat scatter index stays
+# small at evaluation batch sizes
 _POOL_CHUNK = 64
 
 
-def _pool_rows(table: np.ndarray, bucket_ids: np.ndarray, owner: np.ndarray,
+def _pool_rows(table: np.ndarray, ids: np.ndarray, owner: np.ndarray,
                n_out: int) -> np.ndarray:
-    """Sum of ``table[bucket_ids[i]]`` into row ``owner[i]``; ``owner`` is nondecreasing."""
+    """Sum of ``table[ids[i]]`` into row ``owner[i]``; ``owner`` is nondecreasing."""
     if n_out <= _POOL_CHUNK:  # a single chunk: the training batches
-        return _scatter_rows(owner, table[bucket_ids], n_out)
+        return _scatter_rows(owner, table[ids], n_out)
     x = np.empty((n_out, table.shape[1]))
     bounds = np.searchsorted(owner, np.arange(0, n_out + _POOL_CHUNK, _POOL_CHUNK))
     for r0, a, b in zip(range(0, n_out, _POOL_CHUNK), bounds, bounds[1:]):
         r1 = min(r0 + _POOL_CHUNK, n_out)
-        x[r0:r1] = _scatter_rows(owner[a:b] - r0, table[bucket_ids[a:b]], r1 - r0)
+        x[r0:r1] = _scatter_rows(owner[a:b] - r0, table[ids[a:b]], r1 - r0)
     return x
 
 
 def encode_token_lists(params: ModelParams,
-                       token_lists: Sequence[CaptionIds]) -> tuple[np.ndarray, TextBatchCache]:
-    """Batch text forward over tokenized captions given as bucket ids (see ``TokenIndex``)."""
-    B = len(token_lists)
+                       ids: CaptionIds) -> tuple[np.ndarray, TextBatchCache]:
+    """Batch text forward over captions given as bucket ids (see ``TokenIndex``).
+
+    One pooling pass over the joint table sums each caption's unigram rows
+    into pooled row i and its bigram rows (offset by hash_buckets) into row
+    B + i; the input is the unigram mean plus the bigram mean.
+    """
+    B = len(ids)
     if B == 0:
         raise ValueError("empty batch")
-    uni_lens = [len(uni) for uni, _ in token_lists]
-    bi_lens = [len(bi) for _, bi in token_lists]
-    if 0 in uni_lens:
-        raise ValueError(f"item {uni_lens.index(0)}: caption renders to no tokens")
-    uni_counts = np.array(uni_lens, dtype=np.float64)
-    bi_counts = np.array(bi_lens, dtype=np.float64)
-    rows = np.arange(B)
-    uni_rows = np.repeat(rows, uni_lens)
-    uni_idx = np.fromiter(chain.from_iterable(uni for uni, _ in token_lists), np.intp,
-                          len(uni_rows))
-    bi_rows = np.repeat(rows, bi_lens)
-    bi_idx = np.fromiter(chain.from_iterable(bi for _, bi in token_lists), np.intp,
-                         len(bi_rows))
-
-    x = _pool_rows(params.unigram_table, uni_idx, uni_rows, B)
-    x /= uni_counts[:, None]
-    if len(bi_idx):
-        x_bi = _pool_rows(params.bigram_table, bi_idx, bi_rows, B)
-        safe = np.maximum(bi_counts, 1.0)
-        x += x_bi / safe[:, None]
-
-    h, o, norms, emb = _mlp_forward(
+    if not ids.uni_len.all():
+        raise ValueError(f"item {int(np.argmin(ids.uni_len))}: caption renders to no tokens")
+    lens = np.concatenate((ids.uni_len, ids.bi_len))
+    rows = np.concatenate((ids.uni, ids.bi + params.dims.hash_buckets), dtype=np.intp)
+    owner = np.repeat(np.arange(2 * B), lens)
+    counts = np.maximum(lens, 1).astype(np.float64)
+    pooled = _pool_rows(params.tables, rows, owner, 2 * B)
+    pooled /= counts[:, None]
+    x = pooled[:B] + pooled[B:]
+    h, norms, emb = _mlp_forward(
         x, params.text_hidden_w, params.text_hidden_b, params.text_out_w, params.text_out_b
     )
-    cache = TextBatchCache(uni_rows, uni_idx, uni_counts, bi_rows, bi_idx,
-                           bi_counts, x, h, o, norms, emb)
-    return emb, cache
+    return emb, TextBatchCache(rows, owner, counts, x, h, norms, emb)
 
 
 def encode_text_batch(params: ModelParams, captions: Sequence[Caption],
@@ -379,11 +511,11 @@ def encode_audio_batch(params: ModelParams,
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != params.dims.d_a:
         raise ValueError(f"audio features must be (B, {params.dims.d_a}), got {feats.shape}")
-    h, o, norms, emb = _mlp_forward(
+    h, norms, emb = _mlp_forward(
         feats, params.audio_hidden_w, params.audio_hidden_b,
         params.audio_out_w, params.audio_out_b,
     )
-    return emb, AudioBatchCache(feats, h, o, norms, emb)
+    return emb, AudioBatchCache(feats, h, norms, emb)
 
 
 def encode_text(params: ModelParams, caption: Caption, vocab: Vocabulary) -> np.ndarray:
@@ -406,10 +538,11 @@ def similarity(e1: np.ndarray, e2: np.ndarray) -> float:
     return float(np.dot(e1, e2))
 
 
-def _row_grad(ids: list[np.ndarray], values: list[np.ndarray]) -> RowGrad:
-    """Per-token table gradients of several passes, summed per row in pass then token order."""
-    rows, inverse = np.unique(np.concatenate(ids), return_inverse=True)
-    return RowGrad(rows, _scatter_rows(inverse, np.concatenate(values), len(rows)))
+def _upstream(cache, d_emb) -> np.ndarray:
+    d_emb = np.asarray(d_emb, dtype=np.float64)
+    if d_emb.shape != cache.emb.shape:
+        raise ValueError(f"upstream gradient shape {d_emb.shape} != {cache.emb.shape}")
+    return d_emb
 
 
 def model_backward(
@@ -421,40 +554,34 @@ def model_backward(
 
     Each pass pairs a forward cache with the upstream gradient on its
     embeddings.  Accumulation order is fixed (text passes in order, then
-    audio passes) for bitwise reproducibility.  The tables' gradients come
-    back row-sparse (see ``RowGrad``).  log_temperature is not on any
-    encoder path and keeps a zero entry here.
+    audio passes) for bitwise reproducibility.  Dense gradients accumulate
+    into one zeroed flat vector; the table's gradient comes back row-sparse
+    (see ``RowGrad``), each row summed in pass then token order.
+    log_temperature is not on any encoder path and keeps a zero entry here.
     """
-    grads = ParamGrads.zeros_like(params)
-    uni_ids, uni_vals, bi_ids, bi_vals = [], [], [], []
+    grads = ParamGrads(params.dims, RowGrad.empty(params.dims.d_t), np.zeros(params.dense.size))
+    ids, values = [], []
     for cache, d_emb in text_passes:
-        d_emb = np.asarray(d_emb, dtype=np.float64)
-        if d_emb.shape != cache.emb.shape:
-            raise ValueError(f"upstream gradient shape {d_emb.shape} != {cache.emb.shape}")
-        d_x, d_w1, d_b1, d_w2, d_b2 = _mlp_backward(
-            cache.x, cache.h, cache.o, cache.norms, cache.emb, d_emb,
-            params.text_hidden_w, params.text_out_w,
+        d_pre, d_w1, d_b1, d_w2, d_b2 = _mlp_backward(
+            cache.x, cache.h, cache.norms, cache.emb, _upstream(cache, d_emb),
+            params.text_out_w,
         )
         grads.text_hidden_w += d_w1
         grads.text_hidden_b += d_b1
         grads.text_out_w += d_w2
         grads.text_out_b += d_b2
-        d_uni = d_x / cache.uni_counts[:, None]
-        uni_ids.append(cache.uni_idx)
-        uni_vals.append(d_uni[cache.uni_rows])
-        d_bi = d_x / np.maximum(cache.bi_counts, 1.0)[:, None]
-        bi_ids.append(cache.bi_idx)
-        bi_vals.append(d_bi[cache.bi_rows])
+        d_x = d_pre @ params.text_hidden_w.T
+        B = len(d_x)
+        d_pooled = (d_x / cache.counts.reshape(2, B, 1)).reshape(2 * B, -1)
+        ids.append(cache.ids)
+        values.append(d_pooled[cache.owner])
     if text_passes:
-        grads.unigram_table = _row_grad(uni_ids, uni_vals)
-        grads.bigram_table = _row_grad(bi_ids, bi_vals)
+        rows, inverse = np.unique(np.concatenate(ids), return_inverse=True)
+        grads.table = RowGrad(rows, _scatter_rows(inverse, np.concatenate(values), len(rows)))
     for cache, d_emb in audio_passes:
-        d_emb = np.asarray(d_emb, dtype=np.float64)
-        if d_emb.shape != cache.emb.shape:
-            raise ValueError(f"upstream gradient shape {d_emb.shape} != {cache.emb.shape}")
         _, d_w1, d_b1, d_w2, d_b2 = _mlp_backward(
-            cache.feats, cache.h, cache.o, cache.norms, cache.emb, d_emb,
-            params.audio_hidden_w, params.audio_out_w,
+            cache.feats, cache.h, cache.norms, cache.emb, _upstream(cache, d_emb),
+            params.audio_out_w,
         )
         grads.audio_hidden_w += d_w1
         grads.audio_hidden_b += d_b1
@@ -493,24 +620,6 @@ def save_checkpoint(path: str | Path, params: ModelParams) -> None:
             f.write(json.dumps(meta).encode("utf-8") + b"\n")
             f.write(arr32.tobytes(order="C"))
             f.write(b"\n")
-
-
-def param_shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
-    """The shape of every parameter array, by field name."""
-    table = (dims.hash_buckets, dims.d_t)
-    return {
-        "unigram_table": table,
-        "bigram_table": table,
-        "text_hidden_w": (dims.d_t, dims.d_h),
-        "text_hidden_b": (dims.d_h,),
-        "text_out_w": (dims.d_h, dims.d),
-        "text_out_b": (dims.d,),
-        "audio_hidden_w": (dims.d_a, dims.d_h),
-        "audio_hidden_b": (dims.d_h,),
-        "audio_out_w": (dims.d_h, dims.d),
-        "audio_out_b": (dims.d,),
-        "log_temperature": (),
-    }
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
@@ -571,7 +680,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             payload = f.read(count * 4)
             if len(payload) != count * 4:
                 raise bad(f"truncated payload for {name!r}")
-            arr = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(shape)
+            arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
             if not np.isfinite(arr).all():
                 raise bad(f"{name!r} holds non-finite values")
             arrays[name] = arr
@@ -579,4 +688,9 @@ def load_checkpoint(path: str | Path) -> ModelParams:
                 raise bad(f"missing block terminator after {name!r}")
         if f.read(1):
             raise bad("trailing bytes after the last block")
-    return ModelParams(dims=dims, seed=seed, **arrays)
+    # the buffers are allocated only once every block has been read and checked
+    params = ModelParams(dims, seed, np.empty((2 * dims.hash_buckets, dims.d_t)),
+                         np.empty(dense_size(dims)))
+    for name, arr in arrays.items():
+        getattr(params, name)[...] = arr
+    return params

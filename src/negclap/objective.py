@@ -20,8 +20,6 @@ accumulates in float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .model import (
@@ -98,9 +96,9 @@ def dissimilarity_loss(caption_embs: np.ndarray,
 
 def total_loss_through_encoders(
     params: ModelParams, audio_features: np.ndarray | None,
-    clap_ids: Sequence[CaptionIds] | None, *, k: float,
-    anchor_ids: Sequence[CaptionIds] | None = None,
-    negated_ids: Sequence[CaptionIds] | None = None,
+    clap_ids: CaptionIds | None, *, k: float,
+    anchor_ids: CaptionIds | None = None,
+    negated_ids: CaptionIds | None = None,
     with_grads: bool = True,
 ) -> tuple[LossBreakdown, ParamGrads | None]:
     """l_clap + k * l_diss of one training step, with full parameter gradients.
@@ -140,7 +138,7 @@ def total_loss_through_encoders(
 
 
 def clap_loss_through_encoders(
-    params: ModelParams, audio_features: np.ndarray, clap_ids: Sequence[CaptionIds],
+    params: ModelParams, audio_features: np.ndarray, clap_ids: CaptionIds,
     with_grads: bool = True,
 ) -> tuple[float, ParamGrads | None]:
     """Contrastive loss of a batch alone, with full parameter gradients."""
@@ -150,8 +148,8 @@ def clap_loss_through_encoders(
 
 
 def dissimilarity_through_encoders(
-    params: ModelParams, anchor_ids: Sequence[CaptionIds],
-    negated_ids: Sequence[CaptionIds], with_grads: bool = True,
+    params: ModelParams, anchor_ids: CaptionIds,
+    negated_ids: CaptionIds, with_grads: bool = True,
 ) -> tuple[float, ParamGrads | None]:
     """Dissimilarity loss of paired caption batches alone, with full parameter gradients."""
     breakdown, grads = total_loss_through_encoders(

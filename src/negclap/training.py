@@ -17,14 +17,15 @@ bitwise deterministic given the config.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Dataset
+from .corpus import Caption, Dataset
 from .evaluation import (
     RetrievalReport,
     TripletReport,
@@ -41,8 +42,6 @@ from .evaluation import (
 from .model import (
     LOG_TEMPERATURE_MAX,
     LOG_TEMPERATURE_MIN,
-    DENSE_FIELDS,
-    TABLE_FIELDS,
     CaptionIds,
     ModelDims,
     ModelParams,
@@ -144,10 +143,10 @@ class AdamOptimizer:
     computation while touching only the rows a batch used.
     """
 
-    m: np.ndarray  # dense parameters' moments, flat in DENSE_FIELDS order
+    m: np.ndarray  # dense moments, laid out like ModelParams.dense
     v: np.ndarray
-    table_v: dict
-    table_last: dict
+    table_v: np.ndarray  # second moments of ModelParams.tables
+    table_last: np.ndarray  # per table row, the step that last touched it
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -155,41 +154,32 @@ class AdamOptimizer:
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamOptimizer":
-        size = sum(getattr(params, n).size for n in DENSE_FIELDS)
         return cls(
-            m=np.zeros(size),
-            v=np.zeros(size),
-            table_v={n: np.zeros_like(getattr(params, n)) for n in TABLE_FIELDS},
-            table_last={n: np.zeros(getattr(params, n).shape[0], dtype=np.int64)
-                        for n in TABLE_FIELDS},
+            m=np.zeros_like(params.dense),
+            v=np.zeros_like(params.dense),
+            table_v=np.zeros_like(params.tables),
+            table_last=np.zeros(len(params.tables), dtype=np.int64),
         )
 
     def step(self, params: ModelParams, grads: ParamGrads, learning_rate: float) -> None:
         self.t += 1
         m_corr = 1.0 - self.beta1 ** self.t
         v_corr = 1.0 - self.beta2 ** self.t
-        # one pass over all dense entries: the same elementwise operations as
-        # a per-parameter update, so the result is bit-identical to it
-        g = np.concatenate([getattr(grads, n).ravel() for n in DENSE_FIELDS])
+        # one pass over the flat dense vector: the same elementwise operations
+        # as a per-parameter update, so the result is bit-identical to it
+        g = grads.dense
         self.m *= self.beta1
         self.m += (1.0 - self.beta1) * g
         self.v *= self.beta2
         self.v += (1.0 - self.beta2) * g * g
-        update = learning_rate * (self.m / m_corr) / (np.sqrt(self.v / v_corr) + self.eps)
-        start = 0
-        for name in DENSE_FIELDS:
-            p = getattr(params, name)
-            p -= update[start:start + p.size].reshape(p.shape)
-            start += p.size
-        for name in TABLE_FIELDS:
-            rows, g = getattr(grads, name).rows, getattr(grads, name).values
-            table = getattr(params, name)
-            decay = self.beta2 ** (self.t - self.table_last[name][rows])
-            v = self.table_v[name][rows] * decay[:, None]
-            v += (1.0 - self.beta2) * g * g
-            self.table_v[name][rows] = v
-            self.table_last[name][rows] = self.t
-            table[rows] -= learning_rate * g / (np.sqrt(v / v_corr) + self.eps)
+        params.dense -= learning_rate * (self.m / m_corr) / (np.sqrt(self.v / v_corr) + self.eps)
+        rows, g = grads.table.rows, grads.table.values
+        decay = self.beta2 ** (self.t - self.table_last[rows])
+        v = self.table_v[rows] * decay[:, None]
+        v += (1.0 - self.beta2) * g * g
+        self.table_v[rows] = v
+        self.table_last[rows] = self.t
+        params.tables[rows] -= learning_rate * g / (np.sqrt(v / v_corr) + self.eps)
         np.clip(params.log_temperature, LOG_TEMPERATURE_MIN, LOG_TEMPERATURE_MAX,
                 out=params.log_temperature)
 
@@ -207,61 +197,137 @@ def make_batches(dataset: Dataset, batch_size: int, epoch_seed: int) -> list[np.
     return [perm[i * batch_size:(i + 1) * batch_size] for i in range(n_batches)]
 
 
-def train_step(
-    params: ModelParams,
-    batch: Sequence[tuple],
-    batch_ids: Sequence[CaptionIds],
-    config: TrainConfig,
-    index: TokenIndex,
-    rng: np.random.Generator,
-    optimizer: AdamOptimizer,
-) -> tuple[LossBreakdown, int, int]:
-    """One optimizer update on a batch of (clip, caption) pairs; params update in place.
+@dataclass
+class EpochPlan:
+    """One epoch's inputs, built before its first step.
 
-    ``batch_ids`` holds the bucket ids of the batch's captions and ``index``
-    is the run's token index over their vocabulary.  Per item: the caption
-    entering the contrastive term passes through the insert augmentation
-    with p_aug (falling back to the original when the vocabulary is
-    exhausted), and with k > 0 a fully negated counterpart of the original
-    caption feeds the dissimilarity term.  Only the augmented and negated
-    captions are indexed.  Returns the loss breakdown and the numbers of
-    augmented and exhausted items.
+    Step s trains on items [s * batch_size, (s + 1) * batch_size).
+    ``order`` holds each item's pair index; ``clap`` the bucket ids of the
+    caption its contrastive term sees (augmented or original); with k > 0,
+    ``anchors`` and ``negated`` the ids of its original caption and of that
+    caption's fully negated counterpart.
     """
-    if not batch:
-        raise ValueError("empty batch")
+    batch_size: int
+    order: np.ndarray
+    clap: CaptionIds
+    anchors: CaptionIds | None
+    negated: CaptionIds | None
+    n_augmented: int
+    n_exhausted: int
+
+    def steps(self) -> Iterator[tuple[slice, CaptionIds, CaptionIds | None, CaptionIds | None]]:
+        """Each step's item slice and id batches, the latter as views."""
+        B = self.batch_size
+        nothing = itertools.repeat(None)
+        anchors = nothing if self.anchors is None else self.anchors.batches(B)
+        negated = nothing if self.negated is None else self.negated.batches(B)
+        for start, clap, anchor, negated_ids in zip(range(0, len(self.order), B),
+                                                    self.clap.batches(B), anchors, negated):
+            yield slice(start, start + B), clap, anchor, negated_ids
+
+
+def plan_epoch(captions: Sequence[Caption], caption_ids: CaptionIds, order: np.ndarray,
+               config: TrainConfig, index: TokenIndex, rng: np.random.Generator) -> EpochPlan:
+    """Draw one epoch's caption edits and index them.
+
+    ``order`` lists the pair index of every item, step after step, and
+    ``caption_ids`` holds the ids of ``captions`` (the run's originals).
+    The draws come from ``rng`` in the order a step makes them: the
+    augmentation draws of the batch's items, then (k > 0) their
+    fully-negate draws.  Per item, the caption entering the contrastive
+    term passes through the insert augmentation with p_aug, falling back to
+    the original when the vocabulary is exhausted.  At p_aug == 0 no insert
+    can happen, so a step's Bernoulli draws are one ``rng.random(B)``,
+    which is the same stream as B scalar draws.  Only edited captions are
+    indexed; originals are gathered from ``caption_ids``.
+    """
     vocab = index.vocab
-    clap_ids = list(batch_ids)
-    n_augmented = n_exhausted = 0
-    for i, (_, caption) in enumerate(batch):
-        try:
-            out = apply_augmentation(caption, vocab, config.p_aug, rng)
-        except AugmentationExhausted:
-            n_exhausted += 1
-            continue
-        if out is not caption:  # no insert drawn returns the input object itself
-            n_augmented += 1
-            clap_ids[i] = index.ids([out])[0]
+    B = config.batch_size
+    augmented_at: list[int] = []  # the item of each augmented caption
+    is_augmented: list[bool] = []  # per edited caption, in draw order
+    n_exhausted = 0
 
-    anchor_ids = negated_ids = None
+    def edits() -> Iterator[Caption]:
+        """The edited captions in draw order, each dropped once it is indexed."""
+        nonlocal n_exhausted
+        for start in range(0, len(order), B):
+            batch = order[start:start + B]
+            if config.p_aug == 0.0:
+                rng.random(len(batch))
+            else:
+                for item, i in enumerate(batch, start):
+                    try:
+                        out = apply_augmentation(captions[i], vocab, config.p_aug, rng)
+                    except AugmentationExhausted:
+                        n_exhausted += 1
+                        continue
+                    if out is not captions[i]:  # no insert drawn returns the input itself
+                        augmented_at.append(item)
+                        is_augmented.append(True)
+                        yield out
+            if config.k > 0:
+                for i in batch:
+                    is_augmented.append(False)
+                    yield fully_negate(captions[i], vocab, rng)
+
+    edited = index.ids(edits())
+    originals = caption_ids.take(order)
+    negated = None
     if config.k > 0:
-        anchor_ids = batch_ids
-        negated_ids = index.ids(fully_negate(caption, vocab, rng) for _, caption in batch)
+        negated = edited if not augmented_at else \
+            edited.take(np.flatnonzero(np.logical_not(is_augmented)))
+    clap = originals
+    if augmented_at:
+        clap = originals.replaced(augmented_at, edited.take(np.flatnonzero(is_augmented)))
+    return EpochPlan(B, order, clap, originals if config.k > 0 else None, negated,
+                     n_augmented=len(augmented_at), n_exhausted=n_exhausted)
 
-    features = np.stack([clip.features for clip, _ in batch])
+
+def train_step(params: ModelParams, features: np.ndarray, clap_ids: CaptionIds,
+               config: TrainConfig, optimizer: AdamOptimizer,
+               anchor_ids: CaptionIds | None = None,
+               negated_ids: CaptionIds | None = None) -> LossBreakdown:
+    """One optimizer update on one planned batch; params update in place.
+
+    ``features`` are the batch's clip features and ``clap_ids`` the ids of
+    the captions its contrastive term sees; with k > 0 the dissimilarity
+    term repels ``anchor_ids`` from ``negated_ids`` (see ``EpochPlan``).
+    """
     breakdown, grads = total_loss_through_encoders(
         params, features, clap_ids, k=config.k,
         anchor_ids=anchor_ids, negated_ids=negated_ids,
     )
     optimizer.step(params, grads, config.learning_rate)
-    return breakdown, n_augmented, n_exhausted
+    return breakdown
 
 
-def _test_map_scores(params: ModelParams, test_token_lists: Sequence[CaptionIds],
+def _test_map_scores(params: ModelParams, test_ids: CaptionIds,
                      audio_features: np.ndarray) -> tuple[float, float]:
     audio_embs, _ = encode_audio_batch(params, audio_features)
-    text_embs, _ = encode_token_lists(params, test_token_lists)
+    text_embs, _ = encode_token_lists(params, test_ids)
     sim = audio_embs @ text_embs.T
     return map_at_10(sim, "text_to_audio"), map_at_10(sim, "audio_to_text")
+
+
+def _feature_matrix(pairs: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """A matrix holding every clip's features as a row, and each pair's row in it.
+
+    ``load_dataset`` and ``generate_dataset`` make each clip's features a
+    row view of one C-contiguous matrix; that matrix is used as it is, so
+    training holds no second copy of the features.  Features that are not
+    rows of one such matrix are stacked into a new one.
+    """
+    feats = [clip.features for clip, _ in pairs]
+    base = feats[0].base
+    if (isinstance(base, np.ndarray) and base.ndim == 2 and base.dtype == np.float64
+            and base.flags.c_contiguous
+            and all(f.base is base and f.strides == base.strides[1:] and f.shape == base.shape[1:]
+                    for f in feats)):
+        offsets = np.array([f.ctypes.data for f in feats])
+        rows, partial = np.divmod(offsets - base.ctypes.data, base.strides[0])
+        if not partial.any():
+            return base, rows
+    return np.stack(feats), np.arange(len(feats))
 
 
 def train(
@@ -270,7 +336,12 @@ def train(
     config: TrainConfig,
     dims: ModelDims | None = None,
 ) -> tuple[CheckpointRecord, list[EpochLog]]:
-    """Run the full loop and return the best checkpoint plus the per-epoch log."""
+    """Run the full loop and return the best checkpoint plus the per-epoch log.
+
+    Each epoch's inputs are planned before its first step (see
+    ``plan_epoch``).  Raises ``ValueError`` naming the condition, epoch and
+    step at the first step whose loss, or an embedding norm, is not finite.
+    """
     train_ids = {clip.id for clip, _ in dataset_train.pairs}
     test_ids = {clip.id for clip, _ in dataset_test.pairs}
     if train_ids & test_ids:
@@ -281,40 +352,48 @@ def train(
 
     params = init_params(dims, spawn_seed(config.seed, _INIT_STREAM))
     optimizer = AdamOptimizer.for_params(params)
+    features, feature_rows = _feature_matrix(dataset_train.pairs)
     test_features = np.stack([clip.features for clip, _ in dataset_test.pairs])
     # bucket ids of the original captions, computed once for the whole run
     index = TokenIndex(dataset_train.vocabulary, dims.hash_buckets)
-    train_caption_ids = index.ids(caption for _, caption in dataset_train.pairs)
-    test_token_lists = TokenIndex(dataset_test.vocabulary, dims.hash_buckets).ids(
+    captions = [caption for _, caption in dataset_train.pairs]
+    caption_ids = index.ids(captions)
+    test_caption_ids = TokenIndex(dataset_test.vocabulary, dims.hash_buckets).ids(
         caption for _, caption in dataset_test.pairs)
 
     best: CheckpointRecord | None = None
     logs: list[EpochLog] = []
     for epoch in range(1, config.epochs + 1):
-        epoch_rng = seeded_rng(config.seed, _EPOCH_STREAM, epoch)
-        batches = make_batches(dataset_train, config.batch_size,
-                               spawn_seed(config.seed, _SHUFFLE_STREAM, epoch))
-        n_augmented = n_exhausted = 0
+        order = np.concatenate(make_batches(dataset_train, config.batch_size,
+                                            spawn_seed(config.seed, _SHUFFLE_STREAM, epoch)))
+        plan = plan_epoch(captions, caption_ids, order, config, index,
+                          seeded_rng(config.seed, _EPOCH_STREAM, epoch))
+        item_rows = feature_rows[order]
         sums = np.zeros(3)
-        for idx in batches:
-            breakdown, augmented, exhausted = train_step(
-                params, [dataset_train.pairs[i] for i in idx],
-                [train_caption_ids[i] for i in idx], config, index, epoch_rng, optimizer)
-            n_augmented += augmented
-            n_exhausted += exhausted
+        for step, (items, clap, anchors, negated) in enumerate(plan.steps(), 1):
+            try:
+                breakdown = train_step(params, features[item_rows[items]], clap, config,
+                                       optimizer, anchors, negated)
+                if not math.isfinite(breakdown.l_total):
+                    raise FloatingPointError(f"l_total is {breakdown.l_total}")
+            except FloatingPointError as e:
+                raise ValueError(f"{config.condition} training diverged at epoch {epoch}, "
+                                 f"step {step}: {e}") from e
             sums += (breakdown.l_clap, breakdown.l_diss, breakdown.l_total)
-        means = sums / len(batches)
+        means = sums / (len(order) // config.batch_size)
 
-        map_t2a, map_a2t = _test_map_scores(params, test_token_lists, test_features)
+        map_t2a, map_a2t = _test_map_scores(params, test_caption_ids, test_features)
         map_avg = 0.5 * (map_t2a + map_a2t)
         logs.append(EpochLog(
             epoch=epoch, l_clap=float(means[0]), l_diss=float(means[1]),
             l_total=float(means[2]), k=config.k, p_aug=config.p_aug,
             map10_t2a=map_t2a, map10_a2t=map_a2t, map10_avg=map_avg,
-            n_augmented=n_augmented, n_aug_exhausted=n_exhausted,
+            n_augmented=plan.n_augmented, n_aug_exhausted=plan.n_exhausted,
         ))
         if best is None or map_avg > best.selection_score:
-            best = CheckpointRecord(epoch=epoch, params=params.copy(), selection_score=map_avg)
+            # later epochs update params in place; the last epoch's are final
+            kept = params if epoch == config.epochs else params.copy()
+            best = CheckpointRecord(epoch=epoch, params=kept, selection_score=map_avg)
     assert best is not None
     return best, logs
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from negclap.model import PARAM_FIELDS, TABLE_FIELDS, ParamGrads, RowGrad
+from negclap.model import DENSE_FIELDS, PARAM_FIELDS, ParamGrads, RowGrad
 
 
 def dense_table(grad, n_rows):
@@ -12,6 +12,23 @@ def dense_table(grad, n_rows):
     return out
 
 
+def split_table(grad, n_buckets):
+    """The unigram and bigram halves of a joint-table RowGrad, each over rows 0..n_buckets-1."""
+    low = grad.rows < n_buckets
+    return (RowGrad(grad.rows[low], grad.values[low]),
+            RowGrad(grad.rows[~low] - n_buckets, grad.values[~low]))
+
+
+def named_grads(grads):
+    """Every parameter's gradient as a full array, by parameter name."""
+    n_buckets = grads.dims.hash_buckets
+    uni, bi = split_table(grads.table, n_buckets)
+    named = {"unigram_table": dense_table(uni, n_buckets),
+             "bigram_table": dense_table(bi, n_buckets)}
+    named.update((name, getattr(grads, name)) for name in DENSE_FIELDS)
+    return named
+
+
 def finite_difference_grads(loss_fn, params, step=1e-5):
     """Perturb every parameter entry in place and difference the scalar loss.
 
@@ -19,14 +36,11 @@ def finite_difference_grads(loss_fn, params, step=1e-5):
     order one (it scales with step^2) while staying far above the float64
     cancellation floor of roughly 1e-11.  Table gradients cover every row.
     """
-    grads = ParamGrads.zeros_like(params)
-    for name in TABLE_FIELDS:
-        table = getattr(params, name)
-        setattr(grads, name, RowGrad(np.arange(table.shape[0]), np.zeros_like(table)))
-    for name in PARAM_FIELDS:
-        flat = getattr(params, name).reshape(-1)
-        out = getattr(grads, name)
-        out = (out.values if name in TABLE_FIELDS else out).reshape(-1)
+    grads = ParamGrads(params.dims,
+                       RowGrad(np.arange(len(params.tables)), np.zeros_like(params.tables)),
+                       np.zeros_like(params.dense))
+    for flat, out in ((params.tables.reshape(-1), grads.table.values.reshape(-1)),
+                      (params.dense, grads.dense)):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
@@ -47,12 +61,9 @@ def max_gradient_violation(analytic, numeric, rel_tol=1e-4, abs_tol=1e-6, small=
     """
     worst = 0.0
     location = None
+    analytic, numeric = named_grads(analytic), named_grads(numeric)
     for name in PARAM_FIELDS:
-        a, f = getattr(analytic, name), getattr(numeric, name)
-        if name in TABLE_FIELDS:
-            n_rows = len(f.rows)
-            a, f = dense_table(a, n_rows), dense_table(f, n_rows)
-        a, f = a.reshape(-1), f.reshape(-1)
+        a, f = analytic[name].reshape(-1), numeric[name].reshape(-1)
         diff = np.abs(a - f)
         scale = np.maximum(np.abs(a), np.abs(f))
         ratio = np.where(scale <= small,

@@ -7,6 +7,7 @@ import pytest
 from negclap.cli import main
 from negclap.corpus import DatasetValidationError, load_dataset
 from negclap.evaluation import REPORT_COLUMNS
+from negclap.model import load_checkpoint, save_checkpoint
 
 
 def sha256(path):
@@ -22,6 +23,18 @@ def gen_small(tmp_path, seed=3, n_clips=80, n_test=16, name="data"):
     ])
     assert code == 0
     return out
+
+
+def gen_toy(tmp_path):
+    """The toy corpus the pinned chain uses."""
+    out = tmp_path / "data"
+    assert main(["gen-data", "--n-tags", "12", "--n-clips", "300", "--n-test", "64",
+                 "--seed", "5", "--out", str(out)]) == 0
+    return out
+
+
+DIVERGED = ("error: {condition} training diverged at epoch 1, step 2: "
+            "embedding norms before normalization must be finite and positive")
 
 
 class TestGenData:
@@ -222,16 +235,15 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_diverged_run_is_usage_error_and_writes_no_checkpoint(self, tmp_path, capsys):
-        # at this rate the float64 parameters reach ~1e300, which is inf in float32
-        data = tmp_path / "data"
-        assert main(["gen-data", "--n-tags", "12", "--n-clips", "300", "--n-test", "64",
-                     "--seed", "5", "--out", str(data)]) == 0
+        # at this rate the first step moves the parameters to ~1e300, and the
+        # second step's embeddings overflow before they are normalized
+        data = gen_toy(tmp_path)
         out = tmp_path / "run"
         code = main(["train", "--data", str(data), "--condition", "baseline",
                      "--epochs", "2", "--lr", "1e300", "--seed", "1", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "parameter 'unigram_table' holds values that are not finite in float32" in err
+        assert err.startswith(DIVERGED.format(condition="baseline"))
         assert not (out / "checkpoint.ckpt").exists()
 
 
@@ -294,6 +306,19 @@ class TestEval:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: checkpoint {ckpt}: {problem}")
 
+    def test_zero_norm_embeddings_are_usage_error(self, tmp_path, capsys):
+        data, ckpt = self._trained(tmp_path)
+        params = load_checkpoint(ckpt)
+        params.audio_out_w[...] = 0.0
+        params.audio_out_b[...] = 0.0
+        save_checkpoint(ckpt, params)
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--eval-seed", "9", "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: embedding norms before normalization must be finite and positive, "
+            "got values in [0, 0]")
+
     def test_report_schema(self, tmp_path):
         data, ckpt = self._trained(tmp_path)
         out = tmp_path / "e"
@@ -307,6 +332,16 @@ class TestEval:
 
 
 class TestSweep:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_diverged_sweep_is_usage_error_and_writes_no_report(self, tmp_path, capsys):
+        data = gen_toy(tmp_path)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--quick", "--data", str(data), "--seed", "1",
+                     "--eval-seed", "7", "--lr", "1e300", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(DIVERGED.format(condition="baseline"))
+        assert not (out / "report.csv").exists()
+
     def test_quick_sweep_outputs(self, tmp_path):
         data = gen_small(tmp_path, n_clips=90, n_test=16)
         out = tmp_path / "sweep"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fd_utils import dense_table, finite_difference_grads, max_gradient_violation
+from fd_utils import dense_table, finite_difference_grads, max_gradient_violation, split_table
 from negclap.corpus import (
     Caption,
     Tag,
@@ -18,7 +18,7 @@ from negclap.corpus import (
     render_caption,
 )
 from negclap.model import (
-    TABLE_FIELDS,
+    CaptionIds,
     ModelDims,
     TokenIndex,
     encode_audio,
@@ -38,10 +38,14 @@ from negclap.model import (
 from negclap.objective import clap_loss_through_encoders
 
 
-def reference_ids(tokens, n_buckets):
-    """A token list's unigram and bigram bucket ids, each string hashed on its own."""
-    return ([hash_bucket(t, n_buckets) for t in tokens],
-            [hash_bucket(a + " " + b, n_buckets) for a, b in zip(tokens, tokens[1:])])
+def reference_ids(token_lists, n_buckets):
+    """Token lists' bucket ids in CSR form, each string hashed on its own."""
+    uni = [hash_bucket(t, n_buckets) for tokens in token_lists for t in tokens]
+    bi = [hash_bucket(a + " " + b, n_buckets)
+          for tokens in token_lists for a, b in zip(tokens, tokens[1:])]
+    uni_len = np.array([len(tokens) for tokens in token_lists], dtype=np.intp)
+    return CaptionIds(np.array(uni, dtype=np.intp), uni_len,
+                      np.array(bi, dtype=np.intp), np.maximum(uni_len - 1, 0))
 
 
 class TestTokenize:
@@ -90,14 +94,14 @@ class TestEncoders:
     def test_word_order_matters(self, small_params):
         n = small_params.dims.hash_buckets
         a = encode_token_lists(small_params,
-                               [reference_ids(["slow", "rock", "loud", "guitar"], n)])[0][0]
+                               reference_ids([["slow", "rock", "loud", "guitar"]], n))[0][0]
         b = encode_token_lists(small_params,
-                               [reference_ids(["loud", "rock", "slow", "guitar"], n)])[0][0]
+                               reference_ids([["loud", "rock", "slow", "guitar"]], n))[0][0]
         assert np.linalg.norm(a - b) > 1e-6
 
     def test_empty_caption_rejected(self, small_params):
-        with pytest.raises(ValueError):
-            encode_token_lists(small_params, [([], [])])
+        with pytest.raises(ValueError, match="item 1: caption renders to no tokens"):
+            encode_token_lists(small_params, reference_ids([["rock"], [], ["a"]], 8))
 
     def test_audio_unit_norm_and_determinism(self, small_params):
         rng = np.random.default_rng(0)
@@ -142,8 +146,8 @@ class TestModelBackward:
         a_emb, a_cache = encode_audio_batch(small_params, feats)
         grads = model_backward(small_params, [(t_cache, np.zeros_like(t_emb))],
                                [(a_cache, np.zeros_like(a_emb))])
-        for name, grad in grads.items():
-            assert not np.any(grad.values if name in TABLE_FIELDS else grad)
+        assert len(grads.table.rows) and not grads.table.values.any()
+        assert not grads.dense.any()
 
     def test_shape_mismatch_rejected(self, small_params):
         vocab = generate_vocabulary(8, 4)
@@ -176,29 +180,33 @@ token_lists = st.lists(st.sampled_from(SCATTER_WORDS), min_size=1, max_size=5)
 text_pass = st.lists(token_lists, min_size=1, max_size=4)
 
 
-def pooled_with_add_at(params, cache):
-    """The text forward's pooled input, summed with np.add.at (reference)."""
-    B = len(cache.uni_counts)
-    x = np.zeros((B, params.dims.d_t))
-    np.add.at(x, cache.uni_rows, params.unigram_table[cache.uni_idx])
-    x /= cache.uni_counts[:, None]
-    if len(cache.bi_idx):
-        x_bi = np.zeros((B, params.dims.d_t))
-        np.add.at(x_bi, cache.bi_rows, params.bigram_table[cache.bi_idx])
-        x += x_bi / np.maximum(cache.bi_counts, 1.0)[:, None]
+def owners(lens):
+    return np.repeat(np.arange(len(lens)), lens)
+
+
+def pooled_with_add_at(params, ids):
+    """The text forward's pooled input, summed per table half with np.add.at (reference)."""
+    x = np.zeros((len(ids), params.dims.d_t))
+    np.add.at(x, owners(ids.uni_len), params.unigram_table[ids.uni])
+    x /= ids.uni_len[:, None]
+    if len(ids.bi):
+        x_bi = np.zeros_like(x)
+        np.add.at(x_bi, owners(ids.bi_len), params.bigram_table[ids.bi])
+        x += x_bi / np.maximum(ids.bi_len, 1)[:, None]
     return x
 
 
 def table_grads_with_add_at(params, passes):
-    """Dense table gradients of text passes, accumulated with np.add.at (reference)."""
-    dense = {n: np.zeros_like(getattr(params, n)) for n in TABLE_FIELDS}
-    for cache, d_emb in passes:
-        d_x = _mlp_backward(cache.x, cache.h, cache.o, cache.norms, cache.emb, d_emb,
-                            params.text_hidden_w, params.text_out_w)[0]
-        np.add.at(dense["unigram_table"], cache.uni_idx,
-                  (d_x / cache.uni_counts[:, None])[cache.uni_rows])
-        np.add.at(dense["bigram_table"], cache.bi_idx,
-                  (d_x / np.maximum(cache.bi_counts, 1.0)[:, None])[cache.bi_rows])
+    """Dense gradients of both table halves, accumulated with np.add.at (reference)."""
+    dense = {n: np.zeros_like(getattr(params, n)) for n in ("unigram_table", "bigram_table")}
+    for ids, cache, d_emb in passes:
+        d_pre = _mlp_backward(cache.x, cache.h, cache.norms, cache.emb, d_emb,
+                              params.text_out_w)[0]
+        d_x = d_pre @ params.text_hidden_w.T
+        np.add.at(dense["unigram_table"], ids.uni,
+                  (d_x / ids.uni_len[:, None])[owners(ids.uni_len)])
+        np.add.at(dense["bigram_table"], ids.bi,
+                  (d_x / np.maximum(ids.bi_len, 1)[:, None])[owners(ids.bi_len)])
     return dense
 
 
@@ -209,20 +217,21 @@ class TestRowSparseScatter:
     def test_matches_add_at_bit_for_bit(self, passes_tokens, seed):
         params = init_params(SCATTER_DIMS, seed=3)
         rng = np.random.default_rng(seed)
+        n = SCATTER_DIMS.hash_buckets
         passes = []
         for lists in passes_tokens:
-            emb, cache = encode_token_lists(
-                params, [reference_ids(t, SCATTER_DIMS.hash_buckets) for t in lists])
-            assert cache.x.tobytes() == pooled_with_add_at(params, cache).tobytes()
-            passes.append((cache, rng.normal(size=emb.shape)))
-        grads = model_backward(params, passes)
-        for name, dense in table_grads_with_add_at(params, passes).items():
-            grad = getattr(grads, name)
-            ids = np.concatenate([getattr(c, "uni_idx" if name == "unigram_table"
-                                          else "bi_idx") for c, _ in passes])
+            ids = reference_ids(lists, n)
+            emb, cache = encode_token_lists(params, ids)
+            assert cache.x.tobytes() == pooled_with_add_at(params, ids).tobytes()
+            passes.append((ids, cache, rng.normal(size=emb.shape)))
+        grads = model_backward(params, [(cache, d_emb) for _, cache, d_emb in passes])
+        assert grads.table.values.shape == (len(grads.table.rows), SCATTER_DIMS.d_t)
+        halves = split_table(grads.table, n)
+        for (name, dense), grad, field in zip(table_grads_with_add_at(params, passes).items(),
+                                              halves, ("uni", "bi")):
+            ids = np.concatenate([getattr(ids, field) for ids, _, _ in passes])
             np.testing.assert_array_equal(grad.rows, np.unique(ids))
-            assert grad.values.shape == (len(grad.rows), SCATTER_DIMS.d_t)
-            assert dense_table(grad, SCATTER_DIMS.hash_buckets).tobytes() == dense.tobytes()
+            assert dense_table(grad, n).tobytes() == dense.tobytes(), name
 
     def test_forward_pooling_across_chunks_matches_add_at(self):
         params = init_params(ModelDims(d_t=8, d_h=8, d=4, d_a=3, hash_buckets=16), seed=4)
@@ -230,8 +239,9 @@ class TestRowSparseScatter:
         lists = [[SCATTER_WORDS[i] for i in rng.integers(0, len(SCATTER_WORDS),
                                                          size=rng.integers(1, 9))]
                  for _ in range(200)]
-        _, cache = encode_token_lists(params, [reference_ids(t, 16) for t in lists])
-        assert cache.x.tobytes() == pooled_with_add_at(params, cache).tobytes()
+        ids = reference_ids(lists, 16)
+        _, cache = encode_token_lists(params, ids)
+        assert cache.x.tobytes() == pooled_with_add_at(params, ids).tobytes()
 
 
 # surfaces and word texts that exercise tokenize: case, punctuation, inner and
@@ -291,16 +301,91 @@ class TestTokenIndex:
 
         # one index reused across batches
         index = TokenIndex(ID_VOCAB, n)
+        lens = [len(tokens) for tokens in token_lists]
+        for ids in (index.ids(caps), index.ids(iter(caps))):
+            assert ids.uni.tolist() == uni_idx
+            assert ids.bi.tolist() == bi_idx
+            assert ids.uni_len.tolist() == lens
+            assert ids.bi_len.tolist() == [max(k - 1, 0) for k in lens]
         batches = [encode_text_batch(params, caps, ID_VOCAB),
-                   encode_token_lists(params, index.ids(caps)),
                    encode_token_lists(params, index.ids(caps))]
         for emb, cache in batches:
-            assert cache.uni_idx.tolist() == uni_idx
-            assert cache.uni_rows.tolist() == uni_rows
-            assert cache.bi_idx.tolist() == bi_idx
-            assert cache.bi_rows.tolist() == bi_rows
+            assert cache.ids.tolist() == uni_idx + [b + n for b in bi_idx]
+            assert cache.owner.tolist() == uni_rows + [r + len(caps) for r in bi_rows]
             assert cache.x.tobytes() == x.tobytes()
             assert emb.tobytes() == emb_ref.tobytes()
+
+    def test_chunked_ids_equal_one_caption_at_a_time(self):
+        vocab = generate_vocabulary(12, 3)
+        caps = [c for _, c in generate_dataset(vocab, 2500, d_a=4, rng_seed=3).pairs]
+        index = TokenIndex(vocab, 61)
+        whole = index.ids(c for c in caps)  # a generator, consumed in several chunks
+        singles = [index.ids([c]) for c in caps]
+        for field in ("uni", "uni_len", "bi", "bi_len"):
+            np.testing.assert_array_equal(
+                getattr(whole, field), np.concatenate([getattr(one, field) for one in singles]))
+        empty = index.ids([])
+        assert len(empty) == 0 and empty.uni.size == empty.bi.size == 0
+
+
+class TestCaptionIds:
+    LISTS = [["a", "rock"], ["tune"], ["with", "no", "bass", "x"], ["and", "drums", "y"]]
+
+    def test_take_batches_and_replaced_match_per_caption_lists(self):
+        ids = reference_ids(self.LISTS, 61)
+        rows = [3, 1, 1, 0]
+        taken = ids.take(np.array(rows))
+        expected = reference_ids([self.LISTS[r] for r in rows], 61)
+        for field in ("uni", "uni_len", "bi", "bi_len"):
+            np.testing.assert_array_equal(getattr(taken, field), getattr(expected, field))
+        parts = list(ids.batches(3))
+        assert [len(p) for p in parts] == [3, 1]
+        whole = CaptionIds.concat(parts)
+        np.testing.assert_array_equal(whole.bi, ids.bi)
+        edits = reference_ids([["not", "guitar"], ["z"]], 61)
+        replaced = ids.replaced([0, 2], edits)
+        expected = reference_ids([["not", "guitar"], ["tune"], ["z"], self.LISTS[3]], 61)
+        for field in ("uni", "uni_len", "bi", "bi_len"):
+            np.testing.assert_array_equal(getattr(replaced, field), getattr(expected, field))
+
+
+class TestParameterBuffers:
+    def test_named_parameters_are_views_of_the_two_buffers(self, small_params):
+        H = small_params.dims.hash_buckets
+        assert small_params.tables.shape == (2 * H, small_params.dims.d_t)
+        assert small_params.unigram_table.base is small_params.tables
+        np.testing.assert_array_equal(small_params.bigram_table, small_params.tables[H:])
+        small_params.text_out_b[0] = 7.5
+        assert 7.5 in small_params.dense
+        small_params.log_temperature += 1.0  # in place through the view
+        assert small_params.dense[-1] == float(small_params.log_temperature)
+
+    def test_copy_and_loaded_params_own_their_buffers(self, small_params, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, small_params)
+        for other in (small_params.copy(), load_checkpoint(path)):
+            assert other.tables.flags.owndata and other.dense.flags.owndata
+            assert other.tables.flags.writeable and other.dense.flags.writeable
+            for name, arr in other.items():
+                assert arr.base is other.tables or arr.base is other.dense, name
+                assert not np.shares_memory(arr, small_params.tables), name
+                assert not np.shares_memory(arr, small_params.dense), name
+        copied = small_params.copy()
+        small_params.tables += 1.0
+        small_params.dense += 1.0
+        assert not np.array_equal(copied.tables, small_params.tables)
+        assert not np.array_equal(copied.dense, small_params.dense)
+
+    def test_init_draws_equal_separate_table_draws(self, small_dims):
+        from negclap.seeding import seeded_rng
+
+        params = init_params(small_dims, seed=11)
+        rng = seeded_rng(11, 0)
+        shape = (small_dims.hash_buckets, small_dims.d_t)
+        np.testing.assert_array_equal(params.unigram_table, rng.normal(0.0, 0.1, size=shape))
+        np.testing.assert_array_equal(params.bigram_table, rng.normal(0.0, 0.1, size=shape))
+        np.testing.assert_array_equal(
+            params.text_hidden_w, rng.normal(0.0, 0.1, size=params.text_hidden_w.shape))
 
 
 class TestCheckpoint:

@@ -7,12 +7,15 @@ import pytest
 from negclap.corpus import Dataset, generate_dataset, generate_vocabulary, split_dataset
 from negclap.model import ModelDims
 from negclap.seeding import seeded_rng, spawn_seed
+from negclap import training
+from negclap.negation import AugmentationExhausted, apply_augmentation, fully_negate
 from negclap.training import (
     AdamOptimizer,
     LOG_COLUMNS,
     SweepRow,
     TrainConfig,
     make_batches,
+    plan_epoch,
     sweep,
     sweep_configs,
     train,
@@ -89,38 +92,49 @@ class TestMakeBatches:
             make_batches(train_ds, 21, epoch_seed=0)
 
 
+def toy_splits():
+    """The toy corpus of ``negclap gen-data --n-tags 12 --n-clips 300 --n-test 64 --seed 5``."""
+    vocab = generate_vocabulary(12, 5)
+    return split_dataset(generate_dataset(vocab, 300, d_a=64, rng_seed=5), 64)
+
+
 class TestTrainStep:
     def _step(self, condition, size=8, train_ds=None, **config):
-        """One step of ``condition`` on the first ``size`` pairs of ``train_ds``
-        (by default the tiny train split)."""
+        """Plan one step of ``condition`` on the first ``size`` pairs of ``train_ds``
+        (by default the tiny train split) and run it; returns the breakdown and the plan."""
         from negclap.model import TokenIndex, init_params
 
         if train_ds is None:
             train_ds, _ = tiny_splits()
-        batch = train_ds.pairs[:size]
+        captions = [c for _, c in train_ds.pairs[:size]]
         index = TokenIndex(train_ds.vocabulary, TINY_DIMS.hash_buckets)
+        config = TrainConfig(condition=condition, seed=1, batch_size=8, epochs=1, **config)
+        plan = plan_epoch(captions, index.ids(captions), np.arange(size), config, index,
+                          seeded_rng(0))
         params = init_params(TINY_DIMS, 3)
-        return train_step(params, batch, index.ids(c for _, c in batch),
-                          TrainConfig(condition=condition, seed=1, batch_size=8, epochs=1,
-                                      **config),
-                          index, seeded_rng(0), AdamOptimizer.for_params(params))
+        features = np.stack([clip.features for clip, _ in train_ds.pairs[:size]])
+        breakdown = train_step(params, features, plan.clap, config,
+                               AdamOptimizer.for_params(params), plan.anchors, plan.negated)
+        return breakdown, plan
 
     def test_baseline_reports_zero_dissimilarity(self):
-        breakdown, n_augmented, n_exhausted = self._step("baseline")
+        breakdown, plan = self._step("baseline")
         assert breakdown.l_diss == 0.0
         assert breakdown.k == 0.0
         assert breakdown.l_total == breakdown.l_clap
-        assert (n_augmented, n_exhausted) == (0, 0)
+        assert (plan.n_augmented, plan.n_exhausted) == (0, 0)
+        assert plan.anchors is None and plan.negated is None
 
     def test_loss_term_keeps_contrastive_captions_unaugmented(self):
-        breakdown, n_augmented, _ = self._step("loss_term", k=1e-2)
-        assert n_augmented == 0
+        breakdown, plan = self._step("loss_term", k=1e-2)
+        assert plan.n_augmented == 0
+        assert plan.clap is plan.anchors
         assert 0.0 <= breakdown.l_diss <= 2.0 + 1e-9
         assert breakdown.l_total == breakdown.l_clap + 1e-2 * breakdown.l_diss
 
     def test_full_augmentation_touches_every_caption(self):
-        _, n_augmented, n_exhausted = self._step("text_aug", p_aug=1.0)
-        assert (n_augmented, n_exhausted) == (8, 0)
+        _, plan = self._step("text_aug", p_aug=1.0)
+        assert (plan.n_augmented, plan.n_exhausted) == (8, 0)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -131,34 +145,98 @@ class TestTrainStep:
         vocab = generate_vocabulary(2, 0)
         train_ds = generate_dataset(vocab, 8, tags_per_clip=(2, 2), d_a=TINY_DIMS.d_a,
                                     rng_seed=0)
-        breakdown, n_augmented, n_exhausted = self._step("text_aug", train_ds=train_ds,
-                                                         p_aug=1.0)
-        assert (n_augmented, n_exhausted) == (0, 8)
+        breakdown, plan = self._step("text_aug", train_ds=train_ds, p_aug=1.0)
+        assert (plan.n_augmented, plan.n_exhausted) == (0, 8)
         assert breakdown.l_clap == self._step("baseline", train_ds=train_ds)[0].l_clap
+
+
+def per_item_reference(captions, order, config, index, rng):
+    """Each step's contrastive and negated captions' ids, drawn caption by caption."""
+    from negclap.model import CaptionIds
+
+    vocab = index.vocab
+    clap, negated = [], []
+    B = config.batch_size
+    for start in range(0, len(order), B):
+        batch = [captions[i] for i in order[start:start + B]]
+        for caption in batch:
+            try:
+                clap.append(apply_augmentation(caption, vocab, config.p_aug, rng))
+            except AugmentationExhausted:
+                clap.append(caption)
+        if config.k > 0:
+            negated += [fully_negate(caption, vocab, rng) for caption in batch]
+    return index.ids(clap), index.ids(negated) if negated else None
+
+
+class TestEpochPlan:
+    @pytest.mark.parametrize("condition, hyper", [
+        ("baseline", {}), ("loss_term", {"k": 1e-2}), ("text_aug", {"p_aug": 0.6}),
+        ("combo", {"p_aug": 0.6, "k": 1e-2})])
+    def test_matches_per_item_draws(self, condition, hyper):
+        from negclap.model import TokenIndex
+
+        train_ds, _ = tiny_splits(n=140, n_test=20)
+        captions = [c for _, c in train_ds.pairs]
+        config = TrainConfig(condition=condition, seed=1, batch_size=8, **hyper)
+        order = np.concatenate(make_batches(train_ds, 8, epoch_seed=4))
+        index = TokenIndex(train_ds.vocabulary, TINY_DIMS.hash_buckets)
+        plan = plan_epoch(captions, index.ids(captions), order, config, index, seeded_rng(3))
+        clap, negated = per_item_reference(captions, order, config, index, seeded_rng(3))
+        expected = {"clap": clap, "negated": negated,
+                    "anchors": index.ids(captions[i] for i in order) if negated else None}
+        for name, want in expected.items():
+            got = getattr(plan, name)
+            if want is None:
+                assert got is None, name
+                continue
+            for field in ("uni", "uni_len", "bi", "bi_len"):
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field),
+                                              err_msg=f"{name}.{field}")
+        steps = list(plan.steps())
+        assert len(steps) == len(order) // 8
+        assert all(len(clap) == 8 for _, clap, _, _ in steps)
+
+    def test_batched_bernoulli_draws_equal_scalar_draws(self):
+        # the p_aug == 0 plan draws a step's B Bernoulli variates as one rng.random(B)
+        for seed in range(5):
+            batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            draws = batched.random(8)
+            assert draws.tolist() == [scalar.random() for _ in range(8)]
+            assert batched.random() == scalar.random()
+
+    def test_text_aug_at_zero_probability_equals_baseline(self):
+        train_ds, test_ds = toy_splits()
+        runs = [train(train_ds, test_ds, TrainConfig(condition=cond, seed=1, epochs=2))
+                for cond in ("baseline", "text_aug")]
+        (base, base_logs), (aug, aug_logs) = runs
+        assert [l.map10_avg for l in base_logs] == [l.map10_avg for l in aug_logs]
+        assert base.epoch == aug.epoch
+        for name, arr in base.params.items():
+            assert arr.tobytes() == getattr(aug.params, name).tobytes(), name
 
 
 class TestAdamOptimizer:
     def test_sparse_table_update_matches_dense_computation(self):
-        from negclap.model import DENSE_FIELDS, ParamGrads, RowGrad, init_params
+        from negclap.model import ParamGrads, RowGrad, init_params
 
         params_sparse = init_params(TINY_DIMS, 7)
         params_dense = params_sparse.copy()
         opt_sparse = AdamOptimizer.for_params(params_sparse)
         opt_dense = AdamOptimizer.for_params(params_dense)
         rng = np.random.default_rng(0)
-        every_row = np.arange(TINY_DIMS.hash_buckets)
+        n_rows = 2 * TINY_DIMS.hash_buckets  # unigram rows, then bigram rows
+        every_row = np.arange(n_rows)
         for step in range(12):
             grads = ParamGrads.zeros_like(params_sparse)
-            rows = np.sort(rng.choice(TINY_DIMS.hash_buckets, size=5, replace=False))
-            grads.unigram_table = RowGrad(rows, rng.normal(size=(5, TINY_DIMS.d_t)))
+            rows = np.sort(rng.choice(n_rows, size=5, replace=False))
+            grads.table = RowGrad(rows, rng.normal(size=(5, TINY_DIMS.d_t)))
             grads.text_out_b += rng.normal(size=TINY_DIMS.d)
             # dense path: give every row to the optimizer, zeros outside the batch's rows
-            dense_uni = np.zeros((TINY_DIMS.hash_buckets, TINY_DIMS.d_t))
-            dense_uni[rows] = grads.unigram_table.values
-            dense_grads = ParamGrads(
-                **{name: getattr(grads, name).copy() for name in DENSE_FIELDS},
-                unigram_table=RowGrad(every_row, dense_uni),
-                bigram_table=RowGrad(every_row, np.zeros_like(dense_uni)))
+            dense_table = np.zeros((n_rows, TINY_DIMS.d_t))
+            dense_table[rows] = grads.table.values
+            dense_grads = ParamGrads(TINY_DIMS, RowGrad(every_row, dense_table),
+                                     grads.dense.copy())
             opt_sparse.step(params_sparse, grads, 0.01)
             opt_dense.step(params_dense, dense_grads, 0.01)
         for name, arr in params_sparse.items():
@@ -264,6 +342,38 @@ class TestTrain:
         expected = 0.6 * n_items
         sigma = math.sqrt(n_items * 0.6 * 0.4)
         assert abs(logs[0].n_augmented - expected) <= 3 * sigma
+
+    def test_kept_checkpoint_is_not_changed_by_later_epochs(self, monkeypatch):
+        kept = []
+
+        class Recording(training.CheckpointRecord):
+            def __init__(self, **fields):
+                super().__init__(**fields)
+                kept.append(self)
+
+        monkeypatch.setattr(training, "CheckpointRecord", Recording)
+        train_ds, test_ds = toy_splits()
+        config = TrainConfig(condition="combo", seed=1, p_aug=0.6, k=1e-2, epochs=3)
+        record, _ = train(train_ds, test_ds, config)
+        first = kept[0]
+        assert first.epoch == 1 and record is kept[-1]
+        # the parameters after epoch 1, from a run that stops there
+        monkeypatch.undo()
+        after_one, _ = train(train_ds, test_ds, TrainConfig(**{**config.__dict__, "epochs": 1}))
+        for name, arr in first.params.items():
+            assert arr.tobytes() == getattr(after_one.params, name).tobytes(), name
+        for other in kept[1:]:
+            assert not np.shares_memory(first.params.tables, other.params.tables)
+            assert not np.shares_memory(first.params.dense, other.params.dense)
+
+    def test_diverged_run_names_condition_epoch_and_step(self):
+        train_ds, test_ds = toy_splits()
+        config = TrainConfig(condition="loss_term", seed=1, k=1e-2, epochs=2,
+                             learning_rate=1e300)
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="loss_term training diverged at epoch 1, step 2: "
+                                  "embedding norms before normalization"):
+            train(train_ds, test_ds, config)
 
     def test_log_csv_schema(self, tmp_path):
         train_ds, test_ds = tiny_splits()
