@@ -90,7 +90,7 @@ def param_shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
     }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _dense_layout(dims: ModelDims) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
     """(name, start, stop, shape) of every dense parameter in the flat vector."""
     layout, start = [], 0
@@ -359,7 +359,8 @@ class TokenIndex:
         it = iter(captions)
         parts = [self._chunk_ids(chunk)
                  for chunk in iter(lambda: list(itertools.islice(it, _IDS_CHUNK)), [])]
-        return parts[0] if len(parts) == 1 else CaptionIds.concat(parts or [self._chunk_ids([])])
+        parts = parts or [self._chunk_ids([])]
+        return parts[0] if len(parts) == 1 else CaptionIds.concat(parts)
 
     def _piece(self, tok) -> tuple[int, ...]:
         """Token ids of one structured caption token."""
