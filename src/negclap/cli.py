@@ -185,8 +185,9 @@ def _cmd_sweep(args) -> int:
         p_aug_grid = training.QUICK_P_AUG_GRID
         k_grid = training.QUICK_K_GRID
         if len(train_ds.pairs) > _QUICK_TRAIN_PAIRS:
-            train_ds = corpus.Dataset(train_ds.vocabulary,
-                                      train_ds.pairs[:_QUICK_TRAIN_PAIRS], train_ds.split)
+            matrix, rows = train_ds.features()
+            train_ds = corpus.Dataset(train_ds.vocabulary, train_ds.pairs[:_QUICK_TRAIN_PAIRS],
+                                      train_ds.split, matrix, rows[:_QUICK_TRAIN_PAIRS])
     rows = training.sweep(
         train_ds, test_ds, seed=args.seed, eval_seed=args.eval_seed,
         p_aug_grid=p_aug_grid, k_grid=k_grid, batch_size=args.batch_size,

@@ -10,7 +10,7 @@ string happens only at encoding time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -128,12 +128,31 @@ class AudioClip:
 
 @dataclass
 class Dataset:
+    """Paired clips and captions of one split.
+
+    ``generate_dataset`` and ``load_dataset`` make every clip's features a
+    row view of one ``(n, d_a)`` matrix, kept as ``feature_matrix``; pair
+    i's clip is row ``feature_rows[i]`` of it.  ``split_dataset`` passes
+    both on.  A dataset built from pairs alone leaves them None.
+    """
     vocabulary: Vocabulary
     pairs: list[tuple[AudioClip, Caption]]
     split: str  # "train" | "test"
+    feature_matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
+    feature_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.pairs)
+
+    def features(self) -> tuple[np.ndarray, np.ndarray]:
+        """A matrix holding every clip's features as a row, and each pair's row in it.
+
+        Returns ``feature_matrix`` itself when the dataset has one, so no
+        copy of the features is made; otherwise stacks the clips' features.
+        """
+        if self.feature_matrix is not None:
+            return self.feature_matrix, self.feature_rows
+        return np.stack([clip.features for clip, _ in self.pairs]), np.arange(len(self.pairs))
 
 
 def generate_vocabulary(n_tags: int, rng_seed: int) -> Vocabulary:
@@ -256,15 +275,16 @@ def generate_dataset(
          _templated_caption([mentions[t] for t in tags], template_index=i))
         for i, tags in enumerate(chosen)
     ]
-    return Dataset(vocabulary=vocab, pairs=pairs, split=split)
+    return Dataset(vocab, pairs, split, features, np.arange(n_clips))
 
 
 def split_dataset(dataset: Dataset, n_test: int) -> tuple[Dataset, Dataset]:
     """Partition into a train head and test tail (clips are iid by construction)."""
     if not 0 < n_test < len(dataset.pairs):
         raise ValueError(f"n_test must be in (0, {len(dataset.pairs)}), got {n_test}")
-    train = Dataset(dataset.vocabulary, dataset.pairs[:-n_test], split="train")
-    test = Dataset(dataset.vocabulary, dataset.pairs[-n_test:], split="test")
+    matrix, rows = dataset.features()
+    train = Dataset(dataset.vocabulary, dataset.pairs[:-n_test], "train", matrix, rows[:-n_test])
+    test = Dataset(dataset.vocabulary, dataset.pairs[-n_test:], "test", matrix, rows[-n_test:])
     return train, test
 
 
@@ -532,11 +552,12 @@ def load_dataset(path: str | Path, check_tag_consistency: bool = True) -> Datase
 
     if rows is None:
         pairs, finite = [], []
+        dataset = Dataset(vocabulary=vocab, pairs=pairs, split=split)
     else:
         rows.resize((len(ids), d_a), refcheck=False)
         finite = np.isfinite(rows).all(axis=1)
         pairs = [(AudioClip(id=i, features=row, tag_ids=t), c)
                  for i, row, t, c in zip(ids, rows, tag_sets, captions)]
-    dataset = Dataset(vocabulary=vocab, pairs=pairs, split=split)
+        dataset = Dataset(vocab, pairs, split, rows, np.arange(len(ids)))
     _validate(dataset, finite, check_tag_consistency)
     return dataset

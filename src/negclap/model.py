@@ -560,7 +560,7 @@ def model_backward(
     (see ``RowGrad``), each row summed in pass then token order.
     log_temperature is not on any encoder path and keeps a zero entry here.
     """
-    grads = ParamGrads(params.dims, RowGrad.empty(params.dims.d_t), np.zeros(params.dense.size))
+    grads = ParamGrads.zeros_like(params)
     ids, values = [], []
     for cache, d_emb in text_passes:
         d_pre, d_w1, d_b1, d_w2, d_b2 = _mlp_backward(

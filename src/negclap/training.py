@@ -309,27 +309,6 @@ def _test_map_scores(params: ModelParams, test_ids: CaptionIds,
     return map_at_10(sim, "text_to_audio"), map_at_10(sim, "audio_to_text")
 
 
-def _feature_matrix(pairs: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """A matrix holding every clip's features as a row, and each pair's row in it.
-
-    ``load_dataset`` and ``generate_dataset`` make each clip's features a
-    row view of one C-contiguous matrix; that matrix is used as it is, so
-    training holds no second copy of the features.  Features that are not
-    rows of one such matrix are stacked into a new one.
-    """
-    feats = [clip.features for clip, _ in pairs]
-    base = feats[0].base
-    if (isinstance(base, np.ndarray) and base.ndim == 2 and base.dtype == np.float64
-            and base.flags.c_contiguous
-            and all(f.base is base and f.strides == base.strides[1:] and f.shape == base.shape[1:]
-                    for f in feats)):
-        offsets = np.array([f.ctypes.data for f in feats])
-        rows, partial = np.divmod(offsets - base.ctypes.data, base.strides[0])
-        if not partial.any():
-            return base, rows
-    return np.stack(feats), np.arange(len(feats))
-
-
 def train(
     dataset_train: Dataset,
     dataset_test: Dataset,
@@ -352,8 +331,9 @@ def train(
 
     params = init_params(dims, spawn_seed(config.seed, _INIT_STREAM))
     optimizer = AdamOptimizer.for_params(params)
-    features, feature_rows = _feature_matrix(dataset_train.pairs)
-    test_features = np.stack([clip.features for clip, _ in dataset_test.pairs])
+    features, feature_rows = dataset_train.features()
+    test_matrix, test_rows = dataset_test.features()
+    test_features = test_matrix[test_rows]
     # bucket ids of the original captions, computed once for the whole run
     index = TokenIndex(dataset_train.vocabulary, dims.hash_buckets)
     captions = [caption for _, caption in dataset_train.pairs]

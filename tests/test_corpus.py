@@ -297,6 +297,8 @@ class TestSaveLoad:
         matrix = loaded.pairs[0][0].features.base
         assert matrix.shape == (2100, 3)
         assert all(clip.features.base is matrix for clip, _ in loaded.pairs)
+        features, rows = loaded.features()
+        assert features is matrix and rows.tolist() == list(range(2100))
         tokens = [tok for _, caption in loaded.pairs for tok in caption.tokens]
         assert len({id(tok) for tok in tokens}) == len(set(tokens))
 
@@ -316,6 +318,28 @@ class TestSplitDataset:
         train_ids = {c.id for c, _ in train.pairs}
         test_ids = {c.id for c, _ in test.pairs}
         assert not train_ids & test_ids
+
+    def test_splits_share_the_feature_matrix(self):
+        ds = generate_dataset(generate_vocabulary(6, 1), 30, d_a=8, rng_seed=1)
+        matrix, _ = ds.features()
+        assert all(clip.features.base is matrix for clip, _ in ds.pairs)
+        for part in split_dataset(ds, 10):
+            features, rows = part.features()
+            assert features is matrix
+            for (clip, _), row in zip(part.pairs, rows):
+                assert np.shares_memory(clip.features, features[row])
+                assert clip.features.tobytes() == features[row].tobytes()
+
+    def test_dataset_built_from_pairs_stacks_its_features(self):
+        ds = generate_dataset(generate_vocabulary(6, 1), 12, d_a=8, rng_seed=1)
+        built = Dataset(ds.vocabulary, ds.pairs[::-1], split="train")
+        assert built.feature_matrix is None
+        train, test = split_dataset(built, 4)
+        for part in (built, train, test):
+            features, rows = part.features()
+            assert features[rows].tobytes() == np.stack(
+                [clip.features for clip, _ in part.pairs]).tobytes()
+        assert train.feature_matrix is test.feature_matrix
 
     def test_bad_test_size(self):
         ds = generate_dataset(generate_vocabulary(6, 1), 10, d_a=8, rng_seed=1)

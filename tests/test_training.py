@@ -112,7 +112,9 @@ class TestTrainStep:
         plan = plan_epoch(captions, index.ids(captions), np.arange(size), config, index,
                           seeded_rng(0))
         params = init_params(TINY_DIMS, 3)
-        features = np.stack([clip.features for clip, _ in train_ds.pairs[:size]])
+        # (size, d_a) even at size 0, so an empty batch reaches train_step
+        features = np.array([clip.features for clip, _ in train_ds.pairs[:size]],
+                            dtype=np.float64).reshape(size, TINY_DIMS.d_a)
         breakdown = train_step(params, features, plan.clap, config,
                                AdamOptimizer.for_params(params), plan.anchors, plan.negated)
         return breakdown, plan
@@ -137,7 +139,7 @@ class TestTrainStep:
         assert (plan.n_augmented, plan.n_exhausted) == (8, 0)
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty batch"):
             self._step("baseline", size=0)
 
     def test_exhausted_items_keep_their_original_captions(self):
