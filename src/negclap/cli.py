@@ -70,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=Path, required=True,
                    help=f"directory holding {TEST_FILE} (or a dataset file)")
     p.add_argument("--eval-seed", type=int, required=True)
-    p.add_argument("--k-retrieval", type=int, default=10)
     p.add_argument("--label", default="model", help="condition label used in output files")
     p.add_argument("--out", type=Path, required=True, help="output directory")
 
@@ -154,20 +153,14 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     test_path = args.data / TEST_FILE if args.data.is_dir() else args.data
     test_ds = corpus.load_dataset(test_path)
-    if not 1 <= args.k_retrieval <= len(test_ds):
-        raise ValueError(
-            f"--k-retrieval must lie in [1, {len(test_ds)}], got {args.k_retrieval}"
-        )
     params = model.load_checkpoint(args.checkpoint)
     variants = evaluation.build_eval_variants(test_ds, args.eval_seed)
     embeddings = evaluation.embed_eval_variants(params, test_ds, variants)
-    retrieval = evaluation.retrieval_protocol(embeddings, args.k_retrieval)
+    retrieval = evaluation.retrieval_protocol(embeddings)
     triplet = evaluation.triplet_protocol(embeddings)
     args.out.mkdir(parents=True, exist_ok=True)
-    rows = evaluation.report_rows(args.label, float("nan"), float("nan"), retrieval, triplet)
-    for row in rows:  # single-checkpoint eval has no training hyperparameters
-        row["p_aug"] = ""
-        row["k"] = ""
+    # a single-checkpoint eval has no training hyperparameters
+    rows = evaluation.report_rows(args.label, "", "", retrieval, triplet)
     evaluation.write_report_csv(args.out / "report.csv", rows)
     evaluation.write_fig_retrieval_csv(args.out / f"fig_retrieval_{args.label}.csv", retrieval)
     evaluation.write_fig_triplet_csv(args.out / "fig_triplet.csv", [(args.label, "", triplet)])
@@ -185,9 +178,8 @@ def _cmd_sweep(args) -> int:
         p_aug_grid = training.QUICK_P_AUG_GRID
         k_grid = training.QUICK_K_GRID
         if len(train_ds.pairs) > _QUICK_TRAIN_PAIRS:
-            matrix, rows = train_ds.features()
             train_ds = corpus.Dataset(train_ds.vocabulary, train_ds.pairs[:_QUICK_TRAIN_PAIRS],
-                                      train_ds.split, matrix, rows[:_QUICK_TRAIN_PAIRS])
+                                      train_ds.split, train_ds.features()[:_QUICK_TRAIN_PAIRS])
     rows = training.sweep(
         train_ds, test_ds, seed=args.seed, eval_seed=args.eval_seed,
         p_aug_grid=p_aug_grid, k_grid=k_grid, batch_size=args.batch_size,

@@ -131,28 +131,27 @@ class Dataset:
     """Paired clips and captions of one split.
 
     ``generate_dataset`` and ``load_dataset`` make every clip's features a
-    row view of one ``(n, d_a)`` matrix, kept as ``feature_matrix``; pair
-    i's clip is row ``feature_rows[i]`` of it.  ``split_dataset`` passes
-    both on.  A dataset built from pairs alone leaves them None.
+    row view of one ``(n, d_a)`` matrix, kept as ``feature_matrix``: row i
+    is pair i's clip.  ``split_dataset`` slices it.  A dataset built from
+    pairs alone leaves it None.
     """
     vocabulary: Vocabulary
     pairs: list[tuple[AudioClip, Caption]]
     split: str  # "train" | "test"
     feature_matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
-    feature_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def features(self) -> tuple[np.ndarray, np.ndarray]:
-        """A matrix holding every clip's features as a row, and each pair's row in it.
+    def features(self) -> np.ndarray:
+        """The ``(n, d_a)`` matrix whose row i is pair i's clip features.
 
         Returns ``feature_matrix`` itself when the dataset has one, so no
         copy of the features is made; otherwise stacks the clips' features.
         """
         if self.feature_matrix is not None:
-            return self.feature_matrix, self.feature_rows
-        return np.stack([clip.features for clip, _ in self.pairs]), np.arange(len(self.pairs))
+            return self.feature_matrix
+        return np.stack([clip.features for clip, _ in self.pairs])
 
 
 def generate_vocabulary(n_tags: int, rng_seed: int) -> Vocabulary:
@@ -275,16 +274,16 @@ def generate_dataset(
          _templated_caption([mentions[t] for t in tags], template_index=i))
         for i, tags in enumerate(chosen)
     ]
-    return Dataset(vocab, pairs, split, features, np.arange(n_clips))
+    return Dataset(vocab, pairs, split, features)
 
 
 def split_dataset(dataset: Dataset, n_test: int) -> tuple[Dataset, Dataset]:
     """Partition into a train head and test tail (clips are iid by construction)."""
     if not 0 < n_test < len(dataset.pairs):
         raise ValueError(f"n_test must be in (0, {len(dataset.pairs)}), got {n_test}")
-    matrix, rows = dataset.features()
-    train = Dataset(dataset.vocabulary, dataset.pairs[:-n_test], "train", matrix, rows[:-n_test])
-    test = Dataset(dataset.vocabulary, dataset.pairs[-n_test:], "test", matrix, rows[-n_test:])
+    matrix = dataset.features()
+    train = Dataset(dataset.vocabulary, dataset.pairs[:-n_test], "train", matrix[:-n_test])
+    test = Dataset(dataset.vocabulary, dataset.pairs[-n_test:], "test", matrix[-n_test:])
     return train, test
 
 
@@ -558,6 +557,6 @@ def load_dataset(path: str | Path, check_tag_consistency: bool = True) -> Datase
         finite = np.isfinite(rows).all(axis=1)
         pairs = [(AudioClip(id=i, features=row, tag_ids=t), c)
                  for i, row, t, c in zip(ids, rows, tag_sets, captions)]
-        dataset = Dataset(vocab, pairs, split, rows, np.arange(len(ids)))
+        dataset = Dataset(vocab, pairs, split, rows)
     _validate(dataset, finite, check_tag_consistency)
     return dataset

@@ -147,8 +147,7 @@ def embed_eval_variants(params: ModelParams, test_dataset: Dataset,
     """
     if len(variants) != len(test_dataset.pairs):
         raise ValueError("variant set does not match the test set")
-    feats = np.stack([clip.features for clip, _ in test_dataset.pairs])
-    audio, _ = encode_audio_batch(params, feats)
+    audio, _ = encode_audio_batch(params, test_dataset.features())
     index = TokenIndex(test_dataset.vocabulary, params.dims.hash_buckets)
     text = {v: encode_token_lists(params, index.ids(getattr(variants, v)))[0]
             for v in VARIANTS}
@@ -159,7 +158,8 @@ def retrieval_protocol(embeddings: EvalEmbeddings, k_retrieval: int = 10) -> Ret
     """R@K for each caption variant in both directions; mAP@10 on originals."""
     n = len(embeddings)
     if not 1 <= k_retrieval <= n:
-        raise ValueError(f"k_retrieval must lie in [1, {n}], got {k_retrieval}")
+        raise ValueError(
+            f"k_retrieval must lie in [1, {n}], the number of test pairs, got {k_retrieval}")
     r_at_k: dict[tuple[str, str], float] = {}
     map10: dict[str, float] = {}
     for variant in VARIANTS:
@@ -199,9 +199,12 @@ def triplet_protocol(embeddings: EvalEmbeddings) -> TripletReport:
     )
 
 
-def report_rows(condition: str, p_aug: float, k: float, retrieval: RetrievalReport,
-                triplet: TripletReport) -> list[dict[str, object]]:
-    """Report-CSV rows for one trained model: six variant rows plus a summary row."""
+def report_rows(condition: str, p_aug: float | str, k: float | str,
+                retrieval: RetrievalReport, triplet: TripletReport) -> list[dict[str, object]]:
+    """Report-CSV rows for one trained model: six variant rows plus a summary row.
+
+    A checkpoint evaluated on its own passes ``""`` for p_aug and k.
+    """
     rows: list[dict[str, object]] = []
     for variant in VARIANTS:
         for direction in DIRECTIONS:

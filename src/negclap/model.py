@@ -279,23 +279,6 @@ class CaptionIds:
         return CaptionIds(self.uni[_spans(_starts(self.uni_len)[rows], uni_len)], uni_len,
                           self.bi[_spans(_starts(self.bi_len)[rows], bi_len)], bi_len)
 
-    def replaced(self, positions: Sequence[int], other: "CaptionIds") -> "CaptionIds":
-        """A copy whose caption ``positions[j]`` is caption j of ``other``."""
-        kept = np.ones(len(self), dtype=bool)
-        kept[positions] = False
-        out = []
-        for flat, lens, new_flat, new_lens in ((self.uni, self.uni_len, other.uni, other.uni_len),
-                                               (self.bi, self.bi_len, other.bi, other.bi_len)):
-            out_lens = lens.copy()
-            out_lens[positions] = new_lens
-            out_flat = np.empty(out_lens.sum(), dtype=flat.dtype)
-            out_starts = _starts(out_lens)
-            out_flat[_spans(out_starts[kept], lens[kept])] = \
-                flat[_spans(_starts(lens)[kept], lens[kept])]
-            out_flat[_spans(out_starts[positions], new_lens)] = new_flat
-            out += [out_flat, out_lens]
-        return CaptionIds(*out)
-
     def batches(self, size: int) -> Iterator["CaptionIds"]:
         """Runs of ``size`` consecutive captions, the last one possibly shorter, as views."""
         uni_at = np.concatenate(([0], np.cumsum(self.uni_len)))

@@ -230,57 +230,50 @@ def plan_epoch(captions: Sequence[Caption], caption_ids: CaptionIds, order: np.n
                config: TrainConfig, index: TokenIndex, rng: np.random.Generator) -> EpochPlan:
     """Draw one epoch's caption edits and index them.
 
-    ``order`` lists the pair index of every item, step after step, and
-    ``caption_ids`` holds the ids of ``captions`` (the run's originals).
-    The draws come from ``rng`` in the order a step makes them: the
-    augmentation draws of the batch's items, then (k > 0) their
-    fully-negate draws.  Per item, the caption entering the contrastive
-    term passes through the insert augmentation with p_aug, falling back to
-    the original when the vocabulary is exhausted.  At p_aug == 0 no insert
-    can happen, so a step's Bernoulli draws are one ``rng.random(B)``,
-    which is the same stream as B scalar draws.  Only edited captions are
-    indexed; originals are gathered from ``caption_ids``.
+    ``order`` lists the pair index of every item, whole batches in step
+    order, and ``caption_ids`` holds the ids of ``captions`` (the run's
+    originals).  The draws come from ``rng`` in the order a step makes
+    them.  Per step, the indexed stream holds a block of B contrastive
+    captions when p_aug > 0 (each passed through the insert augmentation;
+    the original when no insert is drawn or the vocabulary is exhausted),
+    then a block of B fully negated ones when k > 0.  At p_aug == 0 a
+    step's Bernoulli draws are one ``rng.random(B)``, the same stream as B
+    scalar draws, and the contrastive ids are the originals'.
     """
     vocab = index.vocab
     B = config.batch_size
-    augmented_at: list[int] = []  # the item of each augmented caption
-    is_augmented: list[bool] = []  # per edited caption, in draw order
-    n_exhausted = 0
+    n_augmented = n_exhausted = 0
 
-    def edits() -> Iterator[Caption]:
-        """The edited captions in draw order, each dropped once it is indexed."""
-        nonlocal n_exhausted
+    def contrastive(caption: Caption) -> Caption:
+        nonlocal n_augmented, n_exhausted
+        try:
+            out = apply_augmentation(caption, vocab, config.p_aug, rng)
+        except AugmentationExhausted:
+            n_exhausted += 1
+            return caption
+        n_augmented += out is not caption  # no insert drawn returns the input itself
+        return out
+
+    def stream() -> Iterator[Caption]:
         for start in range(0, len(order), B):
-            batch = order[start:start + B]
-            if config.p_aug == 0.0:
-                rng.random(len(batch))
+            batch = [captions[i] for i in order[start:start + B]]
+            if config.p_aug > 0:
+                yield from map(contrastive, batch)
             else:
-                for item, i in enumerate(batch, start):
-                    try:
-                        out = apply_augmentation(captions[i], vocab, config.p_aug, rng)
-                    except AugmentationExhausted:
-                        n_exhausted += 1
-                        continue
-                    if out is not captions[i]:  # no insert drawn returns the input itself
-                        augmented_at.append(item)
-                        is_augmented.append(True)
-                        yield out
+                rng.random(len(batch))
             if config.k > 0:
-                for i in batch:
-                    is_augmented.append(False)
-                    yield fully_negate(captions[i], vocab, rng)
+                for caption in batch:
+                    yield fully_negate(caption, vocab, rng)
 
-    edited = index.ids(edits())
+    edited = index.ids(stream())
+    # per step, a block of contrastive captions (p_aug > 0), then one of negated ones (k > 0)
+    kinds = max((config.p_aug > 0) + (config.k > 0), 1)
+    blocks = np.arange(len(edited)).reshape(-1, kinds, B)
     originals = caption_ids.take(order)
-    negated = None
-    if config.k > 0:
-        negated = edited if not augmented_at else \
-            edited.take(np.flatnonzero(np.logical_not(is_augmented)))
-    clap = originals
-    if augmented_at:
-        clap = originals.replaced(augmented_at, edited.take(np.flatnonzero(is_augmented)))
+    clap = edited.take(blocks[:, 0].ravel()) if config.p_aug > 0 else originals
+    negated = edited.take(blocks[:, -1].ravel()) if config.k > 0 else None
     return EpochPlan(B, order, clap, originals if config.k > 0 else None, negated,
-                     n_augmented=len(augmented_at), n_exhausted=n_exhausted)
+                     n_augmented=n_augmented, n_exhausted=n_exhausted)
 
 
 def train_step(params: ModelParams, features: np.ndarray, clap_ids: CaptionIds,
@@ -325,15 +318,12 @@ def train(
     test_ids = {clip.id for clip, _ in dataset_test.pairs}
     if train_ids & test_ids:
         raise ValueError("train and test splits share clip ids")
+    features, test_features = dataset_train.features(), dataset_test.features()
     if dims is None:
-        d_a = int(dataset_train.pairs[0][0].features.shape[0])
-        dims = ModelDims(d_a=d_a)
+        dims = ModelDims(d_a=features.shape[1])
 
     params = init_params(dims, spawn_seed(config.seed, _INIT_STREAM))
     optimizer = AdamOptimizer.for_params(params)
-    features, feature_rows = dataset_train.features()
-    test_matrix, test_rows = dataset_test.features()
-    test_features = test_matrix[test_rows]
     # bucket ids of the original captions, computed once for the whole run
     index = TokenIndex(dataset_train.vocabulary, dims.hash_buckets)
     captions = [caption for _, caption in dataset_train.pairs]
@@ -348,11 +338,10 @@ def train(
                                             spawn_seed(config.seed, _SHUFFLE_STREAM, epoch)))
         plan = plan_epoch(captions, caption_ids, order, config, index,
                           seeded_rng(config.seed, _EPOCH_STREAM, epoch))
-        item_rows = feature_rows[order]
         sums = np.zeros(3)
         for step, (items, clap, anchors, negated) in enumerate(plan.steps(), 1):
             try:
-                breakdown = train_step(params, features[item_rows[items]], clap, config,
+                breakdown = train_step(params, features[order[items]], clap, config,
                                        optimizer, anchors, negated)
                 if not math.isfinite(breakdown.l_total):
                     raise FloatingPointError(f"l_total is {breakdown.l_total}")
@@ -412,21 +401,20 @@ def sweep_configs(
     seed: int,
     p_aug_grid: Sequence[float] = DEFAULT_P_AUG_GRID,
     k_grid: Sequence[float] = DEFAULT_K_GRID,
-    combo_k_grid: Sequence[float] | None = None,
-    combo_p_aug: float = DEFAULT_COMBO_P_AUG,
     batch_size: int = 8,
     epochs: int = 10,
     learning_rate: float = 0.01,
 ) -> list[TrainConfig]:
-    """Baseline plus one config per grid point, in report order."""
-    if combo_k_grid is None:
-        combo_k_grid = tuple(k_grid)
+    """Baseline plus one config per grid point, in report order.
+
+    Combo runs pair ``DEFAULT_COMBO_P_AUG`` with every k of ``k_grid``.
+    """
     common = dict(seed=seed, batch_size=batch_size, epochs=epochs, learning_rate=learning_rate)
     configs = [TrainConfig(condition="baseline", **common)]
     configs += [TrainConfig(condition="text_aug", p_aug=p, **common) for p in p_aug_grid]
     configs += [TrainConfig(condition="loss_term", k=k, **common) for k in k_grid]
-    configs += [TrainConfig(condition="combo", p_aug=combo_p_aug, k=k, **common)
-                for k in combo_k_grid]
+    configs += [TrainConfig(condition="combo", p_aug=DEFAULT_COMBO_P_AUG, k=k, **common)
+                for k in k_grid]
     return configs
 
 
@@ -438,12 +426,9 @@ def sweep(
     eval_seed: int,
     p_aug_grid: Sequence[float] = DEFAULT_P_AUG_GRID,
     k_grid: Sequence[float] = DEFAULT_K_GRID,
-    combo_k_grid: Sequence[float] | None = None,
-    combo_p_aug: float = DEFAULT_COMBO_P_AUG,
     batch_size: int = 8,
     epochs: int = 10,
     learning_rate: float = 0.01,
-    k_retrieval: int = 10,
     dims: ModelDims | None = None,
     out_dir: str | Path | None = None,
 ) -> list[SweepRow]:
@@ -451,27 +436,25 @@ def sweep(
 
     Emits report.csv, per-run fig_retrieval_<label>.csv, and fig_triplet.csv
     under out_dir when given.  Row count: 1 baseline + |p_aug_grid| +
-    |k_grid| + |combo_k_grid|.
+    2 |k_grid|.
     """
-    configs = sweep_configs(seed, p_aug_grid, k_grid, combo_k_grid, combo_p_aug,
-                            batch_size, epochs, learning_rate)
+    configs = sweep_configs(seed, p_aug_grid, k_grid, batch_size, epochs, learning_rate)
     variants = build_eval_variants(dataset_test, eval_seed)
     rows: list[SweepRow] = []
     for config in configs:
         record, _ = train(dataset_train, dataset_test, config, dims=dims)
         embeddings = embed_eval_variants(record.params, dataset_test, variants)
-        retrieval = retrieval_protocol(embeddings, k_retrieval)
+        retrieval = retrieval_protocol(embeddings)
         triplet = triplet_protocol(embeddings)
         rows.append(SweepRow(config=config, best_epoch=record.epoch,
                              selection_score=record.selection_score,
                              retrieval=retrieval, triplet=triplet))
     if out_dir is not None:
-        write_sweep_outputs(rows, out_dir, combo_p_aug=combo_p_aug)
+        write_sweep_outputs(rows, out_dir)
     return rows
 
 
-def write_sweep_outputs(rows: Sequence[SweepRow], out_dir: str | Path,
-                        combo_p_aug: float = DEFAULT_COMBO_P_AUG) -> None:
+def write_sweep_outputs(rows: Sequence[SweepRow], out_dir: str | Path) -> None:
     """report.csv with all rows, one fig_retrieval per run, one shared fig_triplet.
 
     fig_triplet.csv mirrors the headline comparison: baseline, the text_aug
@@ -492,7 +475,7 @@ def write_sweep_outputs(rows: Sequence[SweepRow], out_dir: str | Path,
         cfg = row.config
         include = (
             cfg.condition in ("baseline", "loss_term", "combo")
-            or (cfg.condition == "text_aug" and math.isclose(cfg.p_aug, combo_p_aug))
+            or (cfg.condition == "text_aug" and math.isclose(cfg.p_aug, DEFAULT_COMBO_P_AUG))
         )
         if include:
             triplet_entries.append((cfg.condition, cfg.k, row.triplet))

@@ -357,7 +357,7 @@ def test_criterion_10_determinism(tmp_path_factory):
             out = root / f"eval_{attempt}"
             assert cli_main(["eval", "--checkpoint", str(run / "checkpoint.ckpt"),
                              "--data", str(data), "--eval-seed", "5",
-                             "--k-retrieval", "10", "--out", str(out)]) == 0
+                             "--out", str(out)]) == 0
             hashes.append((
                 digest(run / "checkpoint.ckpt"),
                 digest(run / "train_log.csv"),

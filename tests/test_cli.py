@@ -1,13 +1,18 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negclap.cli import main
 from negclap.corpus import DatasetValidationError, load_dataset
 from negclap.evaluation import REPORT_COLUMNS
-from negclap.model import load_checkpoint, save_checkpoint
+from negclap.model import ModelDims, init_params, load_checkpoint, param_shapes, save_checkpoint
 
 
 def sha256(path):
@@ -262,20 +267,31 @@ class TestEval:
         for name in ("e1", "e2"):
             out = tmp_path / name
             code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
-                         "--eval-seed", "9", "--k-retrieval", "5",
-                         "--out", str(out)])
+                         "--eval-seed", "9", "--out", str(out)])
             assert code == 0
             outs.append(out)
         assert sha256(outs[0] / "report.csv") == sha256(outs[1] / "report.csv")
         assert sha256(outs[0] / "fig_retrieval_model.csv") == \
             sha256(outs[1] / "fig_retrieval_model.csv")
 
-    def test_oversized_retrieval_cutoff_is_usage_error(self, tmp_path):
+    def test_retrieval_cutoff_flag_is_rejected(self, tmp_path, capsys):
+        # the report names its recall column r_at_10, so the cutoff is fixed
         data, ckpt = self._trained(tmp_path)
         code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
-                     "--eval-seed", "9", "--k-retrieval", "1000",
+                     "--eval-seed", "9", "--k-retrieval", "10",
                      "--out", str(tmp_path / "e")])
         assert code == 2
+        assert "unrecognized arguments: --k-retrieval" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    def test_test_set_below_the_cutoff_is_usage_error(self, tmp_path, capsys):
+        _, ckpt = self._trained(tmp_path)
+        data = gen_small(tmp_path, n_clips=40, n_test=8, name="small")
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--eval-seed", "9", "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: k_retrieval must lie in [1, 8], the number of test pairs, got 10")
 
     def test_checkpoint_without_dims_is_usage_error(self, tmp_path, capsys):
         data, ckpt = self._trained(tmp_path)
@@ -323,12 +339,98 @@ class TestEval:
         data, ckpt = self._trained(tmp_path)
         out = tmp_path / "e"
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
-                     "--eval-seed", "9", "--k-retrieval", "5",
-                     "--out", str(out)]) == 0
+                     "--eval-seed", "9", "--out", str(out)]) == 0
         with open(out / "report.csv") as f:
             rows = list(csv.reader(f))
         assert rows[0] == list(REPORT_COLUMNS)
         assert len(rows) == 1 + 7
+
+
+class TestFuzzedCheckpointFile:
+    """Damaged checkpoint files end in exit 1 or 2 with a message, never a traceback.
+
+    Each example starts from a toy checkpoint and runs ``negclap eval`` on
+    it.  A cut anywhere before the end breaks the block structure, and the
+    header and meta lines are checked field by field, so a replaced byte
+    there can only pass as a changed seed or whitespace.  A replaced
+    payload byte may leave every value finite; such a file evaluates like
+    any other model.
+    """
+    DIMS = ModelDims(d_t=8, d_h=8, d=4, d_a=12, hash_buckets=16)
+
+    @pytest.fixture(scope="class")
+    def toy(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("ckpt-fuzz")
+        data = gen_small(tmp, n_clips=40, n_test=16)
+        save_checkpoint(tmp / "toy.ckpt", init_params(self.DIMS, 1))
+        text = (tmp / "toy.ckpt").read_bytes()
+        # byte positions of the header and meta lines, and of the payloads
+        at = text.index(b"\n") + 1
+        lines, payloads = list(range(at)), []
+        for shape in param_shapes(self.DIMS).values():
+            end = text.index(b"\n", at) + 1
+            lines += range(at, end)
+            at = end + 4 * math.prod(shape)
+            payloads += range(end, at)
+            at += 1  # the block terminator
+        assert at == len(text)
+        return tmp, data, load_checkpoint(tmp / "toy.ckpt"), text, lines, payloads
+
+    @staticmethod
+    def evaluate(tmp, data, text):
+        """Exit code of ``negclap eval`` on ``text`` as a checkpoint file."""
+        path = tmp / "mutated.ckpt"
+        path.write_bytes(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["eval", "--checkpoint", str(path), "--data", str(data),
+                         "--eval-seed", "9", "--out", str(tmp / "eval")])
+        assert code in (0, 1, 2)
+        if code:
+            assert err.getvalue().startswith("error: ")
+        return code
+
+    def test_unchanged_file_evaluates(self, toy):
+        tmp, data, _, text, _, _ = toy
+        assert self.evaluate(tmp, data, text) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_truncation_anywhere(self, toy, data):
+        tmp, data_dir, _, text, _, _ = toy
+        cut = data.draw(st.integers(0, len(text) - 1))
+        assert self.evaluate(tmp, data_dir, text[:cut]) in (1, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_replaced_header_or_meta_byte(self, toy, data):
+        tmp, data_dir, original, text, lines, _ = toy
+        position = data.draw(st.sampled_from(lines))
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != text[position]))
+        if self.evaluate(tmp, data_dir,
+                         text[:position] + bytes([byte]) + text[position + 1:]) == 0:
+            loaded = load_checkpoint(tmp / "mutated.ckpt")
+            assert loaded.tables.tobytes() == original.tables.tobytes()
+            assert loaded.dense.tobytes() == original.dense.tobytes()
+            assert loaded.seed != original.seed or text[position] in b" \t\r"
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_dropped_header_key(self, toy, data):
+        tmp, data_dir, _, text, _, _ = toy
+        head, rest = text.split(b"\n", 1)
+        header = json.loads(head)
+        owner = data.draw(st.sampled_from([header, header["dims"]]))
+        del owner[data.draw(st.sampled_from(sorted(owner)))]
+        assert self.evaluate(tmp, data_dir, json.dumps(header).encode() + b"\n" + rest) in (1, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_replaced_payload_byte(self, toy, data):
+        tmp, data_dir, _, text, _, payloads = toy
+        position = data.draw(st.sampled_from(payloads))
+        byte = data.draw(st.integers(0, 255))
+        self.evaluate(tmp, data_dir, text[:position] + bytes([byte]) + text[position + 1:])
 
 
 class TestSweep:

@@ -297,8 +297,7 @@ class TestSaveLoad:
         matrix = loaded.pairs[0][0].features.base
         assert matrix.shape == (2100, 3)
         assert all(clip.features.base is matrix for clip, _ in loaded.pairs)
-        features, rows = loaded.features()
-        assert features is matrix and rows.tolist() == list(range(2100))
+        assert loaded.features() is matrix
         tokens = [tok for _, caption in loaded.pairs for tok in caption.tokens]
         assert len({id(tok) for tok in tokens}) == len(set(tokens))
 
@@ -321,14 +320,14 @@ class TestSplitDataset:
 
     def test_splits_share_the_feature_matrix(self):
         ds = generate_dataset(generate_vocabulary(6, 1), 30, d_a=8, rng_seed=1)
-        matrix, _ = ds.features()
+        matrix = ds.features()
         assert all(clip.features.base is matrix for clip, _ in ds.pairs)
         for part in split_dataset(ds, 10):
-            features, rows = part.features()
-            assert features is matrix
-            for (clip, _), row in zip(part.pairs, rows):
-                assert np.shares_memory(clip.features, features[row])
-                assert clip.features.tobytes() == features[row].tobytes()
+            features = part.features()
+            assert features.base is matrix and len(features) == len(part.pairs)
+            for (clip, _), row in zip(part.pairs, features):
+                assert np.shares_memory(clip.features, row)
+                assert clip.features.tobytes() == row.tobytes()
 
     def test_dataset_built_from_pairs_stacks_its_features(self):
         ds = generate_dataset(generate_vocabulary(6, 1), 12, d_a=8, rng_seed=1)
@@ -336,10 +335,9 @@ class TestSplitDataset:
         assert built.feature_matrix is None
         train, test = split_dataset(built, 4)
         for part in (built, train, test):
-            features, rows = part.features()
-            assert features[rows].tobytes() == np.stack(
+            assert part.features().tobytes() == np.stack(
                 [clip.features for clip, _ in part.pairs]).tobytes()
-        assert train.feature_matrix is test.feature_matrix
+        assert train.feature_matrix.base is test.feature_matrix.base
 
     def test_bad_test_size(self):
         ds = generate_dataset(generate_vocabulary(6, 1), 10, d_a=8, rng_seed=1)

@@ -375,7 +375,7 @@ class TestEmbedOnce:
                             counting("text", evaluation.encode_token_lists))
         out = tmp_path / "eval"
         assert cli_main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
-                         "--eval-seed", "3", "--k-retrieval", "10", "--out", str(out)]) == 0
+                         "--eval-seed", "3", "--out", str(out)]) == 0
         assert calls == {"audio": [64], "text": [64, 64, 64]}
 
         # every reported value equals brute force over per-variant encodes

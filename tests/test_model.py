@@ -331,7 +331,7 @@ class TestTokenIndex:
 class TestCaptionIds:
     LISTS = [["a", "rock"], ["tune"], ["with", "no", "bass", "x"], ["and", "drums", "y"]]
 
-    def test_take_batches_and_replaced_match_per_caption_lists(self):
+    def test_take_and_batches_match_per_caption_lists(self):
         ids = reference_ids(self.LISTS, 61)
         rows = [3, 1, 1, 0]
         taken = ids.take(np.array(rows))
@@ -342,11 +342,6 @@ class TestCaptionIds:
         assert [len(p) for p in parts] == [3, 1]
         whole = CaptionIds.concat(parts)
         np.testing.assert_array_equal(whole.bi, ids.bi)
-        edits = reference_ids([["not", "guitar"], ["z"]], 61)
-        replaced = ids.replaced([0, 2], edits)
-        expected = reference_ids([["not", "guitar"], ["tune"], ["z"], self.LISTS[3]], 61)
-        for field in ("uni", "uni_len", "bi", "bi_len"):
-            np.testing.assert_array_equal(getattr(replaced, field), getattr(expected, field))
 
 
 class TestParameterBuffers:

@@ -390,12 +390,12 @@ class TestTrain:
 
 class TestSweep:
     def test_config_grid_counts(self):
-        configs = sweep_configs(seed=0, p_aug_grid=(0.0, 0.5), k_grid=(1e-2,),
-                                combo_k_grid=(1e-2, 1e-3))
-        assert len(configs) == 1 + 2 + 1 + 2
+        configs = sweep_configs(seed=0, p_aug_grid=(0.0, 0.5), k_grid=(1e-2, 1e-3))
+        assert len(configs) == 1 + 2 + 2 + 2
         conditions = [c.condition for c in configs]
-        assert conditions == ["baseline", "text_aug", "text_aug", "loss_term",
+        assert conditions == ["baseline", "text_aug", "text_aug", "loss_term", "loss_term",
                               "combo", "combo"]
+        assert [c.k for c in configs if c.condition == "combo"] == [1e-2, 1e-3]
         for c in configs:
             if c.condition == "combo":
                 assert c.p_aug == 0.6
@@ -408,8 +408,8 @@ class TestSweep:
         train_ds, test_ds = tiny_splits(n=80, n_test=16)
         rows = sweep(
             train_ds, test_ds, seed=1, eval_seed=5,
-            p_aug_grid=(0.6,), k_grid=(1e-2,), combo_k_grid=(1e-2,),
-            batch_size=8, epochs=1, learning_rate=0.01, k_retrieval=5,
+            p_aug_grid=(0.6,), k_grid=(1e-2,),
+            batch_size=8, epochs=1, learning_rate=0.01,
             dims=TINY_DIMS, out_dir=tmp_path,
         )
         assert len(rows) == 4
