@@ -180,11 +180,10 @@ def _cmd_sweep(args) -> int:
         if len(train_ds.pairs) > _QUICK_TRAIN_PAIRS:
             train_ds = corpus.Dataset(train_ds.vocabulary, train_ds.pairs[:_QUICK_TRAIN_PAIRS],
                                       train_ds.split, train_ds.features()[:_QUICK_TRAIN_PAIRS])
-    rows = training.sweep(
-        train_ds, test_ds, seed=args.seed, eval_seed=args.eval_seed,
-        p_aug_grid=p_aug_grid, k_grid=k_grid, batch_size=args.batch_size,
-        epochs=epochs, learning_rate=args.lr, out_dir=args.out,
-    )
+    configs = training.sweep_configs(args.seed, p_aug_grid, k_grid, args.batch_size,
+                                     epochs, args.lr)
+    rows = training.sweep(train_ds, test_ds, configs, eval_seed=args.eval_seed)
+    training.write_sweep_outputs(rows, args.out)
     print(f"swept {len(rows)} configurations; report at {args.out / 'report.csv'}")
     return 0
 

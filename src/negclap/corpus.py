@@ -84,12 +84,11 @@ class Word:
 @dataclass(frozen=True)
 class TagMention:
     tag_id: int
-    negated: bool = False
     negator: str | None = None
 
-    def __post_init__(self):
-        if self.negated != (self.negator is not None):
-            raise ValueError("negator must be present iff the mention is negated")
+    @property
+    def negated(self) -> bool:
+        return self.negator is not None
 
 
 CaptionToken = Union[Word, TagMention]
@@ -227,7 +226,6 @@ def generate_dataset(
     d_a: int = 64,
     noise_sigma: float = 0.05,
     rng_seed: int = 0,
-    split: str = "train",
 ) -> Dataset:
     """Synthetic paired corpus, fully deterministic given the seed.
 
@@ -274,7 +272,7 @@ def generate_dataset(
          _templated_caption([mentions[t] for t in tags], template_index=i))
         for i, tags in enumerate(chosen)
     ]
-    return Dataset(vocab, pairs, split, features)
+    return Dataset(vocab, pairs, "train", features)
 
 
 def split_dataset(dataset: Dataset, n_test: int) -> tuple[Dataset, Dataset]:
@@ -292,7 +290,7 @@ def render_token(tok: CaptionToken, vocab: Vocabulary) -> str:
     if isinstance(tok, Word):
         return tok.text
     surface = vocab.surface(tok.tag_id)
-    return f"{tok.negator} {surface}" if tok.negated else surface
+    return surface if tok.negator is None else f"{tok.negator} {surface}"
 
 
 def render_caption(caption: Caption, vocab: Vocabulary) -> str:
@@ -346,7 +344,7 @@ def _validate(dataset: Dataset, finite: Sequence[bool], check_tag_consistency: b
         for m in mentions:
             if not 0 <= m.tag_id < n_tags:
                 raise DatasetValidationError(f"clip {clip.id}: caption tag id out of range")
-            if not m.negated:
+            if m.negator is None:
                 plain.append(m.tag_id)
             elif m.negator not in vocab.negators:
                 raise DatasetValidationError(
@@ -444,7 +442,7 @@ def _token_from_json(obj: object, shared: dict) -> CaptionToken:
     if tok is None:
         tok = shared[key] = (
             Word(key) if type(key) is str
-            else TagMention(key[0], negated=key[1] is not None, negator=key[1])
+            else TagMention(*key)
         )
     return tok
 

@@ -1,4 +1,4 @@
-"""Negation evaluation protocols: retrieval (R@K, mAP@10) and triplet classification.
+"""Negation evaluation protocols: retrieval (R@10, mAP@10) and triplet classification.
 
 Similarity matrices follow the convention S[i, j] = cosine(audio_i,
 caption_j), so the diagonal holds matching pairs.  Ranking ties break toward
@@ -31,7 +31,12 @@ REPORT_COLUMNS = (
 )
 FIG_RETRIEVAL_COLUMNS = ("variant", "direction", "r_at_10")
 FIG_TRIPLET_COLUMNS = ("condition", "k", "comparison", "accuracy")
-TRIPLET_COMPARISONS = ("orig_fully", "orig_half", "half_fully")
+# (name, more relevant variant, less relevant variant); TripletReport holds acc_<name>
+TRIPLET_COMPARISONS = (
+    ("orig_fully", "original", "fully"),
+    ("orig_half", "original", "half"),
+    ("half_fully", "half", "fully"),
+)
 
 _VARIANTS_STREAM = 7
 
@@ -65,8 +70,7 @@ class EvalEmbeddings:
 
 @dataclass
 class RetrievalReport:
-    k: int
-    r_at_k: dict[tuple[str, str], float]  # (variant, direction) -> recall
+    r_at_10: dict[tuple[str, str], float]  # (variant, direction) -> recall
     map_at_10: dict[str, float]           # direction -> mAP@10, original captions
 
 
@@ -154,22 +158,25 @@ def embed_eval_variants(params: ModelParams, test_dataset: Dataset,
     return EvalEmbeddings(audio=audio, **text)
 
 
-def retrieval_protocol(embeddings: EvalEmbeddings, k_retrieval: int = 10) -> RetrievalReport:
-    """R@K for each caption variant in both directions; mAP@10 on originals."""
-    n = len(embeddings)
-    if not 1 <= k_retrieval <= n:
-        raise ValueError(
-            f"k_retrieval must lie in [1, {n}], the number of test pairs, got {k_retrieval}")
-    r_at_k: dict[tuple[str, str], float] = {}
+def check_test_size(n_pairs: int) -> None:
+    """Raise ValueError unless a test split of ``n_pairs`` pairs can be ranked at R@10."""
+    if n_pairs < 10:
+        raise ValueError(f"the test split has {n_pairs} pairs; R@10 needs at least 10")
+
+
+def retrieval_protocol(embeddings: EvalEmbeddings) -> RetrievalReport:
+    """R@10 for each caption variant in both directions; mAP@10 on originals."""
+    check_test_size(len(embeddings))
+    r_at_10: dict[tuple[str, str], float] = {}
     map10: dict[str, float] = {}
     for variant in VARIANTS:
         sim = embeddings.audio @ getattr(embeddings, variant).T
         for direction in DIRECTIONS:
             ranks = _match_ranks(sim, direction)  # once per variant and direction
-            r_at_k[(variant, direction)] = _recall_from_ranks(ranks, k_retrieval)
+            r_at_10[(variant, direction)] = _recall_from_ranks(ranks, 10)
             if variant == "original":
                 map10[direction] = _map10_from_ranks(ranks)
-    return RetrievalReport(k=k_retrieval, r_at_k=r_at_k, map_at_10=map10)
+    return RetrievalReport(r_at_10=r_at_10, map_at_10=map10)
 
 
 def triplet_protocol(embeddings: EvalEmbeddings) -> TripletReport:
@@ -183,55 +190,44 @@ def triplet_protocol(embeddings: EvalEmbeddings) -> TripletReport:
 
     ties = 0
     accs = {}
-    for name, more, less in (
-        ("orig_fully", "original", "fully"),
-        ("orig_half", "original", "half"),
-        ("half_fully", "half", "fully"),
-    ):
+    for name, more, less in TRIPLET_COMPARISONS:
         wins = sims[more] > sims[less]
         ties += int(np.sum(sims[more] == sims[less]))
-        accs[name] = float(np.mean(wins))
-    return TripletReport(
-        acc_orig_fully=accs["orig_fully"],
-        acc_orig_half=accs["orig_half"],
-        acc_half_fully=accs["half_fully"],
-        tie_count=ties,
-    )
+        accs[f"acc_{name}"] = float(np.mean(wins))
+    return TripletReport(**accs, tie_count=ties)
 
 
 def report_rows(condition: str, p_aug: float | str, k: float | str,
                 retrieval: RetrievalReport, triplet: TripletReport) -> list[dict[str, object]]:
     """Report-CSV rows for one trained model: six variant rows plus a summary row.
 
-    A checkpoint evaluated on its own passes ``""`` for p_aug and k.
+    A checkpoint evaluated on its own passes ``""`` for p_aug and k.  Cells
+    a row leaves out are written blank.
     """
     rows: list[dict[str, object]] = []
     for variant in VARIANTS:
         for direction in DIRECTIONS:
-            rows.append({
+            row = {
                 "condition": condition,
                 "p_aug": p_aug,
                 "k": k,
                 "variant": variant,
                 "direction": direction,
-                "r_at_10": retrieval.r_at_k[(variant, direction)],
-                "map_at_10": retrieval.map_at_10[direction] if variant == "original" else "",
-                "acc_orig_fully": "",
-                "acc_orig_half": "",
-                "acc_half_fully": "",
-            })
-    rows.append({
+                "r_at_10": retrieval.r_at_10[(variant, direction)],
+            }
+            if variant == "original":
+                row["map_at_10"] = retrieval.map_at_10[direction]
+            rows.append(row)
+    summary = {
         "condition": condition,
         "p_aug": p_aug,
         "k": k,
         "variant": "summary",
-        "direction": "",
-        "r_at_10": "",
         "map_at_10": float(np.mean(list(retrieval.map_at_10.values()))),
-        "acc_orig_fully": triplet.acc_orig_fully,
-        "acc_orig_half": triplet.acc_orig_half,
-        "acc_half_fully": triplet.acc_half_fully,
-    })
+    }
+    for name, _, _ in TRIPLET_COMPARISONS:
+        summary[f"acc_{name}"] = getattr(triplet, f"acc_{name}")
+    rows.append(summary)
     return rows
 
 
@@ -250,7 +246,7 @@ def write_report_csv(path: str | Path, rows: Iterable[Mapping[str, object]]) -> 
 
 def write_fig_retrieval_csv(path: str | Path, retrieval: RetrievalReport) -> None:
     rows = [
-        {"variant": v, "direction": d, "r_at_10": retrieval.r_at_k[(v, d)]}
+        {"variant": v, "direction": d, "r_at_10": retrieval.r_at_10[(v, d)]}
         for v in VARIANTS
         for d in DIRECTIONS
     ]
@@ -260,13 +256,10 @@ def write_fig_retrieval_csv(path: str | Path, retrieval: RetrievalReport) -> Non
 def write_fig_triplet_csv(path: str | Path,
                           entries: Sequence[tuple[str, object, TripletReport]]) -> None:
     """Entries are (condition, k, triplet report); one row per comparison."""
-    rows = []
-    for condition, k, triplet in entries:
-        for comparison, acc in (
-            ("orig_fully", triplet.acc_orig_fully),
-            ("orig_half", triplet.acc_orig_half),
-            ("half_fully", triplet.acc_half_fully),
-        ):
-            rows.append({"condition": condition, "k": k, "comparison": comparison,
-                         "accuracy": acc})
+    rows = [
+        {"condition": condition, "k": k, "comparison": name,
+         "accuracy": getattr(triplet, f"acc_{name}")}
+        for condition, k, triplet in entries
+        for name, _, _ in TRIPLET_COMPARISONS
+    ]
     _write_csv(path, FIG_TRIPLET_COLUMNS, rows)

@@ -41,7 +41,7 @@ def negation_insert(caption: Caption, vocab: Vocabulary, rng: np.random.Generato
     gap = int(rng.integers(0, len(caption.tokens) + 1))
     tag_id = unused[int(rng.integers(0, len(unused)))]
     negator = vocab.negators[int(rng.integers(0, len(vocab.negators)))]
-    mention = TagMention(tag_id, negated=True, negator=negator)
+    mention = TagMention(tag_id, negator)
     tokens = caption.tokens[:gap] + (mention,) + caption.tokens[gap:]
     return Caption(tokens=tokens)
 
@@ -53,14 +53,14 @@ def _negate_selected(caption: Caption, selected: set[int], vocab: Vocabulary,
     for pos in sorted(selected):
         mention = tokens[pos]
         negator = vocab.negators[int(rng.integers(0, len(vocab.negators)))]
-        tokens[pos] = TagMention(mention.tag_id, negated=True, negator=negator)
+        tokens[pos] = TagMention(mention.tag_id, negator)
     return Caption(tokens=tuple(tokens))
 
 
 def _plain_mention_positions(caption: Caption) -> list[int]:
     return [
         i for i, t in enumerate(caption.tokens)
-        if isinstance(t, TagMention) and not t.negated
+        if isinstance(t, TagMention) and t.negator is None
     ]
 
 

@@ -36,7 +36,6 @@ from .model import (
 class LossBreakdown:
     l_clap: float
     l_diss: float
-    k: float
     l_total: float
 
 
@@ -129,7 +128,7 @@ def total_loss_through_encoders(
         negated_embs, negated_cache = encode_token_lists(params, negated_ids)
         l_diss, d_anchor, d_negated = dissimilarity_loss(anchor_embs, negated_embs)
         text_passes += [(anchor_cache, k * d_anchor), (negated_cache, k * d_negated)]
-    breakdown = LossBreakdown(l_clap=l_clap, l_diss=l_diss, k=k, l_total=l_clap + k * l_diss)
+    breakdown = LossBreakdown(l_clap=l_clap, l_diss=l_diss, l_total=l_clap + k * l_diss)
     if not with_grads:
         return breakdown, None
     grads = model_backward(params, text_passes, audio_passes)

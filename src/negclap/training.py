@@ -30,6 +30,7 @@ from .evaluation import (
     RetrievalReport,
     TripletReport,
     build_eval_variants,
+    check_test_size,
     embed_eval_variants,
     map_at_10,
     report_rows,
@@ -63,6 +64,10 @@ DEFAULT_COMBO_P_AUG = 0.6
 
 QUICK_P_AUG_GRID = (0.6, 1.0)
 QUICK_K_GRID = (1e-2, 1e-3)
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 _INIT_STREAM = 11
 _EPOCH_STREAM = 12
@@ -148,9 +153,6 @@ class AdamOptimizer:
     table_v: np.ndarray  # second moments of ModelParams.tables
     table_last: np.ndarray  # per table row, the step that last touched it
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamOptimizer":
@@ -163,23 +165,23 @@ class AdamOptimizer:
 
     def step(self, params: ModelParams, grads: ParamGrads, learning_rate: float) -> None:
         self.t += 1
-        m_corr = 1.0 - self.beta1 ** self.t
-        v_corr = 1.0 - self.beta2 ** self.t
+        m_corr = 1.0 - ADAM_BETA1 ** self.t
+        v_corr = 1.0 - ADAM_BETA2 ** self.t
         # one pass over the flat dense vector: the same elementwise operations
         # as a per-parameter update, so the result is bit-identical to it
         g = grads.dense
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * g
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * g * g
-        params.dense -= learning_rate * (self.m / m_corr) / (np.sqrt(self.v / v_corr) + self.eps)
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * g
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * g * g
+        params.dense -= learning_rate * (self.m / m_corr) / (np.sqrt(self.v / v_corr) + ADAM_EPS)
         rows, g = grads.table.rows, grads.table.values
-        decay = self.beta2 ** (self.t - self.table_last[rows])
+        decay = ADAM_BETA2 ** (self.t - self.table_last[rows])
         v = self.table_v[rows] * decay[:, None]
-        v += (1.0 - self.beta2) * g * g
+        v += (1.0 - ADAM_BETA2) * g * g
         self.table_v[rows] = v
         self.table_last[rows] = self.t
-        params.tables[rows] -= learning_rate * g / (np.sqrt(v / v_corr) + self.eps)
+        params.tables[rows] -= learning_rate * g / (np.sqrt(v / v_corr) + ADAM_EPS)
         np.clip(params.log_temperature, LOG_TEMPERATURE_MIN, LOG_TEMPERATURE_MAX,
                 out=params.log_temperature)
 
@@ -421,24 +423,17 @@ def sweep_configs(
 def sweep(
     dataset_train: Dataset,
     dataset_test: Dataset,
+    configs: Sequence[TrainConfig],
     *,
-    seed: int,
     eval_seed: int,
-    p_aug_grid: Sequence[float] = DEFAULT_P_AUG_GRID,
-    k_grid: Sequence[float] = DEFAULT_K_GRID,
-    batch_size: int = 8,
-    epochs: int = 10,
-    learning_rate: float = 0.01,
     dims: ModelDims | None = None,
-    out_dir: str | Path | None = None,
 ) -> list[SweepRow]:
-    """Train and evaluate every grid point against one shared eval variant set.
+    """Train and evaluate each config against one shared eval variant set.
 
-    Emits report.csv, per-run fig_retrieval_<label>.csv, and fig_triplet.csv
-    under out_dir when given.  Row count: 1 baseline + |p_aug_grid| +
-    2 |k_grid|.
+    One row per config, in order; ``write_sweep_outputs`` writes the files.
+    A test split too small for R@10 is refused before the first run.
     """
-    configs = sweep_configs(seed, p_aug_grid, k_grid, batch_size, epochs, learning_rate)
+    check_test_size(len(dataset_test))
     variants = build_eval_variants(dataset_test, eval_seed)
     rows: list[SweepRow] = []
     for config in configs:
@@ -449,8 +444,6 @@ def sweep(
         rows.append(SweepRow(config=config, best_epoch=record.epoch,
                              selection_score=record.selection_score,
                              retrieval=retrieval, triplet=triplet))
-    if out_dir is not None:
-        write_sweep_outputs(rows, out_dir)
     return rows
 
 

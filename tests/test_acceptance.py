@@ -60,7 +60,7 @@ from negclap.objective import (
     total_loss_through_encoders,
 )
 from negclap.seeding import seeded_rng
-from negclap.training import TrainConfig, sweep, train
+from negclap.training import TrainConfig, sweep, sweep_configs, train, write_sweep_outputs
 
 SEEDS = (1, 2, 3)
 EVAL_SEED = 777
@@ -104,7 +104,7 @@ def desk_lab():
             runs[condition] = {
                 "record": record,
                 "logs": logs,
-                "retrieval": retrieval_protocol(embeddings, 10),
+                "retrieval": retrieval_protocol(embeddings),
                 "triplet": triplet_protocol(embeddings),
             }
         lab[seed] = {"train": train_ds, "test": test_ds, "runs": runs}
@@ -115,7 +115,7 @@ def random_tokens_caption(rng, n_tags):
     plain = rng.choice(n_tags, size=int(rng.integers(1, 5)), replace=False)
     tokens = [TagMention(int(t)) for t in plain]
     for _ in range(int(rng.integers(0, 3))):
-        tokens.append(TagMention(int(rng.integers(0, n_tags)), True,
+        tokens.append(TagMention(int(rng.integers(0, n_tags)),
                                  ("not", "no", "without")[int(rng.integers(0, 3))]))
     for _ in range(int(rng.integers(0, 6))):
         tokens.append(Word(["a", "slow", "song", "with", "and", "loud"]
@@ -200,7 +200,7 @@ def test_criterion_03_augmentation_invariants():
             for gap in range(len(caption.tokens) + 1):
                 for tag in unused:
                     for neg in vocab.negators:
-                        mention = TagMention(tag, True, neg)
+                        mention = TagMention(tag, neg)
                         cands.add(Caption(
                             caption.tokens[:gap] + (mention,) + caption.tokens[gap:]))
             candidate_sets[caption] = cands
@@ -285,8 +285,8 @@ def test_criterion_06_loss_term_separation(desk_lab):
     flags, details = [], []
     for seed in SEEDS:
         runs = desk_lab[seed]["runs"]
-        r = runs["loss_term"]["retrieval"].r_at_k
-        base = runs["baseline"]["retrieval"].r_at_k
+        r = runs["loss_term"]["retrieval"].r_at_10
+        base = runs["baseline"]["retrieval"].r_at_10
         ok = all(r[("fully", d)] <= 0.05 for d in DIRECTIONS)
         ok = ok and all(r[("half", d)] <= 0.10 for d in DIRECTIONS)
         ok = ok and all(r[("original", d)] >= 0.9 * base[("original", d)]
@@ -325,7 +325,7 @@ def test_criterion_09_retrieval_ordering(desk_lab):
     for seed in SEEDS:
         ok = True
         for condition in ("text_aug", "loss_term", "combo"):
-            r = desk_lab[seed]["runs"][condition]["retrieval"].r_at_k
+            r = desk_lab[seed]["runs"][condition]["retrieval"].r_at_10
             for d in DIRECTIONS:
                 if not r[("original", d)] >= r[("half", d)] >= r[("fully", d)]:
                     ok = False
@@ -386,8 +386,9 @@ def test_criterion_11_runtime_budget(desk_lab, tmp_path_factory):
     assert code == 0
 
     started = time.perf_counter()
-    rows = sweep(desk_lab[1]["train"], desk_lab[1]["test"], seed=1,
-                 eval_seed=EVAL_SEED, out_dir=root / "full")
+    rows = sweep(desk_lab[1]["train"], desk_lab[1]["test"], sweep_configs(seed=1),
+                 eval_seed=EVAL_SEED)
+    write_sweep_outputs(rows, root / "full")
     full_elapsed = time.perf_counter() - started
     assert len(rows) == 15
 

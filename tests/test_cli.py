@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negclap import training
 from negclap.cli import main
 from negclap.corpus import DatasetValidationError, load_dataset
 from negclap.evaluation import REPORT_COLUMNS
@@ -291,7 +292,7 @@ class TestEval:
                      "--eval-seed", "9", "--out", str(tmp_path / "e")])
         assert code == 2
         assert capsys.readouterr().err.startswith(
-            "error: k_retrieval must lie in [1, 8], the number of test pairs, got 10")
+            "error: the test split has 8 pairs; R@10 needs at least 10")
 
     def test_checkpoint_without_dims_is_usage_error(self, tmp_path, capsys):
         data, ckpt = self._trained(tmp_path)
@@ -443,6 +444,20 @@ class TestSweep:
         assert code == 2
         assert capsys.readouterr().err.startswith(DIVERGED.format(condition="baseline"))
         assert not (out / "report.csv").exists()
+
+    def test_test_set_below_the_cutoff_fails_before_training(self, tmp_path, capsys,
+                                                             monkeypatch):
+        data = gen_small(tmp_path, n_clips=60, n_test=8)
+        calls = []
+        monkeypatch.setattr(training, "train", lambda *a, **kw: calls.append(a))
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--quick", "--data", str(data), "--seed", "1",
+                     "--eval-seed", "7", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: the test split has 8 pairs; R@10 needs at least 10")
+        assert calls == []
+        assert not out.exists()
 
     def test_quick_sweep_outputs(self, tmp_path):
         data = gen_small(tmp_path, n_clips=90, n_test=16)

@@ -158,8 +158,8 @@ class TestGenerateDataset:
 class TestRenderCaption:
     def test_fully_negated_tune_rendering(self, song_vocab):
         caption = Caption(tokens=(
-            Word("a"), TagMention(0, True, "not"), Word("tune"), Word("with"),
-            TagMention(1, True, "no"), Word("and"), TagMention(2, True, "without"),
+            Word("a"), TagMention(0, "not"), Word("tune"), Word("with"),
+            TagMention(1, "no"), Word("and"), TagMention(2, "without"),
         ))
         assert render_caption(caption, song_vocab) == \
             "a not rock tune with no guitar and without bass"
@@ -188,14 +188,6 @@ class TestCaptionFromTags:
             assert [m.tag_id for m in cap.mentions()] == [1, 2, 3]
             seen.add(tuple(t.text for t in cap.tokens if isinstance(t, Word)))
         assert len(seen) == 4
-
-
-class TestTokenInvariants:
-    def test_mention_requires_matching_negator(self):
-        with pytest.raises(ValueError):
-            TagMention(0, negated=True, negator=None)
-        with pytest.raises(ValueError):
-            TagMention(0, negated=False, negator="not")
 
 
 class TestSaveLoad:
@@ -276,7 +268,7 @@ class TestSaveLoad:
         ds = self._dataset()
         clip, caption = ds.pairs[0]
         tokens = tuple(
-            TagMention(m.tag_id, True, "no") if isinstance(m, TagMention) else m
+            TagMention(m.tag_id, "no") if isinstance(m, TagMention) else m
             for m in caption.tokens
         )
         ds.pairs[0] = (clip, Caption(tokens=tokens))

@@ -188,6 +188,10 @@ class TestMapAt10:
             assert value <= recall_at_k(S, min(10, 6), direction) + 1e-12
 
 
+# test pairs for the tests that rank at R@10: enough that recall at 10 is not 1
+RANKED_PAIRS = 32
+
+
 def make_tiny_setup(seed=0, n=6):
     vocab = generate_vocabulary(8, seed)
     ds = generate_dataset(vocab, n, d_a=12, rng_seed=seed)
@@ -237,25 +241,27 @@ class TestBuildEvalVariants:
 
 class TestRetrievalProtocol:
     def test_matches_brute_force_recomputation(self):
-        params, ds = make_tiny_setup(5)
+        params, ds = make_tiny_setup(5, n=RANKED_PAIRS)
         variants = build_eval_variants(ds, eval_seed=11)
-        report = retrieval_protocol(embed_eval_variants(params, ds, variants), k_retrieval=3)
+        report = retrieval_protocol(embed_eval_variants(params, ds, variants))
         audio = np.stack([encode_audio(params, clip) for clip, _ in ds.pairs])
         for variant_name in ("original", "half", "fully"):
             caps = getattr(variants, variant_name)
             text = np.stack([encode_text(params, c, ds.vocabulary) for c in caps])
             S = audio @ text.T
             for direction in (AUDIO_TO_TEXT, TEXT_TO_AUDIO):
-                assert report.r_at_k[(variant_name, direction)] == pytest.approx(
-                    brute_recall(S, 3, direction))
+                assert report.r_at_10[(variant_name, direction)] == pytest.approx(
+                    brute_recall(S, 10, direction))
                 if variant_name == "original":
                     assert report.map_at_10[direction] == pytest.approx(
                         brute_map10(S, direction))
+        # a recall of 0 or 1 everywhere would not tell the oracle from a constant
+        assert any(0 < r < 1 for r in report.r_at_10.values())
 
     def test_ranks_each_variant_and_direction_once(self, monkeypatch):
-        params, ds = make_tiny_setup(5)
+        params, ds = make_tiny_setup(5, n=RANKED_PAIRS)
         embeddings = embed_eval_variants(params, ds, build_eval_variants(ds, eval_seed=11))
-        expected = retrieval_protocol(embeddings, k_retrieval=3)
+        expected = retrieval_protocol(embeddings)
         calls = []
 
         def counting(sim, direction):
@@ -264,16 +270,16 @@ class TestRetrievalProtocol:
 
         rank = evaluation._match_ranks
         monkeypatch.setattr(evaluation, "_match_ranks", counting)
-        report = retrieval_protocol(embeddings, k_retrieval=3)
-        assert len(calls) == 6  # 3 variants x 2 directions; R@K and mAP@10 share ranks
+        report = retrieval_protocol(embeddings)
+        assert len(calls) == 6  # 3 variants x 2 directions; R@10 and mAP@10 share ranks
         assert report == expected
+        assert any(0 < r < 1 for r in report.r_at_10.values())
 
-    def test_k_larger_than_test_set_rejected(self):
-        params, ds = make_tiny_setup(6)
+    def test_test_set_below_the_cutoff_rejected(self):
+        params, ds = make_tiny_setup(6, n=9)
         variants = build_eval_variants(ds, eval_seed=1)
-        with pytest.raises(ValueError):
-            retrieval_protocol(embed_eval_variants(params, ds, variants),
-                               k_retrieval=len(ds.pairs) + 1)
+        with pytest.raises(ValueError, match="the test split has 9 pairs; R@10 needs at least 10"):
+            retrieval_protocol(embed_eval_variants(params, ds, variants))
 
 
 class TestTripletProtocol:
@@ -347,7 +353,7 @@ class TestCheckpointRoundTrip:
         variants = build_eval_variants(test_ds, 777)
         direct = embed_eval_variants(record.params, test_ds, variants)
         loaded = embed_eval_variants(load_checkpoint(path), test_ds, variants)
-        assert retrieval_protocol(loaded, 10) == retrieval_protocol(direct, 10)
+        assert retrieval_protocol(loaded) == retrieval_protocol(direct)
         assert triplet_protocol(loaded) == triplet_protocol(direct)
 
 
@@ -403,13 +409,14 @@ class TestEmbedOnce:
 
 class TestReportWriters:
     def test_report_rows_shape_and_columns(self, tmp_path):
-        params, ds = make_tiny_setup(10)
+        params, ds = make_tiny_setup(10, n=RANKED_PAIRS)
         variants = build_eval_variants(ds, eval_seed=5)
         embeddings = embed_eval_variants(params, ds, variants)
-        retrieval = retrieval_protocol(embeddings, k_retrieval=3)
+        retrieval = retrieval_protocol(embeddings)
         triplet = triplet_protocol(embeddings)
         rows = report_rows("baseline", 0.0, 0.0, retrieval, triplet)
         assert len(rows) == 7  # 3 variants x 2 directions + summary
+        assert any(0 < row["r_at_10"] < 1 for row in rows[:6])
         path = tmp_path / "report.csv"
         write_report_csv(path, rows)
         with open(path) as f:
@@ -419,10 +426,10 @@ class TestReportWriters:
             assert len(list(reader)) == 7
 
     def test_fig_writers(self, tmp_path):
-        params, ds = make_tiny_setup(11)
+        params, ds = make_tiny_setup(11, n=RANKED_PAIRS)
         variants = build_eval_variants(ds, eval_seed=6)
         embeddings = embed_eval_variants(params, ds, variants)
-        retrieval = retrieval_protocol(embeddings, k_retrieval=3)
+        retrieval = retrieval_protocol(embeddings)
         triplet = triplet_protocol(embeddings)
         rp = tmp_path / "fig_retrieval_baseline.csv"
         write_fig_retrieval_csv(rp, retrieval)
@@ -430,6 +437,7 @@ class TestReportWriters:
             rows = list(csv.reader(f))
         assert rows[0] == list(FIG_RETRIEVAL_COLUMNS)
         assert len(rows) == 1 + 6
+        assert any(0 < float(row[2]) < 1 for row in rows[1:])
         tp = tmp_path / "fig_triplet.csv"
         write_fig_triplet_csv(tp, [("baseline", 0.0, triplet)])
         with open(tp) as f:

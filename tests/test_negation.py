@@ -30,7 +30,7 @@ def enumerate_insert_candidates(caption, vocab):
     for gap in range(len(caption.tokens) + 1):
         for tag in unused:
             for neg in vocab.negators:
-                mention = TagMention(tag, True, neg)
+                mention = TagMention(tag, neg)
                 out.add(Caption(caption.tokens[:gap] + (mention,) + caption.tokens[gap:]))
     return out
 
@@ -43,7 +43,7 @@ def captions(draw, n_tags=12):
     words = draw(st.lists(st.sampled_from(["a", "with", "and", "song", "slow"]),
                           max_size=4))
     tokens = [TagMention(t) for t in plain]
-    tokens += [TagMention(t, True, draw(st.sampled_from(NEGATORS))) for t in negated_ids]
+    tokens += [TagMention(t, draw(st.sampled_from(NEGATORS))) for t in negated_ids]
     tokens += [Word(w) for w in words]
     tokens = draw(st.permutations(tokens))
     return Caption(tokens=tuple(tokens))
@@ -101,7 +101,7 @@ class TestHalfNegate:
         assert [m.negated for m in out.mentions()] == [True]
 
     def test_no_plain_mentions_rejected(self, song_vocab):
-        caption = Caption(tokens=(TagMention(0, True, "no"),))
+        caption = Caption(tokens=(TagMention(0, "no"),))
         with pytest.raises(ValueError):
             half_negate(caption, song_vocab, seeded_rng(0))
 

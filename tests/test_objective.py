@@ -184,7 +184,6 @@ class TestTotalLoss:
         l_diss, diss_grads = dissimilarity_through_encoders(params, ids, neg_ids)
         assert breakdown.l_clap == l_clap
         assert breakdown.l_diss == l_diss
-        assert breakdown.k == k
         assert breakdown.l_total == l_clap + k * l_diss
         total = named_grads(grads)
         clap = named_grads(clap_grads)

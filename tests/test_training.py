@@ -20,6 +20,7 @@ from negclap.training import (
     sweep_configs,
     train,
     train_step,
+    write_sweep_outputs,
     write_train_log_csv,
 )
 
@@ -122,7 +123,6 @@ class TestTrainStep:
     def test_baseline_reports_zero_dissimilarity(self):
         breakdown, plan = self._step("baseline")
         assert breakdown.l_diss == 0.0
-        assert breakdown.k == 0.0
         assert breakdown.l_total == breakdown.l_clap
         assert (plan.n_augmented, plan.n_exhausted) == (0, 0)
         assert plan.anchors is None and plan.negated is None
@@ -406,12 +406,10 @@ class TestSweep:
 
     def test_sweep_rows_and_outputs(self, tmp_path):
         train_ds, test_ds = tiny_splits(n=80, n_test=16)
-        rows = sweep(
-            train_ds, test_ds, seed=1, eval_seed=5,
-            p_aug_grid=(0.6,), k_grid=(1e-2,),
-            batch_size=8, epochs=1, learning_rate=0.01,
-            dims=TINY_DIMS, out_dir=tmp_path,
-        )
+        configs = sweep_configs(seed=1, p_aug_grid=(0.6,), k_grid=(1e-2,),
+                                batch_size=8, epochs=1, learning_rate=0.01)
+        rows = sweep(train_ds, test_ds, configs, eval_seed=5, dims=TINY_DIMS)
+        write_sweep_outputs(rows, tmp_path)
         assert len(rows) == 4
         assert [r.config.condition for r in rows] == \
             ["baseline", "text_aug", "loss_term", "combo"]
