@@ -10,6 +10,7 @@ string happens only at encoding time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
@@ -241,8 +242,10 @@ def generate_dataset(
         raise ValueError(f"tags_per_clip max {hi} exceeds vocabulary size {len(vocab.tags)}")
     if n_clips < 1:
         raise ValueError("n_clips must be positive")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be nonnegative")
+    if d_a < 1:
+        raise ValueError(f"d_a must be >= 1, got {d_a}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be finite and nonnegative, got {noise_sigma}")
 
     n_vocab = len(vocab.tags)
     tag_rng = seeded_rng(rng_seed, _TAGSETS_STREAM)
@@ -368,10 +371,17 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write the JSONL layout: a header line, then one pair per line.
 
     Floats are serialized via repr and round-trip exactly, so
-    load(save(d)) == d.
+    load(save(d)) == d.  Raises ``ValueError`` naming the clip, before the
+    file is opened, when a feature is not finite, since JSON has no such
+    number and ``load_dataset`` would refuse the file.
     """
     if not dataset.pairs:
         raise ValueError("refusing to save an empty dataset")
+    finite = np.isfinite(dataset.features()).all(axis=1)
+    if not finite.all():
+        clip = dataset.pairs[int(np.argmin(finite))][0]
+        raise ValueError(f"cannot save dataset {path}: clip {clip.id} has features "
+                         "that are not finite")
     vocab = dataset.vocabulary
     d_a = int(dataset.pairs[0][0].features.shape[0])
     header = {

@@ -15,9 +15,16 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Caption, Dataset
-from .model import ModelParams, TokenIndex, encode_audio_batch, encode_token_lists
-from .negation import fully_negate, half_negate
+from .corpus import Dataset
+from .model import (
+    ModelParams,
+    TokenIds,
+    TokenTable,
+    bucket_ids,
+    encode_audio_batch,
+    encode_token_lists,
+)
+from .negation import draw_half, draw_negators, negate_ids
 from .seeding import seeded_rng
 
 VARIANTS = ("original", "half", "fully")
@@ -41,12 +48,18 @@ TRIPLET_COMPARISONS = (
 _VARIANTS_STREAM = 7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalVariantSet:
-    """Per-pair caption variants, generated once and shared across models."""
-    original: tuple[Caption, ...]
-    half: tuple[Caption, ...]
-    fully: tuple[Caption, ...]
+    """Per-pair caption variants as token ids, drawn once and shared across models.
+
+    Row i of ``original``, ``half`` and ``fully`` belongs to test pair i, and
+    their ids index ``strings``.  Nothing here depends on a model's bucket
+    count; ``embed_eval_variants`` maps the ids to its buckets.
+    """
+    strings: tuple[str, ...]
+    original: TokenIds
+    half: TokenIds
+    fully: TokenIds
 
     def __len__(self) -> int:
         return len(self.original)
@@ -87,16 +100,27 @@ def build_eval_variants(test_dataset: Dataset, eval_seed: int) -> EvalVariantSet
 
     Draws come from a dedicated stream of ``eval_seed`` in pair order (half
     first, then fully, per pair), so the same seed yields the same variants
-    for every model being compared.
+    for every model being compared.  They are the draws of ``half_negate``
+    then ``fully_negate``, a pair's negators in one ``draw_negators`` call,
+    applied to token ids.
     """
-    vocab = test_dataset.vocabulary
+    table = TokenTable(test_dataset.vocabulary)
+    source = table.tokens([caption for _, caption in test_dataset.pairs])
     rng = seeded_rng(eval_seed, _VARIANTS_STREAM)
-    originals, halves, fullies = [], [], []
-    for _, caption in test_dataset.pairs:
-        originals.append(caption)
-        halves.append(half_negate(caption, vocab, rng))
-        fullies.append(fully_negate(caption, vocab, rng))
-    return EvalVariantSet(tuple(originals), tuple(halves), tuple(fullies))
+    n_negators = len(table.vocab.negators)
+    picked, half_negators, fully_negators = [], [], []
+    first = 0  # index of the pair's first plain mention among all of them
+    for n_plain in source.plain_counts().tolist():
+        half_mentions = draw_half(n_plain, rng)
+        negators = draw_negators([len(half_mentions), n_plain], n_negators, rng)
+        picked.append(first + half_mentions)
+        half_negators.append(negators[:len(half_mentions)])
+        fully_negators.append(negators[len(half_mentions):])
+        first += n_plain
+    flat = lambda parts: np.concatenate(parts or [np.empty(0, np.intp)])
+    half = negate_ids(source, flat(picked), flat(half_negators), table)
+    fully = negate_ids(source, np.arange(first), flat(fully_negators), table)
+    return EvalVariantSet(tuple(table.strings), source.tokens, half, fully)
 
 
 def _match_ranks(sim: np.ndarray, direction: str) -> np.ndarray:
@@ -146,14 +170,14 @@ def embed_eval_variants(params: ModelParams, test_dataset: Dataset,
                         variants: EvalVariantSet) -> EvalEmbeddings:
     """Embed the test audio once and each caption variant once.
 
-    The variants' bucket ids come from one token index, so each distinct
-    token string of the test captions is hashed once.
+    The variants' token ids go to the model's bucket ids here.
     """
     if len(variants) != len(test_dataset.pairs):
         raise ValueError("variant set does not match the test set")
     audio, _ = encode_audio_batch(params, test_dataset.features())
-    index = TokenIndex(test_dataset.vocabulary, params.dims.hash_buckets)
-    text = {v: encode_token_lists(params, index.ids(getattr(variants, v)))[0]
+    n_buckets = params.dims.hash_buckets
+    text = {v: encode_token_lists(
+                params, bucket_ids(getattr(variants, v), variants.strings, n_buckets))[0]
             for v in VARIANTS}
     return EvalEmbeddings(audio=audio, **text)
 

@@ -294,87 +294,204 @@ class CaptionIds:
                             for f in ("uni", "uni_len", "bi", "bi_len")))
 
 
-class TokenIndex:
-    """Bucket ids of captions over one vocabulary, each token string hashed once.
+@dataclass(frozen=True, eq=False)
+class TokenIds:
+    """Token ids of a sequence of captions, in CSR form.
 
-    Each distinct token string gets a small id and its unigram bucket when
-    first seen; a bigram bucket is hashed when its pair of token ids first
-    occurs.  Each structured caption token (a ``Word``, or a ``TagMention``
-    with its negator) is rendered and tokenized once, and a caption's token
-    ids are its structured tokens' ids in order.  That equals tokenizing the
-    rendered caption because ``render_caption`` joins the rendered tokens
-    with a space and ``tokenize`` splits on whitespace.
+    ``ids`` holds the id of every token, caption after caption: its index in
+    the ``strings`` of the ``TokenTable`` that made it.  ``lens`` holds each
+    caption's token count.
+    """
+    ids: np.ndarray
+    lens: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lens)
+
+    def take(self, rows: np.ndarray) -> "TokenIds":
+        """The captions at ``rows``, in that order."""
+        lens = self.lens[rows]
+        return TokenIds(self.ids[_spans(_starts(self.lens)[rows], lens)], lens)
+
+    def splice(self, rows: np.ndarray, offsets: np.ndarray, pieces: "TokenIds") -> "TokenIds":
+        """Caption ``rows[j]`` with piece j inserted before its token at ``offsets[j]``.
+
+        ``rows`` is nondecreasing.  Pieces at one place keep their order, so
+        a piece at the end of a caption stays out of the next one.
+        """
+        at = np.repeat(_starts(self.lens)[rows] + offsets, pieces.lens)
+        grown = np.bincount(np.repeat(rows, pieces.lens), minlength=len(self))
+        return TokenIds(np.insert(self.ids, at, pieces.ids), self.lens + grown)
+
+
+@dataclass(frozen=True, eq=False)
+class CaptionTokens:
+    """Captions as token ids, with the structure a negation edit reads.
+
+    ``tokens`` holds the captions' token ids.  The other fields describe
+    their structured tokens (a ``Word``, or a ``TagMention`` with its
+    negator), caption after caption: ``n_slots`` counts them per caption,
+    and per structured token ``at`` is the offset of its first token in its
+    caption, ``tag`` the mention's tag id (-1 for a word) and ``plain``
+    whether it is a mention without negator.
+    """
+    tokens: TokenIds
+    n_slots: np.ndarray
+    at: np.ndarray
+    tag: np.ndarray
+    plain: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.n_slots)
+
+    def take(self, rows: np.ndarray) -> "CaptionTokens":
+        """The captions at ``rows``, in that order."""
+        n_slots = self.n_slots[rows]
+        slots = _spans(_starts(self.n_slots)[rows], n_slots)
+        return CaptionTokens(self.tokens.take(rows), n_slots, self.at[slots], self.tag[slots],
+                             self.plain[slots])
+
+    def presence(self, n_tags: int) -> np.ndarray:
+        """``(captions, n_tags)`` flags: whether caption i mentions tag t, negated or not."""
+        caption = np.repeat(np.arange(len(self)), self.n_slots)
+        mention = self.tag >= 0
+        out = np.zeros((len(self), n_tags), dtype=bool)
+        out[caption[mention], self.tag[mention]] = True
+        return out
+
+    def plain_mentions(self) -> tuple[np.ndarray, np.ndarray]:
+        """The caption and token offset of every plain mention, caption then position order."""
+        caption = np.repeat(np.arange(len(self)), self.n_slots)
+        return caption[self.plain], self.at[self.plain]
+
+    def plain_counts(self) -> np.ndarray:
+        """Each caption's number of plain mentions."""
+        return np.bincount(self.plain_mentions()[0], minlength=len(self))
+
+    def gap_offsets(self, rows: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+        """Token offset in caption ``rows[j]`` of the gap before its structured token ``gaps[j]``.
+
+        The gap after the last structured token is at the caption's end.
+        """
+        out = self.tokens.lens[rows]
+        inside = gaps < self.n_slots[rows]
+        out[inside] = self.at[(_starts(self.n_slots)[rows] + gaps)[inside]]
+        return out
+
+
+class TokenTable:
+    """Captions over one vocabulary as token ids: the first step of indexing.
+
+    Each distinct token string gets a small id, its index in ``strings``,
+    when first seen.  Each structured caption token (a ``Word``, or a
+    ``TagMention`` with its negator) is rendered and tokenized once, and a
+    caption's token ids are its structured tokens' ids in order.  That
+    equals tokenizing the rendered caption because ``render_caption`` joins
+    the rendered tokens with a space and ``tokenize`` splits on whitespace.
+    For the same reason a negated mention's ids are its negator's ids
+    followed by its surface's, so a negation edit can splice ids instead of
+    building a caption.  Token ids do not depend on a bucket count;
+    ``bucket_ids`` is the second step.
+    """
+
+    def __init__(self, vocab: Vocabulary):
+        self.vocab = vocab
+        self.strings: list[str] = []
+        self._token_ids: dict[str, int] = {}
+        # per kind of structured token (a word's text, or a mention's tag and
+        # negator): its token ids, its tag id (-1 for a word), whether it is plain
+        self._kinds: dict[object, int] = {}
+        self._pieces: list[tuple[int, ...]] = []
+        self._tags: list[int] = []
+        self._plain: list[bool] = []
+
+    def _token_id(self, token: str) -> int:
+        tid = self._token_ids.get(token)
+        if tid is None:
+            tid = self._token_ids[token] = len(self.strings)
+            self.strings.append(token)
+        return tid
+
+    def phrases(self, texts: Sequence[str]) -> TokenIds:
+        """The token ids of each text, as if it were a caption."""
+        pieces = [tuple(map(self._token_id, tokenize(text))) for text in texts]
+        return TokenIds(np.fromiter(itertools.chain.from_iterable(pieces), np.int64),
+                        np.fromiter(map(len, pieces), np.intp, len(pieces)))
+
+    def _kind(self, tok) -> int:
+        key = tok.text if isinstance(tok, Word) else (tok.tag_id, tok.negator)
+        kind = self._kinds.get(key)
+        if kind is None:
+            kind = self._kinds[key] = len(self._pieces)
+            rendered = render_token(tok, self.vocab)
+            self._pieces.append(tuple(map(self._token_id, tokenize(rendered))))
+            word = isinstance(tok, Word)
+            self._tags.append(-1 if word else tok.tag_id)
+            self._plain.append(not word and tok.negator is None)
+        return kind
+
+    def tokens(self, captions: Sequence[Caption]) -> CaptionTokens:
+        """The captions' token ids and structure, in order."""
+        structured = list(itertools.chain.from_iterable(map(_TOKENS, captions)))
+        # every token object of the call is alive here, so its id() names it;
+        # captions share token objects, so few distinct ones need a lookup
+        kind_of = {key: self._kind(tok)
+                   for key, tok in dict(zip(map(id, structured), structured)).items()}
+        kinds = np.fromiter(map(kind_of.__getitem__, map(id, structured)), np.intp,
+                            len(structured))
+        kind_len = np.fromiter(map(len, self._pieces), np.intp, len(self._pieces))
+        kind_ids = np.fromiter(itertools.chain.from_iterable(self._pieces), np.int64)
+        slot_len = kind_len[kinds]
+        ids = kind_ids[_spans(_starts(kind_len)[kinds], slot_len)]
+        n_slots = np.fromiter(map(len, map(_TOKENS, captions)), np.intp, len(captions))
+        # a caption's token count: the summed lengths of its structured tokens' pieces
+        slot_end = np.cumsum(slot_len)
+        lens = np.diff(np.concatenate(([0], slot_end))[np.concatenate(([0], np.cumsum(n_slots)))])
+        at = slot_end - slot_len - np.repeat(_starts(lens), n_slots)
+        return CaptionTokens(TokenIds(ids, lens), n_slots, at,
+                             np.array(self._tags, dtype=np.intp)[kinds],
+                             np.array(self._plain, dtype=bool)[kinds])
+
+
+def bucket_ids(tokens: TokenIds, strings: Sequence[str], n_buckets: int) -> CaptionIds:
+    """Bucket ids of captions given as token ids over ``strings``: the second step of indexing.
+
+    A token's unigram bucket hashes its string; each adjacent pair's bigram
+    bucket hashes the two strings joined by a space, once per distinct pair.
+    """
+    t, lens = tokens.ids, tokens.lens
+    # token j and token j + 1 form a pair unless token j ends its caption
+    paired = np.ones(max(len(t) - 1, 0), dtype=bool)
+    ends = np.cumsum(lens) - 1
+    paired[ends[(lens > 0) & (ends < len(paired))]] = False
+    keys, inverse = np.unique(((t[:-1] << 32) | t[1:])[paired], return_inverse=True)
+    pairs = (f"{strings[key >> 32]} {strings[key & 0xFFFFFFFF]}" for key in keys.tolist())
+    buckets = np.fromiter((hash_bucket(p, n_buckets) for p in pairs), _ID_DTYPE, len(keys))
+    unigram = np.fromiter((hash_bucket(s, n_buckets) for s in strings), _ID_DTYPE, len(strings))
+    return CaptionIds(unigram[t], lens, buckets[inverse], np.maximum(lens - 1, 0))
+
+
+class TokenIndex(TokenTable):
+    """A ``TokenTable`` whose captions go on to bucket ids over ``n_buckets`` buckets.
 
     An index belongs to the one train or eval call that builds it.
     """
 
     def __init__(self, vocab: Vocabulary, n_buckets: int):
-        self.vocab = vocab
+        super().__init__(vocab)
         self.n_buckets = n_buckets
-        self._token_ids: dict[str, int] = {}
-        self._strings: list[str] = []
-        self._unigram: list[int] = []
-        self._bigram: dict[int, int] = {}  # (first token id << 32 | second) -> bucket
-        self._pieces: dict[object, tuple[int, ...]] = {}
-
-    def _token_id(self, token: str) -> int:
-        tid = self._token_ids.get(token)
-        if tid is None:
-            tid = self._token_ids[token] = len(self._strings)
-            self._strings.append(token)
-            self._unigram.append(hash_bucket(token, self.n_buckets))
-        return tid
-
-    def _pair_bucket(self, key: int) -> int:
-        bucket = self._bigram.get(key)
-        if bucket is None:
-            pair = self._strings[key >> 32] + " " + self._strings[key & 0xFFFFFFFF]
-            bucket = self._bigram[key] = hash_bucket(pair, self.n_buckets)
-        return bucket
 
     def ids(self, captions: Iterable[Caption]) -> CaptionIds:
         """The captions' bucket ids, in order.
 
         ``captions`` is consumed in chunks, so the temporaries of the
-        vectorised bigram lookup stay small and a generator's captions can
-        be dropped once indexed.
+        vectorised bigram lookup stay small.
         """
         it = iter(captions)
-        parts = [self._chunk_ids(chunk)
+        parts = [bucket_ids(self.tokens(chunk).tokens, self.strings, self.n_buckets)
                  for chunk in iter(lambda: list(itertools.islice(it, _IDS_CHUNK)), [])]
-        parts = parts or [self._chunk_ids([])]
+        parts = parts or [bucket_ids(self.tokens([]).tokens, self.strings, self.n_buckets)]
         return parts[0] if len(parts) == 1 else CaptionIds.concat(parts)
-
-    def _piece(self, tok) -> tuple[int, ...]:
-        """Token ids of one structured caption token."""
-        key = tok.text if isinstance(tok, Word) else (tok.tag_id, tok.negator)
-        piece = self._pieces.get(key)
-        if piece is None:
-            rendered = render_token(tok, self.vocab)
-            piece = self._pieces[key] = tuple(map(self._token_id, tokenize(rendered)))
-        return piece
-
-    def _chunk_ids(self, captions: list[Caption]) -> CaptionIds:
-        structured = list(itertools.chain.from_iterable(map(_TOKENS, captions)))
-        # every token object of the chunk is alive here, so its id() names it;
-        # captions share token objects, so few distinct ones need a lookup
-        piece_of = {key: self._piece(tok)
-                    for key, tok in dict(zip(map(id, structured), structured)).items()}
-        pieces = list(map(piece_of.__getitem__, map(id, structured)))
-        t = np.fromiter(itertools.chain.from_iterable(pieces), np.int64)
-        # a caption's token count: the summed lengths of its structured tokens' pieces
-        piece_len = np.fromiter(map(len, pieces), np.intp, len(pieces))
-        n_pieces = np.fromiter(map(len, map(_TOKENS, captions)), np.intp, len(captions))
-        token_end = np.concatenate(([0], np.cumsum(piece_len)))
-        uni_len = np.diff(token_end[np.concatenate(([0], np.cumsum(n_pieces)))])
-        # token j and token j + 1 form a pair unless token j ends its caption
-        paired = np.ones(max(len(t) - 1, 0), dtype=bool)
-        ends = np.cumsum(uni_len) - 1
-        paired[ends[(uni_len > 0) & (ends < len(paired))]] = False
-        keys, inverse = np.unique(((t[:-1] << 32) | t[1:])[paired], return_inverse=True)
-        buckets = np.fromiter(map(self._pair_bucket, keys.tolist()), _ID_DTYPE, len(keys))
-        return CaptionIds(np.array(self._unigram, dtype=_ID_DTYPE)[t], uni_len,
-                          buckets[inverse], np.maximum(uni_len - 1, 0))
 
 
 @dataclass

@@ -10,20 +10,82 @@ Three operations over structured captions:
 
 All three are deterministic functions of (input, RNG state).  Mentions that
 are already negated are never touched, so negation never stacks.
+
+Each operation is a draw followed by an apply.  The draws (``draw_insert``,
+``draw_half``, ``draw_negators``) make every generator call.  There are two
+applies that read the same draws: the caption apply builds a new
+``Caption`` (the three functions above), and the id apply (``insert_ids``,
+``negate_ids``) splices token ids into a ``TokenIds`` CSR, so the epoch
+plan and the evaluation variants build no caption object per edit.
+
+The negator draws of several mentions, or of several captions, are one
+``rng.integers(0, n, size=m)`` call.  numpy fills it one value at a time
+with the same generator calls as m scalar draws, so the values and the
+generator's end state are those of the scalar draws.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import Caption, TagMention, Vocabulary
+from .model import CaptionTokens, TokenIds, TokenTable
 
 
 class AugmentationExhausted(RuntimeError):
     """Raised when every vocabulary tag already occurs in the caption."""
 
+
+_NO_PLAIN_MENTION = "caption has no non-negated tag mention"
+
+
+# ------------------------------------------------------------------ draws
+
+def draw_insert(n_slots: int, n_unused: int, n_negators: int,
+                rng: np.random.Generator) -> tuple[int, int, int]:
+    """An insert's draws: the gap, the unused tag and the negator, each uniform.
+
+    The gap is one of the ``n_slots + 1`` positions around a caption's
+    structured tokens, and the tag an index into its unused tags in
+    ascending order.  Raises AugmentationExhausted before any draw when no
+    tag is unused.
+    """
+    if not n_unused:
+        raise AugmentationExhausted("all vocabulary tags already occur in the caption")
+    gap = int(rng.integers(0, n_slots + 1))
+    unused = int(rng.integers(0, n_unused))
+    return gap, unused, int(rng.integers(0, n_negators))
+
+
+def draw_half(n_plain: int, rng: np.random.Generator) -> np.ndarray:
+    """Which ceil(n/2) of a caption's n plain mentions to negate, ascending.
+
+    Raises ValueError before any draw when the caption has no plain mention.
+    """
+    if not n_plain:
+        raise ValueError(_NO_PLAIN_MENTION)
+    return np.sort(rng.choice(n_plain, size=math.ceil(n_plain / 2), replace=False))
+
+
+def draw_negators(counts: Sequence[int], n_negators: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Negator indices for runs of ``counts[i]`` mentions, in one draw.
+
+    A count of zero is a caption with no plain mention to negate: the runs
+    before it are drawn, then ValueError is raised, as negating the
+    captions one at a time would.
+    """
+    counts = list(counts)
+    if 0 in counts:
+        rng.integers(0, n_negators, size=sum(counts[:counts.index(0)]))
+        raise ValueError(_NO_PLAIN_MENTION)
+    return rng.integers(0, n_negators, size=sum(counts))
+
+
+# ------------------------------------------------------------ caption apply
 
 def negation_insert(caption: Caption, vocab: Vocabulary, rng: np.random.Generator) -> Caption:
     """Insert one negated, absent tag at a uniformly chosen token gap.
@@ -32,29 +94,10 @@ def negation_insert(caption: Caption, vocab: Vocabulary, rng: np.random.Generato
     vocabulary tags not mentioned in the caption, and the negator uniform
     over the vocabulary negators.  All original tokens keep their order.
     """
-    present = caption.tag_ids()
-    unused = sorted(set(range(len(vocab.tags))) - present)
-    if not unused:
-        raise AugmentationExhausted(
-            f"all {len(vocab.tags)} vocabulary tags already occur in the caption"
-        )
-    gap = int(rng.integers(0, len(caption.tokens) + 1))
-    tag_id = unused[int(rng.integers(0, len(unused)))]
-    negator = vocab.negators[int(rng.integers(0, len(vocab.negators)))]
-    mention = TagMention(tag_id, negator)
-    tokens = caption.tokens[:gap] + (mention,) + caption.tokens[gap:]
-    return Caption(tokens=tokens)
-
-
-def _negate_selected(caption: Caption, selected: set[int], vocab: Vocabulary,
-                     rng: np.random.Generator) -> Caption:
-    # selected holds token positions; each gets an independent negator draw
-    tokens = list(caption.tokens)
-    for pos in sorted(selected):
-        mention = tokens[pos]
-        negator = vocab.negators[int(rng.integers(0, len(vocab.negators)))]
-        tokens[pos] = TagMention(mention.tag_id, negator)
-    return Caption(tokens=tuple(tokens))
+    unused = sorted(set(range(len(vocab.tags))) - caption.tag_ids())
+    gap, k, negator = draw_insert(len(caption.tokens), len(unused), len(vocab.negators), rng)
+    mention = TagMention(unused[k], vocab.negators[negator])
+    return Caption(tokens=caption.tokens[:gap] + (mention,) + caption.tokens[gap:])
 
 
 def _plain_mention_positions(caption: Caption) -> list[int]:
@@ -64,23 +107,27 @@ def _plain_mention_positions(caption: Caption) -> list[int]:
     ]
 
 
+def _negate_at(caption: Caption, positions: Sequence[int], negators: np.ndarray,
+               vocab: Vocabulary) -> Caption:
+    tokens = list(caption.tokens)
+    for pos, negator in zip(positions, negators.tolist()):
+        tokens[pos] = TagMention(tokens[pos].tag_id, vocab.negators[negator])
+    return Caption(tokens=tuple(tokens))
+
+
 def half_negate(caption: Caption, vocab: Vocabulary, rng: np.random.Generator) -> Caption:
     """Negate ceil(T/2) of the T non-negated mentions, chosen uniformly."""
     positions = _plain_mention_positions(caption)
-    if not positions:
-        raise ValueError("caption has no non-negated tag mention")
-    n_pick = math.ceil(len(positions) / 2)
-    picked = rng.choice(len(positions), size=n_pick, replace=False)
-    selected = {positions[int(i)] for i in picked}
-    return _negate_selected(caption, selected, vocab, rng)
+    picked = draw_half(len(positions), rng)
+    negators = draw_negators([len(picked)], len(vocab.negators), rng)
+    return _negate_at(caption, [positions[i] for i in picked.tolist()], negators, vocab)
 
 
 def fully_negate(caption: Caption, vocab: Vocabulary, rng: np.random.Generator) -> Caption:
     """Negate every non-negated mention, each with its own negator draw."""
     positions = _plain_mention_positions(caption)
-    if not positions:
-        raise ValueError("caption has no non-negated tag mention")
-    return _negate_selected(caption, set(positions), vocab, rng)
+    negators = draw_negators([len(positions)], len(vocab.negators), rng)
+    return _negate_at(caption, positions, negators, vocab)
 
 
 def apply_augmentation(caption: Caption, vocab: Vocabulary, p_aug: float,
@@ -97,3 +144,39 @@ def apply_augmentation(caption: Caption, vocab: Vocabulary, p_aug: float,
     if rng.random() < p_aug:
         return negation_insert(caption, vocab, rng)
     return caption
+
+
+# ----------------------------------------------------------------- id apply
+
+def _negator_and_surface(table: TokenTable) -> TokenIds:
+    """Token ids of every vocabulary negator, then of every tag surface."""
+    return table.phrases(table.vocab.negators + table.vocab.surfaces)
+
+
+def insert_ids(captions: CaptionTokens, rows: np.ndarray, gaps: np.ndarray,
+               unused: np.ndarray, negators: np.ndarray, table: TokenTable) -> TokenIds:
+    """The id apply of ``negation_insert``, for caption ``rows[j]`` with draws j.
+
+    ``gaps``, ``unused`` and ``negators`` are ``draw_insert``'s draws, and
+    ``rows`` is nondecreasing.  The inserted piece is the negator's ids then
+    the unused tag's surface ids; the tag is the ``unused[j]``-th one absent
+    from the caption, read off its presence row.
+    """
+    absent = ~captions.presence(len(table.vocab))[rows]
+    tags = np.argmax(np.cumsum(absent, axis=1) > unused[:, None], axis=1)
+    words = _negator_and_surface(table)
+    parts = words.take(np.stack([negators, len(table.vocab.negators) + tags], axis=1).ravel())
+    pieces = TokenIds(parts.ids, parts.lens.reshape(-1, 2).sum(axis=1))
+    return captions.tokens.splice(rows, captions.gap_offsets(rows, gaps), pieces)
+
+
+def negate_ids(captions: CaptionTokens, mentions: np.ndarray, negators: np.ndarray,
+               table: TokenTable) -> TokenIds:
+    """The id apply of negating plain mentions: each negator's ids go before its mention's.
+
+    ``mentions`` indexes ``captions.plain_mentions()`` in ascending order, and
+    ``negators[j]`` is the negator drawn for mention j.
+    """
+    rows, offsets = (a[mentions] for a in captions.plain_mentions())
+    pieces = _negator_and_surface(table).take(negators)
+    return captions.tokens.splice(rows, offsets, pieces)

@@ -48,11 +48,18 @@ from .model import (
     ModelParams,
     ParamGrads,
     TokenIndex,
+    bucket_ids,
     encode_audio_batch,
     encode_token_lists,
     init_params,
 )
-from .negation import AugmentationExhausted, apply_augmentation, fully_negate
+from .negation import (
+    AugmentationExhausted,
+    draw_insert,
+    draw_negators,
+    insert_ids,
+    negate_ids,
+)
 from .objective import LossBreakdown, total_loss_through_encoders
 from .seeding import seeded_rng, spawn_seed
 
@@ -92,12 +99,12 @@ class TrainConfig:
             raise ValueError(f"unknown condition {self.condition!r}")
         if not 0.0 <= self.p_aug <= 1.0:
             raise ValueError(f"p_aug must lie in [0, 1], got {self.p_aug}")
-        if self.k < 0:
-            raise ValueError(f"k must be nonnegative, got {self.k}")
+        if not (math.isfinite(self.k) and self.k >= 0):
+            raise ValueError(f"k must be finite and nonnegative, got {self.k}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.condition == "baseline" and (self.p_aug != 0.0 or self.k != 0.0):
             raise ValueError("baseline requires p_aug = 0 and k = 0")
         if self.condition == "text_aug" and self.k != 0.0:
@@ -230,52 +237,55 @@ class EpochPlan:
 
 def plan_epoch(captions: Sequence[Caption], caption_ids: CaptionIds, order: np.ndarray,
                config: TrainConfig, index: TokenIndex, rng: np.random.Generator) -> EpochPlan:
-    """Draw one epoch's caption edits and index them.
+    """Draw one epoch's caption edits and apply them to the captions' ids.
 
     ``order`` lists the pair index of every item, whole batches in step
     order, and ``caption_ids`` holds the ids of ``captions`` (the run's
     originals).  The draws come from ``rng`` in the order a step makes
-    them.  Per step, the indexed stream holds a block of B contrastive
-    captions when p_aug > 0 (each passed through the insert augmentation;
-    the original when no insert is drawn or the vocabulary is exhausted),
-    then a block of B fully negated ones when k > 0.  At p_aug == 0 a
-    step's Bernoulli draws are one ``rng.random(B)``, the same stream as B
-    scalar draws, and the contrastive ids are the originals'.
+    them.  Per step, when p_aug > 0, each of the B items passes through the
+    insert augmentation (``apply_augmentation``'s draws; the original
+    caption when no insert is drawn or the vocabulary is exhausted).  Then,
+    when k > 0, the B items are fully negated, their negator draws one
+    ``draw_negators`` call.  At p_aug == 0 a step's Bernoulli draws are one
+    ``rng.random(B)``, the same stream as B scalar draws, and the
+    contrastive ids are the originals'.  The edits are applied to token ids
+    (see ``negation.insert_ids``), so no caption object is built.
     """
-    vocab = index.vocab
     B = config.batch_size
-    n_augmented = n_exhausted = 0
-
-    def contrastive(caption: Caption) -> Caption:
-        nonlocal n_augmented, n_exhausted
-        try:
-            out = apply_augmentation(caption, vocab, config.p_aug, rng)
-        except AugmentationExhausted:
-            n_exhausted += 1
-            return caption
-        n_augmented += out is not caption  # no insert drawn returns the input itself
-        return out
-
-    def stream() -> Iterator[Caption]:
-        for start in range(0, len(order), B):
-            batch = [captions[i] for i in order[start:start + B]]
-            if config.p_aug > 0:
-                yield from map(contrastive, batch)
-            else:
-                rng.random(len(batch))
-            if config.k > 0:
-                for caption in batch:
-                    yield fully_negate(caption, vocab, rng)
-
-    edited = index.ids(stream())
-    # per step, a block of contrastive captions (p_aug > 0), then one of negated ones (k > 0)
-    kinds = max((config.p_aug > 0) + (config.k > 0), 1)
-    blocks = np.arange(len(edited)).reshape(-1, kinds, B)
     originals = caption_ids.take(order)
-    clap = edited.take(blocks[:, 0].ravel()) if config.p_aug > 0 else originals
-    negated = edited.take(blocks[:, -1].ravel()) if config.k > 0 else None
+    n_tags, n_negators = len(index.vocab), len(index.vocab.negators)
+    if config.p_aug > 0 or config.k > 0:  # the baseline edits no caption
+        items = index.tokens(captions).take(order)
+        n_slots, n_plain = items.n_slots.tolist(), items.plain_counts().tolist()
+        n_unused = (n_tags - items.presence(n_tags).sum(axis=1)).tolist()
+    inserts: list[tuple[int, int, int, int]] = []  # item, gap, unused tag, negator
+    negators: list[np.ndarray] = []
+    n_exhausted = 0
+    for start in range(0, len(order), B):
+        stop = min(start + B, len(order))
+        if config.p_aug > 0:
+            for j in range(start, stop):
+                if rng.random() < config.p_aug:
+                    try:
+                        inserts.append((j, *draw_insert(n_slots[j], n_unused[j], n_negators, rng)))
+                    except AugmentationExhausted:
+                        n_exhausted += 1
+        else:
+            rng.random(stop - start)
+        if config.k > 0:
+            negators.append(draw_negators(n_plain[start:stop], n_negators, rng))
+
+    clap, negated = originals, None
+    if config.p_aug > 0:
+        rows, gaps, unused, negator = np.array(inserts, dtype=np.intp).reshape(-1, 4).T
+        clap = bucket_ids(insert_ids(items, rows, gaps, unused, negator, index),
+                          index.strings, index.n_buckets)
+    if config.k > 0:
+        drawn = np.concatenate(negators or [np.empty(0, np.int64)])
+        negated = bucket_ids(negate_ids(items, np.arange(len(drawn)), drawn, index),
+                             index.strings, index.n_buckets)
     return EpochPlan(B, order, clap, originals if config.k > 0 else None, negated,
-                     n_augmented=n_augmented, n_exhausted=n_exhausted)
+                     n_augmented=len(inserts), n_exhausted=n_exhausted)
 
 
 def train_step(params: ModelParams, features: np.ndarray, clap_ids: CaptionIds,

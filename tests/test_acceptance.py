@@ -35,6 +35,7 @@ from negclap.corpus import (
     save_dataset,
     split_dataset,
 )
+from negclap import evaluation
 from negclap.evaluation import (
     AUDIO_TO_TEXT,
     TEXT_TO_AUDIO,
@@ -261,8 +262,14 @@ def test_criterion_04_protocol_oracles():
         observed = triplet_protocol(embed_eval_variants(params, ds, variants))
         audio, _ = encode_audio_batch(
             params, np.stack([c.features for c, _ in ds.pairs]))
+        # the variant captions, rebuilt with the caption apply from the same stream
+        variant_rng = seeded_rng(instance, evaluation._VARIANTS_STREAM)
+        captions = {"original": [c for _, c in ds.pairs], "half": [], "fully": []}
+        for caption in captions["original"]:
+            captions["half"].append(half_negate(caption, vocab, variant_rng))
+            captions["fully"].append(fully_negate(caption, vocab, variant_rng))
         embs = {
-            name: encode_text_batch(params, getattr(variants, name), vocab)[0]
+            name: encode_text_batch(params, captions[name], vocab)[0]
             for name in ("original", "half", "fully")
         }
         expected = brute_triplet(audio, embs["original"], embs["half"], embs["fully"])

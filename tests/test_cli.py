@@ -472,3 +472,63 @@ class TestSweep:
         # quick grids: baseline + 2 text_aug + 2 loss_term + 2 combo
         assert len(rows) == 1 + 7 * 7
         assert (out / "fig_triplet.csv").exists()
+
+
+# (flags, the setting the error names); every value is NaN, infinite, zero or negative
+# (given as --flag=value, so that argparse takes "-inf" as a value)
+BAD_GEN_DATA = [([f"--noise-sigma={v}"], "noise_sigma") for v in ("nan", "inf", "-inf", "-0.1")] + [
+    (["--d-a=0"], "d_a"), (["--d-a=-3"], "d_a"), (["--d-a=nan"], "--d-a")]
+BAD_LR = ["nan", "inf", "-inf", "0", "-0.01"]
+BAD_TRAIN = [(["--condition", "baseline", f"--lr={v}"], "learning_rate") for v in BAD_LR] + [
+    (["--condition", "loss-term", f"--k={v}"], "k must be finite")
+    for v in ("nan", "inf", "-inf", "-1")] + [
+    (["--condition", "combo", "--p-aug", "0.6", "--k", "0"], "k > 0")]
+
+
+class TestSettingsCheckedWhereTheyEnter:
+    """A bad numeric setting exits 2 naming it, before any file is written or run trained."""
+
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "train", lambda *a, **kw: calls.append(a))
+        yield
+        assert calls == []
+
+    @pytest.mark.parametrize("flags, name", BAD_GEN_DATA)
+    def test_gen_data(self, tmp_path, capsys, flags, name):
+        out = tmp_path / "data"
+        code = main(["gen-data", "--n-tags", "10", "--n-clips", "40", "--n-test", "10",
+                     "--seed", "3", *flags, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and name in err
+        assert not out.exists()
+
+    def test_gen_data_without_noise_writes_files_train_accepts(self, tmp_path):
+        out = tmp_path / "data"
+        assert main(["gen-data", "--n-tags", "10", "--n-clips", "40", "--n-test", "10",
+                     "--d-a", "4", "--noise-sigma", "0", "--seed", "3", "--out", str(out)]) == 0
+        assert main(["train", "--data", str(out), "--condition", "baseline", "--epochs", "1",
+                     "--seed", "1", "--out", str(tmp_path / "run")]) == 0
+
+    @pytest.mark.parametrize("flags, name", BAD_TRAIN)
+    def test_train(self, tmp_path, capsys, no_training, flags, name):
+        data = gen_small(tmp_path)
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(data), *flags, "--seed", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lr", BAD_LR)
+    def test_sweep(self, tmp_path, capsys, no_training, lr):
+        data = gen_small(tmp_path)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--quick", "--data", str(data), "--seed", "1", "--eval-seed", "7",
+                     f"--lr={lr}", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: learning_rate must be finite and positive")
+        assert not out.exists()

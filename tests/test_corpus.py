@@ -112,6 +112,18 @@ class TestGenerateDataset:
         with pytest.raises(ValueError):
             generate_dataset(vocab, 10, tags_per_clip=(3, 2), d_a=16, rng_seed=0)
 
+    @pytest.mark.parametrize("settings, problem", [
+        (dict(d_a=0), "d_a must be >= 1, got 0"),
+        (dict(d_a=-2), "d_a must be >= 1, got -2"),
+        (dict(noise_sigma=float("nan")), "noise_sigma must be finite and nonnegative, got nan"),
+        (dict(noise_sigma=float("inf")), "noise_sigma must be finite and nonnegative, got inf"),
+        (dict(noise_sigma=-0.5), "noise_sigma must be finite and nonnegative, got -0.5"),
+    ])
+    def test_bad_settings_rejected(self, settings, problem):
+        vocab = generate_vocabulary(6, 2)
+        with pytest.raises(ValueError, match=problem):
+            generate_dataset(vocab, 10, **{"d_a": 16, **settings}, rng_seed=0)
+
     def test_caption_tags_match_clip_tags(self):
         vocab = generate_vocabulary(8, 3)
         ds = generate_dataset(vocab, 40, d_a=16, rng_seed=5)
@@ -194,6 +206,15 @@ class TestSaveLoad:
     def _dataset(self, n=10, seed=3):
         vocab = generate_vocabulary(6, seed)
         return generate_dataset(vocab, n, d_a=8, rng_seed=seed)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_feature_refused_before_writing(self, tmp_path, value):
+        ds = self._dataset()
+        ds.pairs[4][0].features[2] = value
+        path = tmp_path / "ds.jsonl"
+        with pytest.raises(ValueError, match=f"clip {ds.pairs[4][0].id} has features"):
+            save_dataset(ds, path)
+        assert not path.exists()
 
     def test_round_trip_identity(self, tmp_path):
         ds = self._dataset()

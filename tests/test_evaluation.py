@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -38,6 +39,8 @@ from negclap.cli import main as cli_main
 from negclap.corpus import save_dataset
 from negclap.model import (
     ModelDims,
+    TokenIndex,
+    bucket_ids,
     encode_audio,
     encode_audio_batch,
     encode_text,
@@ -46,7 +49,8 @@ from negclap.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from negclap.corpus import render_caption
+from negclap.negation import fully_negate, half_negate
+from negclap.seeding import seeded_rng
 from negclap.training import TrainConfig, train
 
 
@@ -201,19 +205,56 @@ def make_tiny_setup(seed=0, n=6):
     return params, ds
 
 
+def variant_captions(ds, eval_seed):
+    """The eval variants as captions, rebuilt with the caption apply from the same stream."""
+    rng = seeded_rng(eval_seed, evaluation._VARIANTS_STREAM)
+    out = {"original": [], "half": [], "fully": []}
+    for _, caption in ds.pairs:
+        out["original"].append(caption)
+        out["half"].append(half_negate(caption, ds.vocabulary, rng))
+        out["fully"].append(fully_negate(caption, ds.vocabulary, rng))
+    return out
+
+
+def variant_token_strings(variants):
+    """Each variant's captions as lists of token strings."""
+    out = {}
+    for name in ("original", "half", "fully"):
+        tokens = getattr(variants, name)
+        ends = np.cumsum(tokens.lens)
+        out[name] = [[variants.strings[i] for i in tokens.ids[end - n:end]]
+                     for n, end in zip(tokens.lens.tolist(), ends.tolist())]
+    return out
+
+
 class TestBuildEvalVariants:
     def test_deterministic(self):
         _, ds = make_tiny_setup(3)
-        a = build_eval_variants(ds, eval_seed=42)
-        b = build_eval_variants(ds, eval_seed=42)
+        a = variant_token_strings(build_eval_variants(ds, eval_seed=42))
+        b = variant_token_strings(build_eval_variants(ds, eval_seed=42))
         assert a == b
-        c = build_eval_variants(ds, eval_seed=43)
+        c = variant_token_strings(build_eval_variants(ds, eval_seed=43))
         assert a != c
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_ids_equal_the_caption_apply(self, seed):
+        # the id apply and the caption apply read the same draws
+        _, ds = make_tiny_setup(seed, n=RANKED_PAIRS)
+        variants = build_eval_variants(ds, eval_seed=seed)
+        captions = variant_captions(ds, seed)
+        for n_buckets in (61, 64):
+            for name in ("original", "half", "fully"):
+                got = bucket_ids(getattr(variants, name), variants.strings, n_buckets)
+                want = TokenIndex(ds.vocabulary, n_buckets).ids(captions[name])
+                for field in ("uni", "uni_len", "bi", "bi_len"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert a.dtype == b.dtype and a.tolist() == b.tolist(), (name, field)
 
     def test_negated_mention_counts(self):
         _, ds = make_tiny_setup(4)
-        variants = build_eval_variants(ds, eval_seed=7)
-        for original, half, fully in zip(variants.original, variants.half, variants.fully):
+        variants = variant_captions(ds, eval_seed=7)
+        for original, half, fully in zip(variants["original"], variants["half"],
+                                         variants["fully"]):
             t = len(original.mentions())
             assert sum(m.negated for m in original.mentions()) == 0
             assert sum(m.negated for m in half.mentions()) == math.ceil(t / 2)
@@ -229,9 +270,8 @@ class TestBuildEvalVariants:
         target_fully = "a not rock tune with no guitar and without bass"
         seen = set()
         for eval_seed in range(4000):
-            variants = build_eval_variants(ds, eval_seed)
-            pair = (render_caption(variants.half[0], song_vocab),
-                    render_caption(variants.fully[0], song_vocab))
+            variants = variant_token_strings(build_eval_variants(ds, eval_seed))
+            pair = (" ".join(variants["half"][0]), " ".join(variants["fully"][0]))
             seen.add(pair)
             if pair == (target_half, target_fully):
                 break
@@ -245,8 +285,9 @@ class TestRetrievalProtocol:
         variants = build_eval_variants(ds, eval_seed=11)
         report = retrieval_protocol(embed_eval_variants(params, ds, variants))
         audio = np.stack([encode_audio(params, clip) for clip, _ in ds.pairs])
+        captions = variant_captions(ds, eval_seed=11)
         for variant_name in ("original", "half", "fully"):
-            caps = getattr(variants, variant_name)
+            caps = captions[variant_name]
             text = np.stack([encode_text(params, c, ds.vocabulary) for c in caps])
             S = audio @ text.T
             for direction in (AUDIO_TO_TEXT, TEXT_TO_AUDIO):
@@ -290,8 +331,9 @@ class TestTripletProtocol:
         audio = np.stack([encode_audio(params, clip) for clip, _ in ds.pairs])
         embed = lambda caps: np.stack(
             [encode_text(params, c, ds.vocabulary) for c in caps])
-        oracle = brute_triplet(audio, embed(variants.original),
-                               embed(variants.half), embed(variants.fully))
+        captions = variant_captions(ds, eval_seed=2)
+        oracle = brute_triplet(audio, embed(captions["original"]),
+                               embed(captions["half"]), embed(captions["fully"]))
         assert report == oracle
 
     def test_random_embeddings_near_chance(self):
@@ -313,8 +355,7 @@ class TestTripletProtocol:
     def test_exact_ties_fail_and_are_counted(self):
         params, ds = make_tiny_setup(8, n=4)
         variants = build_eval_variants(ds, eval_seed=3)
-        tied = type(variants)(original=variants.original, half=variants.original,
-                              fully=variants.original)
+        tied = dataclasses.replace(variants, half=variants.original, fully=variants.original)
         report = triplet_protocol(embed_eval_variants(params, ds, tied))
         assert report.acc_orig_fully == 0.0
         assert report.acc_orig_half == 0.0
@@ -329,7 +370,8 @@ class TestTripletProtocol:
         audio = np.stack([encode_audio(params, clip) for clip, _ in ds.pairs])
         embed = lambda caps: np.stack(
             [encode_text(params, c, ds.vocabulary) for c in caps])
-        sims = {n_: np.sum(audio * embed(getattr(variants, n_)), axis=1)
+        captions = variant_captions(ds, eval_seed=4)
+        sims = {n_: np.sum(audio * embed(captions[n_]), axis=1)
                 for n_ in ("original", "half", "fully")}
         for f in (lambda x: 3.0 * x + 1.0, np.exp, np.tanh):
             t = {k: f(v) for k, v in sims.items()}
@@ -386,9 +428,9 @@ class TestEmbedOnce:
 
         # every reported value equals brute force over per-variant encodes
         params = load_checkpoint(ckpt)
-        variants = build_eval_variants(ds, eval_seed=3)
+        variants = variant_captions(ds, eval_seed=3)
         audio, _ = encode_audio_batch(params, np.stack([c.features for c, _ in ds.pairs]))
-        text = {v: encode_text_batch(params, getattr(variants, v), vocab)[0]
+        text = {v: encode_text_batch(params, variants[v], vocab)[0]
                 for v in ("original", "half", "fully")}
         triplet = brute_triplet(audio, text["original"], text["half"], text["fully"])
         with open(out / "report.csv") as f:

@@ -21,6 +21,7 @@ from negclap.model import (
     CaptionIds,
     ModelDims,
     TokenIndex,
+    bucket_ids,
     encode_audio,
     encode_audio_batch,
     encode_text,
@@ -35,7 +36,19 @@ from negclap.model import (
     similarity,
     tokenize,
 )
+from negclap.negation import (
+    AugmentationExhausted,
+    draw_half,
+    draw_insert,
+    draw_negators,
+    fully_negate,
+    half_negate,
+    insert_ids,
+    negate_ids,
+    negation_insert,
+)
 from negclap.objective import clap_loss_through_encoders
+from negclap.seeding import seeded_rng
 
 
 def reference_ids(token_lists, n_buckets):
@@ -342,6 +355,131 @@ class TestCaptionIds:
         assert [len(p) for p in parts] == [3, 1]
         whole = CaptionIds.concat(parts)
         np.testing.assert_array_equal(whole.bi, ids.bi)
+
+
+# vocabularies for the negation oracle: multi-word, punctuated and non-ASCII
+# surfaces and negators, and a surface that tokenizes to nothing
+ORACLE_SURFACES = ("rock", "Hip Hop", "guitar,", "...", "ΟΔΟΣ", "no\u00a0wave", "r&b!")
+ORACLE_NEGATORS = ("not", "no", "without", "not at all", "never!", "ΑΣ")
+ORACLE_WORDS = ("a", "Tune", "with", "and,", "(slow)", "two words", "--")
+
+
+@st.composite
+def negation_cases(draw):
+    """A vocabulary, captions over it (plain and negated mentions, words) and a seed."""
+    surfaces = draw(st.lists(st.sampled_from(ORACLE_SURFACES), min_size=1, max_size=5,
+                             unique=True))
+    negators = draw(st.lists(st.sampled_from(ORACLE_NEGATORS), min_size=1, max_size=3,
+                             unique=True))
+    vocab = Vocabulary(tuple(Tag(i, s) for i, s in enumerate(surfaces)), tuple(negators))
+    tag = st.integers(0, len(surfaces) - 1)
+    token = st.one_of(st.builds(Word, st.sampled_from(ORACLE_WORDS)), st.builds(TagMention, tag),
+                      st.builds(TagMention, tag, st.sampled_from(negators)))
+    caps = draw(st.lists(st.builds(Caption, st.lists(token, max_size=6).map(tuple)),
+                         min_size=1, max_size=6))
+    return vocab, caps, draw(st.integers(0, 2**32 - 1))
+
+
+def assert_same_ids(got, want, what=""):
+    for field in ("uni", "uni_len", "bi", "bi_len"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), f"{what}.{field}"
+
+
+def outcome(edit, *args):
+    """``edit(*args)``, or the type and message of the error it raises."""
+    try:
+        return edit(*args)
+    except (ValueError, AugmentationExhausted) as e:
+        return type(e), str(e)
+
+
+class TestNegationIdApply:
+    """The id apply of each edit against the caption apply, over the same draws."""
+
+    N_BUCKETS = 61
+
+    def caption_apply(self, name, vocab, caps, rng):
+        """Each caption's edit by the caption functions, or the error it raises."""
+        edit = {"insert": negation_insert, "half": half_negate, "fully": fully_negate}[name]
+        return [outcome(edit, c, vocab, rng) for c in caps]
+
+    def id_apply(self, name, index, caps, rng):
+        """Each caption's draws and the id apply of them, and the errors the draws raise."""
+        source = index.tokens(caps)
+        n_tags, n_negators = len(index.vocab), len(index.vocab.negators)
+        n_slots = source.n_slots.tolist()
+        n_unused = (n_tags - source.presence(n_tags).sum(axis=1)).tolist()
+        counts = source.plain_counts().tolist()
+        firsts = np.cumsum([0] + counts).tolist()
+
+        def draw(i):
+            if name == "insert":
+                return draw_insert(n_slots[i], n_unused[i], n_negators, rng)
+            picked = draw_half(counts[i], rng) if name == "half" else np.arange(counts[i])
+            negators = draw_negators([len(picked)], n_negators, rng)
+            return firsts[i] + picked, negators
+
+        draws, errors = {}, {}
+        for i in range(len(caps)):
+            drawn = outcome(draw, i)
+            (errors if isinstance(drawn[0], type) else draws)[i] = drawn
+        if name == "insert":
+            rows = np.array(list(draws), dtype=np.intp)
+            gaps, unused, negators = np.array(list(draws.values()), np.intp).reshape(-1, 3).T
+            ids = insert_ids(source, rows, gaps, unused, negators, index)
+        else:
+            flat = lambda parts: np.concatenate([np.empty(0, np.intp), *parts])
+            ids = negate_ids(source, flat(m for m, _ in draws.values()),
+                             flat(n for _, n in draws.values()), index)
+        return bucket_ids(ids, index.strings, index.n_buckets), errors
+
+    @settings(max_examples=200, deadline=None)
+    @given(negation_cases(), st.sampled_from(["insert", "half", "fully"]))
+    def test_each_edit_matches_the_caption_apply(self, case, name):
+        vocab, caps, seed = case
+        by_caption, by_ids = seeded_rng(seed), seeded_rng(seed)
+        edited = self.caption_apply(name, vocab, caps, by_caption)
+        ids, errors = self.id_apply(name, TokenIndex(vocab, self.N_BUCKETS), caps, by_ids)
+        assert errors == {i: e for i, e in enumerate(edited) if isinstance(e, tuple)}
+        # a caption whose edit raised keeps its ids
+        want = [c if isinstance(e, tuple) else e for c, e in zip(caps, edited)]
+        assert_same_ids(ids, TokenIndex(vocab, self.N_BUCKETS).ids(want), name)
+        assert by_ids.bit_generator.state == by_caption.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(negation_cases(), st.sampled_from([0.0, 0.6, 1.0]), st.sampled_from([0.0, 1e-2]),
+           st.integers(1, 3), st.booleans(), st.data())
+    def test_plan_matches_the_caption_apply(self, case, p_aug, k, batch_size, all_plain, data):
+        from test_training import per_item_reference
+        from negclap.training import TrainConfig, plan_epoch
+
+        vocab, caps, seed = case
+        if all_plain:  # else captions without a plain mention make k > 0 raise
+            caps = [c for c in caps if c.plain_tag_ids()] or [Caption((TagMention(0),))]
+        order = np.array(data.draw(st.lists(st.integers(0, len(caps) - 1),
+                                            min_size=batch_size, max_size=3 * batch_size)))
+        order = order[:len(order) // batch_size * batch_size]
+        condition = {(False, False): "baseline", (True, False): "text_aug",
+                     (False, True): "loss_term", (True, True): "combo"}[(p_aug > 0, k > 0)]
+        config = TrainConfig(condition=condition, seed=1, p_aug=p_aug, k=k,
+                             batch_size=batch_size)
+        index = TokenIndex(vocab, self.N_BUCKETS)
+        by_plan, by_caption = seeded_rng(seed), seeded_rng(seed)
+        plan = outcome(plan_epoch, caps, index.ids(caps), order, config, index, by_plan)
+        want = outcome(per_item_reference, caps, order, config, TokenIndex(vocab, self.N_BUCKETS),
+                       by_caption)
+        assert by_plan.bit_generator.state == by_caption.bit_generator.state
+        if isinstance(want[0], type):
+            assert plan == want
+            return
+        clap, negated = want
+        assert_same_ids(plan.clap, clap, "clap")
+        if k > 0:
+            assert_same_ids(plan.negated, negated, "negated")
+            assert_same_ids(plan.anchors, index.ids([caps[i] for i in order]), "anchors")
+        else:
+            assert plan.negated is None and plan.anchors is None
 
 
 class TestParameterBuffers:

@@ -65,6 +65,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(condition="wild", seed=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_settings(self, value):
+        with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
+            TrainConfig(condition="baseline", seed=0, learning_rate=value)
+        with pytest.raises(ValueError, match="k must be finite and nonnegative"):
+            TrainConfig(condition="loss_term", seed=0, k=value)
+        with pytest.raises(ValueError, match="p_aug must lie in"):
+            TrainConfig(condition="text_aug", seed=0, p_aug=value)
+
 
 class TestMakeBatches:
     def test_sizes_and_dropped_remainder(self):
@@ -206,6 +215,24 @@ class TestEpochPlan:
             draws = batched.random(8)
             assert draws.tolist() == [scalar.random() for _ in range(8)]
             assert batched.random() == scalar.random()
+
+    def test_batched_negator_draws_equal_scalar_draws(self):
+        # draw_negators makes m negator draws as one rng.integers(0, n, size=m); numpy
+        # fills it with one 32-bit generator call per value, as m scalar calls make,
+        # so values and end state agree whatever draws of other bounds came before
+        for seed in range(12):
+            for n in range(1, 8):
+                for m in range(17):
+                    batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+                    for rng in (batched, scalar):
+                        rng.random()
+                        for bound in range(2, 2 + seed % 3):  # 0-2 draws, odd counts included
+                            rng.integers(0, bound + n)
+                    draws = batched.integers(0, n, size=m)
+                    assert draws.tolist() == [scalar.integers(0, n) for _ in range(m)]
+                    assert batched.bit_generator.state == scalar.bit_generator.state
+                    assert batched.integers(0, 50) == scalar.integers(0, 50)
+                    assert batched.random() == scalar.random()
 
     def test_text_aug_at_zero_probability_equals_baseline(self):
         train_ds, test_ds = toy_splits()
