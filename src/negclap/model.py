@@ -240,7 +240,7 @@ def hash_bucket(token: str, n_buckets: int) -> int:
 
 # bucket ids are stored this narrow; a table of 2**31 rows would not fit in memory
 _ID_DTYPE = np.int32
-# captions indexed per vectorised lookup
+# captions per vectorised bigram lookup
 _IDS_CHUNK = 1024
 _TOKENS = operator.attrgetter("tokens")
 
@@ -457,18 +457,25 @@ def bucket_ids(tokens: TokenIds, strings: Sequence[str], n_buckets: int) -> Capt
     """Bucket ids of captions given as token ids over ``strings``: the second step of indexing.
 
     A token's unigram bucket hashes its string; each adjacent pair's bigram
-    bucket hashes the two strings joined by a space, once per distinct pair.
+    bucket hashes the two strings joined by a space, once per distinct pair
+    of a chunk of captions, so the temporaries of the lookup stay small.
     """
-    t, lens = tokens.ids, tokens.lens
-    # token j and token j + 1 form a pair unless token j ends its caption
-    paired = np.ones(max(len(t) - 1, 0), dtype=bool)
-    ends = np.cumsum(lens) - 1
-    paired[ends[(lens > 0) & (ends < len(paired))]] = False
-    keys, inverse = np.unique(((t[:-1] << 32) | t[1:])[paired], return_inverse=True)
-    pairs = (f"{strings[key >> 32]} {strings[key & 0xFFFFFFFF]}" for key in keys.tolist())
-    buckets = np.fromiter((hash_bucket(p, n_buckets) for p in pairs), _ID_DTYPE, len(keys))
     unigram = np.fromiter((hash_bucket(s, n_buckets) for s in strings), _ID_DTYPE, len(strings))
-    return CaptionIds(unigram[t], lens, buckets[inverse], np.maximum(lens - 1, 0))
+    token_at = np.concatenate(([0], np.cumsum(tokens.lens)))
+    bigram = [np.empty(0, _ID_DTYPE)]
+    for a in range(0, len(tokens), _IDS_CHUNK):
+        lens = tokens.lens[a:a + _IDS_CHUNK]
+        t = tokens.ids[token_at[a]:token_at[a + len(lens)]]
+        # token j and token j + 1 form a pair unless token j ends its caption
+        paired = np.ones(max(len(t) - 1, 0), dtype=bool)
+        ends = np.cumsum(lens) - 1
+        paired[ends[(lens > 0) & (ends < len(paired))]] = False
+        keys, inverse = np.unique(((t[:-1] << 32) | t[1:])[paired], return_inverse=True)
+        pairs = (f"{strings[key >> 32]} {strings[key & 0xFFFFFFFF]}" for key in keys.tolist())
+        buckets = np.fromiter((hash_bucket(p, n_buckets) for p in pairs), _ID_DTYPE, len(keys))
+        bigram.append(buckets[inverse])
+    return CaptionIds(unigram[tokens.ids], tokens.lens, np.concatenate(bigram),
+                      np.maximum(tokens.lens - 1, 0))
 
 
 class TokenIndex(TokenTable):
@@ -482,16 +489,8 @@ class TokenIndex(TokenTable):
         self.n_buckets = n_buckets
 
     def ids(self, captions: Iterable[Caption]) -> CaptionIds:
-        """The captions' bucket ids, in order.
-
-        ``captions`` is consumed in chunks, so the temporaries of the
-        vectorised bigram lookup stay small.
-        """
-        it = iter(captions)
-        parts = [bucket_ids(self.tokens(chunk).tokens, self.strings, self.n_buckets)
-                 for chunk in iter(lambda: list(itertools.islice(it, _IDS_CHUNK)), [])]
-        parts = parts or [bucket_ids(self.tokens([]).tokens, self.strings, self.n_buckets)]
-        return parts[0] if len(parts) == 1 else CaptionIds.concat(parts)
+        """The captions' bucket ids, in order: both steps of indexing."""
+        return bucket_ids(self.tokens(list(captions)).tokens, self.strings, self.n_buckets)
 
 
 @dataclass
