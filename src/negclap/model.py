@@ -288,11 +288,6 @@ class CaptionIds:
             yield CaptionIds(self.uni[uni_at[a]:uni_at[b]], self.uni_len[a:b],
                              self.bi[bi_at[a]:bi_at[b]], self.bi_len[a:b])
 
-    @staticmethod
-    def concat(parts: Sequence["CaptionIds"]) -> "CaptionIds":
-        return CaptionIds(*(np.concatenate([getattr(p, f) for p in parts])
-                            for f in ("uni", "uni_len", "bi", "bi_len")))
-
 
 @dataclass(frozen=True, eq=False)
 class TokenIds:
