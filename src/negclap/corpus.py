@@ -102,9 +102,6 @@ class Caption:
     def mentions(self) -> tuple[TagMention, ...]:
         return tuple(t for t in self.tokens if isinstance(t, TagMention))
 
-    def plain_tag_ids(self) -> tuple[int, ...]:
-        return tuple(m.tag_id for m in self.mentions() if not m.negated)
-
     def tag_ids(self) -> frozenset[int]:
         """Ids of all mentioned tags, negated or not."""
         return frozenset(m.tag_id for m in self.mentions())
@@ -233,7 +230,8 @@ def generate_dataset(
     Each clip samples a tag subset uniformly (size uniform in the inclusive
     ``tags_per_clip`` range), its features are the normalized sum of the
     tags' latent directions plus iid Gaussian noise, and its caption is a
-    template over the same tags (templates cycled by clip index).
+    template over the same tags (templates cycled by clip index).  Raises
+    ``ValueError`` naming the first clip whose features are all zero.
     """
     lo, hi = tags_per_clip
     if lo > hi or lo < 1:
@@ -268,6 +266,11 @@ def generate_dataset(
     # per-clip draws in clip order.
     noise = seeded_rng(rng_seed, _NOISE_STREAM).normal(size=(n_clips, d_a))
     features = bases + noise_sigma * noise
+    # a zero clip has no direction, so an audio embedding of it is undefined
+    zero = ~features.any(axis=1)
+    if zero.any():
+        raise ValueError(f"clip {int(np.argmax(zero))} has features that are all zero: "
+                         "its tags' latent directions cancel and noise_sigma adds nothing")
 
     mentions = [TagMention(t) for t in range(n_vocab)]
     pairs = [

@@ -24,7 +24,7 @@ from .model import (
     encode_audio_batch,
     encode_token_lists,
 )
-from .negation import draw_half, draw_negators, negate_ids
+from .negation import draw_half, draw_negators, edit_counts, negate_ids
 from .seeding import seeded_rng
 
 VARIANTS = ("original", "half", "fully")
@@ -102,15 +102,15 @@ def build_eval_variants(test_dataset: Dataset, eval_seed: int) -> EvalVariantSet
     first, then fully, per pair), so the same seed yields the same variants
     for every model being compared.  They are the draws of ``half_negate``
     then ``fully_negate``, a pair's negators in one ``draw_negators`` call,
-    applied to token ids.
+    applied to the captions' kinds, which go on to token ids at the end.
     """
     table = TokenTable(test_dataset.vocabulary)
-    source = table.tokens([caption for _, caption in test_dataset.pairs])
+    source = table.slots([caption for _, caption in test_dataset.pairs])
     rng = seeded_rng(eval_seed, _VARIANTS_STREAM)
     n_negators = len(table.vocab.negators)
     picked, half_negators, fully_negators = [], [], []
     first = 0  # index of the pair's first plain mention among all of them
-    for n_plain in source.plain_counts().tolist():
+    for n_plain in edit_counts(source, table)[0].tolist():
         half_mentions = draw_half(n_plain, rng)
         negators = draw_negators([len(half_mentions), n_plain], n_negators, rng)
         picked.append(first + half_mentions)
@@ -120,7 +120,7 @@ def build_eval_variants(test_dataset: Dataset, eval_seed: int) -> EvalVariantSet
     flat = lambda parts: np.concatenate(parts or [np.empty(0, np.intp)])
     half = negate_ids(source, flat(picked), flat(half_negators), table)
     fully = negate_ids(source, np.arange(first), flat(fully_negators), table)
-    return EvalVariantSet(tuple(table.strings), source.tokens, half, fully)
+    return EvalVariantSet(tuple(table.strings), *map(table.tokens, (source, half, fully)))
 
 
 def _match_ranks(sim: np.ndarray, direction: str) -> np.ndarray:

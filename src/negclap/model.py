@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import AudioClip, Caption, Vocabulary, Word, render_token
+from .corpus import AudioClip, Caption, TagMention, Vocabulary, Word, render_token
 from .seeding import seeded_rng
 
 CHECKPOINT_FORMAT = "negclap-ckpt"
@@ -308,97 +308,52 @@ class TokenIds:
         lens = self.lens[rows]
         return TokenIds(self.ids[_spans(_starts(self.lens)[rows], lens)], lens)
 
-    def splice(self, rows: np.ndarray, offsets: np.ndarray, pieces: "TokenIds") -> "TokenIds":
-        """Caption ``rows[j]`` with piece j inserted before its token at ``offsets[j]``.
+    def rows(self) -> np.ndarray:
+        """The caption of every id."""
+        return np.repeat(np.arange(len(self)), self.lens)
 
-        ``rows`` is nondecreasing.  Pieces at one place keep their order, so
-        a piece at the end of a caption stays out of the next one.
+    def insert(self, rows: np.ndarray, at: np.ndarray, values: np.ndarray) -> "TokenIds":
+        """Caption ``rows[j]`` with ``values[j]`` inserted before its id at ``at[j]``.
+
+        ``rows`` is strictly increasing.  A value at the end of a caption
+        goes before one at the start of the next, so it stays in its caption.
         """
-        at = np.repeat(_starts(self.lens)[rows] + offsets, pieces.lens)
-        grown = np.bincount(np.repeat(rows, pieces.lens), minlength=len(self))
-        return TokenIds(np.insert(self.ids, at, pieces.ids), self.lens + grown)
-
-
-@dataclass(frozen=True, eq=False)
-class CaptionTokens:
-    """Captions as token ids, with the structure a negation edit reads.
-
-    ``tokens`` holds the captions' token ids.  The other fields describe
-    their structured tokens (a ``Word``, or a ``TagMention`` with its
-    negator), caption after caption: ``n_slots`` counts them per caption,
-    and per structured token ``at`` is the offset of its first token in its
-    caption, ``tag`` the mention's tag id (-1 for a word) and ``plain``
-    whether it is a mention without negator.
-    """
-    tokens: TokenIds
-    n_slots: np.ndarray
-    at: np.ndarray
-    tag: np.ndarray
-    plain: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.n_slots)
-
-    def take(self, rows: np.ndarray) -> "CaptionTokens":
-        """The captions at ``rows``, in that order."""
-        n_slots = self.n_slots[rows]
-        slots = _spans(_starts(self.n_slots)[rows], n_slots)
-        return CaptionTokens(self.tokens.take(rows), n_slots, self.at[slots], self.tag[slots],
-                             self.plain[slots])
-
-    def presence(self, n_tags: int) -> np.ndarray:
-        """``(captions, n_tags)`` flags: whether caption i mentions tag t, negated or not."""
-        caption = np.repeat(np.arange(len(self)), self.n_slots)
-        mention = self.tag >= 0
-        out = np.zeros((len(self), n_tags), dtype=bool)
-        out[caption[mention], self.tag[mention]] = True
-        return out
-
-    def plain_mentions(self) -> tuple[np.ndarray, np.ndarray]:
-        """The caption and token offset of every plain mention, caption then position order."""
-        caption = np.repeat(np.arange(len(self)), self.n_slots)
-        return caption[self.plain], self.at[self.plain]
-
-    def plain_counts(self) -> np.ndarray:
-        """Each caption's number of plain mentions."""
-        return np.bincount(self.plain_mentions()[0], minlength=len(self))
-
-    def gap_offsets(self, rows: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-        """Token offset in caption ``rows[j]`` of the gap before its structured token ``gaps[j]``.
-
-        The gap after the last structured token is at the caption's end.
-        """
-        out = self.tokens.lens[rows]
-        inside = gaps < self.n_slots[rows]
-        out[inside] = self.at[(_starts(self.n_slots)[rows] + gaps)[inside]]
-        return out
+        lens = self.lens.copy()
+        lens[rows] += 1
+        return TokenIds(np.insert(self.ids, _starts(self.lens)[rows] + at, values), lens)
 
 
 class TokenTable:
     """Captions over one vocabulary as token ids: the first step of indexing.
 
     Each distinct token string gets a small id, its index in ``strings``,
-    when first seen.  Each structured caption token (a ``Word``, or a
-    ``TagMention`` with its negator) is rendered and tokenized once, and a
-    caption's token ids are its structured tokens' ids in order.  That
+    when first seen.  Each kind of structured caption token (a ``Word``, or
+    a ``TagMention`` with its negator) gets a kind id when first seen, and
+    is rendered and tokenized once.  ``slots`` gives a caption's structured
+    tokens as kinds, and ``tokens`` expands kinds into token ids.  That
     equals tokenizing the rendered caption because ``render_caption`` joins
     the rendered tokens with a space and ``tokenize`` splits on whitespace.
-    For the same reason a negated mention's ids are its negator's ids
-    followed by its surface's, so a negation edit can splice ids instead of
-    building a caption.  Token ids do not depend on a bucket count;
-    ``bucket_ids`` is the second step.
+    A negation edit is therefore an edit of kinds: ``mention[t, 0]`` is the
+    kind of tag t's plain mention and ``mention[t, 1 + n]`` that of its
+    mention negated by the vocabulary's negator n, all made with the table.
+    Token ids do not depend on a bucket count; ``bucket_ids`` is the second
+    step.
     """
 
     def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
         self.strings: list[str] = []
         self._token_ids: dict[str, int] = {}
-        # per kind of structured token (a word's text, or a mention's tag and
-        # negator): its token ids, its tag id (-1 for a word), whether it is plain
+        # per kind (keyed by a word's text, or a mention's tag and negator):
+        # its token ids, its tag id (-1 for a word), whether it is plain
         self._kinds: dict[object, int] = {}
         self._pieces: list[tuple[int, ...]] = []
         self._tags: list[int] = []
         self._plain: list[bool] = []
+        negators = (None, *vocab.negators)
+        self.mention = np.array([self._kind(TagMention(t, n))
+                                 for t in range(len(vocab)) for n in negators],
+                                dtype=np.intp).reshape(len(vocab), len(negators))
 
     def _token_id(self, token: str) -> int:
         tid = self._token_ids.get(token)
@@ -406,12 +361,6 @@ class TokenTable:
             tid = self._token_ids[token] = len(self.strings)
             self.strings.append(token)
         return tid
-
-    def phrases(self, texts: Sequence[str]) -> TokenIds:
-        """The token ids of each text, as if it were a caption."""
-        pieces = [tuple(map(self._token_id, tokenize(text))) for text in texts]
-        return TokenIds(np.fromiter(itertools.chain.from_iterable(pieces), np.int64),
-                        np.fromiter(map(len, pieces), np.intp, len(pieces)))
 
     def _kind(self, tok) -> int:
         key = tok.text if isinstance(tok, Word) else (tok.tag_id, tok.negator)
@@ -425,27 +374,30 @@ class TokenTable:
             self._plain.append(not word and tok.negator is None)
         return kind
 
-    def tokens(self, captions: Sequence[Caption]) -> CaptionTokens:
-        """The captions' token ids and structure, in order."""
+    def slots(self, captions: Sequence[Caption]) -> TokenIds:
+        """The captions' structured tokens as kinds, in order."""
         structured = list(itertools.chain.from_iterable(map(_TOKENS, captions)))
         # every token object of the call is alive here, so its id() names it;
         # captions share token objects, so few distinct ones need a lookup
         kind_of = {key: self._kind(tok)
                    for key, tok in dict(zip(map(id, structured), structured)).items()}
-        kinds = np.fromiter(map(kind_of.__getitem__, map(id, structured)), np.intp,
-                            len(structured))
+        return TokenIds(np.fromiter(map(kind_of.__getitem__, map(id, structured)), np.intp,
+                                    len(structured)),
+                        np.fromiter(map(len, map(_TOKENS, captions)), np.intp, len(captions)))
+
+    def tags(self, slots: TokenIds) -> tuple[np.ndarray, np.ndarray]:
+        """Per slot: its kind's tag id (-1 for a word), and whether it is a plain mention."""
+        return np.array(self._tags, np.intp)[slots.ids], np.array(self._plain, bool)[slots.ids]
+
+    def tokens(self, slots: TokenIds) -> TokenIds:
+        """The token ids of captions given as kinds: each kind's ids, in order."""
         kind_len = np.fromiter(map(len, self._pieces), np.intp, len(self._pieces))
         kind_ids = np.fromiter(itertools.chain.from_iterable(self._pieces), np.int64)
-        slot_len = kind_len[kinds]
-        ids = kind_ids[_spans(_starts(kind_len)[kinds], slot_len)]
-        n_slots = np.fromiter(map(len, map(_TOKENS, captions)), np.intp, len(captions))
-        # a caption's token count: the summed lengths of its structured tokens' pieces
-        slot_end = np.cumsum(slot_len)
-        lens = np.diff(np.concatenate(([0], slot_end))[np.concatenate(([0], np.cumsum(n_slots)))])
-        at = slot_end - slot_len - np.repeat(_starts(lens), n_slots)
-        return CaptionTokens(TokenIds(ids, lens), n_slots, at,
-                             np.array(self._tags, dtype=np.intp)[kinds],
-                             np.array(self._plain, dtype=bool)[kinds])
+        slot_len = kind_len[slots.ids]
+        ids = kind_ids[_spans(_starts(kind_len)[slots.ids], slot_len)]
+        # a caption's token count: the summed lengths of its kinds' pieces
+        slot_end = np.concatenate(([0], np.cumsum(slot_len)))
+        return TokenIds(ids, np.diff(slot_end[np.concatenate(([0], np.cumsum(slots.lens)))]))
 
 
 def bucket_ids(tokens: TokenIds, strings: Sequence[str], n_buckets: int) -> CaptionIds:
@@ -485,7 +437,7 @@ class TokenIndex(TokenTable):
 
     def ids(self, captions: Iterable[Caption]) -> CaptionIds:
         """The captions' bucket ids, in order: both steps of indexing."""
-        return bucket_ids(self.tokens(list(captions)).tokens, self.strings, self.n_buckets)
+        return bucket_ids(self.tokens(self.slots(list(captions))), self.strings, self.n_buckets)
 
 
 @dataclass

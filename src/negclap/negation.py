@@ -15,8 +15,11 @@ Each operation is a draw followed by an apply.  The draws (``draw_insert``,
 ``draw_half``, ``draw_negators``) make every generator call.  There are two
 applies that read the same draws: the caption apply builds a new
 ``Caption`` (the three functions above), and the id apply (``insert_ids``,
-``negate_ids``) splices token ids into a ``TokenIds`` CSR, so the epoch
-plan and the evaluation variants build no caption object per edit.
+``negate_ids``) edits captions given as structured-token kinds (see
+``TokenTable``).  An insert puts one negated mention's kind into a
+caption's row of kinds, and a negation swaps a plain mention's kind for its
+negated kind, so the epoch plan and the evaluation variants build no
+caption object per edit.
 
 The negator draws of several mentions, or of several captions, are one
 ``rng.integers(0, n, size=m)`` call.  numpy fills it one value at a time
@@ -32,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Caption, TagMention, Vocabulary
-from .model import CaptionTokens, TokenIds, TokenTable
+from .model import TokenIds, TokenTable
 
 
 class AugmentationExhausted(RuntimeError):
@@ -148,35 +151,47 @@ def apply_augmentation(caption: Caption, vocab: Vocabulary, p_aug: float,
 
 # ----------------------------------------------------------------- id apply
 
-def _negator_and_surface(table: TokenTable) -> TokenIds:
-    """Token ids of every vocabulary negator, then of every tag surface."""
-    return table.phrases(table.vocab.negators + table.vocab.surfaces)
+def _presence(slots: TokenIds, table: TokenTable) -> np.ndarray:
+    """``(captions, n_tags)`` flags: whether caption i mentions tag t, negated or not."""
+    tags, _ = table.tags(slots)
+    mention = tags >= 0
+    out = np.zeros((len(slots), len(table.vocab)), dtype=bool)
+    out[slots.rows()[mention], tags[mention]] = True
+    return out
 
 
-def insert_ids(captions: CaptionTokens, rows: np.ndarray, gaps: np.ndarray,
-               unused: np.ndarray, negators: np.ndarray, table: TokenTable) -> TokenIds:
+def edit_counts(slots: TokenIds, table: TokenTable) -> tuple[np.ndarray, np.ndarray]:
+    """Each caption's number of plain mentions, and of vocabulary tags it leaves unused."""
+    _, plain = table.tags(slots)
+    return (np.bincount(slots.rows()[plain], minlength=len(slots)),
+            len(table.vocab) - _presence(slots, table).sum(axis=1))
+
+
+def insert_ids(slots: TokenIds, rows: np.ndarray, gaps: np.ndarray, unused: np.ndarray,
+               negators: np.ndarray, table: TokenTable) -> TokenIds:
     """The id apply of ``negation_insert``, for caption ``rows[j]`` with draws j.
 
-    ``gaps``, ``unused`` and ``negators`` are ``draw_insert``'s draws, and
-    ``rows`` is nondecreasing.  The inserted piece is the negator's ids then
-    the unused tag's surface ids; the tag is the ``unused[j]``-th one absent
-    from the caption, read off its presence row.
+    ``slots`` holds the captions' kinds (see ``TokenTable``), ``gaps``,
+    ``unused`` and ``negators`` are ``draw_insert``'s draws, and ``rows`` is
+    strictly increasing.  The inserted kind is the ``unused[j]``-th tag
+    absent from the caption, read off its presence row, negated by negator
+    ``negators[j]``.
     """
-    absent = ~captions.presence(len(table.vocab))[rows]
+    absent = ~_presence(slots, table)[rows]
     tags = np.argmax(np.cumsum(absent, axis=1) > unused[:, None], axis=1)
-    words = _negator_and_surface(table)
-    parts = words.take(np.stack([negators, len(table.vocab.negators) + tags], axis=1).ravel())
-    pieces = TokenIds(parts.ids, parts.lens.reshape(-1, 2).sum(axis=1))
-    return captions.tokens.splice(rows, captions.gap_offsets(rows, gaps), pieces)
+    return slots.insert(rows, gaps, table.mention[tags, 1 + negators])
 
 
-def negate_ids(captions: CaptionTokens, mentions: np.ndarray, negators: np.ndarray,
+def negate_ids(slots: TokenIds, mentions: np.ndarray, negators: np.ndarray,
                table: TokenTable) -> TokenIds:
-    """The id apply of negating plain mentions: each negator's ids go before its mention's.
+    """The id apply of negating plain mentions: each one's kind becomes its negated kind.
 
-    ``mentions`` indexes ``captions.plain_mentions()`` in ascending order, and
-    ``negators[j]`` is the negator drawn for mention j.
+    ``mentions`` indexes the plain mentions of ``slots``, caption then
+    position order, ascending, and ``negators[j]`` is the negator drawn for
+    mention j.
     """
-    rows, offsets = (a[mentions] for a in captions.plain_mentions())
-    pieces = _negator_and_surface(table).take(negators)
-    return captions.tokens.splice(rows, offsets, pieces)
+    tags, plain = table.tags(slots)
+    at = np.flatnonzero(plain)[mentions]
+    ids = slots.ids.copy()
+    ids[at] = table.mention[tags[at], 1 + negators]
+    return TokenIds(ids, slots.lens)

@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Caption, Dataset
+from .corpus import Dataset
 from .evaluation import (
     RetrievalReport,
     TripletReport,
@@ -47,6 +47,7 @@ from .model import (
     ModelDims,
     ModelParams,
     ParamGrads,
+    TokenIds,
     TokenIndex,
     bucket_ids,
     encode_audio_batch,
@@ -57,6 +58,7 @@ from .negation import (
     AugmentationExhausted,
     draw_insert,
     draw_negators,
+    edit_counts,
     insert_ids,
     negate_ids,
 )
@@ -235,29 +237,31 @@ class EpochPlan:
             yield slice(start, start + B), clap, anchor, negated_ids
 
 
-def plan_epoch(captions: Sequence[Caption], caption_ids: CaptionIds, order: np.ndarray,
+def plan_epoch(slots: TokenIds, caption_ids: CaptionIds, order: np.ndarray,
                config: TrainConfig, index: TokenIndex, rng: np.random.Generator) -> EpochPlan:
-    """Draw one epoch's caption edits and apply them to the captions' ids.
+    """Draw one epoch's caption edits and apply them to the captions' kinds.
 
-    ``order`` lists the pair index of every item, whole batches in step
-    order, and ``caption_ids`` holds the ids of ``captions`` (the run's
-    originals).  The draws come from ``rng`` in the order a step makes
-    them.  Per step, when p_aug > 0, each of the B items passes through the
-    insert augmentation (``apply_augmentation``'s draws; the original
-    caption when no insert is drawn or the vocabulary is exhausted).  Then,
-    when k > 0, the B items are fully negated, their negator draws one
-    ``draw_negators`` call.  At p_aug == 0 a step's Bernoulli draws are one
-    ``rng.random(B)``, the same stream as B scalar draws, and the
-    contrastive ids are the originals'.  The edits are applied to token ids
-    (see ``negation.insert_ids``), so no caption object is built.
+    ``slots`` holds the run's original captions as kinds (see
+    ``TokenTable.slots``) and ``caption_ids`` their bucket ids, both made
+    once per run.  ``order`` lists the pair index of every item, whole
+    batches in step order.  The draws come from ``rng`` in the order a step
+    makes them.  Per step, when p_aug > 0, each of the B items passes
+    through the insert augmentation (``apply_augmentation``'s draws; the
+    original caption when no insert is drawn or the vocabulary is
+    exhausted).  Then, when k > 0, the B items are fully negated, their
+    negator draws one ``draw_negators`` call.  At p_aug == 0 a step's
+    Bernoulli draws are one ``rng.random(B)``, the same stream as B scalar
+    draws, and the contrastive ids are the originals'.  The edits are
+    applied to kinds (see ``negation.insert_ids``), so no caption object is
+    built, and only the edited captions go on to token and bucket ids.
     """
     B = config.batch_size
     originals = caption_ids.take(order)
-    n_tags, n_negators = len(index.vocab), len(index.vocab.negators)
+    n_negators = len(index.vocab.negators)
     if config.p_aug > 0 or config.k > 0:  # the baseline edits no caption
-        items = index.tokens(captions).take(order)
-        n_slots, n_plain = items.n_slots.tolist(), items.plain_counts().tolist()
-        n_unused = (n_tags - items.presence(n_tags).sum(axis=1)).tolist()
+        items = slots.take(order)
+        n_slots = items.lens.tolist()
+        n_plain, n_unused = (counts.tolist() for counts in edit_counts(items, index))
     inserts: list[tuple[int, int, int, int]] = []  # item, gap, unused tag, negator
     negators: list[np.ndarray] = []
     n_exhausted = 0
@@ -275,15 +279,16 @@ def plan_epoch(captions: Sequence[Caption], caption_ids: CaptionIds, order: np.n
         if config.k > 0:
             negators.append(draw_negators(n_plain[start:stop], n_negators, rng))
 
+    def ids(edited: TokenIds) -> CaptionIds:
+        return bucket_ids(index.tokens(edited), index.strings, index.n_buckets)
+
     clap, negated = originals, None
     if config.p_aug > 0:
         rows, gaps, unused, negator = np.array(inserts, dtype=np.intp).reshape(-1, 4).T
-        clap = bucket_ids(insert_ids(items, rows, gaps, unused, negator, index),
-                          index.strings, index.n_buckets)
+        clap = ids(insert_ids(items, rows, gaps, unused, negator, index))
     if config.k > 0:
         drawn = np.concatenate(negators or [np.empty(0, np.int64)])
-        negated = bucket_ids(negate_ids(items, np.arange(len(drawn)), drawn, index),
-                             index.strings, index.n_buckets)
+        negated = ids(negate_ids(items, np.arange(len(drawn)), drawn, index))
     return EpochPlan(B, order, clap, originals if config.k > 0 else None, negated,
                      n_augmented=len(inserts), n_exhausted=n_exhausted)
 
@@ -336,10 +341,10 @@ def train(
 
     params = init_params(dims, spawn_seed(config.seed, _INIT_STREAM))
     optimizer = AdamOptimizer.for_params(params)
-    # bucket ids of the original captions, computed once for the whole run
+    # kinds and bucket ids of the original captions, computed once for the whole run
     index = TokenIndex(dataset_train.vocabulary, dims.hash_buckets)
-    captions = [caption for _, caption in dataset_train.pairs]
-    caption_ids = index.ids(captions)
+    slots = index.slots([caption for _, caption in dataset_train.pairs])
+    caption_ids = bucket_ids(index.tokens(slots), index.strings, index.n_buckets)
     test_caption_ids = TokenIndex(dataset_test.vocabulary, dims.hash_buckets).ids(
         caption for _, caption in dataset_test.pairs)
 
@@ -348,7 +353,7 @@ def train(
     for epoch in range(1, config.epochs + 1):
         order = np.concatenate(make_batches(dataset_train, config.batch_size,
                                             spawn_seed(config.seed, _SHUFFLE_STREAM, epoch)))
-        plan = plan_epoch(captions, caption_ids, order, config, index,
+        plan = plan_epoch(slots, caption_ids, order, config, index,
                           seeded_rng(config.seed, _EPOCH_STREAM, epoch))
         sums = np.zeros(3)
         for step, (items, clap, anchors, negated) in enumerate(plan.steps(), 1):

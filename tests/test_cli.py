@@ -477,7 +477,8 @@ class TestSweep:
 # (flags, the setting the error names); every value is NaN, infinite, zero or negative
 # (given as --flag=value, so that argparse takes "-inf" as a value)
 BAD_GEN_DATA = [([f"--noise-sigma={v}"], "noise_sigma") for v in ("nan", "inf", "-inf", "-0.1")] + [
-    (["--d-a=0"], "d_a"), (["--d-a=-3"], "d_a"), (["--d-a=nan"], "--d-a")]
+    (["--d-a=0"], "d_a"), (["--d-a=-3"], "d_a"), (["--d-a=nan"], "--d-a"),
+    (["--d-a=1", "--noise-sigma=0"], "clip 1")]
 BAD_LR = ["nan", "inf", "-inf", "0", "-0.01"]
 BAD_TRAIN = [(["--condition", "baseline", f"--lr={v}"], "learning_rate") for v in BAD_LR] + [
     (["--condition", "loss-term", f"--k={v}"], "k must be finite")

@@ -41,6 +41,7 @@ from negclap.negation import (
     draw_half,
     draw_insert,
     draw_negators,
+    edit_counts,
     fully_negate,
     half_negate,
     insert_ids,
@@ -405,11 +406,10 @@ class TestNegationIdApply:
 
     def id_apply(self, name, index, caps, rng):
         """Each caption's draws and the id apply of them, and the errors the draws raise."""
-        source = index.tokens(caps)
-        n_tags, n_negators = len(index.vocab), len(index.vocab.negators)
-        n_slots = source.n_slots.tolist()
-        n_unused = (n_tags - source.presence(n_tags).sum(axis=1)).tolist()
-        counts = source.plain_counts().tolist()
+        source = index.slots(caps)
+        n_negators = len(index.vocab.negators)
+        n_slots = source.lens.tolist()
+        counts, n_unused = (c.tolist() for c in edit_counts(source, index))
         firsts = np.cumsum([0] + counts).tolist()
 
         def draw(i):
@@ -431,7 +431,7 @@ class TestNegationIdApply:
             flat = lambda parts: np.concatenate([np.empty(0, np.intp), *parts])
             ids = negate_ids(source, flat(m for m, _ in draws.values()),
                              flat(n for _, n in draws.values()), index)
-        return bucket_ids(ids, index.strings, index.n_buckets), errors
+        return bucket_ids(index.tokens(ids), index.strings, index.n_buckets), errors
 
     @settings(max_examples=200, deadline=None)
     @given(negation_cases(), st.sampled_from(["insert", "half", "fully"]))
@@ -455,7 +455,8 @@ class TestNegationIdApply:
 
         vocab, caps, seed = case
         if all_plain:  # else captions without a plain mention make k > 0 raise
-            caps = [c for c in caps if c.plain_tag_ids()] or [Caption((TagMention(0),))]
+            caps = ([c for c in caps if any(t.negator is None for t in c.mentions())]
+                    or [Caption((TagMention(0),))])
         order = np.array(data.draw(st.lists(st.integers(0, len(caps) - 1),
                                             min_size=batch_size, max_size=3 * batch_size)))
         order = order[:len(order) // batch_size * batch_size]
@@ -465,7 +466,8 @@ class TestNegationIdApply:
                              batch_size=batch_size)
         index = TokenIndex(vocab, self.N_BUCKETS)
         by_plan, by_caption = seeded_rng(seed), seeded_rng(seed)
-        plan = outcome(plan_epoch, caps, index.ids(caps), order, config, index, by_plan)
+        plan = outcome(plan_epoch, index.slots(caps), index.ids(caps), order, config, index,
+                       by_plan)
         want = outcome(per_item_reference, caps, order, config, TokenIndex(vocab, self.N_BUCKETS),
                        by_caption)
         assert by_plan.bit_generator.state == by_caption.bit_generator.state

@@ -119,8 +119,8 @@ class TestTrainStep:
         captions = [c for _, c in train_ds.pairs[:size]]
         index = TokenIndex(train_ds.vocabulary, TINY_DIMS.hash_buckets)
         config = TrainConfig(condition=condition, seed=1, batch_size=8, epochs=1, **config)
-        plan = plan_epoch(captions, index.ids(captions), np.arange(size), config, index,
-                          seeded_rng(0))
+        plan = plan_epoch(index.slots(captions), index.ids(captions), np.arange(size), config,
+                          index, seeded_rng(0))
         params = init_params(TINY_DIMS, 3)
         # (size, d_a) even at size 0, so an empty batch reaches train_step
         features = np.array([clip.features for clip, _ in train_ds.pairs[:size]],
@@ -192,7 +192,8 @@ class TestEpochPlan:
         config = TrainConfig(condition=condition, seed=1, batch_size=8, **hyper)
         order = np.concatenate(make_batches(train_ds, 8, epoch_seed=4))
         index = TokenIndex(train_ds.vocabulary, TINY_DIMS.hash_buckets)
-        plan = plan_epoch(captions, index.ids(captions), order, config, index, seeded_rng(3))
+        plan = plan_epoch(index.slots(captions), index.ids(captions), order, config, index,
+                          seeded_rng(3))
         clap, negated = per_item_reference(captions, order, config, index, seeded_rng(3))
         expected = {"clap": clap, "negated": negated,
                     "anchors": index.ids(captions[i] for i in order) if negated else None}
@@ -394,6 +395,20 @@ class TestTrain:
         for other in kept[1:]:
             assert not np.shares_memory(first.params.tables, other.params.tables)
             assert not np.shares_memory(first.params.dense, other.params.dense)
+
+    def test_captions_are_read_once_per_run(self, monkeypatch):
+        from negclap.model import TokenTable
+
+        calls = []
+        slots = TokenTable.slots
+        monkeypatch.setattr(TokenTable, "slots",
+                            lambda self, captions: calls.append(len(captions))
+                            or slots(self, captions))
+        train_ds, test_ds = toy_splits()
+        train(train_ds, test_ds, TrainConfig(condition="combo", seed=1, p_aug=0.6, k=1e-2,
+                                             epochs=3))
+        # the train split once and the test split once, not once per epoch
+        assert calls == [len(train_ds), len(test_ds)]
 
     def test_diverged_run_names_condition_epoch_and_step(self):
         train_ds, test_ds = toy_splits()
