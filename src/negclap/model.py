@@ -295,7 +295,8 @@ class TokenIds:
 
     ``ids`` holds the id of every token, caption after caption: its index in
     the ``strings`` of the ``TokenTable`` that made it.  ``lens`` holds each
-    caption's token count.
+    caption's token count.  ``TokenTable.slots`` uses the same form for
+    captions as kinds, one id per structured token.
     """
     ids: np.ndarray
     lens: np.ndarray
