@@ -13,6 +13,10 @@ by path.  Two checkouts produce byte-identical outputs exactly when the two
 listings are equal:
 
     python3 scripts/digest_outputs.py > digests.txt
+
+``scripts/output_digests.txt`` is the listing the outputs must keep:
+
+    python3 scripts/digest_outputs.py | diff - scripts/output_digests.txt
 """
 
 import contextlib

@@ -41,7 +41,7 @@ from .model import (
     ModelParams,
     ParamGrads,
     RowGrad,
-    TokenIndex,
+    TokenTable,
     encode_audio,
     encode_text,
     init_params,

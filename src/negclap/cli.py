@@ -151,6 +151,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    # the label is part of an output file name, so it must not name a directory
+    if "/" in args.label or "\0" in args.label:
+        raise ValueError(f"--label must not contain '/' or NUL, got {args.label!r}")
     test_path = args.data / TEST_FILE if args.data.is_dir() else args.data
     test_ds = corpus.load_dataset(test_path)
     params = model.load_checkpoint(args.checkpoint)

@@ -20,7 +20,6 @@ from .model import (
     ModelParams,
     TokenIds,
     TokenTable,
-    bucket_ids,
     encode_audio_batch,
     encode_token_lists,
 )
@@ -50,13 +49,14 @@ _VARIANTS_STREAM = 7
 
 @dataclass(frozen=True, eq=False)
 class EvalVariantSet:
-    """Per-pair caption variants as token ids, drawn once and shared across models.
+    """Per-pair caption variants as kinds, drawn once and shared across models.
 
     Row i of ``original``, ``half`` and ``fully`` belongs to test pair i, and
-    their ids index ``strings``.  Nothing here depends on a model's bucket
-    count; ``embed_eval_variants`` maps the ids to its buckets.
+    their ids are kinds of ``table`` (see ``TokenTable.slots``).  Nothing
+    here depends on a model's bucket count; ``embed_eval_variants`` maps the
+    kinds to its buckets with ``table.ids``.
     """
-    strings: tuple[str, ...]
+    table: TokenTable
     original: TokenIds
     half: TokenIds
     fully: TokenIds
@@ -102,7 +102,7 @@ def build_eval_variants(test_dataset: Dataset, eval_seed: int) -> EvalVariantSet
     first, then fully, per pair), so the same seed yields the same variants
     for every model being compared.  They are the draws of ``half_negate``
     then ``fully_negate``, a pair's negators in one ``draw_negators`` call,
-    applied to the captions' kinds, which go on to token ids at the end.
+    applied to the captions' kinds.
     """
     table = TokenTable(test_dataset.vocabulary)
     source = table.slots([caption for _, caption in test_dataset.pairs])
@@ -120,7 +120,7 @@ def build_eval_variants(test_dataset: Dataset, eval_seed: int) -> EvalVariantSet
     flat = lambda parts: np.concatenate(parts or [np.empty(0, np.intp)])
     half = negate_ids(source, flat(picked), flat(half_negators), table)
     fully = negate_ids(source, np.arange(first), flat(fully_negators), table)
-    return EvalVariantSet(tuple(table.strings), *map(table.tokens, (source, half, fully)))
+    return EvalVariantSet(table, source, half, fully)
 
 
 def _match_ranks(sim: np.ndarray, direction: str) -> np.ndarray:
@@ -170,14 +170,13 @@ def embed_eval_variants(params: ModelParams, test_dataset: Dataset,
                         variants: EvalVariantSet) -> EvalEmbeddings:
     """Embed the test audio once and each caption variant once.
 
-    The variants' token ids go to the model's bucket ids here.
+    The variants' kinds go to the model's bucket ids here.
     """
     if len(variants) != len(test_dataset.pairs):
         raise ValueError("variant set does not match the test set")
     audio, _ = encode_audio_batch(params, test_dataset.features())
     n_buckets = params.dims.hash_buckets
-    text = {v: encode_token_lists(
-                params, bucket_ids(getattr(variants, v), variants.strings, n_buckets))[0]
+    text = {v: encode_token_lists(params, variants.table.ids(getattr(variants, v), n_buckets))[0]
             for v in VARIANTS}
     return EvalEmbeddings(audio=audio, **text)
 

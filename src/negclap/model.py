@@ -17,11 +17,12 @@ import itertools
 import json
 import math
 import operator
+import os
 import string
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -291,12 +292,13 @@ class CaptionIds:
 
 @dataclass(frozen=True, eq=False)
 class TokenIds:
-    """Token ids of a sequence of captions, in CSR form.
+    """Ids of a sequence of captions, in CSR form.
 
-    ``ids`` holds the id of every token, caption after caption: its index in
-    the ``strings`` of the ``TokenTable`` that made it.  ``lens`` holds each
-    caption's token count.  ``TokenTable.slots`` uses the same form for
-    captions as kinds, one id per structured token.
+    ``ids`` holds one id per caption item, caption after caption, and
+    ``lens`` each caption's item count.  Outside ``TokenTable`` the items
+    are structured tokens and the ids their kinds (see
+    ``TokenTable.slots``); inside it, a caption's kinds also expand into
+    token ids in this form on their way to bucket ids.
     """
     ids: np.ndarray
     lens: np.ndarray
@@ -325,25 +327,24 @@ class TokenIds:
 
 
 class TokenTable:
-    """Captions over one vocabulary as token ids: the first step of indexing.
+    """Captions over one vocabulary as kinds, and kinds as bucket ids.
 
-    Each distinct token string gets a small id, its index in ``strings``,
-    when first seen.  Each kind of structured caption token (a ``Word``, or
-    a ``TagMention`` with its negator) gets a kind id when first seen, and
-    is rendered and tokenized once.  ``slots`` gives a caption's structured
-    tokens as kinds, and ``tokens`` expands kinds into token ids.  That
-    equals tokenizing the rendered caption because ``render_caption`` joins
-    the rendered tokens with a space and ``tokenize`` splits on whitespace.
-    A negation edit is therefore an edit of kinds: ``mention[t, 0]`` is the
-    kind of tag t's plain mention and ``mention[t, 1 + n]`` that of its
-    mention negated by the vocabulary's negator n, all made with the table.
-    Token ids do not depend on a bucket count; ``bucket_ids`` is the second
-    step.
+    Each kind of structured caption token (a ``Word``, or a ``TagMention``
+    with its negator) gets a kind id when first seen, and is rendered and
+    tokenized once; each distinct token string gets a token id.  ``slots``
+    gives captions' structured tokens as kinds, and ``ids`` maps kinds to
+    bucket ids for any bucket count, so token ids never leave the table.
+    Expanding a caption's kinds into their tokens equals tokenizing the
+    rendered caption because ``render_caption`` joins the rendered tokens
+    with a space and ``tokenize`` splits on whitespace.  A negation edit is
+    therefore an edit of kinds: ``mention[t, 0]`` is the kind of tag t's
+    plain mention and ``mention[t, 1 + n]`` that of its mention negated by
+    the vocabulary's negator n, all made with the table.
     """
 
     def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
-        self.strings: list[str] = []
+        self._strings: list[str] = []
         self._token_ids: dict[str, int] = {}
         # per kind (keyed by a word's text, or a mention's tag and negator):
         # its token ids, its tag id (-1 for a word), whether it is plain
@@ -359,8 +360,8 @@ class TokenTable:
     def _token_id(self, token: str) -> int:
         tid = self._token_ids.get(token)
         if tid is None:
-            tid = self._token_ids[token] = len(self.strings)
-            self.strings.append(token)
+            tid = self._token_ids[token] = len(self._strings)
+            self._strings.append(token)
         return tid
 
     def _kind(self, tok) -> int:
@@ -390,7 +391,7 @@ class TokenTable:
         """Per slot: its kind's tag id (-1 for a word), and whether it is a plain mention."""
         return np.array(self._tags, np.intp)[slots.ids], np.array(self._plain, bool)[slots.ids]
 
-    def tokens(self, slots: TokenIds) -> TokenIds:
+    def _tokens(self, slots: TokenIds) -> TokenIds:
         """The token ids of captions given as kinds: each kind's ids, in order."""
         kind_len = np.fromiter(map(len, self._pieces), np.intp, len(self._pieces))
         kind_ids = np.fromiter(itertools.chain.from_iterable(self._pieces), np.int64)
@@ -400,45 +401,31 @@ class TokenTable:
         slot_end = np.concatenate(([0], np.cumsum(slot_len)))
         return TokenIds(ids, np.diff(slot_end[np.concatenate(([0], np.cumsum(slots.lens)))]))
 
+    def ids(self, slots: TokenIds, n_buckets: int) -> CaptionIds:
+        """Bucket ids over ``n_buckets`` buckets of captions given as kinds.
 
-def bucket_ids(tokens: TokenIds, strings: Sequence[str], n_buckets: int) -> CaptionIds:
-    """Bucket ids of captions given as token ids over ``strings``: the second step of indexing.
-
-    A token's unigram bucket hashes its string; each adjacent pair's bigram
-    bucket hashes the two strings joined by a space, once per distinct pair
-    of a chunk of captions, so the temporaries of the lookup stay small.
-    """
-    unigram = np.fromiter((hash_bucket(s, n_buckets) for s in strings), _ID_DTYPE, len(strings))
-    token_at = np.concatenate(([0], np.cumsum(tokens.lens)))
-    bigram = [np.empty(0, _ID_DTYPE)]
-    for a in range(0, len(tokens), _IDS_CHUNK):
-        lens = tokens.lens[a:a + _IDS_CHUNK]
-        t = tokens.ids[token_at[a]:token_at[a + len(lens)]]
-        # token j and token j + 1 form a pair unless token j ends its caption
-        paired = np.ones(max(len(t) - 1, 0), dtype=bool)
-        ends = np.cumsum(lens) - 1
-        paired[ends[(lens > 0) & (ends < len(paired))]] = False
-        keys, inverse = np.unique(((t[:-1] << 32) | t[1:])[paired], return_inverse=True)
-        pairs = (f"{strings[key >> 32]} {strings[key & 0xFFFFFFFF]}" for key in keys.tolist())
-        buckets = np.fromiter((hash_bucket(p, n_buckets) for p in pairs), _ID_DTYPE, len(keys))
-        bigram.append(buckets[inverse])
-    return CaptionIds(unigram[tokens.ids], tokens.lens, np.concatenate(bigram),
-                      np.maximum(tokens.lens - 1, 0))
-
-
-class TokenIndex(TokenTable):
-    """A ``TokenTable`` whose captions go on to bucket ids over ``n_buckets`` buckets.
-
-    An index belongs to the one train or eval call that builds it.
-    """
-
-    def __init__(self, vocab: Vocabulary, n_buckets: int):
-        super().__init__(vocab)
-        self.n_buckets = n_buckets
-
-    def ids(self, captions: Iterable[Caption]) -> CaptionIds:
-        """The captions' bucket ids, in order: both steps of indexing."""
-        return bucket_ids(self.tokens(self.slots(list(captions))), self.strings, self.n_buckets)
+        A caption's tokens are its kinds' tokens, in order.  A token's
+        unigram bucket hashes its string; each adjacent pair's bigram bucket
+        hashes the two strings joined by a space, once per distinct pair of
+        a chunk of captions, so the temporaries of the lookup stay small.
+        """
+        tokens, strings = self._tokens(slots), self._strings
+        unigram = np.fromiter((hash_bucket(s, n_buckets) for s in strings), _ID_DTYPE, len(strings))
+        token_at = np.concatenate(([0], np.cumsum(tokens.lens)))
+        bigram = [np.empty(0, _ID_DTYPE)]
+        for a in range(0, len(tokens), _IDS_CHUNK):
+            lens = tokens.lens[a:a + _IDS_CHUNK]
+            t = tokens.ids[token_at[a]:token_at[a + len(lens)]]
+            # token j and token j + 1 form a pair unless token j ends its caption
+            paired = np.ones(max(len(t) - 1, 0), dtype=bool)
+            ends = np.cumsum(lens) - 1
+            paired[ends[(lens > 0) & (ends < len(paired))]] = False
+            keys, inverse = np.unique(((t[:-1] << 32) | t[1:])[paired], return_inverse=True)
+            pairs = (f"{strings[key >> 32]} {strings[key & 0xFFFFFFFF]}" for key in keys.tolist())
+            buckets = np.fromiter((hash_bucket(p, n_buckets) for p in pairs), _ID_DTYPE, len(keys))
+            bigram.append(buckets[inverse])
+        return CaptionIds(unigram[tokens.ids], tokens.lens, np.concatenate(bigram),
+                          np.maximum(tokens.lens - 1, 0))
 
 
 @dataclass
@@ -524,7 +511,7 @@ def _pool_rows(table: np.ndarray, ids: np.ndarray, owner: np.ndarray,
 
 def encode_token_lists(params: ModelParams,
                        ids: CaptionIds) -> tuple[np.ndarray, TextBatchCache]:
-    """Batch text forward over captions given as bucket ids (see ``TokenIndex``).
+    """Batch text forward over captions given as bucket ids (see ``TokenTable.ids``).
 
     One pooling pass over the joint table sums each caption's unigram rows
     into pooled row i and its bigram rows (offset by hash_buckets) into row
@@ -550,8 +537,8 @@ def encode_token_lists(params: ModelParams,
 
 def encode_text_batch(params: ModelParams, captions: Sequence[Caption],
                       vocab: Vocabulary) -> tuple[np.ndarray, TextBatchCache]:
-    index = TokenIndex(vocab, params.dims.hash_buckets)
-    return encode_token_lists(params, index.ids(captions))
+    table = TokenTable(vocab)
+    return encode_token_lists(params, table.ids(table.slots(captions), params.dims.hash_buckets))
 
 
 def encode_audio_batch(params: ModelParams,
@@ -724,9 +711,12 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             if meta.get("shape") != list(shape):
                 raise bad(f"{name!r} has shape {meta.get('shape')!r}, "
                           f"but the header dims give {list(shape)}")
-            count = math.prod(shape)
-            payload = f.read(count * 4)
-            if len(payload) != count * 4:
+            size = 4 * math.prod(shape)
+            # a block larger than what is left of a regular file is not read, so a
+            # huge claimed shape allocates nothing; a pipe can only be read to find out
+            left = os.fstat(f.fileno()).st_size - f.tell() if f.seekable() else size
+            payload = f.read(size) if size <= left else b""
+            if len(payload) != size:
                 raise bad(f"truncated payload for {name!r}")
             arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
             if not np.isfinite(arr).all():

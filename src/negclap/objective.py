@@ -102,7 +102,7 @@ def total_loss_through_encoders(
 ) -> tuple[LossBreakdown, ParamGrads | None]:
     """l_clap + k * l_diss of one training step, with full parameter gradients.
 
-    Captions arrive as bucket ids (see ``TokenIndex``).  The contrastive
+    Captions arrive as bucket ids (see ``TokenTable.ids``).  The contrastive
     term sees (audio_features, clap_ids); the dissimilarity term, when pairs
     are given, sees (anchor_ids, negated_ids), which lets the contrastive
     side use augmented captions while the repulsion anchors stay on the

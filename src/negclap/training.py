@@ -48,8 +48,7 @@ from .model import (
     ModelParams,
     ParamGrads,
     TokenIds,
-    TokenIndex,
-    bucket_ids,
+    TokenTable,
     encode_audio_batch,
     encode_token_lists,
     init_params,
@@ -238,30 +237,32 @@ class EpochPlan:
 
 
 def plan_epoch(slots: TokenIds, caption_ids: CaptionIds, order: np.ndarray,
-               config: TrainConfig, index: TokenIndex, rng: np.random.Generator) -> EpochPlan:
+               config: TrainConfig, table: TokenTable, n_buckets: int,
+               rng: np.random.Generator) -> EpochPlan:
     """Draw one epoch's caption edits and apply them to the captions' kinds.
 
-    ``slots`` holds the run's original captions as kinds (see
-    ``TokenTable.slots``) and ``caption_ids`` their bucket ids, both made
-    once per run.  ``order`` lists the pair index of every item, whole
-    batches in step order.  The draws come from ``rng`` in the order a step
-    makes them.  Per step, when p_aug > 0, each of the B items passes
-    through the insert augmentation (``apply_augmentation``'s draws; the
-    original caption when no insert is drawn or the vocabulary is
-    exhausted).  Then, when k > 0, the B items are fully negated, their
-    negator draws one ``draw_negators`` call.  At p_aug == 0 a step's
-    Bernoulli draws are one ``rng.random(B)``, the same stream as B scalar
-    draws, and the contrastive ids are the originals'.  The edits are
-    applied to kinds (see ``negation.insert_ids``), so no caption object is
-    built, and only the edited captions go on to token and bucket ids.
+    ``slots`` holds the run's original captions as kinds of ``table`` (see
+    ``TokenTable.slots``) and ``caption_ids`` their bucket ids over
+    ``n_buckets`` buckets, both made once per run.  ``order`` lists the
+    pair index of every item, whole batches in step order.  The draws come
+    from ``rng`` in the order a step makes them.  Per step, when p_aug > 0,
+    each of the B items passes through the insert augmentation
+    (``apply_augmentation``'s draws; the original caption when no insert is
+    drawn or the vocabulary is exhausted).  Then, when k > 0, the B items
+    are fully negated, their negator draws one ``draw_negators`` call.  At
+    p_aug == 0 a step's Bernoulli draws are one ``rng.random(B)``, the same
+    stream as B scalar draws, and the contrastive ids are the originals'.
+    The edits are applied to kinds (see ``negation.insert_ids``), so no
+    caption object is built, and only the edited captions go on to bucket
+    ids (``table.ids``).
     """
     B = config.batch_size
     originals = caption_ids.take(order)
-    n_negators = len(index.vocab.negators)
+    n_negators = len(table.vocab.negators)
     if config.p_aug > 0 or config.k > 0:  # the baseline edits no caption
         items = slots.take(order)
         n_slots = items.lens.tolist()
-        n_plain, n_unused = (counts.tolist() for counts in edit_counts(items, index))
+        n_plain, n_unused = (counts.tolist() for counts in edit_counts(items, table))
     inserts: list[tuple[int, int, int, int]] = []  # item, gap, unused tag, negator
     negators: list[np.ndarray] = []
     n_exhausted = 0
@@ -279,16 +280,13 @@ def plan_epoch(slots: TokenIds, caption_ids: CaptionIds, order: np.ndarray,
         if config.k > 0:
             negators.append(draw_negators(n_plain[start:stop], n_negators, rng))
 
-    def ids(edited: TokenIds) -> CaptionIds:
-        return bucket_ids(index.tokens(edited), index.strings, index.n_buckets)
-
     clap, negated = originals, None
     if config.p_aug > 0:
         rows, gaps, unused, negator = np.array(inserts, dtype=np.intp).reshape(-1, 4).T
-        clap = ids(insert_ids(items, rows, gaps, unused, negator, index))
+        clap = table.ids(insert_ids(items, rows, gaps, unused, negator, table), n_buckets)
     if config.k > 0:
         drawn = np.concatenate(negators or [np.empty(0, np.int64)])
-        negated = ids(negate_ids(items, np.arange(len(drawn)), drawn, index))
+        negated = table.ids(negate_ids(items, np.arange(len(drawn)), drawn, table), n_buckets)
     return EpochPlan(B, order, clap, originals if config.k > 0 else None, negated,
                      n_augmented=len(inserts), n_exhausted=n_exhausted)
 
@@ -342,18 +340,18 @@ def train(
     params = init_params(dims, spawn_seed(config.seed, _INIT_STREAM))
     optimizer = AdamOptimizer.for_params(params)
     # kinds and bucket ids of the original captions, computed once for the whole run
-    index = TokenIndex(dataset_train.vocabulary, dims.hash_buckets)
-    slots = index.slots([caption for _, caption in dataset_train.pairs])
-    caption_ids = bucket_ids(index.tokens(slots), index.strings, index.n_buckets)
-    test_caption_ids = TokenIndex(dataset_test.vocabulary, dims.hash_buckets).ids(
-        caption for _, caption in dataset_test.pairs)
+    table, test_table = TokenTable(dataset_train.vocabulary), TokenTable(dataset_test.vocabulary)
+    slots = table.slots([caption for _, caption in dataset_train.pairs])
+    caption_ids = table.ids(slots, dims.hash_buckets)
+    test_caption_ids = test_table.ids(
+        test_table.slots([caption for _, caption in dataset_test.pairs]), dims.hash_buckets)
 
     best: CheckpointRecord | None = None
     logs: list[EpochLog] = []
     for epoch in range(1, config.epochs + 1):
         order = np.concatenate(make_batches(dataset_train, config.batch_size,
                                             spawn_seed(config.seed, _SHUFFLE_STREAM, epoch)))
-        plan = plan_epoch(slots, caption_ids, order, config, index,
+        plan = plan_epoch(slots, caption_ids, order, config, table, dims.hash_buckets,
                           seeded_rng(config.seed, _EPOCH_STREAM, epoch))
         sums = np.zeros(3)
         for step, (items, clap, anchors, negated) in enumerate(plan.steps(), 1):

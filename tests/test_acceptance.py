@@ -48,7 +48,7 @@ from negclap.evaluation import (
 )
 from negclap.model import (
     ModelDims,
-    TokenIndex,
+    TokenTable,
     encode_audio_batch,
     encode_text_batch,
     init_params,
@@ -139,8 +139,9 @@ def test_criterion_01_gradient_oracle():
         captions = [c for _, c in ds.pairs]
         feats = np.stack([clip.features for clip, _ in ds.pairs])
         negated = [fully_negate(c, vocab, seeded_rng(seed, 1)) for c in captions]
-        index = TokenIndex(vocab, dims.hash_buckets)
-        ids, neg_ids = index.ids(captions), index.ids(negated)
+        table = TokenTable(vocab)
+        ids = table.ids(table.slots(captions), dims.hash_buckets)
+        neg_ids = table.ids(table.slots(negated), dims.hash_buckets)
 
         checks = {
             "clap": (

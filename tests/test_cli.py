@@ -4,9 +4,11 @@ import hashlib
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from negclap import training
@@ -323,6 +325,33 @@ class TestEval:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: checkpoint {ckpt}: {problem}")
 
+    @pytest.mark.parametrize("rows", [10**9, 10**17])
+    def test_block_larger_than_the_file_is_usage_error(self, tmp_path, capsys, rows):
+        # header and first meta line agree on a table far larger than the file
+        data, ckpt = self._trained(tmp_path)
+        head, meta, rest = ckpt.read_bytes().split(b"\n", 2)
+        header, block = json.loads(head), json.loads(meta)
+        header["hash_buckets"] = block["shape"][0] = rows
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + json.dumps(block).encode()
+                         + b"\n" + rest)
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--eval-seed", "9", "--out", str(tmp_path / "e")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {ckpt}: truncated payload for 'unigram_table'")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("label", ["a/b", "/abs", "a\0b"])
+    def test_label_naming_a_directory_is_usage_error(self, tmp_path, capsys, label):
+        # refused before the (here missing) checkpoint and data are read
+        out = tmp_path / "e"
+        code = main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                     "--data", str(tmp_path / "missing"), "--eval-seed", "9",
+                     "--label", label, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --label must not contain")
+        assert not out.exists()
+
     def test_zero_norm_embeddings_are_usage_error(self, tmp_path, capsys):
         data, ckpt = self._trained(tmp_path)
         params = load_checkpoint(ckpt)
@@ -533,3 +562,105 @@ class TestSettingsCheckedWhereTheyEnter:
         err = capsys.readouterr().err
         assert err.startswith("error: learning_rate must be finite and positive")
         assert not out.exists()
+
+
+# values a numeric flag may take besides its accepted range: zero, negative,
+# NaN, infinite, or (for an integer flag) not an integer
+EDGE_INTS = st.one_of(st.integers(-3, 0).map(str), st.sampled_from(["nan", "inf", "-inf", "0.5"]))
+EDGE_FLOATS = st.one_of(st.floats(-10, 0).map(repr), st.sampled_from(["nan", "inf", "-inf"]))
+
+
+@st.composite
+def numeric_flags(draw, ints={}, floats={}):
+    """``--name=value`` for every flag of ``ints`` and ``floats`` (name -> (lo, hi), the
+    bounds of a small accepted range); up to three of them take an edge value instead."""
+    bounds = {**ints, **floats}
+    edged = draw(st.sets(st.sampled_from(sorted(bounds)), max_size=3))
+    argv = []
+    for name, (lo, hi) in bounds.items():
+        if name in edged:
+            value = draw(EDGE_FLOATS if name in floats else EDGE_INTS)
+        else:
+            value = repr(draw(st.floats(lo, hi) if name in floats else st.integers(lo, hi)))
+        argv.append(f"--{name}={value}")
+    return argv
+
+
+class TestNumericFlags:
+    """Any mix of numeric flag values exits 0, 1 or 2, and a nonzero exit says why.
+
+    Each command runs at toy size on one small corpus.  A corpus ``gen-data``
+    writes is one ``train`` accepts, and ``sweep`` refuses a bad setting
+    before its first run (its ``train`` is a call counter here).
+    """
+    DIMS = ModelDims(d_a=4)
+
+    @pytest.fixture(scope="class")
+    def toy(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("flags")
+        assert main(["gen-data", "--n-tags", "8", "--n-clips", "60", "--n-test", "12",
+                     "--d-a", "4", "--seed", "3", "--out", str(tmp / "data")]) == 0
+        save_checkpoint(tmp / "toy.ckpt", init_params(self.DIMS, 1))
+        return tmp
+
+    @staticmethod
+    def run(*argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        assert code in (0, 1, 2), argv
+        event(f"{argv[0]} exit {code}")  # shown by --hypothesis-show-statistics
+        if code:
+            assert "error: " in err.getvalue(), argv
+        return code
+
+    @settings(max_examples=100, deadline=None)
+    @given(numeric_flags(ints={"n-tags": (4, 12), "n-clips": (20, 40), "n-test": (1, 15),
+                               "d-a": (1, 6), "tags-min": (1, 3), "tags-max": (2, 4),
+                               "seed": (0, 5)},
+                         floats={"noise-sigma": (0.0, 1.0)}))
+    def test_gen_data(self, toy, flags):
+        with tempfile.TemporaryDirectory(dir=toy) as tmp:
+            data = Path(tmp) / "data"
+            if self.run("gen-data", *flags, "--out", str(data)) == 0:
+                assert self.run("train", "--data", str(data), "--condition", "baseline",
+                                "--epochs", "1", "--batch-size", "1", "--seed", "1",
+                                "--out", str(Path(tmp) / "run")) == 0, flags
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["insert", "half", "fully"]),
+           numeric_flags(ints={"seed": (0, 5)}, floats={"p-aug": (0.0, 1.0)}))
+    def test_augment(self, toy, op, flags):
+        with tempfile.TemporaryDirectory(dir=toy) as tmp:
+            self.run("augment", "--data", str(toy / "data" / "train.jsonl"), "--op", op, *flags,
+                     "--out", str(Path(tmp) / "out.jsonl"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["baseline", "text-aug", "loss-term", "combo"]),
+           numeric_flags(ints={"epochs": (1, 2), "batch-size": (1, 16), "seed": (0, 5)},
+                         floats={"p-aug": (0.0, 1.0), "k": (0.0, 0.1), "lr": (1e-4, 0.5)}))
+    def test_train(self, toy, condition, flags):
+        with tempfile.TemporaryDirectory(dir=toy) as tmp:
+            self.run("train", "--data", str(toy / "data"), "--condition", condition, *flags,
+                     "--out", str(Path(tmp) / "run"))
+
+    @settings(max_examples=20, deadline=None)
+    @given(numeric_flags(ints={"eval-seed": (0, 2**32)}))
+    def test_eval(self, toy, flags):
+        with tempfile.TemporaryDirectory(dir=toy) as tmp:
+            self.run("eval", "--checkpoint", str(toy / "toy.ckpt"), "--data", str(toy / "data"),
+                     *flags, "--out", str(Path(tmp) / "eval"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.booleans(),
+           numeric_flags(ints={"seed": (0, 5), "eval-seed": (0, 5), "epochs": (1, 3),
+                               "batch-size": (1, 16)},
+                         floats={"lr": (1e-4, 0.5)}))
+    def test_sweep(self, toy, quick, flags):
+        calls = []
+        record = training.CheckpointRecord(1, init_params(self.DIMS, 1), 0.0)
+        with tempfile.TemporaryDirectory(dir=toy) as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(training, "train", lambda *a, **kw: calls.append(a) or (record, []))
+            code = self.run("sweep", "--data", str(toy / "data"), *flags,
+                            *(["--quick"] if quick else []), "--out", str(Path(tmp) / "sweep"))
+        assert len(calls) == (0 if code else 7 if quick else 15)

@@ -12,8 +12,10 @@ from negclap.corpus import (
     Caption,
     Dataset,
     TagMention,
+    Word,
     generate_dataset,
     generate_vocabulary,
+    render_caption,
     split_dataset,
 )
 from negclap.evaluation import (
@@ -39,8 +41,7 @@ from negclap.cli import main as cli_main
 from negclap.corpus import save_dataset
 from negclap.model import (
     ModelDims,
-    TokenIndex,
-    bucket_ids,
+    TokenTable,
     encode_audio,
     encode_audio_batch,
     encode_text,
@@ -216,24 +217,20 @@ def variant_captions(ds, eval_seed):
     return out
 
 
-def variant_token_strings(variants):
-    """Each variant's captions as lists of token strings."""
-    out = {}
-    for name in ("original", "half", "fully"):
-        tokens = getattr(variants, name)
-        ends = np.cumsum(tokens.lens)
-        out[name] = [[variants.strings[i] for i in tokens.ids[end - n:end]]
-                     for n, end in zip(tokens.lens.tolist(), ends.tolist())]
-    return out
+def variant_bucket_ids(variants, n_buckets=4096):
+    """Each variant's bucket ids, as lists per CSR field."""
+    return {name: [getattr(variants.table.ids(getattr(variants, name), n_buckets), field).tolist()
+                   for field in ("uni", "uni_len", "bi", "bi_len")]
+            for name in ("original", "half", "fully")}
 
 
 class TestBuildEvalVariants:
     def test_deterministic(self):
         _, ds = make_tiny_setup(3)
-        a = variant_token_strings(build_eval_variants(ds, eval_seed=42))
-        b = variant_token_strings(build_eval_variants(ds, eval_seed=42))
+        a = variant_bucket_ids(build_eval_variants(ds, eval_seed=42))
+        b = variant_bucket_ids(build_eval_variants(ds, eval_seed=42))
         assert a == b
-        c = variant_token_strings(build_eval_variants(ds, eval_seed=43))
+        c = variant_bucket_ids(build_eval_variants(ds, eval_seed=43))
         assert a != c
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -244,8 +241,9 @@ class TestBuildEvalVariants:
         captions = variant_captions(ds, seed)
         for n_buckets in (61, 64):
             for name in ("original", "half", "fully"):
-                got = bucket_ids(getattr(variants, name), variants.strings, n_buckets)
-                want = TokenIndex(ds.vocabulary, n_buckets).ids(captions[name])
+                got = variants.table.ids(getattr(variants, name), n_buckets)
+                table = TokenTable(ds.vocabulary)
+                want = table.ids(table.slots(captions[name]), n_buckets)
                 for field in ("uni", "uni_len", "bi", "bi_len"):
                     a, b = getattr(got, field), getattr(want, field)
                     assert a.dtype == b.dtype and a.tolist() == b.tolist(), (name, field)
@@ -266,14 +264,18 @@ class TestBuildEvalVariants:
 
         clip = AudioClip(id=0, features=clip_features, tag_ids=frozenset({0, 1, 2}))
         ds = Dataset(song_vocab, [(clip, tune_caption)], split="test")
-        target_half = "a not rock tune with guitar and without bass"
-        target_fully = "a not rock tune with no guitar and without bass"
-        seen = set()
+        target_half = Caption((Word("a"), TagMention(0, "not"), Word("tune"), Word("with"),
+                               TagMention(1), Word("and"), TagMention(2, "without")))
+        target_fully = Caption(target_half.tokens[:4] + (TagMention(1, "no"),)
+                               + target_half.tokens[5:])
+        assert render_caption(target_half, song_vocab) == \
+            "a not rock tune with guitar and without bass"
+        assert render_caption(target_fully, song_vocab) == \
+            "a not rock tune with no guitar and without bass"
         for eval_seed in range(4000):
-            variants = variant_token_strings(build_eval_variants(ds, eval_seed))
-            pair = (" ".join(variants["half"][0]), " ".join(variants["fully"][0]))
-            seen.add(pair)
-            if pair == (target_half, target_fully):
+            variants = build_eval_variants(ds, eval_seed)
+            want = variants.table.slots([target_half, target_fully]).ids.tolist()
+            if variants.half.ids.tolist() + variants.fully.ids.tolist() == want:
                 break
         else:
             pytest.fail("worked half/fully pair not produced by any scanned seed")

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -20,8 +22,7 @@ from negclap.corpus import (
 from negclap.model import (
     CaptionIds,
     ModelDims,
-    TokenIndex,
-    bucket_ids,
+    TokenTable,
     encode_audio,
     encode_audio_batch,
     encode_text,
@@ -176,7 +177,8 @@ class TestModelBackward:
         params.log_temperature[...] = np.log(5.0)
         vocab = generate_vocabulary(6, 5)
         ds = generate_dataset(vocab, 4, d_a=8, rng_seed=6)
-        ids = TokenIndex(vocab, dims.hash_buckets).ids(c for _, c in ds.pairs)
+        table = TokenTable(vocab)
+        ids = table.ids(table.slots([c for _, c in ds.pairs]), dims.hash_buckets)
         feats = np.stack([clip.features for clip, _ in ds.pairs])
 
         _, analytic = clap_loss_through_encoders(params, feats, ids)
@@ -278,7 +280,7 @@ captions = st.builds(Caption, st.lists(caption_tokens, min_size=1, max_size=8).m
 ID_DIMS = ModelDims(d_t=5, d_h=6, d=4, d_a=3, hash_buckets=61)
 
 
-class TestTokenIndex:
+class TestTokenTable:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(captions, min_size=1, max_size=6))
     @example([Caption((Word("A"), Word("rock"))), Caption((Word("..."),))])
@@ -313,16 +315,16 @@ class TestTokenIndex:
             + params.text_out_b
         emb_ref = o / np.linalg.norm(o, axis=1, keepdims=True)
 
-        # one index reused across batches
-        index = TokenIndex(ID_VOCAB, n)
+        # one table reused across batches
+        table = TokenTable(ID_VOCAB)
         lens = [len(tokens) for tokens in token_lists]
-        for ids in (index.ids(caps), index.ids(iter(caps))):
+        for ids in (table.ids(table.slots(caps), n), table.ids(table.slots(caps), n)):
             assert ids.uni.tolist() == uni_idx
             assert ids.bi.tolist() == bi_idx
             assert ids.uni_len.tolist() == lens
             assert ids.bi_len.tolist() == [max(k - 1, 0) for k in lens]
         batches = [encode_text_batch(params, caps, ID_VOCAB),
-                   encode_token_lists(params, index.ids(caps))]
+                   encode_token_lists(params, table.ids(table.slots(caps), n))]
         for emb, cache in batches:
             assert cache.ids.tolist() == uni_idx + [b + n for b in bi_idx]
             assert cache.owner.tolist() == uni_rows + [r + len(caps) for r in bi_rows]
@@ -332,13 +334,13 @@ class TestTokenIndex:
     def test_chunked_ids_equal_one_caption_at_a_time(self):
         vocab = generate_vocabulary(12, 3)
         caps = [c for _, c in generate_dataset(vocab, 2500, d_a=4, rng_seed=3).pairs]
-        index = TokenIndex(vocab, 61)
-        whole = index.ids(c for c in caps)  # a generator, consumed in several chunks
-        singles = [index.ids([c]) for c in caps]
+        table = TokenTable(vocab)
+        whole = table.ids(table.slots(caps), 61)  # looked up in several chunks
+        singles = [table.ids(table.slots([c]), 61) for c in caps]
         for field in ("uni", "uni_len", "bi", "bi_len"):
             np.testing.assert_array_equal(
                 getattr(whole, field), np.concatenate([getattr(one, field) for one in singles]))
-        empty = index.ids([])
+        empty = table.ids(table.slots([]), 61)
         assert len(empty) == 0 and empty.uni.size == empty.bi.size == 0
 
 
@@ -404,12 +406,12 @@ class TestNegationIdApply:
         edit = {"insert": negation_insert, "half": half_negate, "fully": fully_negate}[name]
         return [outcome(edit, c, vocab, rng) for c in caps]
 
-    def id_apply(self, name, index, caps, rng):
+    def id_apply(self, name, table, caps, rng):
         """Each caption's draws and the id apply of them, and the errors the draws raise."""
-        source = index.slots(caps)
-        n_negators = len(index.vocab.negators)
+        source = table.slots(caps)
+        n_negators = len(table.vocab.negators)
         n_slots = source.lens.tolist()
-        counts, n_unused = (c.tolist() for c in edit_counts(source, index))
+        counts, n_unused = (c.tolist() for c in edit_counts(source, table))
         firsts = np.cumsum([0] + counts).tolist()
 
         def draw(i):
@@ -426,12 +428,12 @@ class TestNegationIdApply:
         if name == "insert":
             rows = np.array(list(draws), dtype=np.intp)
             gaps, unused, negators = np.array(list(draws.values()), np.intp).reshape(-1, 3).T
-            ids = insert_ids(source, rows, gaps, unused, negators, index)
+            ids = insert_ids(source, rows, gaps, unused, negators, table)
         else:
             flat = lambda parts: np.concatenate([np.empty(0, np.intp), *parts])
             ids = negate_ids(source, flat(m for m, _ in draws.values()),
-                             flat(n for _, n in draws.values()), index)
-        return bucket_ids(index.tokens(ids), index.strings, index.n_buckets), errors
+                             flat(n for _, n in draws.values()), table)
+        return table.ids(ids, self.N_BUCKETS), errors
 
     @settings(max_examples=200, deadline=None)
     @given(negation_cases(), st.sampled_from(["insert", "half", "fully"]))
@@ -439,11 +441,12 @@ class TestNegationIdApply:
         vocab, caps, seed = case
         by_caption, by_ids = seeded_rng(seed), seeded_rng(seed)
         edited = self.caption_apply(name, vocab, caps, by_caption)
-        ids, errors = self.id_apply(name, TokenIndex(vocab, self.N_BUCKETS), caps, by_ids)
+        ids, errors = self.id_apply(name, TokenTable(vocab), caps, by_ids)
         assert errors == {i: e for i, e in enumerate(edited) if isinstance(e, tuple)}
         # a caption whose edit raised keeps its ids
         want = [c if isinstance(e, tuple) else e for c, e in zip(caps, edited)]
-        assert_same_ids(ids, TokenIndex(vocab, self.N_BUCKETS).ids(want), name)
+        table = TokenTable(vocab)
+        assert_same_ids(ids, table.ids(table.slots(want), self.N_BUCKETS), name)
         assert by_ids.bit_generator.state == by_caption.bit_generator.state
 
     @settings(max_examples=200, deadline=None)
@@ -464,12 +467,11 @@ class TestNegationIdApply:
                      (False, True): "loss_term", (True, True): "combo"}[(p_aug > 0, k > 0)]
         config = TrainConfig(condition=condition, seed=1, p_aug=p_aug, k=k,
                              batch_size=batch_size)
-        index = TokenIndex(vocab, self.N_BUCKETS)
+        table, n = TokenTable(vocab), self.N_BUCKETS
         by_plan, by_caption = seeded_rng(seed), seeded_rng(seed)
-        plan = outcome(plan_epoch, index.slots(caps), index.ids(caps), order, config, index,
-                       by_plan)
-        want = outcome(per_item_reference, caps, order, config, TokenIndex(vocab, self.N_BUCKETS),
-                       by_caption)
+        slots = table.slots(caps)
+        plan = outcome(plan_epoch, slots, table.ids(slots, n), order, config, table, n, by_plan)
+        want = outcome(per_item_reference, caps, order, config, TokenTable(vocab), n, by_caption)
         assert by_plan.bit_generator.state == by_caption.bit_generator.state
         if isinstance(want[0], type):
             assert plan == want
@@ -478,7 +480,8 @@ class TestNegationIdApply:
         assert_same_ids(plan.clap, clap, "clap")
         if k > 0:
             assert_same_ids(plan.negated, negated, "negated")
-            assert_same_ids(plan.anchors, index.ids([caps[i] for i in order]), "anchors")
+            assert_same_ids(plan.anchors, table.ids(table.slots([caps[i] for i in order]), n),
+                            "anchors")
         else:
             assert plan.negated is None and plan.anchors is None
 
@@ -552,6 +555,20 @@ class TestCheckpoint:
         path.write_bytes(data[: len(data) - 64])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
+
+    def test_loads_from_a_fifo(self, small_params, tmp_path):
+        # a pipe has no size to check a block against, so it is read as it comes
+        path, fifo = tmp_path / "model.ckpt", tmp_path / "pipe"
+        save_checkpoint(path, small_params)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()),
+                                  daemon=True)
+        writer.start()
+        loaded = load_checkpoint(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert loaded.tables.tobytes() == load_checkpoint(path).tables.tobytes()
+        assert loaded.dense.tobytes() == load_checkpoint(path).dense.tobytes()
 
     def _with_header(self, tmp_path, params, edit):
         """Save ``params``, then rewrite the header line through ``edit``."""

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from fd_utils import finite_difference_grads, max_gradient_violation, named_grads
 from negclap.corpus import generate_dataset, generate_vocabulary
-from negclap.model import ModelDims, TokenIndex, init_params
+from negclap.model import ModelDims, TokenTable, init_params
 from negclap.negation import fully_negate
 from negclap.objective import (
     clap_loss,
@@ -41,8 +41,9 @@ def chain_setup(seed):
     feats = np.stack([clip.features for clip, _ in ds.pairs])
     rng = seeded_rng(seed, 42)
     negated = [fully_negate(c, vocab, rng) for c in captions]
-    index = TokenIndex(vocab, dims.hash_buckets)
-    return params, feats, index.ids(captions), index.ids(negated)
+    table = TokenTable(vocab)
+    return (params, feats, table.ids(table.slots(captions), dims.hash_buckets),
+            table.ids(table.slots(negated), dims.hash_buckets))
 
 
 unit_batches = st.integers(1, 6).flatmap(

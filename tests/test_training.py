@@ -112,15 +112,15 @@ class TestTrainStep:
     def _step(self, condition, size=8, train_ds=None, **config):
         """Plan one step of ``condition`` on the first ``size`` pairs of ``train_ds``
         (by default the tiny train split) and run it; returns the breakdown and the plan."""
-        from negclap.model import TokenIndex, init_params
+        from negclap.model import TokenTable, init_params
 
         if train_ds is None:
             train_ds, _ = tiny_splits()
-        captions = [c for _, c in train_ds.pairs[:size]]
-        index = TokenIndex(train_ds.vocabulary, TINY_DIMS.hash_buckets)
+        table, n_buckets = TokenTable(train_ds.vocabulary), TINY_DIMS.hash_buckets
+        slots = table.slots([c for _, c in train_ds.pairs[:size]])
         config = TrainConfig(condition=condition, seed=1, batch_size=8, epochs=1, **config)
-        plan = plan_epoch(index.slots(captions), index.ids(captions), np.arange(size), config,
-                          index, seeded_rng(0))
+        plan = plan_epoch(slots, table.ids(slots, n_buckets), np.arange(size), config,
+                          table, n_buckets, seeded_rng(0))
         params = init_params(TINY_DIMS, 3)
         # (size, d_a) even at size 0, so an empty batch reaches train_step
         features = np.array([clip.features for clip, _ in train_ds.pairs[:size]],
@@ -161,11 +161,9 @@ class TestTrainStep:
         assert breakdown.l_clap == self._step("baseline", train_ds=train_ds)[0].l_clap
 
 
-def per_item_reference(captions, order, config, index, rng):
+def per_item_reference(captions, order, config, table, n_buckets, rng):
     """Each step's contrastive and negated captions' ids, drawn caption by caption."""
-    from negclap.model import CaptionIds
-
-    vocab = index.vocab
+    vocab = table.vocab
     clap, negated = [], []
     B = config.batch_size
     for start in range(0, len(order), B):
@@ -177,7 +175,8 @@ def per_item_reference(captions, order, config, index, rng):
                 clap.append(caption)
         if config.k > 0:
             negated += [fully_negate(caption, vocab, rng) for caption in batch]
-    return index.ids(clap), index.ids(negated) if negated else None
+    return (table.ids(table.slots(clap), n_buckets),
+            table.ids(table.slots(negated), n_buckets) if negated else None)
 
 
 class TestEpochPlan:
@@ -185,18 +184,21 @@ class TestEpochPlan:
         ("baseline", {}), ("loss_term", {"k": 1e-2}), ("text_aug", {"p_aug": 0.6}),
         ("combo", {"p_aug": 0.6, "k": 1e-2})])
     def test_matches_per_item_draws(self, condition, hyper):
-        from negclap.model import TokenIndex
+        from negclap.model import TokenTable
 
         train_ds, _ = tiny_splits(n=140, n_test=20)
         captions = [c for _, c in train_ds.pairs]
         config = TrainConfig(condition=condition, seed=1, batch_size=8, **hyper)
         order = np.concatenate(make_batches(train_ds, 8, epoch_seed=4))
-        index = TokenIndex(train_ds.vocabulary, TINY_DIMS.hash_buckets)
-        plan = plan_epoch(index.slots(captions), index.ids(captions), order, config, index,
+        table, n_buckets = TokenTable(train_ds.vocabulary), TINY_DIMS.hash_buckets
+        slots = table.slots(captions)
+        plan = plan_epoch(slots, table.ids(slots, n_buckets), order, config, table, n_buckets,
                           seeded_rng(3))
-        clap, negated = per_item_reference(captions, order, config, index, seeded_rng(3))
+        clap, negated = per_item_reference(captions, order, config, table, n_buckets,
+                                           seeded_rng(3))
         expected = {"clap": clap, "negated": negated,
-                    "anchors": index.ids(captions[i] for i in order) if negated else None}
+                    "anchors": table.ids(table.slots([captions[i] for i in order]), n_buckets)
+                    if negated else None}
         for name, want in expected.items():
             got = getattr(plan, name)
             if want is None:
