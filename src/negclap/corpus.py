@@ -231,7 +231,8 @@ def generate_dataset(
     ``tags_per_clip`` range), its features are the normalized sum of the
     tags' latent directions plus iid Gaussian noise, and its caption is a
     template over the same tags (templates cycled by clip index).  Raises
-    ``ValueError`` naming the first clip whose features are all zero.
+    ``ValueError`` naming the first clip whose features' squared norm is
+    below the smallest normal float64, all-zero features included.
     """
     lo, hi = tags_per_clip
     if lo > hi or lo < 1:
@@ -266,11 +267,14 @@ def generate_dataset(
     # per-clip draws in clip order.
     noise = seeded_rng(rng_seed, _NOISE_STREAM).normal(size=(n_clips, d_a))
     features = bases + noise_sigma * noise
-    # a zero clip has no direction, so an audio embedding of it is undefined
-    zero = ~features.any(axis=1)
-    if zero.any():
-        raise ValueError(f"clip {int(np.argmax(zero))} has features that are all zero: "
-                         "its tags' latent directions cancel and noise_sigma adds nothing")
+    # a clip whose squared norm is below the smallest normal float64 has no
+    # direction an audio embedding can normalize: the zero-bias tower maps it
+    # to an output whose squared norm underflows to zero
+    weak = np.einsum("ij,ij->i", features, features) < np.finfo(np.float64).tiny
+    if weak.any():
+        raise ValueError(f"clip {int(np.argmax(weak))} has features too close to zero to "
+                         "normalize: its tags' latent directions cancel and noise_sigma "
+                         "adds (almost) nothing")
 
     mentions = [TagMention(t) for t in range(n_vocab)]
     pairs = [

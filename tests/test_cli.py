@@ -507,7 +507,7 @@ class TestSweep:
 # (given as --flag=value, so that argparse takes "-inf" as a value)
 BAD_GEN_DATA = [([f"--noise-sigma={v}"], "noise_sigma") for v in ("nan", "inf", "-inf", "-0.1")] + [
     (["--d-a=0"], "d_a"), (["--d-a=-3"], "d_a"), (["--d-a=nan"], "--d-a"),
-    (["--d-a=1", "--noise-sigma=0"], "clip 1")]
+    (["--d-a=1", "--noise-sigma=0"], "clip 1"), (["--d-a=1", "--noise-sigma=1e-200"], "clip 1")]
 BAD_LR = ["nan", "inf", "-inf", "0", "-0.01"]
 BAD_TRAIN = [(["--condition", "baseline", f"--lr={v}"], "learning_rate") for v in BAD_LR] + [
     (["--condition", "loss-term", f"--k={v}"], "k must be finite")
@@ -571,17 +571,17 @@ EDGE_FLOATS = st.one_of(st.floats(-10, 0).map(repr), st.sampled_from(["nan", "in
 
 
 @st.composite
-def numeric_flags(draw, ints={}, floats={}):
-    """``--name=value`` for every flag of ``ints`` and ``floats`` (name -> (lo, hi), the
-    bounds of a small accepted range); up to three of them take an edge value instead."""
-    bounds = {**ints, **floats}
+def numeric_flags(draw, bounds):
+    """``--name=value`` for every flag of ``bounds`` (name -> (lo, hi), a small accepted
+    range; float bounds make a float flag); up to three take an edge value instead."""
     edged = draw(st.sets(st.sampled_from(sorted(bounds)), max_size=3))
     argv = []
     for name, (lo, hi) in bounds.items():
+        real = isinstance(lo, float)
         if name in edged:
-            value = draw(EDGE_FLOATS if name in floats else EDGE_INTS)
+            value = draw(EDGE_FLOATS if real else EDGE_INTS)
         else:
-            value = repr(draw(st.floats(lo, hi) if name in floats else st.integers(lo, hi)))
+            value = repr(draw(st.floats(lo, hi) if real else st.integers(lo, hi)))
         argv.append(f"--{name}={value}")
     return argv
 
@@ -615,10 +615,9 @@ class TestNumericFlags:
         return code
 
     @settings(max_examples=100, deadline=None)
-    @given(numeric_flags(ints={"n-tags": (4, 12), "n-clips": (20, 40), "n-test": (1, 15),
-                               "d-a": (1, 6), "tags-min": (1, 3), "tags-max": (2, 4),
-                               "seed": (0, 5)},
-                         floats={"noise-sigma": (0.0, 1.0)}))
+    @given(numeric_flags({"n-tags": (4, 12), "n-clips": (20, 40), "n-test": (1, 15),
+                          "d-a": (1, 6), "noise-sigma": (0.0, 1.0), "tags-min": (1, 3),
+                          "tags-max": (2, 4), "seed": (0, 5)}))
     def test_gen_data(self, toy, flags):
         with tempfile.TemporaryDirectory(dir=toy) as tmp:
             data = Path(tmp) / "data"
@@ -629,7 +628,7 @@ class TestNumericFlags:
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(["insert", "half", "fully"]),
-           numeric_flags(ints={"seed": (0, 5)}, floats={"p-aug": (0.0, 1.0)}))
+           numeric_flags({"seed": (0, 5), "p-aug": (0.0, 1.0)}))
     def test_augment(self, toy, op, flags):
         with tempfile.TemporaryDirectory(dir=toy) as tmp:
             self.run("augment", "--data", str(toy / "data" / "train.jsonl"), "--op", op, *flags,
@@ -637,15 +636,15 @@ class TestNumericFlags:
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(["baseline", "text-aug", "loss-term", "combo"]),
-           numeric_flags(ints={"epochs": (1, 2), "batch-size": (1, 16), "seed": (0, 5)},
-                         floats={"p-aug": (0.0, 1.0), "k": (0.0, 0.1), "lr": (1e-4, 0.5)}))
+           numeric_flags({"epochs": (1, 2), "batch-size": (1, 16), "seed": (0, 5),
+                          "p-aug": (0.0, 1.0), "k": (0.0, 0.1), "lr": (1e-4, 0.5)}))
     def test_train(self, toy, condition, flags):
         with tempfile.TemporaryDirectory(dir=toy) as tmp:
             self.run("train", "--data", str(toy / "data"), "--condition", condition, *flags,
                      "--out", str(Path(tmp) / "run"))
 
     @settings(max_examples=20, deadline=None)
-    @given(numeric_flags(ints={"eval-seed": (0, 2**32)}))
+    @given(numeric_flags({"eval-seed": (0, 2**32)}))
     def test_eval(self, toy, flags):
         with tempfile.TemporaryDirectory(dir=toy) as tmp:
             self.run("eval", "--checkpoint", str(toy / "toy.ckpt"), "--data", str(toy / "data"),
@@ -653,9 +652,8 @@ class TestNumericFlags:
 
     @settings(max_examples=40, deadline=None)
     @given(st.booleans(),
-           numeric_flags(ints={"seed": (0, 5), "eval-seed": (0, 5), "epochs": (1, 3),
-                               "batch-size": (1, 16)},
-                         floats={"lr": (1e-4, 0.5)}))
+           numeric_flags({"seed": (0, 5), "eval-seed": (0, 5), "epochs": (1, 3),
+                          "batch-size": (1, 16), "lr": (1e-4, 0.5)}))
     def test_sweep(self, toy, quick, flags):
         calls = []
         record = training.CheckpointRecord(1, init_params(self.DIMS, 1), 0.0)
