@@ -662,8 +662,9 @@ def load_checkpoint(path: str | Path) -> ModelParams:
 
     The header must hold the format marker, the version as a JSON integer,
     positive integer dims and hash_buckets and an integer seed; every block
-    must have the shape those dims give and hold finite values.  Any
-    violation, a line nested too deep for the JSON decoder included, raises
+    must have the shape those dims give, fit in what is left of the file
+    (checked before it is read), and hold finite values.  Any violation, a
+    line nested too deep for the JSON decoder included, raises
     ``ValueError`` naming the file and the field.
     """
     def bad(message: str) -> ValueError:
