@@ -4,7 +4,8 @@
 Runs, in a temporary directory and against the package in this checkout:
 
     negclap gen-data --seed 42                       (desk corpus, 5000/512)
-    negclap train baseline and combo (--p-aug 0.6 --k 1e-2), 2 epochs, --seed 1
+    negclap train baseline, loss-term (--k 1e-2) and combo (--p-aug 0.6
+                 --k 1e-2), 2 epochs, --seed 1
     negclap eval --eval-seed 777                     (each checkpoint)
     negclap sweep --quick --seed 1 --eval-seed 777
 
@@ -32,6 +33,7 @@ from negclap.cli import main as cli  # noqa: E402
 
 RUNS = (
     ("baseline", []),
+    ("loss-term", ["--k", "1e-2"]),
     ("combo", ["--p-aug", "0.6", "--k", "1e-2"]),
 )
 
