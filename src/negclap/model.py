@@ -178,10 +178,6 @@ class RowGrad:
     rows: np.ndarray
     values: np.ndarray
 
-    @classmethod
-    def empty(cls, d_t: int) -> "RowGrad":
-        return cls(np.empty(0, np.intp), np.empty((0, d_t)))
-
 
 class ParamGrads(_DenseViews):
     """Gradients of every parameter, laid out like ``ModelParams``.
@@ -198,7 +194,8 @@ class ParamGrads(_DenseViews):
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "ParamGrads":
         """Zero dense gradients and a table with no rows hit."""
-        return cls(params.dims, RowGrad.empty(params.dims.d_t), np.zeros_like(params.dense))
+        return cls(params.dims, RowGrad(np.empty(0, np.intp), np.empty((0, params.dims.d_t))),
+                   np.zeros_like(params.dense))
 
 
 def init_params(dims: ModelDims, seed: int,
@@ -288,6 +285,12 @@ class CaptionIds:
             b = min(a + size, len(self))
             yield CaptionIds(self.uni[uni_at[a]:uni_at[b]], self.uni_len[a:b],
                              self.bi[bi_at[a]:bi_at[b]], self.bi_len[a:b])
+
+    @staticmethod
+    def concat(parts: Sequence["CaptionIds"]) -> "CaptionIds":
+        """The captions of ``parts``, one part after another."""
+        return CaptionIds(*(np.concatenate([getattr(p, f) for p in parts])
+                            for f in ("uni", "uni_len", "bi", "bi_len")))
 
 
 @dataclass(frozen=True, eq=False)
@@ -582,46 +585,33 @@ def _upstream(cache, d_emb) -> np.ndarray:
 
 def model_backward(
     params: ModelParams,
-    text_passes: Sequence[tuple[TextBatchCache, np.ndarray]] = (),
-    audio_passes: Sequence[tuple[AudioBatchCache, np.ndarray]] = (),
+    text: tuple[TextBatchCache, np.ndarray] | None = None,
+    audio: tuple[AudioBatchCache, np.ndarray] | None = None,
 ) -> ParamGrads:
-    """Exact parameter gradients for any number of forward passes.
+    """Exact parameter gradients for at most one forward pass per tower.
 
     Each pass pairs a forward cache with the upstream gradient on its
-    embeddings.  Accumulation order is fixed (text passes in order, then
-    audio passes) for bitwise reproducibility.  Dense gradients accumulate
-    into one zeroed flat vector; the table's gradient comes back row-sparse
-    (see ``RowGrad``), each row summed in pass then token order.
-    log_temperature is not on any encoder path and keeps a zero entry here.
+    embeddings.  Dense gradients are written into one zeroed flat vector;
+    the table's gradient comes back row-sparse (see ``RowGrad``), each row
+    summed in token order: every caption's unigrams, then every caption's
+    bigrams.  log_temperature is not on any encoder path and keeps a zero
+    entry here.
     """
     grads = ParamGrads.zeros_like(params)
-    ids, values = [], []
-    for cache, d_emb in text_passes:
-        d_pre, d_w1, d_b1, d_w2, d_b2 = _mlp_backward(
-            cache.x, cache.h, cache.norms, cache.emb, _upstream(cache, d_emb),
-            params.text_out_w,
-        )
-        grads.text_hidden_w += d_w1
-        grads.text_hidden_b += d_b1
-        grads.text_out_w += d_w2
-        grads.text_out_b += d_b2
+    if text is not None:
+        cache, d_emb = text
+        d_pre, *d_dense = _mlp_backward(cache.x, cache.h, cache.norms, cache.emb,
+                                        _upstream(cache, d_emb), params.text_out_w)
+        grads.text_hidden_w, grads.text_hidden_b, grads.text_out_w, grads.text_out_b = d_dense
         d_x = d_pre @ params.text_hidden_w.T
-        B = len(d_x)
-        d_pooled = (d_x / cache.counts.reshape(2, B, 1)).reshape(2 * B, -1)
-        ids.append(cache.ids)
-        values.append(d_pooled[cache.owner])
-    if text_passes:
-        rows, inverse = np.unique(np.concatenate(ids), return_inverse=True)
-        grads.table = RowGrad(rows, _scatter_rows(inverse, np.concatenate(values), len(rows)))
-    for cache, d_emb in audio_passes:
-        _, d_w1, d_b1, d_w2, d_b2 = _mlp_backward(
-            cache.feats, cache.h, cache.norms, cache.emb, _upstream(cache, d_emb),
-            params.audio_out_w,
-        )
-        grads.audio_hidden_w += d_w1
-        grads.audio_hidden_b += d_b1
-        grads.audio_out_w += d_w2
-        grads.audio_out_b += d_b2
+        d_pooled = (d_x / cache.counts.reshape(2, -1, 1)).reshape(len(cache.counts), -1)
+        rows, inverse = np.unique(cache.ids, return_inverse=True)
+        grads.table = RowGrad(rows, _scatter_rows(inverse, d_pooled[cache.owner], len(rows)))
+    if audio is not None:
+        cache, d_emb = audio
+        _, *d_dense = _mlp_backward(cache.feats, cache.h, cache.norms, cache.emb,
+                                    _upstream(cache, d_emb), params.audio_out_w)
+        grads.audio_hidden_w, grads.audio_hidden_b, grads.audio_out_w, grads.audio_out_b = d_dense
     return grads
 
 

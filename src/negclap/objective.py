@@ -9,9 +9,10 @@ of every pair (no stop-gradient anywhere).
 
 ``clap_loss`` and ``dissimilarity_loss`` work on (unit-norm) embedding
 matrices and return their gradients with respect to them.
-``total_loss_through_encoders`` is the one chain from captions, given as
-bucket ids, and audio features to full parameter gradients: it encodes,
-calls both losses, weights the dissimilarity gradients by ``k`` and runs
+``total_loss_through_encoders`` is the one chain from a step's captions,
+given as one block of bucket ids, and audio features to full parameter
+gradients: it encodes the captions once, calls both losses on slices of
+the embeddings, weights the dissimilarity gradients by ``k`` and runs
 ``model_backward`` once.  The two ``*_through_encoders`` wrappers evaluate
 one term each through that chain, for the gradient oracle.  Everything
 accumulates in float64.
@@ -39,13 +40,11 @@ class LossBreakdown:
     l_total: float
 
 
-def _check_batch(*embs: np.ndarray) -> int:
-    first = embs[0]
+def _check_batch(first: np.ndarray, second: np.ndarray) -> int:
     if first.ndim != 2 or first.shape[0] == 0:
         raise ValueError(f"expected a nonempty (B, d) embedding matrix, got {first.shape}")
-    for e in embs[1:]:
-        if e.shape != first.shape:
-            raise ValueError(f"embedding shapes differ: {e.shape} vs {first.shape}")
+    if second.shape != first.shape:
+        raise ValueError(f"embedding shapes differ: {second.shape} vs {first.shape}")
     return first.shape[0]
 
 
@@ -94,44 +93,42 @@ def dissimilarity_loss(caption_embs: np.ndarray,
 
 
 def total_loss_through_encoders(
-    params: ModelParams, audio_features: np.ndarray | None,
-    clap_ids: CaptionIds | None, *, k: float,
-    anchor_ids: CaptionIds | None = None,
-    negated_ids: CaptionIds | None = None,
-    with_grads: bool = True,
+    params: ModelParams, audio_features: np.ndarray | None, text_ids: CaptionIds, *,
+    k: float, with_grads: bool = True,
 ) -> tuple[LossBreakdown, ParamGrads | None]:
     """l_clap + k * l_diss of one training step, with full parameter gradients.
 
-    Captions arrive as bucket ids (see ``TokenTable.ids``).  The contrastive
-    term sees (audio_features, clap_ids); the dissimilarity term, when pairs
-    are given, sees (anchor_ids, negated_ids), which lets the contrastive
-    side use augmented captions while the repulsion anchors stay on the
-    originals.  A term whose inputs are None is left out and reported as 0.
+    ``text_ids`` holds the step's captions as bucket ids (see
+    ``TokenTable.ids``): the ``len(audio_features)`` contrastive captions
+    (none when ``audio_features`` is None), then the dissimilarity anchors,
+    then their negated counterparts, two halves of equal length.  So the
+    contrastive side may see augmented captions while the anchors stay on
+    the originals.  One text pass encodes them all; a term without captions
+    is left out and reported as 0.
     """
     if k < 0:
         raise ValueError(f"term weight k must be nonnegative, got {k}")
-    if (audio_features is None) != (clap_ids is None):
-        raise ValueError("audio features and contrastive captions must be supplied together")
-    if (anchor_ids is None) != (negated_ids is None):
-        raise ValueError("anchor and negated captions must be supplied together")
-    text_passes, audio_passes = [], []
+    n_clap = 0 if audio_features is None else len(audio_features)
+    n_pairs, odd = divmod(len(text_ids) - n_clap, 2)
+    if n_pairs < 0 or odd:
+        raise ValueError(f"expected {n_clap} contrastive captions, then anchors and negated "
+                         f"captions in two halves of equal length; got {len(text_ids)} captions")
+    text_embs, text_cache = encode_token_lists(params, text_ids)
+    d_text = np.zeros_like(text_embs)
     l_clap = l_diss = d_log_temperature = 0.0
-    if clap_ids is not None:
+    audio = None
+    if audio_features is not None:
         audio_embs, audio_cache = encode_audio_batch(params, audio_features)
-        text_embs, text_cache = encode_token_lists(params, clap_ids)
-        l_clap, d_audio, d_text, d_log_temperature = clap_loss(
-            audio_embs, text_embs, float(params.log_temperature))
-        text_passes.append((text_cache, d_text))
-        audio_passes.append((audio_cache, d_audio))
-    if anchor_ids is not None:
-        anchor_embs, anchor_cache = encode_token_lists(params, anchor_ids)
-        negated_embs, negated_cache = encode_token_lists(params, negated_ids)
-        l_diss, d_anchor, d_negated = dissimilarity_loss(anchor_embs, negated_embs)
-        text_passes += [(anchor_cache, k * d_anchor), (negated_cache, k * d_negated)]
+        l_clap, d_audio, d_text[:n_clap], d_log_temperature = clap_loss(
+            audio_embs, text_embs[:n_clap], float(params.log_temperature))
+        audio = (audio_cache, d_audio)
+    if n_pairs:
+        l_diss, *d_pairs = dissimilarity_loss(*np.split(text_embs[n_clap:], 2))
+        d_text[n_clap:] = k * np.concatenate(d_pairs)
     breakdown = LossBreakdown(l_clap=l_clap, l_diss=l_diss, l_total=l_clap + k * l_diss)
     if not with_grads:
         return breakdown, None
-    grads = model_backward(params, text_passes, audio_passes)
+    grads = model_backward(params, (text_cache, d_text), audio)
     grads.log_temperature += d_log_temperature
     return breakdown, grads
 
@@ -151,7 +148,9 @@ def dissimilarity_through_encoders(
     negated_ids: CaptionIds, with_grads: bool = True,
 ) -> tuple[float, ParamGrads | None]:
     """Dissimilarity loss of paired caption batches alone, with full parameter gradients."""
+    if len(anchor_ids) != len(negated_ids):
+        raise ValueError(f"{len(anchor_ids)} anchors but {len(negated_ids)} negated captions")
     breakdown, grads = total_loss_through_encoders(
-        params, None, None, k=1.0, anchor_ids=anchor_ids, negated_ids=negated_ids,
+        params, None, CaptionIds.concat([anchor_ids, negated_ids]), k=1.0,
         with_grads=with_grads)
     return breakdown.l_diss, grads

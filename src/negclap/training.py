@@ -17,7 +17,6 @@ bitwise deterministic given the config.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -225,15 +224,14 @@ class EpochPlan:
     n_augmented: int
     n_exhausted: int
 
-    def steps(self) -> Iterator[tuple[slice, CaptionIds, CaptionIds | None, CaptionIds | None]]:
-        """Each step's item slice and id batches, the latter as views."""
+    def steps(self) -> Iterator[tuple[slice, CaptionIds]]:
+        """Each step's item slice and captions: its B contrastive ones, then with
+        k > 0 its B anchors and their B negated counterparts, as one ``CaptionIds``."""
         B = self.batch_size
-        nothing = itertools.repeat(None)
-        anchors = nothing if self.anchors is None else self.anchors.batches(B)
-        negated = nothing if self.negated is None else self.negated.batches(B)
-        for start, clap, anchor, negated_ids in zip(range(0, len(self.order), B),
-                                                    self.clap.batches(B), anchors, negated):
-            yield slice(start, start + B), clap, anchor, negated_ids
+        blocks = [self.clap] if self.anchors is None else [self.clap, self.anchors, self.negated]
+        for start, parts in zip(range(0, len(self.order), B),
+                                zip(*(block.batches(B) for block in blocks))):
+            yield slice(start, start + B), CaptionIds.concat(parts)
 
 
 def plan_epoch(slots: TokenIds, caption_ids: CaptionIds, order: np.ndarray,
@@ -291,20 +289,14 @@ def plan_epoch(slots: TokenIds, caption_ids: CaptionIds, order: np.ndarray,
                      n_augmented=len(inserts), n_exhausted=n_exhausted)
 
 
-def train_step(params: ModelParams, features: np.ndarray, clap_ids: CaptionIds,
-               config: TrainConfig, optimizer: AdamOptimizer,
-               anchor_ids: CaptionIds | None = None,
-               negated_ids: CaptionIds | None = None) -> LossBreakdown:
+def train_step(params: ModelParams, features: np.ndarray, text_ids: CaptionIds,
+               config: TrainConfig, optimizer: AdamOptimizer) -> LossBreakdown:
     """One optimizer update on one planned batch; params update in place.
 
-    ``features`` are the batch's clip features and ``clap_ids`` the ids of
-    the captions its contrastive term sees; with k > 0 the dissimilarity
-    term repels ``anchor_ids`` from ``negated_ids`` (see ``EpochPlan``).
+    ``features`` are the batch's clip features and ``text_ids`` the step's
+    captions in the layout ``EpochPlan.steps`` yields them.
     """
-    breakdown, grads = total_loss_through_encoders(
-        params, features, clap_ids, k=config.k,
-        anchor_ids=anchor_ids, negated_ids=negated_ids,
-    )
+    breakdown, grads = total_loss_through_encoders(params, features, text_ids, k=config.k)
     optimizer.step(params, grads, config.learning_rate)
     return breakdown
 
@@ -354,10 +346,10 @@ def train(
         plan = plan_epoch(slots, caption_ids, order, config, table, dims.hash_buckets,
                           seeded_rng(config.seed, _EPOCH_STREAM, epoch))
         sums = np.zeros(3)
-        for step, (items, clap, anchors, negated) in enumerate(plan.steps(), 1):
+        for step, (items, text_ids) in enumerate(plan.steps(), 1):
             try:
-                breakdown = train_step(params, features[order[items]], clap, config,
-                                       optimizer, anchors, negated)
+                breakdown = train_step(params, features[order[items]], text_ids, config,
+                                       optimizer)
                 if not math.isfinite(breakdown.l_total):
                     raise FloatingPointError(f"l_total is {breakdown.l_total}")
             except FloatingPointError as e:

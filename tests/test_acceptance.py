@@ -47,6 +47,7 @@ from negclap.evaluation import (
     triplet_protocol,
 )
 from negclap.model import (
+    CaptionIds,
     ModelDims,
     TokenTable,
     encode_audio_batch,
@@ -142,6 +143,8 @@ def test_criterion_01_gradient_oracle():
         table = TokenTable(vocab)
         ids = table.ids(table.slots(captions), dims.hash_buckets)
         neg_ids = table.ids(table.slots(negated), dims.hash_buckets)
+        # a training step's layout: contrastive captions, anchors, negated captions
+        step_ids = CaptionIds.concat([ids, ids, neg_ids])
 
         checks = {
             "clap": (
@@ -153,11 +156,9 @@ def test_criterion_01_gradient_oracle():
                 lambda p: dissimilarity_through_encoders(p, ids, neg_ids, with_grads=False)[0],
             ),
             "total": (
-                total_loss_through_encoders(params, feats, ids, k=1e-2,
-                                            anchor_ids=ids, negated_ids=neg_ids)[1],
+                total_loss_through_encoders(params, feats, step_ids, k=1e-2)[1],
                 lambda p: total_loss_through_encoders(
-                    p, feats, ids, k=1e-2, anchor_ids=ids, negated_ids=neg_ids,
-                    with_grads=False)[0].l_total,
+                    p, feats, step_ids, k=1e-2, with_grads=False)[0].l_total,
             ),
         }
         for name, (analytic, loss_fn) in checks.items():

@@ -110,7 +110,7 @@ TOY_CHAIN_DIGESTS = {
     "combo/eval/report.csv":
         "9ff9b69f38d3821e34a3e3ceaaeffa89cf23f3746ce14dc96eb5988a055478bf",
     "combo/train_log.csv":
-        "3974c8d86f885a67bd47db57c1268e0688b6e4f5a7ba4a4abcea5e0ff0d44600",
+        "f1a1609fd8a2d71225f028a5d2dff1a8f76772f0a214d7b6073d434cb4073b23",
     "data/test.jsonl":
         "efec263c72ae8fbe953d05daa8b33a77283bf232d9ab0d74e284e4a79f94e0fc",
     "data/train.jsonl":
@@ -124,7 +124,7 @@ TOY_CHAIN_DIGESTS = {
     "loss-term/eval/report.csv":
         "e0ccf0ea9debd7d7108942709d3d4ac8de7728ff023762553176c851abb682a3",
     "loss-term/train_log.csv":
-        "f2adf7ffccdcad030317b3b488acc3f387b4bb9836305c622f8889197295dc47",
+        "441b7f0cb5e65f902860311e109d8126c83da7218d9b7c0cce050599ed50a79b",
     "sweep/fig_retrieval_baseline.csv":
         "b73ac12ec6bfd8fcb34ba8ced6a0885f5a01c7ddea5a0314567993b0e77275f6",
     "sweep/fig_retrieval_combo_p0.6_k0.001.csv":

@@ -159,8 +159,8 @@ class TestModelBackward:
         feats = np.stack([clip.features for clip, _ in ds.pairs])
         t_emb, t_cache = encode_text_batch(small_params, captions, vocab)
         a_emb, a_cache = encode_audio_batch(small_params, feats)
-        grads = model_backward(small_params, [(t_cache, np.zeros_like(t_emb))],
-                               [(a_cache, np.zeros_like(a_emb))])
+        grads = model_backward(small_params, (t_cache, np.zeros_like(t_emb)),
+                               (a_cache, np.zeros_like(a_emb)))
         assert len(grads.table.rows) and not grads.table.values.any()
         assert not grads.dense.any()
 
@@ -169,7 +169,7 @@ class TestModelBackward:
         ds = generate_dataset(vocab, 4, d_a=small_params.dims.d_a, rng_seed=4)
         _, cache = encode_text_batch(small_params, [c for _, c in ds.pairs], vocab)
         with pytest.raises(ValueError):
-            model_backward(small_params, [(cache, np.zeros((2, 2)))], [])
+            model_backward(small_params, (cache, np.zeros((2, 2))))
 
     def test_matches_finite_differences_through_both_encoders(self):
         dims = ModelDims(d_t=8, d_h=8, d=8, d_a=8, hash_buckets=32)
@@ -212,42 +212,60 @@ def pooled_with_add_at(params, ids):
     return x
 
 
-def table_grads_with_add_at(params, passes):
+def table_grads_with_add_at(params, ids, cache, d_emb):
     """Dense gradients of both table halves, accumulated with np.add.at (reference)."""
     dense = {n: np.zeros_like(getattr(params, n)) for n in ("unigram_table", "bigram_table")}
-    for ids, cache, d_emb in passes:
-        d_pre = _mlp_backward(cache.x, cache.h, cache.norms, cache.emb, d_emb,
-                              params.text_out_w)[0]
-        d_x = d_pre @ params.text_hidden_w.T
-        np.add.at(dense["unigram_table"], ids.uni,
-                  (d_x / ids.uni_len[:, None])[owners(ids.uni_len)])
-        np.add.at(dense["bigram_table"], ids.bi,
-                  (d_x / np.maximum(ids.bi_len, 1)[:, None])[owners(ids.bi_len)])
+    d_pre = _mlp_backward(cache.x, cache.h, cache.norms, cache.emb, d_emb, params.text_out_w)[0]
+    d_x = d_pre @ params.text_hidden_w.T
+    np.add.at(dense["unigram_table"], ids.uni, (d_x / ids.uni_len[:, None])[owners(ids.uni_len)])
+    np.add.at(dense["bigram_table"], ids.bi,
+              (d_x / np.maximum(ids.bi_len, 1)[:, None])[owners(ids.bi_len)])
     return dense
 
 
 class TestRowSparseScatter:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(text_pass, min_size=1, max_size=3), st.integers(0, 2**32 - 1))
-    @example([[["rock"], ["tune"]], [["a", "rock", "a", "rock"]]], 0)  # bigram-free pass
-    def test_matches_add_at_bit_for_bit(self, passes_tokens, seed):
+    @example([[["rock"], ["tune"]]], 0)  # a bigram-free pass
+    @example([[["rock"], ["tune"]], [["a", "rock", "a", "rock"]]], 0)  # a bigram-free block
+    def test_matches_add_at_bit_for_bit(self, blocks_tokens, seed):
         params = init_params(SCATTER_DIMS, seed=3)
-        rng = np.random.default_rng(seed)
         n = SCATTER_DIMS.hash_buckets
-        passes = []
-        for lists in passes_tokens:
-            ids = reference_ids(lists, n)
-            emb, cache = encode_token_lists(params, ids)
-            assert cache.x.tobytes() == pooled_with_add_at(params, ids).tobytes()
-            passes.append((ids, cache, rng.normal(size=emb.shape)))
-        grads = model_backward(params, [(cache, d_emb) for _, cache, d_emb in passes])
+        # a training step's blocks, stacked into one pass
+        ids = CaptionIds.concat([reference_ids(lists, n) for lists in blocks_tokens])
+        emb, cache = encode_token_lists(params, ids)
+        assert cache.x.tobytes() == pooled_with_add_at(params, ids).tobytes()
+        d_emb = np.random.default_rng(seed).normal(size=emb.shape)
+        grads = model_backward(params, (cache, d_emb))
         assert grads.table.values.shape == (len(grads.table.rows), SCATTER_DIMS.d_t)
         halves = split_table(grads.table, n)
-        for (name, dense), grad, field in zip(table_grads_with_add_at(params, passes).items(),
-                                              halves, ("uni", "bi")):
-            ids = np.concatenate([getattr(ids, field) for ids, _, _ in passes])
-            np.testing.assert_array_equal(grad.rows, np.unique(ids))
+        for (name, dense), grad, field in zip(
+                table_grads_with_add_at(params, ids, cache, d_emb).items(), halves, ("uni", "bi")):
+            np.testing.assert_array_equal(grad.rows, np.unique(getattr(ids, field)))
             assert dense_table(grad, n).tobytes() == dense.tobytes(), name
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(text_pass, min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+    def test_stacked_pass_equals_the_sum_of_block_passes(self, blocks_tokens, seed):
+        # one pass over stacked blocks sums the same terms in another order, so
+        # only the rounding of the table and dense gradients may differ
+        params = init_params(SCATTER_DIMS, seed=3)
+        n = SCATTER_DIMS.hash_buckets
+        blocks = [reference_ids(lists, n) for lists in blocks_tokens]
+        emb, cache = encode_token_lists(params, CaptionIds.concat(blocks))
+        d_emb = np.random.default_rng(seed).normal(size=emb.shape)
+        stacked = model_backward(params, (cache, d_emb))
+        dense, table, rows = np.zeros_like(params.dense), np.zeros_like(params.tables), []
+        ends = np.cumsum([len(block) for block in blocks])
+        for block, d_block in zip(blocks, np.split(d_emb, ends[:-1])):
+            grads = model_backward(params, (encode_token_lists(params, block)[1], d_block))
+            dense += grads.dense
+            table[grads.table.rows] += grads.table.values
+            rows.append(grads.table.rows)
+        np.testing.assert_array_equal(stacked.table.rows, np.unique(np.concatenate(rows)))
+        np.testing.assert_allclose(dense_table(stacked.table, 2 * n), table,
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(stacked.dense, dense, rtol=1e-12, atol=1e-15)
 
     def test_forward_pooling_across_chunks_matches_add_at(self):
         params = init_params(ModelDims(d_t=8, d_h=8, d=4, d_a=3, hash_buckets=16), seed=4)

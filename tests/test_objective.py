@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from fd_utils import finite_difference_grads, max_gradient_violation, named_grads
 from negclap.corpus import generate_dataset, generate_vocabulary
-from negclap.model import ModelDims, TokenTable, init_params
+from negclap.model import CaptionIds, ModelDims, TokenTable, init_params
 from negclap.negation import fully_negate
 from negclap.objective import (
     clap_loss,
@@ -44,6 +44,11 @@ def chain_setup(seed):
     table = TokenTable(vocab)
     return (params, feats, table.ids(table.slots(captions), dims.hash_buckets),
             table.ids(table.slots(negated), dims.hash_buckets))
+
+
+def step_ids(ids, neg_ids):
+    """A step's captions: the contrastive ones, then the same as anchors, then the negated."""
+    return CaptionIds.concat([ids, ids, neg_ids])
 
 
 unit_batches = st.integers(1, 6).flatmap(
@@ -180,7 +185,7 @@ class TestTotalLoss:
         params, feats, ids, neg_ids = chain_setup(3)
         k = 1e-2
         breakdown, grads = total_loss_through_encoders(
-            params, feats, ids, k=k, anchor_ids=ids, negated_ids=neg_ids)
+            params, feats, step_ids(ids, neg_ids), k=k)
         l_clap, clap_grads = clap_loss_through_encoders(params, feats, ids)
         l_diss, diss_grads = dissimilarity_through_encoders(params, ids, neg_ids)
         assert breakdown.l_clap == l_clap
@@ -200,7 +205,7 @@ class TestTotalLoss:
     def test_zero_weight_reduces_to_clap(self):
         params, feats, ids, neg_ids = chain_setup(7)
         breakdown, grads = total_loss_through_encoders(
-            params, feats, ids, k=0.0, anchor_ids=ids, negated_ids=neg_ids)
+            params, feats, step_ids(ids, neg_ids), k=0.0)
         l_clap, clap_grads = clap_loss_through_encoders(params, feats, ids)
         assert breakdown.l_clap == l_clap
         assert breakdown.l_total == l_clap
@@ -214,22 +219,23 @@ class TestTotalLoss:
         with pytest.raises(ValueError, match="nonnegative"):
             total_loss_through_encoders(params, feats, ids, k=-0.1)
 
-    def test_unpaired_anchor_rejected(self):
+    def test_malformed_layout_rejected(self):
         params, feats, ids, neg_ids = chain_setup(0)
-        with pytest.raises(ValueError, match="together"):
-            total_loss_through_encoders(params, feats, ids, k=1e-2, anchor_ids=ids)
-        with pytest.raises(ValueError, match="together"):
-            total_loss_through_encoders(params, feats, None, k=0.0)
-        with pytest.raises(ValueError, match="shapes differ"):
-            total_loss_through_encoders(params, feats, ids, k=1e-2, anchor_ids=ids,
-                                        negated_ids=neg_ids.take(np.arange(len(neg_ids) - 1)))
+        odd = CaptionIds.concat([ids, ids, neg_ids.take(np.arange(len(neg_ids) - 1))])
+        for audio, text in ((feats, odd),  # an odd remainder after the contrastive block
+                            (feats, ids.take(np.arange(len(ids) - 1))),  # fewer than the audio
+                            (None, neg_ids.take(np.arange(3)))):  # an odd pair block alone
+            with pytest.raises(ValueError, match=f"expected {0 if audio is None else 4} "
+                                                 f"contrastive captions.*got {len(text)}"):
+                total_loss_through_encoders(params, audio, text, k=1e-2)
+        with pytest.raises(ValueError, match="4 anchors but 3 negated"):
+            dissimilarity_through_encoders(params, ids, neg_ids.take(np.arange(3)))
 
     def test_monotone_in_weight(self):
         params, feats, ids, neg_ids = chain_setup(11)
         totals = [
             total_loss_through_encoders(
-                params, feats, ids, k=k, anchor_ids=ids,
-                negated_ids=neg_ids, with_grads=False)[0].l_total
+                params, feats, step_ids(ids, neg_ids), k=k, with_grads=False)[0].l_total
             for k in (0.0, 1e-4, 1e-3, 1e-2, 1e-1)
         ]
         assert totals == sorted(totals)
@@ -250,12 +256,10 @@ class TestFullChainGradients:
     @pytest.mark.parametrize("k", [1e-1, 1e-2, 1e-3, 1e-4])
     def test_total_chain_matches_finite_differences(self, k):
         params, feats, ids, neg_ids = chain_setup(2)
-        _, analytic = total_loss_through_encoders(
-            params, feats, ids, k=k, anchor_ids=ids, negated_ids=neg_ids)
+        _, analytic = total_loss_through_encoders(params, feats, step_ids(ids, neg_ids), k=k)
         numeric = finite_difference_grads(
             lambda p: total_loss_through_encoders(
-                p, feats, ids, k=k, anchor_ids=ids,
-                negated_ids=neg_ids, with_grads=False)[0].l_total,
+                p, feats, step_ids(ids, neg_ids), k=k, with_grads=False)[0].l_total,
             params)
         worst, where = max_gradient_violation(analytic, numeric)
         assert worst <= 1.0, f"k={k}: gradient mismatch at {where} (ratio {worst:.2f})"

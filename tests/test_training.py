@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from negclap.corpus import Dataset, generate_dataset, generate_vocabulary, split_dataset
-from negclap.model import ModelDims
+from negclap.model import CaptionIds, ModelDims
 from negclap.seeding import seeded_rng, spawn_seed
 from negclap import training
 from negclap.negation import AugmentationExhausted, apply_augmentation, fully_negate
@@ -125,8 +125,11 @@ class TestTrainStep:
         # (size, d_a) even at size 0, so an empty batch reaches train_step
         features = np.array([clip.features for clip, _ in train_ds.pairs[:size]],
                             dtype=np.float64).reshape(size, TINY_DIMS.d_a)
-        breakdown = train_step(params, features, plan.clap, config,
-                               AdamOptimizer.for_params(params), plan.anchors, plan.negated)
+        # the plan's one step, in the layout EpochPlan.steps yields (none at size 0)
+        text_ids = CaptionIds.concat([b for b in (plan.clap, plan.anchors, plan.negated)
+                                      if b is not None])
+        breakdown = train_step(params, features, text_ids, config,
+                               AdamOptimizer.for_params(params))
         return breakdown, plan
 
     def test_baseline_reports_zero_dissimilarity(self):
@@ -159,6 +162,23 @@ class TestTrainStep:
         breakdown, plan = self._step("text_aug", train_ds=train_ds, p_aug=1.0)
         assert (plan.n_augmented, plan.n_exhausted) == (0, 8)
         assert breakdown.l_clap == self._step("baseline", train_ds=train_ds)[0].l_clap
+
+    @pytest.mark.parametrize("condition, hyper", [
+        ("baseline", {}), ("text_aug", {"p_aug": 0.6}), ("loss_term", {"k": 1e-2}),
+        ("combo", {"p_aug": 0.6, "k": 1e-2})])
+    def test_one_text_pass_one_audio_pass_one_backward(self, monkeypatch, condition, hyper):
+        from negclap import objective
+
+        calls = []
+        for name in ("encode_token_lists", "encode_audio_batch", "model_backward"):
+            def counted(*args, _name=name, _fn=getattr(objective, name), **kwargs):
+                calls.append((_name, len(args[1]) if _name == "encode_token_lists" else None))
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(objective, name, counted)
+        self._step(condition, **hyper)
+        text_rows = 24 if "k" in hyper else 8  # contrastive, anchors, negated
+        assert sorted(calls) == [("encode_audio_batch", None), ("encode_token_lists", text_rows),
+                                 ("model_backward", None)]
 
 
 def per_item_reference(captions, order, config, table, n_buckets, rng):
@@ -209,7 +229,14 @@ class TestEpochPlan:
                                               err_msg=f"{name}.{field}")
         steps = list(plan.steps())
         assert len(steps) == len(order) // 8
-        assert all(len(clap) == 8 for _, clap, _, _ in steps)
+        # each step's captions: its contrastive block, then its anchors and negated
+        blocks = [expected[name] for name in ("clap", "anchors", "negated")
+                  if expected[name] is not None]
+        for s, (items, text_ids) in enumerate(steps):
+            assert items == slice(8 * s, 8 * s + 8)
+            want = CaptionIds.concat([block.take(np.arange(8 * s, 8 * s + 8)) for block in blocks])
+            for field in ("uni", "uni_len", "bi", "bi_len"):
+                np.testing.assert_array_equal(getattr(text_ids, field), getattr(want, field))
 
     def test_batched_bernoulli_draws_equal_scalar_draws(self):
         # the p_aug == 0 plan draws a step's B Bernoulli variates as one rng.random(B)
