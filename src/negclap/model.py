@@ -17,7 +17,6 @@ import itertools
 import json
 import math
 import operator
-import os
 import string
 from dataclasses import dataclass
 from functools import lru_cache
@@ -647,15 +646,26 @@ def save_checkpoint(path: str | Path, params: ModelParams) -> None:
             f.write(b"\n")
 
 
+def _read_at_most(f, size: int) -> bytes:
+    """The next ``size`` bytes of ``f`` or all that are left, read in 1 MiB chunks
+    so a claim larger than the file or pipe allocates only what the input holds."""
+    parts = []
+    while size > 0 and (part := f.read(min(size, 1 << 20))):
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
 def load_checkpoint(path: str | Path) -> ModelParams:
     """Read a checkpoint written by ``save_checkpoint``.
 
     The header must hold the format marker, the version as a JSON integer,
     positive integer dims and hash_buckets and an integer seed; every block
-    must have the shape those dims give, fit in what is left of the file
-    (checked before it is read), and hold finite values.  Any violation, a
-    line nested too deep for the JSON decoder included, raises
-    ``ValueError`` naming the file and the field.
+    must have the shape those dims give, be whole (a block is read in
+    chunks, so a claim longer than the file or pipe is refused without
+    allocating it), and hold finite values.  Any violation, a line nested
+    too deep for the JSON decoder included, raises ``ValueError`` naming
+    the file and the field.
     """
     def bad(message: str) -> ValueError:
         return ValueError(f"checkpoint {path}: {message}")
@@ -703,10 +713,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
                 raise bad(f"{name!r} has shape {meta.get('shape')!r}, "
                           f"but the header dims give {list(shape)}")
             size = 4 * math.prod(shape)
-            # a block larger than what is left of a regular file is not read, so a
-            # huge claimed shape allocates nothing; a pipe can only be read to find out
-            left = os.fstat(f.fileno()).st_size - f.tell() if f.seekable() else size
-            payload = f.read(size) if size <= left else b""
+            payload = _read_at_most(f, size)
             if len(payload) != size:
                 raise bad(f"truncated payload for {name!r}")
             arr = np.frombuffer(payload, dtype="<f4").reshape(shape)

@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import negclap
 from negclap import training
 from negclap.cli import main
 from negclap.corpus import DatasetValidationError, load_dataset
@@ -325,20 +329,41 @@ class TestEval:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: checkpoint {ckpt}: {problem}")
 
-    @pytest.mark.parametrize("rows", [10**9, 10**17])
-    def test_block_larger_than_the_file_is_usage_error(self, tmp_path, capsys, rows):
-        # header and first meta line agree on a table far larger than the file
+    def _huge(self, tmp_path, rows):
+        """A trained checkpoint whose header and first meta line agree on a table of
+        ``rows`` rows, far larger than the file."""
         data, ckpt = self._trained(tmp_path)
         head, meta, rest = ckpt.read_bytes().split(b"\n", 2)
         header, block = json.loads(head), json.loads(meta)
         header["hash_buckets"] = block["shape"][0] = rows
         ckpt.write_bytes(json.dumps(header).encode() + b"\n" + json.dumps(block).encode()
                          + b"\n" + rest)
+        return data, ckpt
+
+    @pytest.mark.parametrize("rows", [10**9, 10**17])
+    def test_block_larger_than_the_file_is_usage_error(self, tmp_path, capsys, rows):
+        data, ckpt = self._huge(tmp_path, rows)
         code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
                      "--eval-seed", "9", "--out", str(tmp_path / "e")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: checkpoint {ckpt}: truncated payload for 'unigram_table'")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("rows", [10**9, 10**17])
+    def test_block_larger_than_a_pipe_is_usage_error(self, tmp_path, rows):
+        # a pipe has no size to compare the claim with; it is read in bounded chunks
+        data, ckpt = self._huge(tmp_path, rows)
+        src = Path(negclap.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-m", "negclap.cli", "eval", "--checkpoint", "/dev/stdin",
+             "--data", str(data), "--eval-seed", "9", "--out", str(tmp_path / "e")],
+            input=ckpt.read_bytes(), capture_output=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 2
+        err = result.stderr.decode()
+        assert err.startswith("error: checkpoint /dev/stdin: truncated payload for "
+                              "'unigram_table'")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("label", ["a/b", "/abs", "a\0b"])
