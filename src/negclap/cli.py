@@ -135,11 +135,19 @@ def _load_split_dir(data: Path) -> tuple[corpus.Dataset, corpus.Dataset]:
     return (corpus.load_dataset(data / TRAIN_FILE), corpus.load_dataset(data / TEST_FILE))
 
 
+def _check_out_dir(out: Path) -> None:
+    """Refuse, before any work and creating nothing, an --out that cannot be a directory."""
+    nearest = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+    if not nearest.is_dir():
+        raise ValueError(f"--out {out}: {nearest} exists and is not a directory")
+
+
 def _cmd_train(args) -> int:
     config = training.TrainConfig(
         condition=args.condition.replace("-", "_"), seed=args.seed, p_aug=args.p_aug,
         k=args.k, batch_size=args.batch_size, epochs=args.epochs, learning_rate=args.lr,
     )
+    _check_out_dir(args.out)
     train_ds, test_ds = _load_split_dir(args.data)
     record, logs = training.train(train_ds, test_ds, config)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -172,6 +180,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_out_dir(args.out)
     train_ds, test_ds = _load_split_dir(args.data)
     epochs = args.epochs
     p_aug_grid = training.DEFAULT_P_AUG_GRID

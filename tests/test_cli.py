@@ -589,6 +589,32 @@ class TestSettingsCheckedWhereTheyEnter:
         assert not out.exists()
 
 
+class TestOutCheckedBeforeTraining:
+    """An --out that cannot be a directory exits 2 naming it, before any run is trained."""
+
+    @pytest.fixture
+    def counted_training(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "train", lambda *a, **kw: calls.append(a))
+        return calls
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--condition", "baseline", "--epochs", "3"],
+        ["sweep", "--quick", "--eval-seed", "7"]])
+    @pytest.mark.parametrize("below", ["", "run"])  # the file itself, or a path under it
+    def test_out_under_or_at_a_file(self, tmp_path, capsys, counted_training, command, below):
+        data = gen_small(tmp_path)
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"kept")
+        out = afile / below if below else afile
+        code = main([*command, "--data", str(data), "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --out {out}: {afile} exists and is not a directory\n")
+        assert counted_training == []
+        assert afile.read_bytes() == b"kept"
+
+
 # values a numeric flag may take besides its accepted range: zero, negative,
 # NaN, infinite, or (for an integer flag) not an integer
 EDGE_INTS = st.one_of(st.integers(-3, 0).map(str), st.sampled_from(["nan", "inf", "-inf", "0.5"]))
