@@ -541,7 +541,7 @@ BAD_TRAIN = [(["--condition", "baseline", f"--lr={v}"], "learning_rate") for v i
 
 
 class TestSettingsCheckedWhereTheyEnter:
-    """A bad numeric setting exits 2 naming it, before any file is written or run trained."""
+    """A bad setting exits 2 naming it, before any file is written or run trained."""
 
     @pytest.fixture
     def no_training(self, monkeypatch):
@@ -588,21 +588,11 @@ class TestSettingsCheckedWhereTheyEnter:
         assert err.startswith("error: learning_rate must be finite and positive")
         assert not out.exists()
 
-
-class TestOutCheckedBeforeTraining:
-    """An --out that cannot be a directory exits 2 naming it, before any run is trained."""
-
-    @pytest.fixture
-    def counted_training(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(training, "train", lambda *a, **kw: calls.append(a))
-        return calls
-
     @pytest.mark.parametrize("command", [
         ["train", "--condition", "baseline", "--epochs", "3"],
         ["sweep", "--quick", "--eval-seed", "7"]])
     @pytest.mark.parametrize("below", ["", "run"])  # the file itself, or a path under it
-    def test_out_under_or_at_a_file(self, tmp_path, capsys, counted_training, command, below):
+    def test_out_at_or_under_a_file(self, tmp_path, capsys, no_training, command, below):
         data = gen_small(tmp_path)
         afile = tmp_path / "afile"
         afile.write_bytes(b"kept")
@@ -611,7 +601,6 @@ class TestOutCheckedBeforeTraining:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: --out {out}: {afile} exists and is not a directory\n")
-        assert counted_training == []
         assert afile.read_bytes() == b"kept"
 
 
