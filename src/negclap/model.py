@@ -287,7 +287,9 @@ class CaptionIds:
 
     @staticmethod
     def concat(parts: Sequence["CaptionIds"]) -> "CaptionIds":
-        """The captions of ``parts``, one part after another."""
+        """The captions of ``parts``, one part after another; a lone part as it is."""
+        if len(parts) == 1:
+            return parts[0]
         return CaptionIds(*(np.concatenate([getattr(p, f) for p in parts])
                             for f in ("uni", "uni_len", "bi", "bi_len")))
 
