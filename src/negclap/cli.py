@@ -90,6 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_gen_data(args) -> int:
     if args.n_test >= args.n_clips:
         raise ValueError("--n-test must be smaller than --n-clips")
+    _check_out_dir(args.out)
     vocab = corpus.generate_vocabulary(args.n_tags, args.seed)
     dataset = corpus.generate_dataset(
         vocab, args.n_clips, tags_per_clip=(args.tags_min, args.tags_max),
@@ -162,6 +163,7 @@ def _cmd_eval(args) -> int:
     # the label is part of an output file name, so it must not name a directory
     if "/" in args.label or "\0" in args.label:
         raise ValueError(f"--label must not contain '/' or NUL, got {args.label!r}")
+    _check_out_dir(args.out)
     test_path = args.data / TEST_FILE if args.data.is_dir() else args.data
     test_ds = corpus.load_dataset(test_path)
     params = model.load_checkpoint(args.checkpoint)

@@ -136,12 +136,14 @@ def _match_ranks(sim: np.ndarray, direction: str) -> np.ndarray:
         raise ValueError(f"unknown direction {direction!r}")
     if not np.isfinite(M).all():
         raise ValueError("similarity matrix holds non-finite values")
-    # rank = 1 + (strictly greater scores) + (equal scores at a lower index)
-    n = S.shape[0]
+    # rank = 1 + (strictly greater scores) + (equal scores at a lower index);
+    # the last term is counted only on rows that tie the match elsewhere
     match = np.diag(M)[:, None]
-    lower = np.arange(n)[None, :] < np.arange(n)[:, None]
-    ties_before = np.count_nonzero((M == match) & lower, axis=1)
-    return 1 + np.count_nonzero(M > match, axis=1) + ties_before
+    ranks = 1 + np.count_nonzero(M > match, axis=1)
+    tied = np.flatnonzero(np.count_nonzero(M == match, axis=1) > 1)
+    lower = np.arange(S.shape[0])[None, :] < tied[:, None]
+    ranks[tied] += np.count_nonzero((M[tied] == match[tied]) & lower, axis=1)
+    return ranks
 
 
 def _recall_from_ranks(ranks: np.ndarray, k: int) -> float:
@@ -168,17 +170,20 @@ def map_at_10(sim: np.ndarray, direction: str) -> float:
 
 def embed_eval_variants(params: ModelParams, test_dataset: Dataset,
                         variants: EvalVariantSet) -> EvalEmbeddings:
-    """Embed the test audio once and each caption variant once.
+    """Embed the test audio once and all caption variants in one text pass.
 
-    The variants' kinds go to the model's bucket ids here.
+    The variants' kinds, original then half then fully, go to the model's
+    bucket ids here.  Every caption's embedding depends on its own rows
+    alone, so it equals that of a pass per variant, bit for bit.
     """
     if len(variants) != len(test_dataset.pairs):
         raise ValueError("variant set does not match the test set")
     audio, _ = encode_audio_batch(params, test_dataset.features())
-    n_buckets = params.dims.hash_buckets
-    text = {v: encode_token_lists(params, variants.table.ids(getattr(variants, v), n_buckets))[0]
-            for v in VARIANTS}
-    return EvalEmbeddings(audio=audio, **text)
+    kinds = [getattr(variants, v) for v in VARIANTS]
+    joined = TokenIds(np.concatenate([k.ids for k in kinds]),
+                      np.concatenate([k.lens for k in kinds]))
+    text, _ = encode_token_lists(params, variants.table.ids(joined, params.dims.hash_buckets))
+    return EvalEmbeddings(audio, *np.split(text, len(VARIANTS)))
 
 
 def check_test_size(n_pairs: int) -> None:

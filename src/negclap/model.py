@@ -495,21 +495,42 @@ def _scatter_rows(index: np.ndarray, values: np.ndarray, n_out: int) -> np.ndarr
     return np.bincount(flat, weights=values.ravel(), minlength=n_out * d).reshape(n_out, d)
 
 
-# pooled rows per bincount in the forward, so the flat scatter index stays
-# small at evaluation batch sizes
+# pooled rows per chunk of the forward, so a chunk's temporaries stay small
+# at evaluation batch sizes
 _POOL_CHUNK = 64
 
 
 def _pool_rows(table: np.ndarray, ids: np.ndarray, owner: np.ndarray,
                n_out: int) -> np.ndarray:
-    """Sum of ``table[ids[i]]`` into row ``owner[i]``; ``owner`` is nondecreasing."""
+    """Sum of ``table[ids[i]]`` into row ``owner[i]``; ``owner`` is nondecreasing.
+
+    Every pooled row is 0.0 plus its table rows, added one after another in
+    ``ids`` order, so the result is byte-identical to ``np.add.at``.  Past
+    one chunk, a chunk of pooled rows gathers its table rows into a
+    ``(width, rows, d)`` block padded with -0.0 (``v + -0.0 == v`` for every
+    v) and sums it over its first axis, which numpy adds one slice after
+    another.  A chunk whose padding would more than double its gather is
+    scattered instead, so no chunk holds much more than its own rows.
+    """
     if n_out <= _POOL_CHUNK:  # a single chunk: the training batches
         return _scatter_rows(owner, table[ids], n_out)
     x = np.empty((n_out, table.shape[1]))
-    bounds = np.searchsorted(owner, np.arange(0, n_out + _POOL_CHUNK, _POOL_CHUNK))
-    for r0, a, b in zip(range(0, n_out, _POOL_CHUNK), bounds, bounds[1:]):
-        r1 = min(r0 + _POOL_CHUNK, n_out)
-        x[r0:r1] = _scatter_rows(owner[a:b] - r0, table[ids[a:b]], r1 - r0)
+    lens = np.bincount(owner, minlength=n_out)
+    at = np.concatenate(([0], np.cumsum(lens)))
+    place = np.arange(len(ids)) - at[owner]  # each id's place in its pooled row
+    # no chunk of one row: numpy would sum a one-column table's lone row pairwise
+    edges = [*range(0, n_out - 1, _POOL_CHUNK), n_out]
+    for r0, r1 in zip(edges, edges[1:]):
+        a, b = at[r0], at[r1]
+        width = lens[r0:r1].max()
+        if width * (r1 - r0) > 2 * (b - a):
+            x[r0:r1] = _scatter_rows(owner[a:b] - r0, table[ids[a:b]], r1 - r0)
+            continue
+        padded = np.full((width, r1 - r0), -1)
+        padded[place[a:b], owner[a:b] - r0] = ids[a:b]
+        g = table[padded]
+        g[padded < 0] = -0.0
+        np.add.reduce(g, axis=0, initial=0.0, out=x[r0:r1])
     return x
 
 

@@ -1,8 +1,17 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from negclap.corpus import Caption, Tag, TagMention, Vocabulary, Word
 from negclap.model import ModelDims, init_params
+
+# a CI run (GitHub sets CI) draws the same examples every time, so a red run
+# replays locally with CI=1
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 SONG_WORDS = ("rock", "guitar", "bass", "pop", "drums", "piano", "jazz", "synth")
 

@@ -15,7 +15,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import negclap
-from negclap import training
+from negclap import corpus, evaluation, training
 from negclap.cli import main
 from negclap.corpus import DatasetValidationError, load_dataset
 from negclap.evaluation import REPORT_COLUMNS
@@ -602,6 +602,40 @@ class TestSettingsCheckedWhereTheyEnter:
         assert capsys.readouterr().err == (
             f"error: --out {out}: {afile} exists and is not a directory\n")
         assert afile.read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("below", ["", "eval"])
+    def test_eval_out_at_or_under_a_file(self, tmp_path, capsys, monkeypatch, below):
+        data = gen_small(tmp_path)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, init_params(ModelDims(d_t=16, d_h=16, d=8, d_a=12,
+                                                    hash_buckets=64), seed=1))
+        monkeypatch.setattr(evaluation, "build_eval_variants", refuse_work)
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"kept")
+        out = afile / below if below else afile
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--eval-seed", "9", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --out {out}: {afile} exists and is not a directory\n")
+        assert afile.read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("below", ["", "data"])
+    def test_gen_data_out_at_or_under_a_file(self, tmp_path, capsys, monkeypatch, below):
+        monkeypatch.setattr(corpus, "generate_dataset", refuse_work)
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"kept")
+        out = afile / below if below else afile
+        code = main(["gen-data", "--n-tags", "10", "--n-clips", "40", "--n-test", "10",
+                     "--seed", "3", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --out {out}: {afile} exists and is not a directory\n")
+        assert afile.read_bytes() == b"kept"
+
+
+def refuse_work(*args, **kwargs):
+    raise AssertionError("work began before --out was checked")
 
 
 # values a numeric flag may take besides its accepted range: zero, negative,

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -46,6 +46,7 @@ from negclap.model import (
     encode_audio_batch,
     encode_text,
     encode_text_batch,
+    encode_token_lists,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -154,6 +155,24 @@ class TestRecallAtK:
             for k in range(1, 8):
                 assert recall_at_k(S, k, direction) == brute_recall(S, k, direction)
             assert map_at_10(S, direction) == brute_map10(S, direction)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 12), st.sampled_from([AUDIO_TO_TEXT, TEXT_TO_AUDIO]),
+           st.integers(0, 2**32 - 1))
+    @example(9, AUDIO_TO_TEXT, 0)
+    @example(9, TEXT_TO_AUDIO, 0)
+    def test_partial_ties_match_brute_force_exactly(self, n, direction, seed):
+        # distinct scores, except that some queries tie their match with
+        # other items: before it, after it, or several at once
+        rng = np.random.default_rng(seed)
+        Q = rng.uniform(-1.0, 1.0, size=(n, n))  # Q[i] holds query i's scores
+        for i in np.flatnonzero(rng.random(n) < 0.5):
+            others = np.delete(np.arange(n), i)
+            tied = rng.choice(others, size=rng.integers(1, len(others) + 1), replace=False)
+            Q[i, tied] = Q[i, i]
+        S = Q if direction == AUDIO_TO_TEXT else Q.T
+        expected = [brute_rank(list(Q[i]), i) for i in range(n)]
+        assert evaluation._match_ranks(S, direction).tolist() == expected
 
     def test_non_finite_similarity_rejected(self):
         S = np.eye(3)
@@ -426,7 +445,7 @@ class TestEmbedOnce:
         out = tmp_path / "eval"
         assert cli_main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
                          "--eval-seed", "3", "--out", str(out)]) == 0
-        assert calls == {"audio": [64], "text": [64, 64, 64]}
+        assert calls == {"audio": [64], "text": [192]}
 
         # every reported value equals brute force over per-variant encodes
         params = load_checkpoint(ckpt)
@@ -449,6 +468,23 @@ class TestEmbedOnce:
         assert (float(summary["acc_orig_fully"]), float(summary["acc_orig_half"]),
                 float(summary["acc_half_fully"])) == (
             triplet.acc_orig_fully, triplet.acc_orig_half, triplet.acc_half_fully)
+
+
+class TestOneTextPass:
+    @pytest.mark.parametrize("n_tags, n_pairs, dims", [
+        (8, RANKED_PAIRS, ModelDims(d_t=16, d_h=16, d=8, d_a=12, hash_buckets=64)),
+        (50, 512, ModelDims(d_a=12))])  # the desk test split's size and model
+    def test_equals_a_pass_per_variant_bit_for_bit(self, n_tags, n_pairs, dims):
+        vocab = generate_vocabulary(n_tags, 4)
+        ds = Dataset(vocab, generate_dataset(vocab, n_pairs, d_a=12, rng_seed=4).pairs,
+                     split="test")
+        params = init_params(dims, seed=4)
+        variants = build_eval_variants(ds, eval_seed=6)
+        embeddings = embed_eval_variants(params, ds, variants)
+        for name in ("original", "half", "fully"):
+            ids = variants.table.ids(getattr(variants, name), dims.hash_buckets)
+            alone, _ = encode_token_lists(params, ids)
+            assert getattr(embeddings, name).tobytes() == alone.tobytes(), name
 
 
 class TestReportWriters:

@@ -31,7 +31,9 @@ from negclap.model import (
     hash_bucket,
     init_params,
     load_checkpoint,
+    _POOL_CHUNK,
     _mlp_backward,
+    _pool_rows,
     model_backward,
     save_checkpoint,
     similarity,
@@ -266,6 +268,36 @@ class TestRowSparseScatter:
         np.testing.assert_allclose(dense_table(stacked.table, 2 * n), table,
                                    rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(stacked.dense, dense, rtol=1e-12, atol=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 4 * _POOL_CHUNK + 3), st.sampled_from([1, 3, 12]),
+           st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(1, _POOL_CHUNK, 3, False, False, 0)  # one chunk exactly
+    @example(1, _POOL_CHUNK + 1, 3, False, True, 0)  # one long row past it, one column
+    @example(2, 2 * _POOL_CHUNK + 2, 9, True, False, 1)  # captions, a two-row last chunk
+    @example(3, 3 * _POOL_CHUNK, 12, False, True, 2)  # a long row in a chunk of short ones
+    def test_pool_rows_matches_add_at_bit_for_bit(self, d, n_out, max_len, captions, long_row,
+                                                  seed):
+        rng = np.random.default_rng(seed)
+        table = rng.normal(size=(7, d)) * 10.0 ** rng.integers(-8, 9, size=(7, d))
+        table[rng.random(table.shape) < 0.2] = 0.0
+        table[rng.random(table.shape) < 0.2] = -0.0
+        table[0] = -0.0  # a row of only -0.0 pools to 0.0, as add.at gives
+        if captions:  # the text forward's layout: unigram runs, then bigram runs
+            uni = rng.integers(1, max_len + 1, size=max(n_out // 2, 1))
+            uni[::3] = 1  # one-token captions: their bigram runs are empty
+            lens = np.concatenate((uni, uni - 1))
+        else:
+            lens = rng.integers(0, max_len + 1, size=n_out)
+        if long_row:
+            lens[-1] = 10 * max_len
+        owner = np.repeat(np.arange(len(lens)), lens)
+        ids = rng.integers(0, len(table), size=len(owner))
+        expected = np.zeros((len(lens), d))
+        np.add.at(expected, owner, table[ids])
+        pooled = _pool_rows(table, ids, owner, len(lens))
+        assert np.array_equal(pooled, expected)
+        assert np.array_equal(np.signbit(pooled), np.signbit(expected))
 
     def test_forward_pooling_across_chunks_matches_add_at(self):
         params = init_params(ModelDims(d_t=8, d_h=8, d=4, d_a=3, hash_buckets=16), seed=4)
