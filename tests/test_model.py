@@ -282,7 +282,7 @@ class TestRowSparseScatter:
         table = rng.normal(size=(7, d)) * 10.0 ** rng.integers(-8, 9, size=(7, d))
         table[rng.random(table.shape) < 0.2] = 0.0
         table[rng.random(table.shape) < 0.2] = -0.0
-        table[0] = -0.0  # a row of only -0.0 pools to 0.0, as add.at gives
+        table[0] = -0.0  # pooled alone, a row of only -0.0 sums to 0.0, as add.at gives
         if captions:  # the text forward's layout: unigram runs, then bigram runs
             uni = rng.integers(1, max_len + 1, size=max(n_out // 2, 1))
             uni[::3] = 1  # one-token captions: their bigram runs are empty
