@@ -8,6 +8,8 @@ Runs, in a temporary directory and against the package in this checkout:
                  --k 1e-2), 2 epochs, --seed 1
     negclap eval --eval-seed 777                     (each checkpoint)
     negclap sweep --quick --seed 1 --eval-seed 777
+    negclap augment --op insert (--p-aug 0.6), half and fully, --seed 1
+                 (each on the desk train.jsonl)
 
 then prints one ``<sha256>  <relative path>`` line per file written, sorted
 by path.  Two checkouts produce byte-identical outputs exactly when the two
@@ -36,6 +38,11 @@ RUNS = (
     ("loss-term", ["--k", "1e-2"]),
     ("combo", ["--p-aug", "0.6", "--k", "1e-2"]),
 )
+AUGMENT_OPS = (
+    ("insert", ["--p-aug", "0.6"]),
+    ("half", []),
+    ("fully", []),
+)
 
 
 def run(root: Path) -> None:
@@ -50,6 +57,10 @@ def run(root: Path) -> None:
                       "--out", str(out / "eval")])
     steps.append(["sweep", "--data", str(data), "--quick", "--seed", "1",
                   "--eval-seed", "777", "--out", str(root / "sweep")])
+    (root / "augment").mkdir()
+    for op, flags in AUGMENT_OPS:
+        steps.append(["augment", "--data", str(data / "train.jsonl"), "--op", op, *flags,
+                      "--seed", "1", "--out", str(root / "augment" / f"{op}.jsonl")])
     for argv in steps:
         code = cli(argv)
         if code != 0:

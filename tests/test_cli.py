@@ -223,6 +223,39 @@ class TestAugment:
                      "--out", str(tmp_path / "x.jsonl")])
         assert code == 1
 
+    # sha256 of each op's output on the toy chain's train.jsonl
+    TOY_DIGESTS = {
+        "insert": "b768fe9967a0dc0955f5880e429f888adcbb43e6945f47beafef9c590c0f9adc",
+        "half": "1665c61e4d9a89bf3b53fced165515cad2a55e4f3796dc64b13b625fb198db3c",
+        "fully": "4cd11eff69861f4e67aeca2485a2fa440bde03b0392c175cfc20b8e14643e0ec",
+    }
+
+    def test_toy_outputs_are_pinned(self, tmp_path):
+        data = gen_toy(tmp_path)
+        written = {}
+        for op, flags in (("insert", ["--p-aug", "0.6"]), ("half", []), ("fully", [])):
+            out = tmp_path / f"{op}.jsonl"
+            assert main(["augment", "--data", str(data / "train.jsonl"), "--op", op, *flags,
+                         "--seed", "1", "--out", str(out)]) == 0
+            written[op] = sha256(out)
+        assert written == self.TOY_DIGESTS
+
+    def test_exhausted_captions_are_skipped_and_counted(self, tmp_path, capsys):
+        # over 4 tags, every caption that mentions all four has no tag to insert
+        data = tmp_path / "four"
+        assert main(["gen-data", "--n-tags", "4", "--n-clips", "300", "--n-test", "64",
+                     "--seed", "5", "--out", str(data)]) == 0
+        out = tmp_path / "four.jsonl"
+        capsys.readouterr()
+        assert main(["augment", "--data", str(data / "train.jsonl"), "--op", "insert",
+                     "--seed", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == \
+            f"wrote 236 pairs to {out} (73 items had no unused tag)\n"
+        assert sha256(out) == "64b2aab3302666ca4bd2bde2c011253c8f81eea4cb05af449802a5cf1e5488c2"
+        pairs = zip(load_dataset(data / "train.jsonl").pairs, load_dataset(out).pairs)
+        kept = [before for (_, before), (_, after) in pairs if after == before]
+        assert len(kept) == 73 and all(len(c.tag_ids()) == 4 for c in kept)
+
 
 class TestTrain:
     def test_invalid_condition_combination_is_usage_error(self, tmp_path):
