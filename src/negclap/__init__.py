@@ -42,22 +42,13 @@ from .model import (
     ParamGrads,
     RowGrad,
     TokenTable,
-    encode_audio,
-    encode_text,
     init_params,
     load_checkpoint,
     model_backward,
     save_checkpoint,
-    similarity,
     tokenize,
 )
-from .negation import (
-    AugmentationExhausted,
-    apply_augmentation,
-    fully_negate,
-    half_negate,
-    negation_insert,
-)
+from .negation import AugmentationExhausted
 from .objective import (
     LossBreakdown,
     clap_loss,

@@ -111,22 +111,12 @@ def _cmd_augment(args) -> int:
     # half/fully outputs intentionally break the caption-tags == clip-tags
     # rule, so reloading them needs check_tag_consistency=False
     dataset = corpus.load_dataset(args.data)
-    vocab = dataset.vocabulary
-    rng = seeded_rng(args.seed, 0)
-    skipped = 0
-    new_pairs = []
-    for clip, caption in dataset.pairs:
-        if args.op == "insert":
-            try:
-                caption = negation.apply_augmentation(caption, vocab, args.p_aug, rng)
-            except negation.AugmentationExhausted:
-                skipped += 1
-        elif args.op == "half":
-            caption = negation.half_negate(caption, vocab, rng)
-        else:
-            caption = negation.fully_negate(caption, vocab, rng)
-        new_pairs.append((clip, caption))
-    corpus.save_dataset(corpus.Dataset(vocab, new_pairs, dataset.split), args.out)
+    table = model.TokenTable(dataset.vocabulary)
+    slots, skipped = negation.edit_ids(args.op, table.slots([c for _, c in dataset.pairs]),
+                                       table, args.p_aug, seeded_rng(args.seed, 0))
+    new_pairs = [(clip, caption)
+                 for (clip, _), caption in zip(dataset.pairs, table.captions(slots))]
+    corpus.save_dataset(corpus.Dataset(dataset.vocabulary, new_pairs, dataset.split), args.out)
     print(f"wrote {len(new_pairs)} pairs to {args.out}" +
           (f" ({skipped} items had no unused tag)" if skipped else ""))
     return 0

@@ -40,7 +40,16 @@ _NOISE_STREAM = 3
 
 
 class DatasetError(Exception):
-    """Base class for dataset file problems."""
+    """Base class for dataset file problems.
+
+    ``load_dataset`` sets ``path`` on every one it raises, and the message
+    then starts with that path.
+    """
+    path: str | Path | None = None
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return message if self.path is None else f"{self.path}: {message}"
 
 
 class DatasetParseError(DatasetError):
@@ -464,7 +473,7 @@ def _token_from_json(obj: object, shared: dict) -> CaptionToken:
     return tok
 
 
-def _numbered_lines(f, path: str | Path) -> Iterator[tuple[int, str]]:
+def _numbered_lines(f) -> Iterator[tuple[int, str]]:
     """The lines of a binary file, numbered from 1 and decoded one at a time.
 
     ``bytes.splitlines`` breaks at ``\\n``, ``\\r\\n`` and ``\\r``, the newlines a
@@ -479,8 +488,7 @@ def _numbered_lines(f, path: str | Path) -> Iterator[tuple[int, str]]:
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as e:
-                raise DatasetParseError(f"invalid UTF-8 in {path}: {e}",
-                                        line_number=line_number) from e
+                raise DatasetParseError(f"invalid UTF-8: {e}", line_number=line_number) from e
             yield line_number, line
 
 
@@ -500,10 +508,19 @@ def load_dataset(path: str | Path, check_tag_consistency: bool = True) -> Datase
     The file is read line by line.  All clips' features go into one
     ``(n, d_a)`` float64 matrix, and each clip holds a row view of it; equal
     caption tokens are one shared object.  Every field must hold the JSON
-    type save_dataset writes, or DatasetParseError names the line.
+    type save_dataset writes, or DatasetParseError names the line.  Every
+    DatasetError it raises names ``path``.
     """
+    try:
+        return _read_dataset(path, check_tag_consistency)
+    except DatasetError as e:
+        e.path = path
+        raise
+
+
+def _read_dataset(path: str | Path, check_tag_consistency: bool) -> Dataset:
     with open(path, "rb") as f:
-        lines = _numbered_lines(f, path)
+        lines = _numbered_lines(f)
         first = next(lines, None)
         if first is None:
             raise DatasetParseError("empty file", line_number=1)

@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import AudioClip, Caption, TagMention, Vocabulary, Word, render_token
+from .corpus import Caption, TagMention, Vocabulary, Word, render_token
 from .seeding import seeded_rng
 
 CHECKPOINT_FORMAT = "negclap-ckpt"
@@ -343,7 +343,8 @@ class TokenTable:
     with a space and ``tokenize`` splits on whitespace.  A negation edit is
     therefore an edit of kinds: ``mention[t, 0]`` is the kind of tag t's
     plain mention and ``mention[t, 1 + n]`` that of its mention negated by
-    the vocabulary's negator n, all made with the table.
+    the vocabulary's negator n, all made with the table.  ``captions`` maps
+    edited kinds back to captions.
     """
 
     def __init__(self, vocab: Vocabulary):
@@ -351,8 +352,10 @@ class TokenTable:
         self._strings: list[str] = []
         self._token_ids: dict[str, int] = {}
         # per kind (keyed by a word's text, or a mention's tag and negator):
-        # its token ids, its tag id (-1 for a word), whether it is plain
+        # its structured token, its token ids, its tag id (-1 for a word),
+        # whether it is plain
         self._kinds: dict[object, int] = {}
+        self._structured: list[Word | TagMention] = []
         self._pieces: list[tuple[int, ...]] = []
         self._tags: list[int] = []
         self._plain: list[bool] = []
@@ -373,6 +376,7 @@ class TokenTable:
         kind = self._kinds.get(key)
         if kind is None:
             kind = self._kinds[key] = len(self._pieces)
+            self._structured.append(tok)
             rendered = render_token(tok, self.vocab)
             self._pieces.append(tuple(map(self._token_id, tokenize(rendered))))
             word = isinstance(tok, Word)
@@ -390,6 +394,12 @@ class TokenTable:
         return TokenIds(np.fromiter(map(kind_of.__getitem__, map(id, structured)), np.intp,
                                     len(structured)),
                         np.fromiter(map(len, map(_TOKENS, captions)), np.intp, len(captions)))
+
+    def captions(self, slots: TokenIds) -> list[Caption]:
+        """Captions given as kinds, as ``Caption``s: each kind's structured token, in order."""
+        tokens = list(map(self._structured.__getitem__, slots.ids.tolist()))
+        return [Caption(tuple(tokens[a:a + n]))
+                for a, n in zip(_starts(slots.lens).tolist(), slots.lens.tolist())]
 
     def tags(self, slots: TokenIds) -> tuple[np.ndarray, np.ndarray]:
         """Per slot: its kind's tag id (-1 for a word), and whether it is a plain mention."""
@@ -576,26 +586,6 @@ def encode_audio_batch(params: ModelParams,
         params.audio_out_w, params.audio_out_b,
     )
     return emb, AudioBatchCache(feats, h, norms, emb)
-
-
-def encode_text(params: ModelParams, caption: Caption, vocab: Vocabulary) -> np.ndarray:
-    """Unit-norm embedding of one caption."""
-    emb, _ = encode_text_batch(params, [caption], vocab)
-    return emb[0]
-
-
-def encode_audio(params: ModelParams, clip: AudioClip | np.ndarray) -> np.ndarray:
-    """Unit-norm embedding of one clip (or raw feature vector)."""
-    feats = clip.features if isinstance(clip, AudioClip) else np.asarray(clip, dtype=np.float64)
-    if feats.ndim != 1 or feats.shape[0] != params.dims.d_a:
-        raise ValueError(f"audio features must have dimension {params.dims.d_a}, got {feats.shape}")
-    emb, _ = encode_audio_batch(params, feats[None, :])
-    return emb[0]
-
-
-def similarity(e1: np.ndarray, e2: np.ndarray) -> float:
-    """Cosine similarity of two unit-norm embeddings (plain dot product)."""
-    return float(np.dot(e1, e2))
 
 
 def _upstream(cache, d_emb) -> np.ndarray:

@@ -1,25 +1,23 @@
-"""Caption transformations that introduce negation.
+"""Caption edits that introduce negation.
 
-Three operations over structured captions:
+Three edits over structured captions:
 
-* ``negation_insert`` adds one negated mention of a tag that is absent from
-  the caption (training-time augmentation).
-* ``half_negate`` / ``fully_negate`` negate ceil(T/2) / all of the caption's
-  present tags (used to build the evaluation variants and the repulsion
-  pairs for the dissimilarity objective).
+* an insert adds one negated mention of a tag that is absent from the
+  caption (training-time augmentation, with probability p_aug);
+* half and full negation negate ceil(T/2) / all of the caption's T
+  non-negated mentions (used to build the evaluation variants and the
+  repulsion pairs for the dissimilarity objective).
 
-All three are deterministic functions of (input, RNG state).  Mentions that
-are already negated are never touched, so negation never stacks.
-
-Each operation is a draw followed by an apply.  The draws (``draw_insert``,
-``draw_half``, ``draw_negators``) make every generator call.  There are two
-applies that read the same draws: the caption apply builds a new
-``Caption`` (the three functions above), and the id apply (``insert_ids``,
-``negate_ids``) edits captions given as structured-token kinds (see
-``TokenTable``).  An insert puts one negated mention's kind into a
+Each edit is a draw followed by an apply, so it is a deterministic function
+of (input, RNG state).  The draws (``draw_inserts``, ``draw_insert``,
+``draw_half``, ``draw_negators``) make every generator call.  The apply
+(``insert_ids``, ``negate_ids``) edits captions given as structured-token
+kinds (see ``TokenTable``): an insert puts one negated mention's kind into a
 caption's row of kinds, and a negation swaps a plain mention's kind for its
-negated kind, so the epoch plan and the evaluation variants build no
-caption object per edit.
+negated kind, so no caption object is built per edit.  ``TokenTable.captions``
+maps edited kinds back to captions where they are wanted (``edit_ids``, the
+edit ``negclap augment`` writes).  Mentions that are already negated are
+never touched, so negation never stacks.
 
 The negator draws of several mentions, or of several captions, are one
 ``rng.integers(0, n, size=m)`` call.  numpy fills it one value at a time
@@ -34,7 +32,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Caption, TagMention, Vocabulary
 from .model import TokenIds, TokenTable
 
 
@@ -63,6 +60,35 @@ def draw_insert(n_slots: int, n_unused: int, n_negators: int,
     return gap, unused, int(rng.integers(0, n_negators))
 
 
+def draw_inserts(n_slots: Sequence[int], n_unused: Sequence[int], n_negators: int,
+                 p_aug: float, rng: np.random.Generator
+                 ) -> tuple[list[tuple[int, int, int, int]], int]:
+    """The insert augmentation's draws for a run of captions, caption by caption.
+
+    Caption i has ``n_slots[i]`` structured tokens and leaves ``n_unused[i]``
+    vocabulary tags unused.  It gets an insert with probability ``p_aug``: a
+    Bernoulli draw, then ``draw_insert``'s draws when it succeeds.  Returns
+    ``(i, gap, unused tag, negator)`` per insert, and the number of captions
+    whose Bernoulli draw succeeded but that leave no tag unused; those get
+    no insert.  At ``p_aug == 0`` the Bernoulli draws are one
+    ``rng.random(n)``, the same stream as n scalar draws.  A ``p_aug``
+    outside [0, 1] raises ValueError before any draw.
+    """
+    if not 0.0 <= p_aug <= 1.0:
+        raise ValueError(f"p_aug must lie in [0, 1], got {p_aug}")
+    inserts, n_exhausted = [], 0
+    if p_aug == 0:
+        rng.random(len(n_slots))
+        return inserts, n_exhausted
+    for i, (slots, unused) in enumerate(zip(n_slots, n_unused)):
+        if rng.random() < p_aug:
+            try:
+                inserts.append((i, *draw_insert(slots, unused, n_negators, rng)))
+            except AugmentationExhausted:
+                n_exhausted += 1
+    return inserts, n_exhausted
+
+
 def draw_half(n_plain: int, rng: np.random.Generator) -> np.ndarray:
     """Which ceil(n/2) of a caption's n plain mentions to negate, ascending.
 
@@ -88,67 +114,6 @@ def draw_negators(counts: Sequence[int], n_negators: int,
     return rng.integers(0, n_negators, size=sum(counts))
 
 
-# ------------------------------------------------------------ caption apply
-
-def negation_insert(caption: Caption, vocab: Vocabulary, rng: np.random.Generator) -> Caption:
-    """Insert one negated, absent tag at a uniformly chosen token gap.
-
-    The gap is uniform over the len(tokens)+1 positions, the tag uniform over
-    vocabulary tags not mentioned in the caption, and the negator uniform
-    over the vocabulary negators.  All original tokens keep their order.
-    """
-    unused = sorted(set(range(len(vocab.tags))) - caption.tag_ids())
-    gap, k, negator = draw_insert(len(caption.tokens), len(unused), len(vocab.negators), rng)
-    mention = TagMention(unused[k], vocab.negators[negator])
-    return Caption(tokens=caption.tokens[:gap] + (mention,) + caption.tokens[gap:])
-
-
-def _plain_mention_positions(caption: Caption) -> list[int]:
-    return [
-        i for i, t in enumerate(caption.tokens)
-        if isinstance(t, TagMention) and t.negator is None
-    ]
-
-
-def _negate_at(caption: Caption, positions: Sequence[int], negators: np.ndarray,
-               vocab: Vocabulary) -> Caption:
-    tokens = list(caption.tokens)
-    for pos, negator in zip(positions, negators.tolist()):
-        tokens[pos] = TagMention(tokens[pos].tag_id, vocab.negators[negator])
-    return Caption(tokens=tuple(tokens))
-
-
-def half_negate(caption: Caption, vocab: Vocabulary, rng: np.random.Generator) -> Caption:
-    """Negate ceil(T/2) of the T non-negated mentions, chosen uniformly."""
-    positions = _plain_mention_positions(caption)
-    picked = draw_half(len(positions), rng)
-    negators = draw_negators([len(picked)], len(vocab.negators), rng)
-    return _negate_at(caption, [positions[i] for i in picked.tolist()], negators, vocab)
-
-
-def fully_negate(caption: Caption, vocab: Vocabulary, rng: np.random.Generator) -> Caption:
-    """Negate every non-negated mention, each with its own negator draw."""
-    positions = _plain_mention_positions(caption)
-    negators = draw_negators([len(positions)], len(vocab.negators), rng)
-    return _negate_at(caption, positions, negators, vocab)
-
-
-def apply_augmentation(caption: Caption, vocab: Vocabulary, p_aug: float,
-                       rng: np.random.Generator) -> Caption:
-    """With probability ``p_aug`` return negation_insert(caption), else caption.
-
-    The Bernoulli draw and any inner draws come from ``rng``; the input
-    object is returned unchanged when the draw fails.  AugmentationExhausted
-    propagates so callers can decide on a fallback.  A ``p_aug`` outside
-    [0, 1] raises ValueError before any draw.
-    """
-    if not 0.0 <= p_aug <= 1.0:
-        raise ValueError(f"p_aug must lie in [0, 1], got {p_aug}")
-    if rng.random() < p_aug:
-        return negation_insert(caption, vocab, rng)
-    return caption
-
-
 # ----------------------------------------------------------------- id apply
 
 def _presence(slots: TokenIds, table: TokenTable) -> np.ndarray:
@@ -169,7 +134,7 @@ def edit_counts(slots: TokenIds, table: TokenTable) -> tuple[np.ndarray, np.ndar
 
 def insert_ids(slots: TokenIds, rows: np.ndarray, gaps: np.ndarray, unused: np.ndarray,
                negators: np.ndarray, table: TokenTable) -> TokenIds:
-    """The id apply of ``negation_insert``, for caption ``rows[j]`` with draws j.
+    """The id apply of an insert, for caption ``rows[j]`` with draws j.
 
     ``slots`` holds the captions' kinds (see ``TokenTable``), ``gaps``,
     ``unused`` and ``negators`` are ``draw_insert``'s draws, and ``rows`` is
@@ -195,3 +160,37 @@ def negate_ids(slots: TokenIds, mentions: np.ndarray, negators: np.ndarray,
     ids = slots.ids.copy()
     ids[at] = table.mention[tags[at], 1 + negators]
     return TokenIds(ids, slots.lens)
+
+
+def edit_ids(edit: str, slots: TokenIds, table: TokenTable, p_aug: float,
+             rng: np.random.Generator) -> tuple[TokenIds, int]:
+    """Every caption with one ``edit`` drawn and applied, and the number it skipped.
+
+    ``slots`` holds the captions as kinds of ``table``, and ``edit`` is
+    "insert" (with probability ``p_aug``; see ``draw_inserts``, whose
+    exhausted captions keep their kinds and are the count returned),
+    "half" or "fully".  The draws come from ``rng`` caption after caption:
+    for "half" each caption's ``draw_half`` then its negators, for "fully"
+    every caption's negators in one ``draw_negators`` call.  A caption with
+    no plain mention makes "half" and "fully" raise ValueError after the
+    draws of the captions before it.
+    """
+    n_negators = len(table.vocab.negators)
+    n_plain, n_unused = (counts.tolist() for counts in edit_counts(slots, table))
+    if edit == "insert":
+        inserts, n_exhausted = draw_inserts(slots.lens.tolist(), n_unused, n_negators, p_aug, rng)
+        rows, gaps, unused, negators = np.array(inserts, dtype=np.intp).reshape(-1, 4).T
+        return insert_ids(slots, rows, gaps, unused, negators, table), n_exhausted
+    if edit == "half":
+        flat = lambda parts: np.concatenate([np.empty(0, np.intp), *parts])
+        mentions, negators, first = [], [], 0
+        for n in n_plain:
+            picked = draw_half(n, rng)
+            mentions.append(first + picked)
+            negators.append(draw_negators([len(picked)], n_negators, rng))
+            first += n
+        return negate_ids(slots, flat(mentions), flat(negators), table), 0
+    if edit != "fully":
+        raise ValueError(f"unknown edit {edit!r}")
+    negators = draw_negators(n_plain, n_negators, rng)
+    return negate_ids(slots, np.arange(len(negators)), negators, table), 0

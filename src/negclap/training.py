@@ -53,8 +53,7 @@ from .model import (
     init_params,
 )
 from .negation import (
-    AugmentationExhausted,
-    draw_insert,
+    draw_inserts,
     draw_negators,
     edit_counts,
     insert_ids,
@@ -243,38 +242,33 @@ def plan_epoch(slots: TokenIds, caption_ids: CaptionIds, order: np.ndarray,
     ``TokenTable.slots``) and ``caption_ids`` their bucket ids over
     ``n_buckets`` buckets, both made once per run.  ``order`` lists the
     pair index of every item, whole batches in step order.  The draws come
-    from ``rng`` in the order a step makes them.  Per step, when p_aug > 0,
-    each of the B items passes through the insert augmentation
-    (``apply_augmentation``'s draws; the original caption when no insert is
-    drawn or the vocabulary is exhausted).  Then, when k > 0, the B items
-    are fully negated, their negator draws one ``draw_negators`` call.  At
-    p_aug == 0 a step's Bernoulli draws are one ``rng.random(B)``, the same
-    stream as B scalar draws, and the contrastive ids are the originals'.
-    The edits are applied to kinds (see ``negation.insert_ids``), so no
+    from ``rng`` in the order a step makes them.  Per step, the B items pass
+    through the insert augmentation (``draw_inserts``; the original caption
+    when no insert is drawn or the vocabulary is exhausted, and at
+    p_aug == 0 the contrastive ids are the originals').  Then, when k > 0,
+    the B items are fully negated, their negator draws one ``draw_negators``
+    call.  The edits are applied to kinds (see ``negation.insert_ids``), so no
     caption object is built, and only the edited captions go on to bucket
     ids (``table.ids``).
     """
     B = config.batch_size
     originals = caption_ids.take(order)
     n_negators = len(table.vocab.negators)
-    if config.p_aug > 0 or config.k > 0:  # the baseline edits no caption
+    if config.p_aug > 0 or config.k > 0:
         items = slots.take(order)
         n_slots = items.lens.tolist()
         n_plain, n_unused = (counts.tolist() for counts in edit_counts(items, table))
+    else:  # the baseline edits no caption; its Bernoulli draws need only the item count
+        n_slots = n_unused = [0] * len(order)
     inserts: list[tuple[int, int, int, int]] = []  # item, gap, unused tag, negator
     negators: list[np.ndarray] = []
     n_exhausted = 0
     for start in range(0, len(order), B):
         stop = min(start + B, len(order))
-        if config.p_aug > 0:
-            for j in range(start, stop):
-                if rng.random() < config.p_aug:
-                    try:
-                        inserts.append((j, *draw_insert(n_slots[j], n_unused[j], n_negators, rng)))
-                    except AugmentationExhausted:
-                        n_exhausted += 1
-        else:
-            rng.random(stop - start)
+        drawn, exhausted = draw_inserts(n_slots[start:stop], n_unused[start:stop], n_negators,
+                                        config.p_aug, rng)
+        inserts += [(start + i, *draws) for i, *draws in drawn]
+        n_exhausted += exhausted
         if config.k > 0:
             negators.append(draw_negators(n_plain[start:stop], n_negators, rng))
 

@@ -1,0 +1,106 @@
+"""The caption apply of the negation edits: a reference for the id apply.
+
+Each function makes the same draws as the package (``negation.draw_*``) and
+applies them to a ``Caption`` directly, building a new caption per edit.
+The package applies the draws to structured-token kinds instead
+(``negation.insert_ids``/``negate_ids``, ``TokenTable.captions``); the tests
+compare the two over the same generator stream.
+"""
+
+from typing import Sequence
+
+import numpy as np
+
+from negclap import evaluation
+from negclap.corpus import Caption, Dataset, TagMention, Vocabulary
+from negclap.negation import AugmentationExhausted, draw_half, draw_insert, draw_negators
+from negclap.seeding import seeded_rng
+
+
+def negation_insert(caption: Caption, vocab: Vocabulary, rng: np.random.Generator) -> Caption:
+    """Insert one negated, absent tag at a uniformly chosen token gap.
+
+    The gap is uniform over the len(tokens)+1 positions, the tag uniform over
+    vocabulary tags not mentioned in the caption, and the negator uniform
+    over the vocabulary negators.  All original tokens keep their order.
+    """
+    unused = sorted(set(range(len(vocab.tags))) - caption.tag_ids())
+    gap, k, negator = draw_insert(len(caption.tokens), len(unused), len(vocab.negators), rng)
+    mention = TagMention(unused[k], vocab.negators[negator])
+    return Caption(tokens=caption.tokens[:gap] + (mention,) + caption.tokens[gap:])
+
+
+def _plain_mention_positions(caption: Caption) -> list[int]:
+    return [
+        i for i, t in enumerate(caption.tokens)
+        if isinstance(t, TagMention) and t.negator is None
+    ]
+
+
+def _negate_at(caption: Caption, positions: Sequence[int], negators: np.ndarray,
+               vocab: Vocabulary) -> Caption:
+    tokens = list(caption.tokens)
+    for pos, negator in zip(positions, negators.tolist()):
+        tokens[pos] = TagMention(tokens[pos].tag_id, vocab.negators[negator])
+    return Caption(tokens=tuple(tokens))
+
+
+def half_negate(caption: Caption, vocab: Vocabulary, rng: np.random.Generator) -> Caption:
+    """Negate ceil(T/2) of the T non-negated mentions, chosen uniformly."""
+    positions = _plain_mention_positions(caption)
+    picked = draw_half(len(positions), rng)
+    negators = draw_negators([len(picked)], len(vocab.negators), rng)
+    return _negate_at(caption, [positions[i] for i in picked.tolist()], negators, vocab)
+
+
+def fully_negate(caption: Caption, vocab: Vocabulary, rng: np.random.Generator) -> Caption:
+    """Negate every non-negated mention, each with its own negator draw."""
+    positions = _plain_mention_positions(caption)
+    negators = draw_negators([len(positions)], len(vocab.negators), rng)
+    return _negate_at(caption, positions, negators, vocab)
+
+
+def apply_augmentation(caption: Caption, vocab: Vocabulary, p_aug: float,
+                       rng: np.random.Generator) -> Caption:
+    """With probability ``p_aug`` return negation_insert(caption), else caption.
+
+    The Bernoulli draw and any inner draws come from ``rng``; the input
+    object is returned unchanged when the draw fails.  AugmentationExhausted
+    propagates so callers can decide on a fallback.
+    """
+    if rng.random() < p_aug:
+        return negation_insert(caption, vocab, rng)
+    return caption
+
+
+def augment_captions(edit: str, captions: Sequence[Caption], vocab: Vocabulary, p_aug: float,
+                     rng: np.random.Generator) -> tuple[list[Caption], int]:
+    """``negation.edit_ids`` caption by caption: the edited captions and the skipped count.
+
+    An insert whose vocabulary is exhausted keeps its caption and is counted;
+    a half or full negation of a caption without a plain mention raises.
+    """
+    skipped, out = 0, []
+    for caption in captions:
+        if edit == "insert":
+            try:
+                caption = apply_augmentation(caption, vocab, p_aug, rng)
+            except AugmentationExhausted:
+                skipped += 1
+        elif edit == "half":
+            caption = half_negate(caption, vocab, rng)
+        else:
+            caption = fully_negate(caption, vocab, rng)
+        out.append(caption)
+    return out, skipped
+
+
+def variant_captions(dataset: Dataset, eval_seed: int) -> dict[str, list[Caption]]:
+    """The eval variants as captions, rebuilt caption by caption from the variants' stream."""
+    rng = seeded_rng(eval_seed, evaluation._VARIANTS_STREAM)
+    out = {"original": [], "half": [], "fully": []}
+    for _, caption in dataset.pairs:
+        out["original"].append(caption)
+        out["half"].append(half_negate(caption, dataset.vocabulary, rng))
+        out["fully"].append(fully_negate(caption, dataset.vocabulary, rng))
+    return out

@@ -21,6 +21,7 @@ import time
 import numpy as np
 import pytest
 
+from caption_apply import fully_negate, variant_captions
 from fd_utils import finite_difference_grads, max_gradient_violation
 from test_evaluation import brute_map10, brute_recall, brute_triplet
 
@@ -35,7 +36,6 @@ from negclap.corpus import (
     save_dataset,
     split_dataset,
 )
-from negclap import evaluation
 from negclap.evaluation import (
     AUDIO_TO_TEXT,
     TEXT_TO_AUDIO,
@@ -54,7 +54,14 @@ from negclap.model import (
     encode_text_batch,
     init_params,
 )
-from negclap.negation import fully_negate, half_negate, negation_insert
+from negclap.negation import (
+    draw_half,
+    draw_insert,
+    draw_negators,
+    edit_counts,
+    insert_ids,
+    negate_ids,
+)
 from negclap.objective import (
     clap_loss_through_encoders,
     dissimilarity_loss,
@@ -191,7 +198,10 @@ def test_criterion_02_dissimilarity_bounds():
 
 def test_criterion_03_augmentation_invariants():
     n_tags = 12
+    n_iterations = 10_000
     vocab = generate_vocabulary(n_tags, 0)
+    table = TokenTable(vocab)
+    n_negators = len(vocab.negators)
     failures = []
     for seed in SEEDS:
         rng = seeded_rng(seed, 3)
@@ -207,12 +217,33 @@ def test_criterion_03_augmentation_invariants():
                         cands.add(Caption(
                             caption.tokens[:gap] + (mention,) + caption.tokens[gap:]))
             candidate_sets[caption] = cands
-        for i in range(10_000):
+        # iteration i edits caption i % 500 three times: an insert, a half and
+        # a full negation, drawn in that order from one stream; each edit of
+        # all iterations is then one id apply, decoded back to captions
+        slots = table.slots([captions[i % len(captions)] for i in range(n_iterations)])
+        n_plain, n_unused = (counts.tolist() for counts in edit_counts(slots, table))
+        inserts, half_mentions, half_negators, fully_negators = [], [], [], []
+        first = 0
+        for i in range(n_iterations):
+            inserts.append(draw_insert(int(slots.lens[i]), n_unused[i], n_negators, rng))
+            picked = draw_half(n_plain[i], rng)
+            half_mentions.append(first + picked)
+            half_negators.append(draw_negators([len(picked)], n_negators, rng))
+            fully_negators.append(draw_negators([n_plain[i]], n_negators, rng))
+            first += n_plain[i]
+        gaps, unused, negators = np.array(inserts, dtype=np.intp).T
+        edited = zip(
+            table.captions(insert_ids(slots, np.arange(n_iterations), gaps, unused, negators,
+                                      table)),
+            table.captions(negate_ids(slots, np.concatenate(half_mentions),
+                                      np.concatenate(half_negators), table)),
+            table.captions(negate_ids(slots, np.arange(first), np.concatenate(fully_negators),
+                                      table)))
+        for i, (inserted, halved, full) in enumerate(edited):
             caption = captions[i % len(captions)]
             plain = [m for m in caption.mentions() if not m.negated]
             before_ids = sorted(m.tag_id for m in caption.mentions())
 
-            inserted = negation_insert(caption, vocab, rng)
             if inserted not in candidate_sets[caption]:
                 failures.append((seed, i, "insert not in enumerated candidates"))
             new = set(inserted.tokens) - set(caption.tokens)
@@ -223,7 +254,6 @@ def test_criterion_03_augmentation_invariants():
             if inserted.tokens[:idx] + inserted.tokens[idx + 1:] != caption.tokens:
                 failures.append((seed, i, "insert did not preserve tokens"))
 
-            halved = half_negate(caption, vocab, rng)
             already = sum(m.negated for m in caption.mentions())
             if sum(m.negated for m in halved.mentions()) != \
                     already + math.ceil(len(plain) / 2):
@@ -232,7 +262,6 @@ def test_criterion_03_augmentation_invariants():
                     sorted(m.tag_id for m in halved.mentions()) != before_ids:
                 failures.append((seed, i, "half token preservation"))
 
-            full = fully_negate(caption, vocab, rng)
             if not all(m.negated for m in full.mentions()):
                 failures.append((seed, i, "fully negation count"))
             if len(full.tokens) != len(caption.tokens) or \
@@ -265,11 +294,7 @@ def test_criterion_04_protocol_oracles():
         audio, _ = encode_audio_batch(
             params, np.stack([c.features for c, _ in ds.pairs]))
         # the variant captions, rebuilt with the caption apply from the same stream
-        variant_rng = seeded_rng(instance, evaluation._VARIANTS_STREAM)
-        captions = {"original": [c for _, c in ds.pairs], "half": [], "fully": []}
-        for caption in captions["original"]:
-            captions["half"].append(half_negate(caption, vocab, variant_rng))
-            captions["fully"].append(fully_negate(caption, vocab, variant_rng))
+        captions = variant_captions(ds, eval_seed=instance)
         embs = {
             name: encode_text_batch(params, captions[name], vocab)[0]
             for name in ("original", "half", "fully")

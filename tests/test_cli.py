@@ -206,7 +206,7 @@ class TestAugment:
         assert code == 1
         err = capsys.readouterr().err
         line = data[:2000].count(b"\n") + 1
-        assert err.startswith(f"error: line {line}: invalid UTF-8 in {path}: ")
+        assert err.startswith(f"error: {path}: line {line}: invalid UTF-8: ")
 
     def test_out_of_range_probability_is_usage_error(self, tmp_path, capsys):
         data = gen_small(tmp_path)
@@ -258,6 +258,25 @@ class TestAugment:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("problem", ["parse", "validation"])
+    def test_bad_test_split_names_its_file(self, tmp_path, capsys, problem):
+        data = gen_small(tmp_path)
+        path = data / "test.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[2])
+        if problem == "parse":
+            record["id"] = "x"
+            message = "line 3: bad pair record: id must be a JSON integer, got 'x'"
+        else:
+            record["tags"] = [min(set(range(10)) - set(record["tags"]))]
+            message = f"clip {record['id']}: non-negated caption tags != clip tags"
+        lines[2] = json.dumps(record) + "\n"
+        path.write_text("".join(lines))
+        code = main(["train", "--data", str(data), "--condition", "baseline", "--epochs", "1",
+                     "--seed", "1", "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     def test_invalid_condition_combination_is_usage_error(self, tmp_path):
         data = gen_small(tmp_path)
         code = main(["train", "--data", str(data), "--condition", "baseline",

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from caption_apply import variant_captions
 from negclap.corpus import (
     Caption,
     Dataset,
@@ -42,17 +43,13 @@ from negclap.corpus import save_dataset
 from negclap.model import (
     ModelDims,
     TokenTable,
-    encode_audio,
     encode_audio_batch,
-    encode_text,
     encode_text_batch,
     encode_token_lists,
     init_params,
     load_checkpoint,
     save_checkpoint,
 )
-from negclap.negation import fully_negate, half_negate
-from negclap.seeding import seeded_rng
 from negclap.training import TrainConfig, train
 
 
@@ -225,17 +222,6 @@ def make_tiny_setup(seed=0, n=6):
     return params, ds
 
 
-def variant_captions(ds, eval_seed):
-    """The eval variants as captions, rebuilt with the caption apply from the same stream."""
-    rng = seeded_rng(eval_seed, evaluation._VARIANTS_STREAM)
-    out = {"original": [], "half": [], "fully": []}
-    for _, caption in ds.pairs:
-        out["original"].append(caption)
-        out["half"].append(half_negate(caption, ds.vocabulary, rng))
-        out["fully"].append(fully_negate(caption, ds.vocabulary, rng))
-    return out
-
-
 def variant_bucket_ids(variants, n_buckets=4096):
     """Each variant's bucket ids, as lists per CSR field."""
     return {name: [getattr(variants.table.ids(getattr(variants, name), n_buckets), field).tolist()
@@ -305,11 +291,11 @@ class TestRetrievalProtocol:
         params, ds = make_tiny_setup(5, n=RANKED_PAIRS)
         variants = build_eval_variants(ds, eval_seed=11)
         report = retrieval_protocol(embed_eval_variants(params, ds, variants))
-        audio = np.stack([encode_audio(params, clip) for clip, _ in ds.pairs])
+        audio = encode_audio_batch(params, ds.features())[0]
         captions = variant_captions(ds, eval_seed=11)
         for variant_name in ("original", "half", "fully"):
             caps = captions[variant_name]
-            text = np.stack([encode_text(params, c, ds.vocabulary) for c in caps])
+            text = encode_text_batch(params, caps, ds.vocabulary)[0]
             S = audio @ text.T
             for direction in (AUDIO_TO_TEXT, TEXT_TO_AUDIO):
                 assert report.r_at_10[(variant_name, direction)] == pytest.approx(
@@ -349,9 +335,8 @@ class TestTripletProtocol:
         params, ds = make_tiny_setup(7, n=5)
         variants = build_eval_variants(ds, eval_seed=2)
         report = triplet_protocol(embed_eval_variants(params, ds, variants))
-        audio = np.stack([encode_audio(params, clip) for clip, _ in ds.pairs])
-        embed = lambda caps: np.stack(
-            [encode_text(params, c, ds.vocabulary) for c in caps])
+        audio = encode_audio_batch(params, ds.features())[0]
+        embed = lambda caps: encode_text_batch(params, caps, ds.vocabulary)[0]
         captions = variant_captions(ds, eval_seed=2)
         oracle = brute_triplet(audio, embed(captions["original"]),
                                embed(captions["half"]), embed(captions["fully"]))
@@ -388,9 +373,8 @@ class TestTripletProtocol:
         params, ds = make_tiny_setup(9, n=6)
         variants = build_eval_variants(ds, eval_seed=4)
         base = triplet_protocol(embed_eval_variants(params, ds, variants))
-        audio = np.stack([encode_audio(params, clip) for clip, _ in ds.pairs])
-        embed = lambda caps: np.stack(
-            [encode_text(params, c, ds.vocabulary) for c in caps])
+        audio = encode_audio_batch(params, ds.features())[0]
+        embed = lambda caps: encode_text_batch(params, caps, ds.vocabulary)[0]
         captions = variant_captions(ds, eval_seed=4)
         sims = {n_: np.sum(audio * embed(captions[n_]), axis=1)
                 for n_ in ("original", "half", "fully")}

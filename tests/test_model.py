@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from caption_apply import augment_captions
 from fd_utils import dense_table, finite_difference_grads, max_gradient_violation, split_table
 from negclap.corpus import (
     Caption,
@@ -23,9 +24,7 @@ from negclap.model import (
     CaptionIds,
     ModelDims,
     TokenTable,
-    encode_audio,
     encode_audio_batch,
-    encode_text,
     encode_text_batch,
     encode_token_lists,
     hash_bucket,
@@ -36,21 +35,9 @@ from negclap.model import (
     _pool_rows,
     model_backward,
     save_checkpoint,
-    similarity,
     tokenize,
 )
-from negclap.negation import (
-    AugmentationExhausted,
-    draw_half,
-    draw_insert,
-    draw_negators,
-    edit_counts,
-    fully_negate,
-    half_negate,
-    insert_ids,
-    negate_ids,
-    negation_insert,
-)
+from negclap.negation import AugmentationExhausted, edit_ids
 from negclap.objective import clap_loss_through_encoders
 from negclap.seeding import seeded_rng
 
@@ -104,8 +91,7 @@ class TestEncoders:
     def test_negated_mention_changes_embedding(self, small_params, song_vocab):
         plain = Caption(tokens=(TagMention(1),))
         negated = Caption(tokens=(TagMention(1, "no"),))
-        e1 = encode_text(small_params, plain, song_vocab)
-        e2 = encode_text(small_params, negated, song_vocab)
+        e1, e2 = encode_text_batch(small_params, [plain, negated], song_vocab)[0]
         assert np.linalg.norm(e1 - e2) > 1e-3
 
     def test_word_order_matters(self, small_params):
@@ -129,28 +115,12 @@ class TestEncoders:
         np.testing.assert_array_equal(embs, again)
 
     def test_zero_audio_features_use_biases(self, small_params):
-        emb = encode_audio(small_params, np.zeros(small_params.dims.d_a))
+        emb = encode_audio_batch(small_params, np.zeros((1, small_params.dims.d_a)))[0][0]
         assert abs(np.linalg.norm(emb) - 1.0) < 1e-6
 
     def test_audio_dimension_checked(self, small_params):
         with pytest.raises(ValueError):
-            encode_audio(small_params, np.zeros(small_params.dims.d_a + 1))
-
-
-class TestSimilarity:
-    def test_identity_and_antipodal(self):
-        e = np.zeros(8)
-        e[0] = 1.0
-        assert similarity(e, e) == pytest.approx(1.0)
-        assert similarity(e, -e) == pytest.approx(-1.0)
-
-    def test_matches_independent_cosine(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            a, b = rng.normal(size=8), rng.normal(size=8)
-            ua, ub = a / np.linalg.norm(a), b / np.linalg.norm(b)
-            oracle = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
-            assert similarity(ua, ub) == pytest.approx(oracle, abs=1e-12)
+            encode_audio_batch(small_params, np.zeros((1, small_params.dims.d_a + 1)))
 
 
 class TestModelBackward:
@@ -451,53 +421,27 @@ class TestNegationIdApply:
 
     N_BUCKETS = 61
 
-    def caption_apply(self, name, vocab, caps, rng):
-        """Each caption's edit by the caption functions, or the error it raises."""
-        edit = {"insert": negation_insert, "half": half_negate, "fully": fully_negate}[name]
-        return [outcome(edit, c, vocab, rng) for c in caps]
-
-    def id_apply(self, name, table, caps, rng):
-        """Each caption's draws and the id apply of them, and the errors the draws raise."""
-        source = table.slots(caps)
-        n_negators = len(table.vocab.negators)
-        n_slots = source.lens.tolist()
-        counts, n_unused = (c.tolist() for c in edit_counts(source, table))
-        firsts = np.cumsum([0] + counts).tolist()
-
-        def draw(i):
-            if name == "insert":
-                return draw_insert(n_slots[i], n_unused[i], n_negators, rng)
-            picked = draw_half(counts[i], rng) if name == "half" else np.arange(counts[i])
-            negators = draw_negators([len(picked)], n_negators, rng)
-            return firsts[i] + picked, negators
-
-        draws, errors = {}, {}
-        for i in range(len(caps)):
-            drawn = outcome(draw, i)
-            (errors if isinstance(drawn[0], type) else draws)[i] = drawn
-        if name == "insert":
-            rows = np.array(list(draws), dtype=np.intp)
-            gaps, unused, negators = np.array(list(draws.values()), np.intp).reshape(-1, 3).T
-            ids = insert_ids(source, rows, gaps, unused, negators, table)
-        else:
-            flat = lambda parts: np.concatenate([np.empty(0, np.intp), *parts])
-            ids = negate_ids(source, flat(m for m, _ in draws.values()),
-                             flat(n for _, n in draws.values()), table)
-        return table.ids(ids, self.N_BUCKETS), errors
-
     @settings(max_examples=200, deadline=None)
-    @given(negation_cases(), st.sampled_from(["insert", "half", "fully"]))
-    def test_each_edit_matches_the_caption_apply(self, case, name):
+    @given(negation_cases(), st.sampled_from(["insert", "half", "fully"]),
+           st.sampled_from([0.0, 0.6, 1.0]), st.booleans())
+    def test_each_edit_matches_the_caption_apply(self, case, name, p_aug, all_plain):
         vocab, caps, seed = case
+        if all_plain:  # else half and fully raise at the first caption without a plain mention
+            caps = ([c for c in caps if any(t.negator is None for t in c.mentions())]
+                    or [Caption((TagMention(0),))])
         by_caption, by_ids = seeded_rng(seed), seeded_rng(seed)
-        edited = self.caption_apply(name, vocab, caps, by_caption)
-        ids, errors = self.id_apply(name, TokenTable(vocab), caps, by_ids)
-        assert errors == {i: e for i, e in enumerate(edited) if isinstance(e, tuple)}
-        # a caption whose edit raised keeps its ids
-        want = [c if isinstance(e, tuple) else e for c, e in zip(caps, edited)]
+        want = outcome(augment_captions, name, caps, vocab, p_aug, by_caption)
         table = TokenTable(vocab)
-        assert_same_ids(ids, table.ids(table.slots(want), self.N_BUCKETS), name)
+        got = outcome(edit_ids, name, table.slots(caps), table, p_aug, by_ids)
         assert by_ids.bit_generator.state == by_caption.bit_generator.state
+        if isinstance(want[0], type):
+            assert got == want
+            return
+        (edited, skipped), (captions, n_exhausted) = got, want
+        assert skipped == n_exhausted
+        assert table.captions(edited) == captions
+        assert_same_ids(table.ids(edited, self.N_BUCKETS),
+                        table.ids(table.slots(captions), self.N_BUCKETS), name)
 
     @settings(max_examples=200, deadline=None)
     @given(negation_cases(), st.sampled_from([0.0, 0.6, 1.0]), st.sampled_from([0.0, 1e-2]),

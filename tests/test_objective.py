@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from caption_apply import fully_negate
 from fd_utils import finite_difference_grads, max_gradient_violation, named_grads
 from negclap.corpus import generate_dataset, generate_vocabulary
 from negclap.model import CaptionIds, ModelDims, TokenTable, init_params
-from negclap.negation import fully_negate
 from negclap.objective import (
     clap_loss,
     clap_loss_through_encoders,

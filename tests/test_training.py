@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from caption_apply import apply_augmentation, fully_negate
 from negclap.corpus import Dataset, generate_dataset, generate_vocabulary, split_dataset
 from negclap.model import CaptionIds, ModelDims
 from negclap.seeding import seeded_rng, spawn_seed
 from negclap import training
-from negclap.negation import AugmentationExhausted, apply_augmentation, fully_negate
+from negclap.negation import AugmentationExhausted
 from negclap.training import (
     AdamOptimizer,
     LOG_COLUMNS,
