@@ -100,8 +100,8 @@ def build_eval_variants(test_dataset: Dataset, eval_seed: int) -> EvalVariantSet
 
     Draws come from a dedicated stream of ``eval_seed`` in pair order (half
     first, then fully, per pair), so the same seed yields the same variants
-    for every model being compared.  They are the draws of ``half_negate``
-    then ``fully_negate``, a pair's negators in one ``draw_negators`` call,
+    for every model being compared.  Per pair they are ``draw_half``, then
+    the half and the full negation's negators in one ``draw_negators`` call,
     applied to the captions' kinds.
     """
     table = TokenTable(test_dataset.vocabulary)
