@@ -508,7 +508,8 @@ def load_dataset(path: str | Path, check_tag_consistency: bool = True) -> Datase
     The file is read line by line.  All clips' features go into one
     ``(n, d_a)`` float64 matrix, and each clip holds a row view of it; equal
     caption tokens are one shared object.  Every field must hold the JSON
-    type save_dataset writes, or DatasetParseError names the line.  Every
+    type save_dataset writes, or DatasetParseError names the line; a file
+    with no pair record after its header is a DatasetValidationError.  Every
     DatasetError it raises names ``path``.
     """
     try:
@@ -581,14 +582,12 @@ def _read_dataset(path: str | Path, check_tag_consistency: bool) -> Dataset:
             tag_sets.append(tag_ids)
             captions.append(Caption(tokens=tokens))
 
-    if rows is None:
-        pairs, finite = [], []
-        dataset = Dataset(vocabulary=vocab, pairs=pairs, split=split)
-    else:
-        rows.resize((len(ids), d_a), refcheck=False)
-        finite = np.isfinite(rows).all(axis=1)
-        pairs = [(AudioClip(id=i, features=row, tag_ids=t), c)
-                 for i, row, t, c in zip(ids, rows, tag_sets, captions)]
-        dataset = Dataset(vocab, pairs, split, rows)
+    if rows is None:  # save_dataset refuses an empty dataset too
+        raise DatasetValidationError("no pair records after the header")
+    rows.resize((len(ids), d_a), refcheck=False)
+    finite = np.isfinite(rows).all(axis=1)
+    pairs = [(AudioClip(id=i, features=row, tag_ids=t), c)
+             for i, row, t, c in zip(ids, rows, tag_sets, captions)]
+    dataset = Dataset(vocab, pairs, split, rows)
     _validate(dataset, finite, check_tag_consistency)
     return dataset

@@ -293,6 +293,65 @@ class CaptionIds:
         return CaptionIds(*(np.concatenate([getattr(p, f) for p in parts])
                             for f in ("uni", "uni_len", "bi", "bi_len")))
 
+    def pooled(self, n_buckets: int) -> "PooledIds":
+        """The captions as one block in the text forward's layout (see ``PooledIds``)."""
+        return next(_step_layouts([self], 1, n_buckets))
+
+
+@dataclass(frozen=True, eq=False)
+class PooledIds:
+    """Bucket ids of B captions as the text forward pools them from the joint table.
+
+    ``rows`` holds every caption's unigram buckets, caption after caption,
+    then every caption's bigram buckets plus ``n_buckets`` the same way, so
+    each is a row of ``ModelParams.tables``.  ``lens`` holds the 2B pooled
+    rows' lengths: each caption's unigram count, then its bigram count.
+    """
+    rows: np.ndarray
+    lens: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lens) // 2
+
+
+def _step_layouts(parts: Sequence[CaptionIds], n_steps: int,
+                  n_buckets: int) -> Iterator[PooledIds]:
+    """Split each of the equally long ``parts`` into ``n_steps`` equal runs; per
+    step, its run of every part, one part after another, as one ``PooledIds``.
+
+    All steps are laid out in one vectorised gather of pooled rows.
+    """
+    joined = CaptionIds.concat(parts)
+    n_parts, n = len(parts), len(parts[0])
+    step = n // n_steps
+    lens = np.concatenate((joined.uni_len, joined.bi_len))
+    ids = np.concatenate((joined.uni, joined.bi + n_buckets), dtype=_ID_DTYPE)
+    # pooled row (kind, part, caption) of step s is the joined caption's
+    # unigram (kind 0) or bigram (kind 1) row, at step s's place in its part
+    order = (np.arange(n_steps)[:, None, None, None] * step
+             + np.arange(2)[:, None, None] * (n_parts * n)
+             + np.arange(n_parts)[:, None] * n + np.arange(step)).ravel()
+    step_lens = lens[order]
+    rows = ids[_spans(_starts(lens)[order], step_lens)]
+    width = 2 * n_parts * step
+    row_at = np.concatenate(([0], np.cumsum(step_lens.reshape(n_steps, width).sum(axis=1))))
+    for s in range(n_steps):
+        yield PooledIds(rows[row_at[s]:row_at[s + 1]], step_lens[s * width:(s + 1) * width])
+
+
+def pooled_steps(blocks: Sequence[CaptionIds], step: int, n_buckets: int) -> Iterator[PooledIds]:
+    """Per run of ``step`` consecutive captions of the equally long ``blocks``:
+    that run of every block, one block after another, as one ``PooledIds``.
+
+    The blocks hold whole runs.  A step's layout equals that of its runs
+    joined by ``CaptionIds.concat``.  The layouts are built vectorised for
+    about ``_IDS_CHUNK`` captions at a time, so a step's layout is two
+    slices, and only one chunk's layouts are held at once.
+    """
+    per_chunk = max(1, _IDS_CHUNK // (step * len(blocks))) * step
+    for parts in zip(*(block.batches(per_chunk) for block in blocks)):
+        yield from _step_layouts(parts, len(parts[0]) // step, n_buckets)
+
 
 @dataclass(frozen=True, eq=False)
 class TokenIds:
@@ -444,8 +503,8 @@ class TokenTable:
 
 @dataclass
 class TextBatchCache:
-    ids: np.ndarray     # rows of ``ModelParams.tables`` the tokens hit, unigrams then bigrams
-    owner: np.ndarray   # pooled row of each: caption i's unigrams in row i, bigrams in B + i
+    ids: np.ndarray     # rows of ``ModelParams.tables`` the tokens hit (``PooledIds.rows``)
+    lens: np.ndarray    # (2B,) length of each pooled row: caption i's unigrams, then B + i's bigrams
     counts: np.ndarray  # (2B,) the divisor of each pooled row
     x: np.ndarray
     h: np.ndarray
@@ -510,64 +569,64 @@ def _scatter_rows(index: np.ndarray, values: np.ndarray, n_out: int) -> np.ndarr
 _POOL_CHUNK = 64
 
 
-def _pool_rows(table: np.ndarray, ids: np.ndarray, owner: np.ndarray,
-               n_out: int) -> np.ndarray:
-    """Sum of ``table[ids[i]]`` into row ``owner[i]``; ``owner`` is nondecreasing.
+def _pool_rows(table: np.ndarray, ids: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Sum of ``table[ids]`` in runs: pooled row r sums the next ``lens[r]`` ids.
 
     Every pooled row is 0.0 plus its table rows, added one after another in
-    ``ids`` order, so the result is byte-identical to ``np.add.at``.  Past
-    one chunk, a chunk of pooled rows gathers its table rows into a
-    ``(width, rows, d)`` block padded with -0.0 (``v + -0.0 == v`` for every
-    v) and sums it over its first axis, which numpy adds one slice after
-    another.  A chunk whose padding would more than double its gather is
-    scattered instead, so no chunk holds much more than its own rows.
+    ``ids`` order, so the result is byte-identical to ``np.add.at``.  A chunk
+    of pooled rows places its table rows in a zeroed ``(width, rows, d)``
+    block and sums it from 0.0 over its first axis, which numpy adds one
+    slice after another.  The padding adds 0.0 to a running sum that, having
+    started at 0.0, is never -0.0, and ``v + 0.0 == v`` for every other v.
+    A chunk of one row is scattered instead, since numpy would sum a
+    one-column table's lone row pairwise; so is a chunk whose padding would
+    more than double its block, so no chunk holds much more than its rows.
     """
-    if n_out <= _POOL_CHUNK:  # a single chunk: the training batches
-        return _scatter_rows(owner, table[ids], n_out)
+    n_out = len(lens)
     x = np.empty((n_out, table.shape[1]))
-    lens = np.bincount(owner, minlength=n_out)
     at = np.concatenate(([0], np.cumsum(lens)))
-    place = np.arange(len(ids)) - at[owner]  # each id's place in its pooled row
-    # no chunk of one row: numpy would sum a one-column table's lone row pairwise
-    edges = [*range(0, n_out - 1, _POOL_CHUNK), n_out]
+    # a lone last row joins the chunk before it, so only n_out == 1 makes a one-row chunk
+    edges = [0, *range(_POOL_CHUNK, n_out - 1, _POOL_CHUNK), n_out]
     for r0, r1 in zip(edges, edges[1:]):
         a, b = at[r0], at[r1]
-        width = lens[r0:r1].max()
-        if width * (r1 - r0) > 2 * (b - a):
-            x[r0:r1] = _scatter_rows(owner[a:b] - r0, table[ids[a:b]], r1 - r0)
+        chunk = lens[r0:r1]
+        width = chunk.max()
+        if r1 - r0 == 1 or width * (r1 - r0) > 2 * (b - a):
+            owner = np.repeat(np.arange(r1 - r0), chunk)
+            x[r0:r1] = _scatter_rows(owner, table[ids[a:b]], r1 - r0)
             continue
-        padded = np.full((width, r1 - r0), -1)
-        padded[place[a:b], owner[a:b] - r0] = ids[a:b]
-        g = table[padded]
-        g[padded < 0] = -0.0
+        g = np.zeros((width, r1 - r0, table.shape[1]))
+        # pooled row r's table rows fill g[:lens[r], r], in order
+        g.transpose(1, 0, 2)[np.arange(width) < chunk[:, None]] = table[ids[a:b]]
         np.add.reduce(g, axis=0, initial=0.0, out=x[r0:r1])
     return x
 
 
 def encode_token_lists(params: ModelParams,
-                       ids: CaptionIds) -> tuple[np.ndarray, TextBatchCache]:
+                       ids: CaptionIds | PooledIds) -> tuple[np.ndarray, TextBatchCache]:
     """Batch text forward over captions given as bucket ids (see ``TokenTable.ids``).
 
-    One pooling pass over the joint table sums each caption's unigram rows
-    into pooled row i and its bigram rows (offset by hash_buckets) into row
-    B + i; the input is the unigram mean plus the bigram mean.
+    Captions as ``CaptionIds`` are laid out as one block (``CaptionIds.pooled``);
+    a training step comes laid out already (``pooled_steps``).  One pooling
+    pass over the joint table sums each caption's unigram rows into pooled
+    row i and its bigram rows into row B + i; the input is the unigram mean
+    plus the bigram mean.
     """
+    if isinstance(ids, CaptionIds):
+        ids = ids.pooled(params.dims.hash_buckets)
     B = len(ids)
     if B == 0:
         raise ValueError("empty batch")
-    if not ids.uni_len.all():
-        raise ValueError(f"item {int(np.argmin(ids.uni_len))}: caption renders to no tokens")
-    lens = np.concatenate((ids.uni_len, ids.bi_len))
-    rows = np.concatenate((ids.uni, ids.bi + params.dims.hash_buckets), dtype=np.intp)
-    owner = np.repeat(np.arange(2 * B), lens)
-    counts = np.maximum(lens, 1).astype(np.float64)
-    pooled = _pool_rows(params.tables, rows, owner, 2 * B)
+    if not ids.lens[:B].all():
+        raise ValueError(f"item {int(np.argmin(ids.lens[:B]))}: caption renders to no tokens")
+    counts = np.maximum(ids.lens, 1).astype(np.float64)
+    pooled = _pool_rows(params.tables, ids.rows, ids.lens)
     pooled /= counts[:, None]
     x = pooled[:B] + pooled[B:]
     h, norms, emb = _mlp_forward(
         x, params.text_hidden_w, params.text_hidden_b, params.text_out_w, params.text_out_b
     )
-    return emb, TextBatchCache(rows, owner, counts, x, h, norms, emb)
+    return emb, TextBatchCache(ids.rows, ids.lens, counts, x, h, norms, emb)
 
 
 def encode_text_batch(params: ModelParams, captions: Sequence[Caption],
@@ -617,8 +676,16 @@ def model_backward(
         grads.text_hidden_w, grads.text_hidden_b, grads.text_out_w, grads.text_out_b = d_dense
         d_x = d_pre @ params.text_hidden_w.T
         d_pooled = (d_x / cache.counts.reshape(2, -1, 1)).reshape(len(cache.counts), -1)
-        rows, inverse = np.unique(cache.ids, return_inverse=True)
-        grads.table = RowGrad(rows, _scatter_rows(inverse, d_pooled[cache.owner], len(rows)))
+        # the rows hit, sorted, and each id's place among them, from marks
+        # over the table's rows rather than a sort of the ids
+        hit = np.zeros(len(params.tables), dtype=bool)
+        hit[cache.ids] = True
+        rows = np.flatnonzero(hit)
+        place = np.empty(len(params.tables), dtype=np.intp)
+        place[rows] = np.arange(len(rows))
+        grads.table = RowGrad(rows, _scatter_rows(place[cache.ids],
+                                                  np.repeat(d_pooled, cache.lens, axis=0),
+                                                  len(rows)))
     if audio is not None:
         cache, d_emb = audio
         _, *d_dense = _mlp_backward(cache.feats, cache.h, cache.norms, cache.emb,

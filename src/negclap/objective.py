@@ -27,6 +27,7 @@ from .model import (
     CaptionIds,
     ModelParams,
     ParamGrads,
+    PooledIds,
     encode_audio_batch,
     encode_token_lists,
     model_backward,
@@ -68,11 +69,15 @@ def clap_loss(audio_embs: np.ndarray, text_embs: np.ndarray,
 
     log_p_rows = _log_softmax(scores, axis=1)
     log_p_cols = _log_softmax(scores, axis=0)
-    diag = np.arange(B)
-    loss = -0.5 * (log_p_rows[diag, diag].mean() + log_p_cols[diag, diag].mean())
+    loss = -0.5 * (log_p_rows.diagonal().mean() + log_p_cols.diagonal().mean())
 
-    eye = np.eye(B)
-    g_scores = (np.exp(log_p_rows) - eye + np.exp(log_p_cols) - eye) / (2.0 * B)
+    # softmax rows plus softmax columns, less the identity twice, in that order
+    g_scores = np.exp(log_p_rows)
+    diag = g_scores.reshape(-1)[::B + 1]  # a view of the diagonal
+    diag -= 1.0
+    g_scores += np.exp(log_p_cols)
+    diag -= 1.0
+    g_scores /= 2.0 * B
     d_audio = tau * (g_scores @ text_embs)
     d_text = tau * (g_scores.T @ audio_embs)
     return float(loss), d_audio, d_text, float(np.sum(g_scores * scores))
@@ -93,13 +98,14 @@ def dissimilarity_loss(caption_embs: np.ndarray,
 
 
 def total_loss_through_encoders(
-    params: ModelParams, audio_features: np.ndarray | None, text_ids: CaptionIds, *,
+    params: ModelParams, audio_features: np.ndarray | None, text_ids: CaptionIds | PooledIds, *,
     k: float, with_grads: bool = True,
 ) -> tuple[LossBreakdown, ParamGrads | None]:
     """l_clap + k * l_diss of one training step, with full parameter gradients.
 
     ``text_ids`` holds the step's captions as bucket ids (see
-    ``TokenTable.ids``): the ``len(audio_features)`` contrastive captions
+    ``TokenTable.ids``), or laid out for pooling (see ``pooled_steps``): the
+    ``len(audio_features)`` contrastive captions
     (none when ``audio_features`` is None), then the dissimilarity anchors,
     then their negated counterparts, two halves of equal length.  So the
     contrastive side may see augmented captions while the anchors stay on
@@ -114,7 +120,7 @@ def total_loss_through_encoders(
         raise ValueError(f"expected {n_clap} contrastive captions, then anchors and negated "
                          f"captions in two halves of equal length; got {len(text_ids)} captions")
     text_embs, text_cache = encode_token_lists(params, text_ids)
-    d_text = np.zeros_like(text_embs)
+    d_text = np.empty_like(text_embs)  # every row is written below
     l_clap = l_diss = d_log_temperature = 0.0
     audio = None
     if audio_features is not None:
@@ -123,8 +129,11 @@ def total_loss_through_encoders(
             audio_embs, text_embs[:n_clap], float(params.log_temperature))
         audio = (audio_cache, d_audio)
     if n_pairs:
-        l_diss, *d_pairs = dissimilarity_loss(*np.split(text_embs[n_clap:], 2))
-        d_text[n_clap:] = k * np.concatenate(d_pairs)
+        middle = n_clap + n_pairs
+        l_diss, d_anchor, d_negated = dissimilarity_loss(text_embs[n_clap:middle],
+                                                         text_embs[middle:])
+        np.multiply(k, d_anchor, out=d_text[n_clap:middle])
+        np.multiply(k, d_negated, out=d_text[middle:])
     breakdown = LossBreakdown(l_clap=l_clap, l_diss=l_diss, l_total=l_clap + k * l_diss)
     if not with_grads:
         return breakdown, None

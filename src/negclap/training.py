@@ -46,11 +46,13 @@ from .model import (
     ModelDims,
     ModelParams,
     ParamGrads,
+    PooledIds,
     TokenIds,
     TokenTable,
     encode_audio_batch,
     encode_token_lists,
     init_params,
+    pooled_steps,
 )
 from .negation import (
     draw_inserts,
@@ -181,13 +183,28 @@ class AdamOptimizer:
         self.v *= ADAM_BETA2
         self.v += (1.0 - ADAM_BETA2) * g * g
         params.dense -= learning_rate * (self.m / m_corr) / (np.sqrt(self.v / v_corr) + ADAM_EPS)
+        # the table rows the batch hit, taken once and updated in place with
+        # the ufuncs, in the order, of
+        #   v = table_v[rows] * beta2 ** (t - last[rows]) + (1 - beta2) * g * g
+        #   tables[rows] -= lr * g / (sqrt(v / v_corr) + eps)
         rows, g = grads.table.rows, grads.table.values
-        decay = ADAM_BETA2 ** (self.t - self.table_last[rows])
-        v = self.table_v[rows] * decay[:, None]
-        v += (1.0 - ADAM_BETA2) * g * g
+        decay = self.table_last.take(rows)
+        np.subtract(self.t, decay, out=decay)
+        v = self.table_v.take(rows, axis=0)
+        v *= np.power(ADAM_BETA2, decay)[:, None]
+        gg = np.multiply(1.0 - ADAM_BETA2, g)
+        gg *= g
+        v += gg
         self.table_v[rows] = v
         self.table_last[rows] = self.t
-        params.tables[rows] -= learning_rate * g / (np.sqrt(v / v_corr) + ADAM_EPS)
+        np.divide(v, v_corr, out=gg)
+        np.sqrt(gg, out=gg)
+        gg += ADAM_EPS
+        step = np.multiply(learning_rate, g)
+        step /= gg
+        p = params.tables.take(rows, axis=0)
+        p -= step
+        params.tables[rows] = p
         np.clip(params.log_temperature, LOG_TEMPERATURE_MIN, LOG_TEMPERATURE_MAX,
                 out=params.log_temperature)
 
@@ -213,9 +230,10 @@ class EpochPlan:
     ``order`` holds each item's pair index; ``clap`` the bucket ids of the
     caption its contrastive term sees (augmented or original); with k > 0,
     ``anchors`` and ``negated`` the ids of its original caption and of that
-    caption's fully negated counterpart.
+    caption's fully negated counterpart, all over ``n_buckets`` buckets.
     """
     batch_size: int
+    n_buckets: int
     order: np.ndarray
     clap: CaptionIds
     anchors: CaptionIds | None
@@ -223,14 +241,15 @@ class EpochPlan:
     n_augmented: int
     n_exhausted: int
 
-    def steps(self) -> Iterator[tuple[slice, CaptionIds]]:
+    def steps(self) -> Iterator[tuple[slice, PooledIds]]:
         """Each step's item slice and captions: its B contrastive ones, then with
-        k > 0 its B anchors and their B negated counterparts, as one ``CaptionIds``."""
+        k > 0 its B anchors and their B negated counterparts, laid out as one
+        pooled block (``pooled_steps``)."""
         B = self.batch_size
         blocks = [self.clap] if self.anchors is None else [self.clap, self.anchors, self.negated]
-        for start, parts in zip(range(0, len(self.order), B),
-                                zip(*(block.batches(B) for block in blocks))):
-            yield slice(start, start + B), CaptionIds.concat(parts)
+        for start, text_ids in zip(range(0, len(self.order), B),
+                                   pooled_steps(blocks, B, self.n_buckets)):
+            yield slice(start, start + B), text_ids
 
 
 def plan_epoch(slots: TokenIds, caption_ids: CaptionIds, order: np.ndarray,
@@ -279,11 +298,11 @@ def plan_epoch(slots: TokenIds, caption_ids: CaptionIds, order: np.ndarray,
     if config.k > 0:
         drawn = np.concatenate(negators or [np.empty(0, np.int64)])
         negated = table.ids(negate_ids(items, np.arange(len(drawn)), drawn, table), n_buckets)
-    return EpochPlan(B, order, clap, originals if config.k > 0 else None, negated,
+    return EpochPlan(B, n_buckets, order, clap, originals if config.k > 0 else None, negated,
                      n_augmented=len(inserts), n_exhausted=n_exhausted)
 
 
-def train_step(params: ModelParams, features: np.ndarray, text_ids: CaptionIds,
+def train_step(params: ModelParams, features: np.ndarray, text_ids: CaptionIds | PooledIds,
                config: TrainConfig, optimizer: AdamOptimizer) -> LossBreakdown:
     """One optimizer update on one planned batch; params update in place.
 
@@ -295,7 +314,7 @@ def train_step(params: ModelParams, features: np.ndarray, text_ids: CaptionIds,
     return breakdown
 
 
-def _test_map_scores(params: ModelParams, test_ids: CaptionIds,
+def _test_map_scores(params: ModelParams, test_ids: PooledIds,
                      audio_features: np.ndarray) -> tuple[float, float]:
     audio_embs, _ = encode_audio_batch(params, audio_features)
     text_embs, _ = encode_token_lists(params, test_ids)
@@ -330,7 +349,8 @@ def train(
     slots = table.slots([caption for _, caption in dataset_train.pairs])
     caption_ids = table.ids(slots, dims.hash_buckets)
     test_caption_ids = test_table.ids(
-        test_table.slots([caption for _, caption in dataset_test.pairs]), dims.hash_buckets)
+        test_table.slots([caption for _, caption in dataset_test.pairs]),
+        dims.hash_buckets).pooled(dims.hash_buckets)
 
     best: CheckpointRecord | None = None
     logs: list[EpochLog] = []

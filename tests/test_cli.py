@@ -277,6 +277,17 @@ class TestTrain:
         assert code == 1
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_split_without_records_names_its_file(self, tmp_path, capsys, split):
+        data = gen_small(tmp_path)
+        path = data / f"{split}.jsonl"
+        path.write_text(path.read_text().splitlines(keepends=True)[0])  # the header alone
+        code = main(["train", "--data", str(data), "--condition", "baseline", "--epochs", "1",
+                     "--seed", "1", "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: no pair records after the header\n"
+        assert not (tmp_path / "run").exists()
+
     def test_invalid_condition_combination_is_usage_error(self, tmp_path):
         data = gen_small(tmp_path)
         code = main(["train", "--data", str(data), "--condition", "baseline",
@@ -351,6 +362,16 @@ class TestEval:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             "error: the test split has 8 pairs; R@10 needs at least 10")
+
+    def test_test_split_without_records_names_its_file(self, tmp_path, capsys):
+        data, ckpt = self._trained(tmp_path)
+        path = data / "test.jsonl"
+        path.write_text(path.read_text().splitlines(keepends=True)[0])  # the header alone
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--eval-seed", "9", "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: no pair records after the header\n"
+        assert not (tmp_path / "e").exists()
 
     def test_checkpoint_without_dims_is_usage_error(self, tmp_path, capsys):
         data, ckpt = self._trained(tmp_path)

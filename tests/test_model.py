@@ -265,7 +265,7 @@ class TestRowSparseScatter:
         ids = rng.integers(0, len(table), size=len(owner))
         expected = np.zeros((len(lens), d))
         np.add.at(expected, owner, table[ids])
-        pooled = _pool_rows(table, ids, owner, len(lens))
+        pooled = _pool_rows(table, ids, lens)
         assert np.array_equal(pooled, expected)
         assert np.array_equal(np.signbit(pooled), np.signbit(expected))
 
@@ -347,7 +347,8 @@ class TestTokenTable:
                    encode_token_lists(params, table.ids(table.slots(caps), n))]
         for emb, cache in batches:
             assert cache.ids.tolist() == uni_idx + [b + n for b in bi_idx]
-            assert cache.owner.tolist() == uni_rows + [r + len(caps) for r in bi_rows]
+            owner = np.repeat(np.arange(2 * len(caps)), cache.lens)  # pooled row of each id
+            assert owner.tolist() == uni_rows + [r + len(caps) for r in bi_rows]
             assert cache.x.tobytes() == x.tobytes()
             assert emb.tobytes() == emb_ref.tobytes()
 
@@ -416,6 +417,17 @@ def outcome(edit, *args):
         return type(e), str(e)
 
 
+def oracle_vocab(n_tags, n_negators):
+    return Vocabulary(tuple(Tag(i, s) for i, s in enumerate(ORACLE_SURFACES[:n_tags])),
+                      ORACLE_NEGATORS[:n_negators])
+
+
+# three plain mentions (and a negated one): a half negation negates two of
+# them, so with two or more negators each of its two negator draws shows
+THREE_PLAIN = Caption((TagMention(0), Word("and,"), TagMention(1), TagMention(2, "not"),
+                       Word("a"), TagMention(3)))
+
+
 class TestNegationIdApply:
     """The id apply of each edit against the caption apply, over the same draws."""
 
@@ -424,6 +436,10 @@ class TestNegationIdApply:
     @settings(max_examples=200, deadline=None)
     @given(negation_cases(), st.sampled_from(["insert", "half", "fully"]),
            st.sampled_from([0.0, 0.6, 1.0]), st.booleans())
+    @example((oracle_vocab(4, 2), [THREE_PLAIN], 0), "half", 0.0, False)
+    @example((oracle_vocab(5, 3), [Caption((TagMention(4), Word("a"))), THREE_PLAIN,
+                                   Caption((TagMention(1, "no"), TagMention(0)))], 7),
+             "half", 0.0, False)
     def test_each_edit_matches_the_caption_apply(self, case, name, p_aug, all_plain):
         vocab, caps, seed = case
         if all_plain:  # else half and fully raise at the first caption without a plain mention

@@ -11,6 +11,8 @@ from negclap.seeding import seeded_rng, spawn_seed
 from negclap import training
 from negclap.negation import AugmentationExhausted
 from negclap.training import (
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamOptimizer,
     LOG_COLUMNS,
     SweepRow,
@@ -236,8 +238,53 @@ class TestEpochPlan:
         for s, (items, text_ids) in enumerate(steps):
             assert items == slice(8 * s, 8 * s + 8)
             want = CaptionIds.concat([block.take(np.arange(8 * s, 8 * s + 8)) for block in blocks])
-            for field in ("uni", "uni_len", "bi", "bi_len"):
-                np.testing.assert_array_equal(getattr(text_ids, field), getattr(want, field))
+            # the step's layout: its unigram ids, then its bigram ids in the table's second half
+            np.testing.assert_array_equal(text_ids.rows,
+                                          np.concatenate((want.uni, want.bi + n_buckets)))
+            np.testing.assert_array_equal(text_ids.lens,
+                                          np.concatenate((want.uni_len, want.bi_len)))
+
+    @pytest.mark.parametrize("condition, hyper", [
+        ("baseline", {}), ("loss_term", {"k": 1e-2}), ("text_aug", {"p_aug": 0.6}),
+        ("combo", {"p_aug": 0.6, "k": 1e-2})])
+    def test_step_layout_trains_as_the_concatenated_ids(self, condition, hyper):
+        from negclap.model import _IDS_CHUNK, TokenTable, init_params
+        from negclap.objective import total_loss_through_encoders
+
+        class Recording(AdamOptimizer):
+            def step(self, params, grads, learning_rate):
+                self.grads = grads
+                super().step(params, grads, learning_rate)
+
+        train_ds, _ = tiny_splits(n=1220, n_test=20)
+        config = TrainConfig(condition=condition, seed=1, batch_size=8, **hyper)
+        order = np.concatenate(make_batches(train_ds, 8, epoch_seed=4))
+        table, n_buckets = TokenTable(train_ds.vocabulary), TINY_DIMS.hash_buckets
+        slots = table.slots([c for _, c in train_ds.pairs])
+        plan = plan_epoch(slots, table.ids(slots, n_buckets), order, config, table, n_buckets,
+                          seeded_rng(3))
+        blocks = [b for b in (plan.clap, plan.anchors, plan.negated) if b is not None]
+        steps = list(plan.steps())
+        assert len(steps) == 150
+        assert len(steps) * 8 * len(blocks) > _IDS_CHUNK  # laid out in more than one chunk
+        features, params = train_ds.features(), init_params(TINY_DIMS, 3)
+        for s, (items, layout) in enumerate(steps):
+            ids = CaptionIds.concat([b.take(np.arange(8 * s, 8 * s + 8)) for b in blocks])
+            np.testing.assert_array_equal(layout.rows, np.concatenate((ids.uni, ids.bi + n_buckets)))
+            np.testing.assert_array_equal(layout.lens, np.concatenate((ids.uni_len, ids.bi_len)))
+            # every step trains on the layout as the chain does on the concatenated ids
+            by_layout, by_ids = params.copy(), params.copy()
+            optimizer = Recording.for_params(by_layout)
+            got = train_step(by_layout, features[order[items]], layout, config, optimizer)
+            want, grads = total_loss_through_encoders(by_ids, features[order[items]], ids,
+                                                      k=config.k)
+            AdamOptimizer.for_params(by_ids).step(by_ids, grads, config.learning_rate)
+            assert got == want
+            for a, b in ((optimizer.grads.table.rows, grads.table.rows),
+                         (optimizer.grads.table.values, grads.table.values),
+                         (optimizer.grads.dense, grads.dense),
+                         (by_layout.tables, by_ids.tables), (by_layout.dense, by_ids.dense)):
+                assert a.tobytes() == b.tobytes(), s
 
     def test_batched_bernoulli_draws_equal_scalar_draws(self):
         # the p_aug == 0 plan draws a step's B Bernoulli variates as one rng.random(B)
@@ -303,6 +350,37 @@ class TestAdamOptimizer:
             np.testing.assert_allclose(arr, getattr(params_dense, name), atol=1e-12,
                                        err_msg=name)
 
+    def test_table_update_matches_per_row_reference_bit_for_bit(self):
+        from negclap.model import ParamGrads, RowGrad, init_params
+
+        params = init_params(TINY_DIMS, 7)
+        opt = AdamOptimizer.for_params(params)
+        table, v, last = params.tables.copy(), np.zeros_like(params.tables), {}
+        n_rows = 2 * TINY_DIMS.hash_buckets
+        rng = np.random.default_rng(4)
+        # rows touched in consecutive steps, a step touching none, rows left for a
+        # few steps and touched again, then random sets
+        schedule = [[0, 5, 9, n_rows - 1], [0, 5], [], [9, 200], [0, 9, 200], [5]]
+        schedule += [sorted(rng.choice(n_rows, size=rng.integers(1, 12), replace=False))
+                     for _ in range(14)]
+        for t, rows in enumerate(schedule, 1):
+            rows = np.array(rows, dtype=np.intp)
+            g = rng.normal(size=(len(rows), TINY_DIMS.d_t)) * 10.0 ** rng.integers(-6, 2)
+            grads = ParamGrads.zeros_like(params)
+            grads.table = RowGrad(rows, g)
+            lr = [0.01, 0.1][t % 2]
+            opt.step(params, grads, lr)
+            # reference: the documented expression, one row at a time; the decay is
+            # numpy's power, which can differ from Python's float ** int in the last bit
+            v_corr = 1.0 - ADAM_BETA2 ** t
+            for r, g_r in zip(rows.tolist(), g):
+                decay = np.power(ADAM_BETA2, t - last.get(r, 0))
+                v[r] = v[r] * decay + (1.0 - ADAM_BETA2) * g_r * g_r
+                table[r] -= lr * g_r / (np.sqrt(v[r] / v_corr) + ADAM_EPS)
+                last[r] = t
+            assert params.tables.tobytes() == table.tobytes(), t
+            assert opt.table_v.tobytes() == v.tobytes(), t
+            assert {r: int(opt.table_last[r]) for r in np.flatnonzero(opt.table_last)} == last
 
     def test_flat_dense_update_matches_per_parameter_adam(self):
         from negclap.model import DENSE_FIELDS, ParamGrads, init_params
