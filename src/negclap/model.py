@@ -348,6 +348,9 @@ def pooled_steps(blocks: Sequence[CaptionIds], step: int, n_buckets: int) -> Ite
     about ``_IDS_CHUNK`` captions at a time, so a step's layout is two
     slices, and only one chunk's layouts are held at once.
     """
+    if len({len(block) for block in blocks}) != 1 or len(blocks[0]) % step:
+        raise ValueError(f"blocks of {[len(b) for b in blocks]} captions are not equally "
+                         f"long runs of {step}")
     per_chunk = max(1, _IDS_CHUNK // (step * len(blocks))) * step
     for parts in zip(*(block.batches(per_chunk) for block in blocks)):
         yield from _step_layouts(parts, len(parts[0]) // step, n_buckets)

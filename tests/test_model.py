@@ -34,6 +34,7 @@ from negclap.model import (
     _mlp_backward,
     _pool_rows,
     model_backward,
+    pooled_steps,
     save_checkpoint,
     tokenize,
 )
@@ -378,6 +379,12 @@ class TestCaptionIds:
         parts = list(ids.batches(3))
         assert [len(p) for p in parts] == [3, 1]
         np.testing.assert_array_equal(np.concatenate([p.bi for p in parts]), ids.bi)
+
+    def test_step_layout_refuses_partial_runs(self):
+        ids = reference_ids(self.LISTS, 61)
+        for blocks, step in (([ids], 3), ([ids, ids.take(np.arange(2))], 2)):
+            with pytest.raises(ValueError, match="not equally long runs of"):
+                next(pooled_steps(blocks, step, 61))
 
 
 # vocabularies for the negation oracle: multi-word, punctuated and non-ASCII
