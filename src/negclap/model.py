@@ -577,10 +577,11 @@ def _pool_rows(table: np.ndarray, ids: np.ndarray, lens: np.ndarray) -> np.ndarr
 
     Every pooled row is 0.0 plus its table rows, added one after another in
     ``ids`` order, so the result is byte-identical to ``np.add.at``.  A chunk
-    of pooled rows places its table rows in a zeroed ``(width, rows, d)``
-    block and sums it from 0.0 over its first axis, which numpy adds one
-    slice after another.  The padding adds 0.0 to a running sum that, having
-    started at 0.0, is never -0.0, and ``v + 0.0 == v`` for every other v.
+    of pooled rows gathers its table rows into a ``(width, rows, d)`` block
+    padded with 0.0 and sums it from 0.0 over its first axis, which numpy
+    adds one slice after another.  The padding adds 0.0 to a running sum
+    that, having started at 0.0, is never -0.0, and ``v + 0.0 == v`` for
+    every other v.
     A chunk of one row is scattered instead, since numpy would sum a
     one-column table's lone row pairwise; so is a chunk whose padding would
     more than double its block, so no chunk holds much more than its rows.
@@ -598,9 +599,11 @@ def _pool_rows(table: np.ndarray, ids: np.ndarray, lens: np.ndarray) -> np.ndarr
             owner = np.repeat(np.arange(r1 - r0), chunk)
             x[r0:r1] = _scatter_rows(owner, table[ids[a:b]], r1 - r0)
             continue
-        g = np.zeros((width, r1 - r0, table.shape[1]))
-        # pooled row r's table rows fill g[:lens[r], r], in order
-        g.transpose(1, 0, 2)[np.arange(width) < chunk[:, None]] = table[ids[a:b]]
+        pad = np.arange(width)[:, None] >= chunk  # slot j of pooled row r is padding
+        index = np.zeros(pad.shape, dtype=np.intp)
+        index.T[~pad.T] = ids[a:b]  # pooled row r's ids fill index[:lens[r], r], in order
+        g = table.take(index, axis=0)
+        g[pad] = 0.0
         np.add.reduce(g, axis=0, initial=0.0, out=x[r0:r1])
     return x
 
