@@ -507,7 +507,7 @@ class TokenTable:
 @dataclass
 class TextBatchCache:
     ids: np.ndarray     # rows of ``ModelParams.tables`` the tokens hit (``PooledIds.rows``)
-    lens: np.ndarray    # (2B,) length of each pooled row: caption i's unigrams, then B + i's bigrams
+    lens: np.ndarray    # (2B,) pooled-row lengths: caption i's unigrams, then B + i's bigrams
     counts: np.ndarray  # (2B,) the divisor of each pooled row
     x: np.ndarray
     h: np.ndarray
@@ -581,10 +581,10 @@ def _pool_rows(table: np.ndarray, ids: np.ndarray, lens: np.ndarray) -> np.ndarr
     padded with 0.0 and sums it from 0.0 over its first axis, which numpy
     adds one slice after another.  The padding adds 0.0 to a running sum
     that, having started at 0.0, is never -0.0, and ``v + 0.0 == v`` for
-    every other v.
-    A chunk of one row is scattered instead, since numpy would sum a
-    one-column table's lone row pairwise; so is a chunk whose padding would
-    more than double its block, so no chunk holds much more than its rows.
+    every other v.  A chunk of one row is scattered instead, since numpy
+    would sum a one-column table's lone row pairwise; so is a chunk whose
+    padding would more than double its block, so no chunk holds much more
+    than its rows.
     """
     n_out = len(lens)
     x = np.empty((n_out, table.shape[1]))

@@ -270,7 +270,8 @@ class TestEpochPlan:
         features, params = train_ds.features(), init_params(TINY_DIMS, 3)
         for s, (items, layout) in enumerate(steps):
             ids = CaptionIds.concat([b.take(np.arange(8 * s, 8 * s + 8)) for b in blocks])
-            np.testing.assert_array_equal(layout.rows, np.concatenate((ids.uni, ids.bi + n_buckets)))
+            np.testing.assert_array_equal(layout.rows,
+                                          np.concatenate((ids.uni, ids.bi + n_buckets)))
             np.testing.assert_array_equal(layout.lens, np.concatenate((ids.uni_len, ids.bi_len)))
             # every step trains on the layout as the chain does on the concatenated ids
             by_layout, by_ids = params.copy(), params.copy()
