@@ -17,7 +17,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from negclap.cli import main as cli
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from negclap.cli import main as cli  # noqa: E402
 
 
 def run(argv=None):

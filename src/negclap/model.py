@@ -255,57 +255,13 @@ def _starts(lens: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CaptionIds:
-    """Bucket ids of a sequence of captions, in CSR form.
+    """Bucket ids of a sequence of captions as rows of the joint table, in CSR form.
 
-    ``uni`` holds the unigram bucket of every token, caption after caption,
-    and ``uni_len`` each caption's token count.  ``bi`` and ``bi_len`` hold
-    the bigram bucket of every adjacent token pair the same way, so a
-    caption of n tokens has max(n - 1, 0) of them.
-    """
-    uni: np.ndarray
-    uni_len: np.ndarray
-    bi: np.ndarray
-    bi_len: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.uni_len)
-
-    def take(self, rows: np.ndarray) -> "CaptionIds":
-        """The captions at ``rows``, in that order."""
-        uni_len, bi_len = self.uni_len[rows], self.bi_len[rows]
-        return CaptionIds(self.uni[_spans(_starts(self.uni_len)[rows], uni_len)], uni_len,
-                          self.bi[_spans(_starts(self.bi_len)[rows], bi_len)], bi_len)
-
-    def batches(self, size: int) -> Iterator["CaptionIds"]:
-        """Runs of ``size`` consecutive captions, the last one possibly shorter, as views."""
-        uni_at = np.concatenate(([0], np.cumsum(self.uni_len)))
-        bi_at = np.concatenate(([0], np.cumsum(self.bi_len)))
-        for a in range(0, len(self), size):
-            b = min(a + size, len(self))
-            yield CaptionIds(self.uni[uni_at[a]:uni_at[b]], self.uni_len[a:b],
-                             self.bi[bi_at[a]:bi_at[b]], self.bi_len[a:b])
-
-    @staticmethod
-    def concat(parts: Sequence["CaptionIds"]) -> "CaptionIds":
-        """The captions of ``parts``, one part after another; a lone part as it is."""
-        if len(parts) == 1:
-            return parts[0]
-        return CaptionIds(*(np.concatenate([getattr(p, f) for p in parts])
-                            for f in ("uni", "uni_len", "bi", "bi_len")))
-
-    def pooled(self, n_buckets: int) -> "PooledIds":
-        """The captions as one block in the text forward's layout (see ``PooledIds``)."""
-        return next(_step_layouts([self], 1, n_buckets))
-
-
-@dataclass(frozen=True, eq=False)
-class PooledIds:
-    """Bucket ids of B captions as the text forward pools them from the joint table.
-
-    ``rows`` holds every caption's unigram buckets, caption after caption,
-    then every caption's bigram buckets plus ``n_buckets`` the same way, so
-    each is a row of ``ModelParams.tables``.  ``lens`` holds the 2B pooled
-    rows' lengths: each caption's unigram count, then its bigram count.
+    Caption i owns pooled rows 2i and 2i + 1: its unigram buckets, then its
+    bigram buckets plus ``n_buckets``, so every id is a row of
+    ``ModelParams.tables``.  ``rows`` holds the pooled rows' ids, one pooled
+    row after another, and ``lens`` the 2B pooled rows' lengths; a caption
+    of n tokens has max(n - 1, 0) bigrams.
     """
     rows: np.ndarray
     lens: np.ndarray
@@ -313,47 +269,46 @@ class PooledIds:
     def __len__(self) -> int:
         return len(self.lens) // 2
 
+    def take(self, captions: np.ndarray) -> "CaptionIds":
+        """The captions at ``captions``, in that order."""
+        pooled = (2 * captions[:, None] + np.arange(2)).ravel()
+        lens = self.lens[pooled]
+        return CaptionIds(self.rows[_spans(_starts(self.lens)[pooled], lens)], lens)
 
-def _step_layouts(parts: Sequence[CaptionIds], n_steps: int,
-                  n_buckets: int) -> Iterator[PooledIds]:
-    """Split each of the equally long ``parts`` into ``n_steps`` equal runs; per
-    step, its run of every part, one part after another, as one ``PooledIds``.
+    def batches(self, size: int) -> Iterator["CaptionIds"]:
+        """Runs of ``size`` consecutive captions, the last one possibly shorter, as views."""
+        at = np.concatenate(([0], np.cumsum(self.lens)))
+        for a in range(0, len(self), size):
+            b = min(a + size, len(self))
+            yield CaptionIds(self.rows[at[2 * a]:at[2 * b]], self.lens[2 * a:2 * b])
 
-    All steps are laid out in one vectorised gather of pooled rows.
-    """
-    joined = CaptionIds.concat(parts)
-    n_parts, n = len(parts), len(parts[0])
-    step = n // n_steps
-    lens = np.concatenate((joined.uni_len, joined.bi_len))
-    ids = np.concatenate((joined.uni, joined.bi + n_buckets), dtype=_ID_DTYPE)
-    # pooled row (kind, part, caption) of step s is the joined caption's
-    # unigram (kind 0) or bigram (kind 1) row, at step s's place in its part
-    order = (np.arange(n_steps)[:, None, None, None] * step
-             + np.arange(2)[:, None, None] * (n_parts * n)
-             + np.arange(n_parts)[:, None] * n + np.arange(step)).ravel()
-    step_lens = lens[order]
-    rows = ids[_spans(_starts(lens)[order], step_lens)]
-    width = 2 * n_parts * step
-    row_at = np.concatenate(([0], np.cumsum(step_lens.reshape(n_steps, width).sum(axis=1))))
-    for s in range(n_steps):
-        yield PooledIds(rows[row_at[s]:row_at[s + 1]], step_lens[s * width:(s + 1) * width])
+    @staticmethod
+    def concat(parts: Sequence["CaptionIds"]) -> "CaptionIds":
+        """The captions of ``parts``, one part after another; a lone part as it is."""
+        if len(parts) == 1:
+            return parts[0]
+        return CaptionIds(np.concatenate([p.rows for p in parts]),
+                          np.concatenate([p.lens for p in parts]))
 
 
-def pooled_steps(blocks: Sequence[CaptionIds], step: int, n_buckets: int) -> Iterator[PooledIds]:
+def pooled_steps(blocks: Sequence[CaptionIds], step: int) -> Iterator[CaptionIds]:
     """Per run of ``step`` consecutive captions of the equally long ``blocks``:
-    that run of every block, one block after another, as one ``PooledIds``.
+    that run of every block, one block after another.
 
-    The blocks hold whole runs.  A step's layout equals that of its runs
-    joined by ``CaptionIds.concat``.  The layouts are built vectorised for
-    about ``_IDS_CHUNK`` captions at a time, so a step's layout is two
-    slices, and only one chunk's layouts are held at once.
+    The blocks hold whole runs.  About ``_IDS_CHUNK`` captions at a time are
+    gathered in step order with one ``take``, so a step's ids are two slices
+    and only one chunk's are held at once.
     """
     if len({len(block) for block in blocks}) != 1 or len(blocks[0]) % step:
         raise ValueError(f"blocks of {[len(b) for b in blocks]} captions are not equally "
                          f"long runs of {step}")
     per_chunk = max(1, _IDS_CHUNK // (step * len(blocks))) * step
     for parts in zip(*(block.batches(per_chunk) for block in blocks)):
-        yield from _step_layouts(parts, len(parts[0]) // step, n_buckets)
+        n = len(parts[0])
+        # caption c of the run of step s in part p, in (s, p, c) order
+        order = (np.arange(0, n, step)[:, None, None] + np.arange(len(parts))[:, None] * n
+                 + np.arange(step)).ravel()
+        yield from CaptionIds.concat(parts).take(order).batches(step * len(parts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,31 +438,37 @@ class TokenTable:
         A caption's tokens are its kinds' tokens, in order.  A token's
         unigram bucket hashes its string; each adjacent pair's bigram bucket
         hashes the two strings joined by a space, once per distinct pair of
-        a chunk of captions, so the temporaries of the lookup stay small.
+        a chunk of captions.  Each chunk's unigram and bigram runs are
+        interleaved into the ``CaptionIds`` layout there, so the temporaries
+        of the lookup stay small.
         """
         tokens, strings = self._tokens(slots), self._strings
         unigram = np.fromiter((hash_bucket(s, n_buckets) for s in strings), _ID_DTYPE, len(strings))
         token_at = np.concatenate(([0], np.cumsum(tokens.lens)))
-        bigram = [np.empty(0, _ID_DTYPE)]
+        lens = np.stack((tokens.lens, np.maximum(tokens.lens - 1, 0)), axis=1).ravel()
+        rows = [np.empty(0, _ID_DTYPE)]
         for a in range(0, len(tokens), _IDS_CHUNK):
-            lens = tokens.lens[a:a + _IDS_CHUNK]
-            t = tokens.ids[token_at[a]:token_at[a + len(lens)]]
+            chunk = tokens.lens[a:a + _IDS_CHUNK]
+            t = tokens.ids[token_at[a]:token_at[a + len(chunk)]]
             # token j and token j + 1 form a pair unless token j ends its caption
             paired = np.ones(max(len(t) - 1, 0), dtype=bool)
-            ends = np.cumsum(lens) - 1
-            paired[ends[(lens > 0) & (ends < len(paired))]] = False
+            ends = np.cumsum(chunk) - 1
+            paired[ends[(chunk > 0) & (ends < len(paired))]] = False
             keys, inverse = np.unique(((t[:-1] << 32) | t[1:])[paired], return_inverse=True)
             pairs = (f"{strings[key >> 32]} {strings[key & 0xFFFFFFFF]}" for key in keys.tolist())
             buckets = np.fromiter((hash_bucket(p, n_buckets) for p in pairs), _ID_DTYPE, len(keys))
-            bigram.append(buckets[inverse])
-        return CaptionIds(unigram[tokens.ids], tokens.lens, np.concatenate(bigram),
-                          np.maximum(tokens.lens - 1, 0))
+            # caption i's unigram run, then its bigram run in the table's second half
+            runs = lens[2 * a:2 * (a + len(chunk))]
+            starts = np.stack((_starts(runs[0::2]), len(t) + _starts(runs[1::2])), axis=1).ravel()
+            ids = np.concatenate((unigram[t], buckets[inverse] + n_buckets))
+            rows.append(ids[_spans(starts, runs)])
+        return CaptionIds(np.concatenate(rows), lens)
 
 
 @dataclass
 class TextBatchCache:
-    ids: np.ndarray     # rows of ``ModelParams.tables`` the tokens hit (``PooledIds.rows``)
-    lens: np.ndarray    # (2B,) pooled-row lengths: caption i's unigrams, then B + i's bigrams
+    ids: np.ndarray     # rows of ``ModelParams.tables`` the tokens hit (``CaptionIds.rows``)
+    lens: np.ndarray    # (2B,) pooled-row lengths: caption i's unigrams at 2i, bigrams at 2i + 1
     counts: np.ndarray  # (2B,) the divisor of each pooled row
     x: np.ndarray
     h: np.ndarray
@@ -609,26 +570,22 @@ def _pool_rows(table: np.ndarray, ids: np.ndarray, lens: np.ndarray) -> np.ndarr
 
 
 def encode_token_lists(params: ModelParams,
-                       ids: CaptionIds | PooledIds) -> tuple[np.ndarray, TextBatchCache]:
+                       ids: CaptionIds) -> tuple[np.ndarray, TextBatchCache]:
     """Batch text forward over captions given as bucket ids (see ``TokenTable.ids``).
 
-    Captions as ``CaptionIds`` are laid out as one block (``CaptionIds.pooled``);
-    a training step comes laid out already (``pooled_steps``).  One pooling
-    pass over the joint table sums each caption's unigram rows into pooled
-    row i and its bigram rows into row B + i; the input is the unigram mean
-    plus the bigram mean.
+    One pooling pass over the joint table sums each caption's unigram rows
+    into pooled row 2i and its bigram rows into row 2i + 1; the input is
+    the unigram mean plus the bigram mean.
     """
-    if isinstance(ids, CaptionIds):
-        ids = ids.pooled(params.dims.hash_buckets)
-    B = len(ids)
-    if B == 0:
+    if len(ids) == 0:
         raise ValueError("empty batch")
-    if not ids.lens[:B].all():
-        raise ValueError(f"item {int(np.argmin(ids.lens[:B]))}: caption renders to no tokens")
+    n_unigrams = ids.lens[0::2]
+    if not n_unigrams.all():
+        raise ValueError(f"item {int(np.argmin(n_unigrams))}: caption renders to no tokens")
     counts = np.maximum(ids.lens, 1).astype(np.float64)
     pooled = _pool_rows(params.tables, ids.rows, ids.lens)
     pooled /= counts[:, None]
-    x = pooled[:B] + pooled[B:]
+    x = pooled[0::2] + pooled[1::2]
     h, norms, emb = _mlp_forward(
         x, params.text_hidden_w, params.text_hidden_b, params.text_out_w, params.text_out_b
     )
@@ -670,9 +627,9 @@ def model_backward(
     Each pass pairs a forward cache with the upstream gradient on its
     embeddings.  Dense gradients are written into one zeroed flat vector;
     the table's gradient comes back row-sparse (see ``RowGrad``), each row
-    summed in token order: every caption's unigrams, then every caption's
-    bigrams.  log_temperature is not on any encoder path and keeps a zero
-    entry here.
+    summed in caption order and, within a caption, token order (unigram and
+    bigram ids hit disjoint halves of the table).  log_temperature is not on
+    any encoder path and keeps a zero entry here.
     """
     grads = ParamGrads.zeros_like(params)
     if text is not None:
@@ -681,7 +638,7 @@ def model_backward(
                                         _upstream(cache, d_emb), params.text_out_w)
         grads.text_hidden_w, grads.text_hidden_b, grads.text_out_w, grads.text_out_b = d_dense
         d_x = d_pre @ params.text_hidden_w.T
-        d_pooled = (d_x / cache.counts.reshape(2, -1, 1)).reshape(len(cache.counts), -1)
+        d_pooled = (d_x[:, None] / cache.counts.reshape(-1, 2, 1)).reshape(len(cache.counts), -1)
         # the rows hit, sorted, and each id's place among them, from marks
         # over the table's rows rather than a sort of the ids
         hit = np.zeros(len(params.tables), dtype=bool)

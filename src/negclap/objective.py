@@ -13,9 +13,7 @@ matrices and return their gradients with respect to them.
 given as one block of bucket ids, and audio features to full parameter
 gradients: it encodes the captions once, calls both losses on slices of
 the embeddings, weights the dissimilarity gradients by ``k`` and runs
-``model_backward`` once.  The two ``*_through_encoders`` wrappers evaluate
-one term each through that chain, for the gradient oracle.  Everything
-accumulates in float64.
+``model_backward`` once.  Everything accumulates in float64.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from .model import (
     CaptionIds,
     ModelParams,
     ParamGrads,
-    PooledIds,
     encode_audio_batch,
     encode_token_lists,
     model_backward,
@@ -98,14 +95,13 @@ def dissimilarity_loss(caption_embs: np.ndarray,
 
 
 def total_loss_through_encoders(
-    params: ModelParams, audio_features: np.ndarray | None, text_ids: CaptionIds | PooledIds, *,
+    params: ModelParams, audio_features: np.ndarray | None, text_ids: CaptionIds, *,
     k: float, with_grads: bool = True,
 ) -> tuple[LossBreakdown, ParamGrads | None]:
     """l_clap + k * l_diss of one training step, with full parameter gradients.
 
     ``text_ids`` holds the step's captions as bucket ids (see
-    ``TokenTable.ids``), or laid out for pooling (see ``pooled_steps``): the
-    ``len(audio_features)`` contrastive captions
+    ``TokenTable.ids``): the ``len(audio_features)`` contrastive captions
     (none when ``audio_features`` is None), then the dissimilarity anchors,
     then their negated counterparts, two halves of equal length.  So the
     contrastive side may see augmented captions while the anchors stay on
@@ -140,26 +136,3 @@ def total_loss_through_encoders(
     grads = model_backward(params, (text_cache, d_text), audio)
     grads.log_temperature += d_log_temperature
     return breakdown, grads
-
-
-def clap_loss_through_encoders(
-    params: ModelParams, audio_features: np.ndarray, clap_ids: CaptionIds,
-    with_grads: bool = True,
-) -> tuple[float, ParamGrads | None]:
-    """Contrastive loss of a batch alone, with full parameter gradients."""
-    breakdown, grads = total_loss_through_encoders(
-        params, audio_features, clap_ids, k=0.0, with_grads=with_grads)
-    return breakdown.l_clap, grads
-
-
-def dissimilarity_through_encoders(
-    params: ModelParams, anchor_ids: CaptionIds,
-    negated_ids: CaptionIds, with_grads: bool = True,
-) -> tuple[float, ParamGrads | None]:
-    """Dissimilarity loss of paired caption batches alone, with full parameter gradients."""
-    if len(anchor_ids) != len(negated_ids):
-        raise ValueError(f"{len(anchor_ids)} anchors but {len(negated_ids)} negated captions")
-    breakdown, grads = total_loss_through_encoders(
-        params, None, CaptionIds.concat([anchor_ids, negated_ids]), k=1.0,
-        with_grads=with_grads)
-    return breakdown.l_diss, grads

@@ -46,7 +46,6 @@ from .model import (
     ModelDims,
     ModelParams,
     ParamGrads,
-    PooledIds,
     TokenIds,
     TokenTable,
     encode_audio_batch,
@@ -230,10 +229,9 @@ class EpochPlan:
     ``order`` holds each item's pair index; ``clap`` the bucket ids of the
     caption its contrastive term sees (augmented or original); with k > 0,
     ``anchors`` and ``negated`` the ids of its original caption and of that
-    caption's fully negated counterpart, all over ``n_buckets`` buckets.
+    caption's fully negated counterpart.
     """
     batch_size: int
-    n_buckets: int
     order: np.ndarray
     clap: CaptionIds
     anchors: CaptionIds | None
@@ -241,14 +239,12 @@ class EpochPlan:
     n_augmented: int
     n_exhausted: int
 
-    def steps(self) -> Iterator[tuple[slice, PooledIds]]:
+    def steps(self) -> Iterator[tuple[slice, CaptionIds]]:
         """Each step's item slice and captions: its B contrastive ones, then with
-        k > 0 its B anchors and their B negated counterparts, laid out as one
-        pooled block (``pooled_steps``)."""
+        k > 0 its B anchors and their B negated counterparts (``pooled_steps``)."""
         B = self.batch_size
         blocks = [self.clap] if self.anchors is None else [self.clap, self.anchors, self.negated]
-        for start, text_ids in zip(range(0, len(self.order), B),
-                                   pooled_steps(blocks, B, self.n_buckets)):
+        for start, text_ids in zip(range(0, len(self.order), B), pooled_steps(blocks, B)):
             yield slice(start, start + B), text_ids
 
 
@@ -298,23 +294,23 @@ def plan_epoch(slots: TokenIds, caption_ids: CaptionIds, order: np.ndarray,
     if config.k > 0:
         drawn = np.concatenate(negators or [np.empty(0, np.int64)])
         negated = table.ids(negate_ids(items, np.arange(len(drawn)), drawn, table), n_buckets)
-    return EpochPlan(B, n_buckets, order, clap, originals if config.k > 0 else None, negated,
+    return EpochPlan(B, order, clap, originals if config.k > 0 else None, negated,
                      n_augmented=len(inserts), n_exhausted=n_exhausted)
 
 
-def train_step(params: ModelParams, features: np.ndarray, text_ids: CaptionIds | PooledIds,
+def train_step(params: ModelParams, features: np.ndarray, text_ids: CaptionIds,
                config: TrainConfig, optimizer: AdamOptimizer) -> LossBreakdown:
     """One optimizer update on one planned batch; params update in place.
 
     ``features`` are the batch's clip features and ``text_ids`` the step's
-    captions in the layout ``EpochPlan.steps`` yields them.
+    captions as ``EpochPlan.steps`` yields them.
     """
     breakdown, grads = total_loss_through_encoders(params, features, text_ids, k=config.k)
     optimizer.step(params, grads, config.learning_rate)
     return breakdown
 
 
-def _test_map_scores(params: ModelParams, test_ids: PooledIds,
+def _test_map_scores(params: ModelParams, test_ids: CaptionIds,
                      audio_features: np.ndarray) -> tuple[float, float]:
     audio_embs, _ = encode_audio_batch(params, audio_features)
     text_embs, _ = encode_token_lists(params, test_ids)
@@ -331,14 +327,19 @@ def train(
     """Run the full loop and return the best checkpoint plus the per-epoch log.
 
     Each epoch's inputs are planned before its first step (see
-    ``plan_epoch``).  Raises ``ValueError`` naming the condition, epoch and
-    step at the first step whose loss, or an embedding norm, is not finite.
+    ``plan_epoch``).  Raises ``ValueError`` before the first step when the
+    splits share clip ids or differ in clip-feature width, and naming the
+    condition, epoch and step at the first step whose loss, or an embedding
+    norm, is not finite.
     """
     train_ids = {clip.id for clip, _ in dataset_train.pairs}
     test_ids = {clip.id for clip, _ in dataset_test.pairs}
     if train_ids & test_ids:
         raise ValueError("train and test splits share clip ids")
     features, test_features = dataset_train.features(), dataset_test.features()
+    if test_features.shape[1] != features.shape[1]:
+        raise ValueError(f"the test split's clip features have width {test_features.shape[1]}, "
+                         f"the train split's {features.shape[1]}")
     if dims is None:
         dims = ModelDims(d_a=features.shape[1])
 
@@ -349,8 +350,7 @@ def train(
     slots = table.slots([caption for _, caption in dataset_train.pairs])
     caption_ids = table.ids(slots, dims.hash_buckets)
     test_caption_ids = test_table.ids(
-        test_table.slots([caption for _, caption in dataset_test.pairs]),
-        dims.hash_buckets).pooled(dims.hash_buckets)
+        test_table.slots([caption for _, caption in dataset_test.pairs]), dims.hash_buckets)
 
     best: CheckpointRecord | None = None
     logs: list[EpochLog] = []

@@ -1,8 +1,27 @@
-"""Central finite-difference gradient oracle, independent of the analytic backward."""
+"""Central finite-difference gradient oracle, independent of the analytic backward,
+and the one-term losses it checks."""
 
 import numpy as np
 
-from negclap.model import DENSE_FIELDS, PARAM_FIELDS, ParamGrads, RowGrad
+from negclap.model import DENSE_FIELDS, PARAM_FIELDS, CaptionIds, ParamGrads, RowGrad
+from negclap.objective import total_loss_through_encoders
+
+
+def clap_loss_through_encoders(params, audio_features, clap_ids, with_grads=True):
+    """Contrastive loss of a batch alone, with full parameter gradients."""
+    breakdown, grads = total_loss_through_encoders(
+        params, audio_features, clap_ids, k=0.0, with_grads=with_grads)
+    return breakdown.l_clap, grads
+
+
+def dissimilarity_through_encoders(params, anchor_ids, negated_ids, with_grads=True):
+    """Dissimilarity loss of paired caption batches alone, with full parameter gradients."""
+    if len(anchor_ids) != len(negated_ids):
+        raise ValueError(f"{len(anchor_ids)} anchors but {len(negated_ids)} negated captions")
+    breakdown, grads = total_loss_through_encoders(
+        params, None, CaptionIds.concat([anchor_ids, negated_ids]), k=1.0,
+        with_grads=with_grads)
+    return breakdown.l_diss, grads
 
 
 def dense_table(grad, n_rows):

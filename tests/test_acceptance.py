@@ -22,7 +22,12 @@ import numpy as np
 import pytest
 
 from caption_apply import fully_negate, variant_captions
-from fd_utils import finite_difference_grads, max_gradient_violation
+from fd_utils import (
+    clap_loss_through_encoders,
+    dissimilarity_through_encoders,
+    finite_difference_grads,
+    max_gradient_violation,
+)
 from test_evaluation import brute_map10, brute_recall, brute_triplet
 
 from negclap.cli import main as cli_main
@@ -62,12 +67,7 @@ from negclap.negation import (
     insert_ids,
     negate_ids,
 )
-from negclap.objective import (
-    clap_loss_through_encoders,
-    dissimilarity_loss,
-    dissimilarity_through_encoders,
-    total_loss_through_encoders,
-)
+from negclap.objective import dissimilarity_loss, total_loss_through_encoders
 from negclap.seeding import seeded_rng
 from negclap.training import TrainConfig, sweep, sweep_configs, train, write_sweep_outputs
 

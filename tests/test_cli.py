@@ -45,6 +45,31 @@ def gen_toy(tmp_path):
     return out
 
 
+def gen_mixed_widths(tmp_path):
+    """A data directory whose train split has 8-wide clip features and test split 12-wide."""
+    wide = gen_small(tmp_path, name="wide")  # --d-a 12
+    data = tmp_path / "data"
+    assert main(["gen-data", "--n-tags", "10", "--n-clips", "80", "--n-test", "16",
+                 "--d-a", "8", "--seed", "3", "--out", str(data)]) == 0
+    (data / "test.jsonl").write_bytes((wide / "test.jsonl").read_bytes())
+    return data
+
+
+WIDTHS_DIFFER = "error: the test split's clip features have width 12, the train split's 8\n"
+
+
+def count_epochs(monkeypatch):
+    """A list that gains an entry whenever training plans an epoch."""
+    calls = []
+    plan_epoch = training.plan_epoch
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return plan_epoch(*args, **kwargs)
+    monkeypatch.setattr(training, "plan_epoch", counted)
+    return calls
+
+
 DIVERGED = ("error: {condition} training diverged at epoch 1, step 2: "
             "embedding norms before normalization must be finite and positive")
 
@@ -287,6 +312,18 @@ class TestTrain:
         assert code == 1
         assert capsys.readouterr().err == f"error: {path}: no pair records after the header\n"
         assert not (tmp_path / "run").exists()
+
+    def test_test_split_of_another_feature_width_fails_before_training(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        data = gen_mixed_widths(tmp_path)
+        epochs = count_epochs(monkeypatch)
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(data), "--condition", "baseline", "--epochs", "1",
+                     "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == WIDTHS_DIFFER
+        assert epochs == []
+        assert not out.exists()
 
     def test_invalid_condition_combination_is_usage_error(self, tmp_path):
         data = gen_small(tmp_path)
@@ -586,6 +623,18 @@ class TestSweep:
         assert calls == []
         assert not out.exists()
 
+    def test_test_split_of_another_feature_width_fails_before_training(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        data = gen_mixed_widths(tmp_path)
+        epochs = count_epochs(monkeypatch)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--quick", "--data", str(data), "--seed", "1",
+                     "--eval-seed", "7", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == WIDTHS_DIFFER
+        assert epochs == []
+        assert not out.exists()
+
     def test_quick_sweep_outputs(self, tmp_path):
         data = gen_small(tmp_path, n_clips=90, n_test=16)
         out = tmp_path / "sweep"
@@ -809,3 +858,14 @@ class TestNumericFlags:
             code = self.run("sweep", "--data", str(toy / "data"), *flags,
                             *(["--quick"] if quick else []), "--out", str(Path(tmp) / "sweep"))
         assert len(calls) == (0 if code else 7 if quick else 15)
+
+
+class TestScripts:
+    def test_run_experiments_finds_the_package_in_its_checkout(self, tmp_path):
+        # run from elsewhere without PYTHONPATH: the script puts the checkout's src on the path
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_experiments.py"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        result = subprocess.run([sys.executable, str(script), "--help"], capture_output=True,
+                                timeout=60, env=env, cwd=tmp_path)
+        assert result.returncode == 0, result.stderr.decode()
+        assert "--quick" in result.stdout.decode()

@@ -225,7 +225,7 @@ def make_tiny_setup(seed=0, n=6):
 def variant_bucket_ids(variants, n_buckets=4096):
     """Each variant's bucket ids, as lists per CSR field."""
     return {name: [getattr(variants.table.ids(getattr(variants, name), n_buckets), field).tolist()
-                   for field in ("uni", "uni_len", "bi", "bi_len")]
+                   for field in ("rows", "lens")]
             for name in ("original", "half", "fully")}
 
 
@@ -249,7 +249,7 @@ class TestBuildEvalVariants:
                 got = variants.table.ids(getattr(variants, name), n_buckets)
                 table = TokenTable(ds.vocabulary)
                 want = table.ids(table.slots(captions[name]), n_buckets)
-                for field in ("uni", "uni_len", "bi", "bi_len"):
+                for field in ("rows", "lens"):
                     a, b = getattr(got, field), getattr(want, field)
                     assert a.dtype == b.dtype and a.tolist() == b.tolist(), (name, field)
 

@@ -9,7 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caption_apply import augment_captions
-from fd_utils import dense_table, finite_difference_grads, max_gradient_violation, split_table
+from fd_utils import (
+    clap_loss_through_encoders,
+    dense_table,
+    finite_difference_grads,
+    max_gradient_violation,
+    split_table,
+)
 from negclap.corpus import (
     Caption,
     Tag,
@@ -39,18 +45,19 @@ from negclap.model import (
     tokenize,
 )
 from negclap.negation import AugmentationExhausted, edit_ids
-from negclap.objective import clap_loss_through_encoders
 from negclap.seeding import seeded_rng
 
 
 def reference_ids(token_lists, n_buckets):
-    """Token lists' bucket ids in CSR form, each string hashed on its own."""
-    uni = [hash_bucket(t, n_buckets) for tokens in token_lists for t in tokens]
-    bi = [hash_bucket(a + " " + b, n_buckets)
-          for tokens in token_lists for a, b in zip(tokens, tokens[1:])]
-    uni_len = np.array([len(tokens) for tokens in token_lists], dtype=np.intp)
-    return CaptionIds(np.array(uni, dtype=np.intp), uni_len,
-                      np.array(bi, dtype=np.intp), np.maximum(uni_len - 1, 0))
+    """Token lists' bucket ids in CSR form, each string hashed on its own: per
+    caption its unigram buckets, then its bigram buckets plus ``n_buckets``."""
+    rows, lens = [], []
+    for tokens in token_lists:
+        uni = [hash_bucket(t, n_buckets) for t in tokens]
+        bi = [n_buckets + hash_bucket(a + " " + b, n_buckets) for a, b in zip(tokens, tokens[1:])]
+        rows += uni + bi
+        lens += [len(uni), len(bi)]
+    return CaptionIds(np.array(rows, dtype=np.intp), np.array(lens, dtype=np.intp))
 
 
 class TestTokenize:
@@ -173,26 +180,35 @@ def owners(lens):
     return np.repeat(np.arange(len(lens)), lens)
 
 
+def split_ids(ids, n_buckets):
+    """Per table half, unigrams then bigrams: the caption of each id, each id's
+    row within the half, and each caption's id count in the half."""
+    owner = owners(ids.lens)
+    return [(owner[owner % 2 == half] // 2, ids.rows[owner % 2 == half] - half * n_buckets,
+             ids.lens[half::2]) for half in (0, 1)]
+
+
 def pooled_with_add_at(params, ids):
     """The text forward's pooled input, summed per table half with np.add.at (reference)."""
+    (uni_owner, uni, uni_len), (bi_owner, bi, bi_len) = split_ids(ids, params.dims.hash_buckets)
     x = np.zeros((len(ids), params.dims.d_t))
-    np.add.at(x, owners(ids.uni_len), params.unigram_table[ids.uni])
-    x /= ids.uni_len[:, None]
-    if len(ids.bi):
+    np.add.at(x, uni_owner, params.unigram_table[uni])
+    x /= uni_len[:, None]
+    if len(bi):
         x_bi = np.zeros_like(x)
-        np.add.at(x_bi, owners(ids.bi_len), params.bigram_table[ids.bi])
-        x += x_bi / np.maximum(ids.bi_len, 1)[:, None]
+        np.add.at(x_bi, bi_owner, params.bigram_table[bi])
+        x += x_bi / np.maximum(bi_len, 1)[:, None]
     return x
 
 
 def table_grads_with_add_at(params, ids, cache, d_emb):
     """Dense gradients of both table halves, accumulated with np.add.at (reference)."""
+    (uni_owner, uni, uni_len), (bi_owner, bi, bi_len) = split_ids(ids, params.dims.hash_buckets)
     dense = {n: np.zeros_like(getattr(params, n)) for n in ("unigram_table", "bigram_table")}
     d_pre = _mlp_backward(cache.x, cache.h, cache.norms, cache.emb, d_emb, params.text_out_w)[0]
     d_x = d_pre @ params.text_hidden_w.T
-    np.add.at(dense["unigram_table"], ids.uni, (d_x / ids.uni_len[:, None])[owners(ids.uni_len)])
-    np.add.at(dense["bigram_table"], ids.bi,
-              (d_x / np.maximum(ids.bi_len, 1)[:, None])[owners(ids.bi_len)])
+    np.add.at(dense["unigram_table"], uni, (d_x / uni_len[:, None])[uni_owner])
+    np.add.at(dense["bigram_table"], bi, (d_x / np.maximum(bi_len, 1)[:, None])[bi_owner])
     return dense
 
 
@@ -212,9 +228,10 @@ class TestRowSparseScatter:
         grads = model_backward(params, (cache, d_emb))
         assert grads.table.values.shape == (len(grads.table.rows), SCATTER_DIMS.d_t)
         halves = split_table(grads.table, n)
-        for (name, dense), grad, field in zip(
-                table_grads_with_add_at(params, ids, cache, d_emb).items(), halves, ("uni", "bi")):
-            np.testing.assert_array_equal(grad.rows, np.unique(getattr(ids, field)))
+        for (name, dense), grad, (_, hit, _) in zip(
+                table_grads_with_add_at(params, ids, cache, d_emb).items(), halves,
+                split_ids(ids, n)):
+            np.testing.assert_array_equal(grad.rows, np.unique(hit))
             assert dense_table(grad, n).tobytes() == dense.tobytes(), name
 
     @settings(max_examples=150, deadline=None)
@@ -247,6 +264,8 @@ class TestRowSparseScatter:
     @example(1, _POOL_CHUNK + 1, 3, False, True, 0)  # one long row past it, one column
     @example(2, 2 * _POOL_CHUNK + 2, 9, True, False, 1)  # captions, a two-row last chunk
     @example(3, 3 * _POOL_CHUNK, 12, False, True, 2)  # a long row in a chunk of short ones
+    # caption 31 has one token, so its empty bigram run ends the first (padded) chunk
+    @example(2, 2 * _POOL_CHUNK + 2, 2, True, False, 170)
     def test_pool_rows_matches_add_at_bit_for_bit(self, d, n_out, max_len, captions, long_row,
                                                   seed):
         rng = np.random.default_rng(seed)
@@ -254,10 +273,10 @@ class TestRowSparseScatter:
         table[rng.random(table.shape) < 0.2] = 0.0
         table[rng.random(table.shape) < 0.2] = -0.0
         table[0] = -0.0  # pooled alone, a row of only -0.0 sums to 0.0, as add.at gives
-        if captions:  # the text forward's layout: unigram runs, then bigram runs
+        if captions:  # the text forward's layout: each caption's unigram run, then its bigrams
             uni = rng.integers(1, max_len + 1, size=max(n_out // 2, 1))
             uni[::3] = 1  # one-token captions: their bigram runs are empty
-            lens = np.concatenate((uni, uni - 1))
+            lens = np.stack((uni, uni - 1), axis=1).ravel()
         else:
             lens = rng.integers(0, max_len + 1, size=n_out)
         if long_row:
@@ -318,13 +337,17 @@ class TestTokenTable:
             if not caps:
                 return
         uni_idx, uni_rows, bi_idx, bi_rows = [], [], [], []
+        layout, lens, owner = [], [], []  # each caption's unigrams, then its bigrams
         for r, tokens in enumerate(token_lists):
-            for t in tokens:
-                uni_idx.append(hash_bucket(t, n))
-                uni_rows.append(r)
-            for a, b in zip(tokens, tokens[1:]):
-                bi_idx.append(hash_bucket(a + " " + b, n))
-                bi_rows.append(r)
+            uni = [hash_bucket(t, n) for t in tokens]
+            bi = [hash_bucket(a + " " + b, n) for a, b in zip(tokens, tokens[1:])]
+            uni_idx += uni
+            uni_rows += [r] * len(uni)
+            bi_idx += bi
+            bi_rows += [r] * len(bi)
+            layout += uni + [b + n for b in bi]
+            lens += [len(tokens), max(len(tokens) - 1, 0)]
+            owner += [2 * r] * len(uni) + [2 * r + 1] * len(bi)
         x = np.zeros((len(caps), params.dims.d_t))
         np.add.at(x, uni_rows, params.unigram_table[uni_idx])
         x /= np.array([len(t) for t in token_lists], dtype=float)[:, None]
@@ -338,18 +361,15 @@ class TestTokenTable:
 
         # one table reused across batches
         table = TokenTable(ID_VOCAB)
-        lens = [len(tokens) for tokens in token_lists]
         for ids in (table.ids(table.slots(caps), n), table.ids(table.slots(caps), n)):
-            assert ids.uni.tolist() == uni_idx
-            assert ids.bi.tolist() == bi_idx
-            assert ids.uni_len.tolist() == lens
-            assert ids.bi_len.tolist() == [max(k - 1, 0) for k in lens]
+            assert ids.rows.tolist() == layout
+            assert ids.lens.tolist() == lens
         batches = [encode_text_batch(params, caps, ID_VOCAB),
                    encode_token_lists(params, table.ids(table.slots(caps), n))]
         for emb, cache in batches:
-            assert cache.ids.tolist() == uni_idx + [b + n for b in bi_idx]
-            owner = np.repeat(np.arange(2 * len(caps)), cache.lens)  # pooled row of each id
-            assert owner.tolist() == uni_rows + [r + len(caps) for r in bi_rows]
+            assert cache.ids.tolist() == layout
+            # the pooled row of each id
+            assert np.repeat(np.arange(2 * len(caps)), cache.lens).tolist() == owner
             assert cache.x.tobytes() == x.tobytes()
             assert emb.tobytes() == emb_ref.tobytes()
 
@@ -359,11 +379,11 @@ class TestTokenTable:
         table = TokenTable(vocab)
         whole = table.ids(table.slots(caps), 61)  # looked up in several chunks
         singles = [table.ids(table.slots([c]), 61) for c in caps]
-        for field in ("uni", "uni_len", "bi", "bi_len"):
+        for field in ("rows", "lens"):
             np.testing.assert_array_equal(
                 getattr(whole, field), np.concatenate([getattr(one, field) for one in singles]))
         empty = table.ids(table.slots([]), 61)
-        assert len(empty) == 0 and empty.uni.size == empty.bi.size == 0
+        assert len(empty) == 0 and empty.rows.size == empty.lens.size == 0
 
 
 class TestCaptionIds:
@@ -374,17 +394,23 @@ class TestCaptionIds:
         rows = [3, 1, 1, 0]
         taken = ids.take(np.array(rows))
         expected = reference_ids([self.LISTS[r] for r in rows], 61)
-        for field in ("uni", "uni_len", "bi", "bi_len"):
+        for field in ("rows", "lens"):
             np.testing.assert_array_equal(getattr(taken, field), getattr(expected, field))
         parts = list(ids.batches(3))
         assert [len(p) for p in parts] == [3, 1]
-        np.testing.assert_array_equal(np.concatenate([p.bi for p in parts]), ids.bi)
+        for part, lists in zip(parts, (self.LISTS[:3], self.LISTS[3:])):
+            for field in ("rows", "lens"):
+                np.testing.assert_array_equal(getattr(part, field),
+                                              getattr(reference_ids(lists, 61), field))
+        joined = CaptionIds.concat(parts)
+        for field in ("rows", "lens"):
+            np.testing.assert_array_equal(getattr(joined, field), getattr(ids, field))
 
     def test_step_layout_refuses_partial_runs(self):
         ids = reference_ids(self.LISTS, 61)
         for blocks, step in (([ids], 3), ([ids, ids.take(np.arange(2))], 2)):
             with pytest.raises(ValueError, match="not equally long runs of"):
-                next(pooled_steps(blocks, step, 61))
+                next(pooled_steps(blocks, step))
 
 
 # vocabularies for the negation oracle: multi-word, punctuated and non-ASCII
@@ -411,7 +437,7 @@ def negation_cases(draw):
 
 
 def assert_same_ids(got, want, what=""):
-    for field in ("uni", "uni_len", "bi", "bi_len"):
+    for field in ("rows", "lens"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.tolist() == b.tolist(), f"{what}.{field}"
 

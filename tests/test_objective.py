@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from caption_apply import fully_negate
-from fd_utils import finite_difference_grads, max_gradient_violation, named_grads
+from fd_utils import (
+    clap_loss_through_encoders,
+    dissimilarity_through_encoders,
+    finite_difference_grads,
+    max_gradient_violation,
+    named_grads,
+)
 from negclap.corpus import generate_dataset, generate_vocabulary
 from negclap.model import CaptionIds, ModelDims, TokenTable, init_params
-from negclap.objective import (
-    clap_loss,
-    clap_loss_through_encoders,
-    dissimilarity_loss,
-    dissimilarity_through_encoders,
-    total_loss_through_encoders,
-)
+from negclap.objective import clap_loss, dissimilarity_loss, total_loss_through_encoders
 from negclap.seeding import seeded_rng
 
 
