@@ -108,6 +108,9 @@ def _cmd_gen_data(args) -> int:
 def _cmd_augment(args) -> int:
     if not 0.0 <= args.p_aug <= 1.0:
         raise ValueError("--p-aug must lie in [0, 1]")
+    if args.out.is_dir():
+        raise ValueError(f"--out {args.out} is a directory, not a dataset file")
+    _check_out_dir(args.out.parent)
     # half/fully outputs intentionally break the caption-tags == clip-tags
     # rule, so reloading them needs check_tag_consistency=False
     dataset = corpus.load_dataset(args.data)
@@ -116,6 +119,7 @@ def _cmd_augment(args) -> int:
                                        table, args.p_aug, seeded_rng(args.seed, 0))
     new_pairs = [(clip, caption)
                  for (clip, _), caption in zip(dataset.pairs, table.captions(slots))]
+    args.out.parent.mkdir(parents=True, exist_ok=True)
     corpus.save_dataset(corpus.Dataset(dataset.vocabulary, new_pairs, dataset.split), args.out)
     print(f"wrote {len(new_pairs)} pairs to {args.out}" +
           (f" ({skipped} items had no unused tag)" if skipped else ""))
@@ -150,7 +154,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    # the label is part of an output file name, so it must not name a directory
+    # the label is part of an output file name and fills the reports' condition
+    # column, so it must be nonempty and must not name a directory
+    if not args.label:
+        raise ValueError("--label must not be empty")
     if "/" in args.label or "\0" in args.label:
         raise ValueError(f"--label must not contain '/' or NUL, got {args.label!r}")
     _check_out_dir(args.out)

@@ -19,7 +19,7 @@ import math
 import operator
 import string
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -70,6 +70,9 @@ PARAM_FIELDS = (
 )
 TABLE_FIELDS = ("unigram_table", "bigram_table")
 DENSE_FIELDS = tuple(n for n in PARAM_FIELDS if n not in TABLE_FIELDS)
+# the flat dense vector holds the text tower's fields, then the audio tower's
+# from this field on, then log_temperature as its last entry
+_AUDIO_FIELD = DENSE_FIELDS.index("audio_hidden_w")
 
 
 def param_shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
@@ -183,12 +186,17 @@ class ParamGrads(_DenseViews):
 
     ``table`` is the row-sparse gradient of ``ModelParams.tables`` (see
     ``RowGrad``).  ``dense`` is laid out like ``ModelParams.dense``, and each
-    dense gradient is also readable by its parameter name as a view into it.
+    dense gradient is also readable by its parameter name as a view into it;
+    the views are made when a name is first read, since a training step
+    reads none.
     """
 
     def __init__(self, dims: ModelDims, table: RowGrad, dense: np.ndarray):
         self.dims, self.table, self.dense = dims, table, dense
-        self._views = _dense_views(dims, dense)
+
+    @cached_property
+    def _views(self) -> dict[str, np.ndarray]:
+        return _dense_views(self.dims, self.dense)
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "ParamGrads":
@@ -494,24 +502,26 @@ def _mlp_forward(x, w1, b1, w2, b2):
     h = np.tanh(x @ w1 + b1)
     o = h @ w2 + b2
     norms = np.sqrt(np.add.reduce(o * o, axis=1, keepdims=True))  # np.linalg.norm's arithmetic
-    if len(norms) and not 0.0 < norms.min() <= norms.max() < math.inf:
-        raise FloatingPointError(
-            "embedding norms before normalization must be finite and positive, "
-            f"got values in [{norms.min():g}, {norms.max():g}]")
+    if len(norms):
+        low, high = np.minimum.reduce(norms, axis=None), np.maximum.reduce(norms, axis=None)
+        if not 0.0 < low <= high < math.inf:
+            raise FloatingPointError(
+                "embedding norms before normalization must be finite and positive, "
+                f"got values in [{low:g}, {high:g}]")
     return h, norms, o / norms
 
 
 def _mlp_backward(x, h, norms, emb, d_emb, w2):
     """Gradients of the MLP's parameters, and of its hidden pre-activations."""
     # normalization: d_o = (d_emb - (d_emb . emb) emb) / ||o||
-    proj = np.sum(d_emb * emb, axis=1, keepdims=True)
+    proj = np.add.reduce(d_emb * emb, axis=1, keepdims=True)
     d_o = (d_emb - proj * emb) / norms
     d_w2 = h.T @ d_o
-    d_b2 = d_o.sum(axis=0)
+    d_b2 = np.add.reduce(d_o, axis=0)
     d_h = d_o @ w2.T
     d_pre = d_h * (1.0 - h * h)
     d_w1 = x.T @ d_pre
-    d_b1 = d_pre.sum(axis=0)
+    d_b1 = np.add.reduce(d_pre, axis=0)
     return d_pre, d_w1, d_b1, d_w2, d_b2
 
 
@@ -524,7 +534,8 @@ def _scatter_rows(index: np.ndarray, values: np.ndarray, n_out: int) -> np.ndarr
     ``values.size`` entries.
     """
     d = values.shape[1]
-    flat = (index[:, None] * d + np.arange(d)).ravel()
+    flat = np.repeat(index * d, d)
+    flat.reshape(-1, d)[...] += np.arange(d)
     return np.bincount(flat, weights=values.ravel(), minlength=n_out * d).reshape(n_out, d)
 
 
@@ -555,7 +566,7 @@ def _pool_rows(table: np.ndarray, ids: np.ndarray, lens: np.ndarray) -> np.ndarr
     for r0, r1 in zip(edges, edges[1:]):
         a, b = at[r0], at[r1]
         chunk = lens[r0:r1]
-        width = chunk.max()
+        width = np.maximum.reduce(chunk)
         if r1 - r0 == 1 or width * (r1 - r0) > 2 * (b - a):
             owner = np.repeat(np.arange(r1 - r0), chunk)
             x[r0:r1] = _scatter_rows(owner, table[ids[a:b]], r1 - r0)
@@ -625,18 +636,22 @@ def model_backward(
     """Exact parameter gradients for at most one forward pass per tower.
 
     Each pass pairs a forward cache with the upstream gradient on its
-    embeddings.  Dense gradients are written into one zeroed flat vector;
-    the table's gradient comes back row-sparse (see ``RowGrad``), each row
-    summed in caption order and, within a caption, token order (unigram and
-    bigram ids hit disjoint halves of the table).  log_temperature is not on
-    any encoder path and keeps a zero entry here.
+    embeddings.  The dense gradient is one concatenation of the two towers'
+    gradients, zeros for a tower without a pass; the table's gradient comes
+    back row-sparse (see ``RowGrad``), each row summed in caption order and,
+    within a caption, token order (unigram and bigram ids hit disjoint
+    halves of the table).  log_temperature is not on any encoder path and
+    gets a 0.0 entry here.
     """
-    grads = ParamGrads.zeros_like(params)
+    layout = _dense_layout(params.dims)
+    audio_at, temperature_at = layout[_AUDIO_FIELD][1], layout[-1][1]
+    text_grads, audio_grads = [np.zeros(audio_at)], [np.zeros(temperature_at - audio_at)]
+    table = RowGrad(np.empty(0, np.intp), np.empty((0, params.dims.d_t)))
     if text is not None:
         cache, d_emb = text
         d_pre, *d_dense = _mlp_backward(cache.x, cache.h, cache.norms, cache.emb,
                                         _upstream(cache, d_emb), params.text_out_w)
-        grads.text_hidden_w, grads.text_hidden_b, grads.text_out_w, grads.text_out_b = d_dense
+        text_grads = [g.ravel() for g in d_dense]
         d_x = d_pre @ params.text_hidden_w.T
         d_pooled = (d_x[:, None] / cache.counts.reshape(-1, 2, 1)).reshape(len(cache.counts), -1)
         # the rows hit, sorted, and each id's place among them, from marks
@@ -646,15 +661,15 @@ def model_backward(
         rows = np.flatnonzero(hit)
         place = np.empty(len(params.tables), dtype=np.intp)
         place[rows] = np.arange(len(rows))
-        grads.table = RowGrad(rows, _scatter_rows(place[cache.ids],
-                                                  np.repeat(d_pooled, cache.lens, axis=0),
-                                                  len(rows)))
+        table = RowGrad(rows, _scatter_rows(place[cache.ids],
+                                            np.repeat(d_pooled, cache.lens, axis=0), len(rows)))
     if audio is not None:
         cache, d_emb = audio
         _, *d_dense = _mlp_backward(cache.feats, cache.h, cache.norms, cache.emb,
                                     _upstream(cache, d_emb), params.audio_out_w)
-        grads.audio_hidden_w, grads.audio_hidden_b, grads.audio_out_w, grads.audio_out_b = d_dense
-    return grads
+        audio_grads = [g.ravel() for g in d_dense]
+    return ParamGrads(params.dims, table,
+                      np.concatenate((*text_grads, *audio_grads, np.zeros(1))))
 
 
 def save_checkpoint(path: str | Path, params: ModelParams) -> None:

@@ -47,8 +47,8 @@ def _check_batch(first: np.ndarray, second: np.ndarray) -> int:
 
 
 def _log_softmax(scores: np.ndarray, axis: int) -> np.ndarray:
-    shifted = scores - scores.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = scores - np.maximum.reduce(scores, axis=axis, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
 
 
 def clap_loss(audio_embs: np.ndarray, text_embs: np.ndarray,
@@ -66,7 +66,9 @@ def clap_loss(audio_embs: np.ndarray, text_embs: np.ndarray,
 
     log_p_rows = _log_softmax(scores, axis=1)
     log_p_cols = _log_softmax(scores, axis=0)
-    loss = -0.5 * (log_p_rows.diagonal().mean() + log_p_cols.diagonal().mean())
+    # a diagonal's mean, in np.mean's arithmetic
+    loss = -0.5 * (np.add.reduce(log_p_rows.diagonal()) / B
+                   + np.add.reduce(log_p_cols.diagonal()) / B)
 
     # softmax rows plus softmax columns, less the identity twice, in that order
     g_scores = np.exp(log_p_rows)
@@ -77,7 +79,7 @@ def clap_loss(audio_embs: np.ndarray, text_embs: np.ndarray,
     g_scores /= 2.0 * B
     d_audio = tau * (g_scores @ text_embs)
     d_text = tau * (g_scores.T @ audio_embs)
-    return float(loss), d_audio, d_text, float(np.sum(g_scores * scores))
+    return float(loss), d_audio, d_text, float(np.add.reduce(g_scores * scores, axis=None))
 
 
 def dissimilarity_loss(caption_embs: np.ndarray,
@@ -90,7 +92,8 @@ def dissimilarity_loss(caption_embs: np.ndarray,
     """
     B = _check_batch(caption_embs, negated_embs)
     # rounding can land antipodal or identical unit pairs an ulp outside [0, 2]
-    loss = min(max(1.0 + float(np.sum(caption_embs * negated_embs)) / B, 0.0), 2.0)
+    cosines = float(np.add.reduce(caption_embs * negated_embs, axis=None))
+    loss = min(max(1.0 + cosines / B, 0.0), 2.0)
     return loss, negated_embs / B, caption_embs / B
 
 
@@ -134,5 +137,5 @@ def total_loss_through_encoders(
     if not with_grads:
         return breakdown, None
     grads = model_backward(params, (text_cache, d_text), audio)
-    grads.log_temperature += d_log_temperature
+    grads.dense[-1] += d_log_temperature  # log_temperature is the dense vector's last entry
     return breakdown, grads

@@ -354,36 +354,39 @@ def train(
 
     best: CheckpointRecord | None = None
     logs: list[EpochLog] = []
-    for epoch in range(1, config.epochs + 1):
-        order = np.concatenate(make_batches(dataset_train, config.batch_size,
-                                            spawn_seed(config.seed, _SHUFFLE_STREAM, epoch)))
-        plan = plan_epoch(slots, caption_ids, order, config, table, dims.hash_buckets,
-                          seeded_rng(config.seed, _EPOCH_STREAM, epoch))
-        sums = np.zeros(3)
-        for step, (items, text_ids) in enumerate(plan.steps(), 1):
-            try:
-                breakdown = train_step(params, features[order[items]], text_ids, config,
-                                       optimizer)
-                if not math.isfinite(breakdown.l_total):
-                    raise FloatingPointError(f"l_total is {breakdown.l_total}")
-            except FloatingPointError as e:
-                raise ValueError(f"{config.condition} training diverged at epoch {epoch}, "
-                                 f"step {step}: {e}") from e
-            sums += (breakdown.l_clap, breakdown.l_diss, breakdown.l_total)
-        means = sums / (len(order) // config.batch_size)
+    # a diverging run overflows on its way to the non-finite norm or loss that
+    # is reported below, so numpy's own warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            order = np.concatenate(make_batches(dataset_train, config.batch_size,
+                                                spawn_seed(config.seed, _SHUFFLE_STREAM, epoch)))
+            plan = plan_epoch(slots, caption_ids, order, config, table, dims.hash_buckets,
+                              seeded_rng(config.seed, _EPOCH_STREAM, epoch))
+            sums = np.zeros(3)
+            for step, (items, text_ids) in enumerate(plan.steps(), 1):
+                try:
+                    breakdown = train_step(params, features[order[items]], text_ids, config,
+                                           optimizer)
+                    if not math.isfinite(breakdown.l_total):
+                        raise FloatingPointError(f"l_total is {breakdown.l_total}")
+                except FloatingPointError as e:
+                    raise ValueError(f"{config.condition} training diverged at epoch {epoch}, "
+                                     f"step {step}: {e}") from e
+                sums += (breakdown.l_clap, breakdown.l_diss, breakdown.l_total)
+            means = sums / (len(order) // config.batch_size)
 
-        map_t2a, map_a2t = _test_map_scores(params, test_caption_ids, test_features)
-        map_avg = 0.5 * (map_t2a + map_a2t)
-        logs.append(EpochLog(
-            epoch=epoch, l_clap=float(means[0]), l_diss=float(means[1]),
-            l_total=float(means[2]), k=config.k, p_aug=config.p_aug,
-            map10_t2a=map_t2a, map10_a2t=map_a2t, map10_avg=map_avg,
-            n_augmented=plan.n_augmented, n_aug_exhausted=plan.n_exhausted,
-        ))
-        if best is None or map_avg > best.selection_score:
-            # later epochs update params in place; the last epoch's are final
-            kept = params if epoch == config.epochs else params.copy()
-            best = CheckpointRecord(epoch=epoch, params=kept, selection_score=map_avg)
+            map_t2a, map_a2t = _test_map_scores(params, test_caption_ids, test_features)
+            map_avg = 0.5 * (map_t2a + map_a2t)
+            logs.append(EpochLog(
+                epoch=epoch, l_clap=float(means[0]), l_diss=float(means[1]),
+                l_total=float(means[2]), k=config.k, p_aug=config.p_aug,
+                map10_t2a=map_t2a, map10_a2t=map_a2t, map10_avg=map_avg,
+                n_augmented=plan.n_augmented, n_aug_exhausted=plan.n_exhausted,
+            ))
+            if best is None or map_avg > best.selection_score:
+                # later epochs update params in place; the last epoch's are final
+                kept = params if epoch == config.epochs else params.copy()
+                best = CheckpointRecord(epoch=epoch, params=kept, selection_score=map_avg)
     assert best is not None
     return best, logs
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,33 @@ class TestAugment:
         assert "--p-aug must lie in [0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("problem", ["directory", "file parent"])
+    def test_unwritable_out_is_refused_before_loading(self, tmp_path, capsys, monkeypatch,
+                                                      problem):
+        data = gen_small(tmp_path)
+        loads = []
+        monkeypatch.setattr(corpus, "load_dataset", lambda *a, **kw: loads.append(a))
+        if problem == "directory":
+            out = tmp_path / "taken"
+            out.mkdir()
+            message = f"--out {out} is a directory, not a dataset file"
+        else:
+            (tmp_path / "file").write_text("")
+            out = tmp_path / "file" / "aug.jsonl"
+            message = f"--out {out.parent}: {out.parent} exists and is not a directory"
+        code = main(["augment", "--data", str(data / "test.jsonl"), "--op", "insert",
+                     "--seed", "5", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert loads == []
+
+    def test_missing_parent_of_out_is_created(self, tmp_path):
+        data = gen_small(tmp_path)
+        out = tmp_path / "new" / "dir" / "aug.jsonl"
+        assert main(["augment", "--data", str(data / "test.jsonl"), "--op", "insert",
+                     "--seed", "5", "--out", str(out)]) == 0
+        assert len(load_dataset(out).pairs) == 16
+
     def test_missing_input_is_io_error(self, tmp_path):
         code = main(["augment", "--data", str(tmp_path / "nope.jsonl"),
                      "--op", "half", "--seed", "1",
@@ -345,17 +373,21 @@ class TestTrain:
         assert len(rows) == 1 + 2
 
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_diverged_run_is_usage_error_and_writes_no_checkpoint(self, tmp_path, capsys):
         # at this rate the first step moves the parameters to ~1e300, and the
         # second step's embeddings overflow before they are normalized
         data = gen_toy(tmp_path)
         out = tmp_path / "run"
-        code = main(["train", "--data", str(data), "--condition", "baseline",
-                     "--epochs", "2", "--lr", "1e300", "--seed", "1", "--out", str(out)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--data", str(data), "--condition", "baseline",
+                         "--epochs", "2", "--lr", "1e300", "--seed", "1", "--out", str(out)])
         assert code == 2
+        # the error names the divergence; numpy's overflow warnings would only repeat it
+        assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert err.startswith(DIVERGED.format(condition="baseline"))
+        assert err.count("\n") == 1
         assert not (out / "checkpoint.ckpt").exists()
 
 
@@ -487,6 +519,16 @@ class TestEval:
         assert capsys.readouterr().err.startswith("error: --label must not contain")
         assert not out.exists()
 
+    def test_empty_label_is_usage_error(self, tmp_path, capsys):
+        # it would name fig_retrieval_.csv and leave the condition column blank
+        out = tmp_path / "e"
+        code = main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                     "--data", str(tmp_path / "missing"), "--eval-seed", "9",
+                     "--label", "", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --label must not be empty\n"
+        assert not out.exists()
+
     def test_zero_norm_embeddings_are_usage_error(self, tmp_path, capsys):
         data, ckpt = self._trained(tmp_path)
         params = load_checkpoint(ckpt)
@@ -599,7 +641,6 @@ class TestFuzzedCheckpointFile:
 
 
 class TestSweep:
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_diverged_sweep_is_usage_error_and_writes_no_report(self, tmp_path, capsys):
         data = gen_toy(tmp_path)
         out = tmp_path / "sweep"

@@ -27,6 +27,7 @@ from negclap.corpus import (
     render_caption,
 )
 from negclap.model import (
+    DENSE_FIELDS,
     CaptionIds,
     ModelDims,
     TokenTable,
@@ -143,6 +144,27 @@ class TestModelBackward:
                                (a_cache, np.zeros_like(a_emb)))
         assert len(grads.table.rows) and not grads.table.values.any()
         assert not grads.dense.any()
+
+    def test_joint_pass_equals_the_single_tower_passes(self, small_params):
+        vocab = generate_vocabulary(8, 4)
+        ds = generate_dataset(vocab, 4, d_a=small_params.dims.d_a, rng_seed=4)
+        rng = np.random.default_rng(5)
+        t_emb, t_cache = encode_text_batch(small_params, [c for _, c in ds.pairs], vocab)
+        a_emb, a_cache = encode_audio_batch(small_params, ds.features())
+        text = (t_cache, rng.normal(size=t_emb.shape))
+        audio = (a_cache, rng.normal(size=a_emb.shape))
+        joint = model_backward(small_params, text, audio)
+        text_only, audio_only = model_backward(small_params, text), model_backward(small_params,
+                                                                                   audio=audio)
+        for name in DENSE_FIELDS:
+            alone = text_only if name.startswith("text") else audio_only
+            assert getattr(joint, name).tobytes() == getattr(alone, name).tobytes(), name
+            absent = audio_only if alone is text_only else text_only
+            assert not getattr(absent, name).any(), name
+        assert joint.dense[-1] == text_only.dense[-1] == audio_only.dense[-1] == 0.0
+        assert joint.table.rows.tobytes() == text_only.table.rows.tobytes()
+        assert joint.table.values.tobytes() == text_only.table.values.tobytes()
+        assert len(audio_only.table.rows) == 0
 
     def test_shape_mismatch_rejected(self, small_params):
         vocab = generate_vocabulary(8, 4)
@@ -539,6 +561,15 @@ class TestParameterBuffers:
         assert 7.5 in small_params.dense
         small_params.log_temperature += 1.0  # in place through the view
         assert small_params.dense[-1] == float(small_params.log_temperature)
+
+    def test_gradient_names_are_views_of_the_dense_buffer(self, small_params):
+        feats = np.ones((2, small_params.dims.d_a))
+        emb, cache = encode_audio_batch(small_params, feats)
+        grads = model_backward(small_params, audio=(cache, np.ones_like(emb)))
+        grads.audio_out_b[0] = 7.5
+        assert 7.5 in grads.dense
+        grads.log_temperature += 1.0  # in place through the view
+        assert grads.dense[-1] == 1.0
 
     def test_copy_and_loaded_params_own_their_buffers(self, small_params, tmp_path):
         path = tmp_path / "model.ckpt"
