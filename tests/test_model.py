@@ -154,8 +154,8 @@ class TestModelBackward:
         text = (t_cache, rng.normal(size=t_emb.shape))
         audio = (a_cache, rng.normal(size=a_emb.shape))
         joint = model_backward(small_params, text, audio)
-        text_only, audio_only = model_backward(small_params, text), model_backward(small_params,
-                                                                                   audio=audio)
+        text_only = model_backward(small_params, text)
+        audio_only = model_backward(small_params, audio=audio)
         for name in DENSE_FIELDS:
             alone = text_only if name.startswith("text") else audio_only
             assert getattr(joint, name).tobytes() == getattr(alone, name).tobytes(), name
