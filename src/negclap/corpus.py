@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
+import orjson
 
 from .seeding import seeded_rng
 
@@ -383,23 +384,50 @@ def _token_to_json(tok: CaptionToken) -> dict:
     return {"t": tok.tag_id, "neg": tok.negator}
 
 
+# Rows per orjson call in _feature_texts: few enough that a chunk's text
+# stays small, enough that the per-call cost does not show.
+_FEATURE_CHUNK_ROWS = 256
+
+
+def _feature_texts(features: np.ndarray) -> Iterator[str]:
+    """Each row of the float64 matrix ``features`` as ``json.dumps(row.tolist())`` writes it.
+
+    orjson writes a float64 with the shortest digits that round-trip, as
+    ``repr`` does, and in the same notation from 1e-4 up to 1e16.  Outside
+    that range the two differ (``1e16`` for ``1e+16``, ``0.00001`` for
+    ``1e-05``), so a row whose orjson text holds an ``e`` or a ``0.0000`` is
+    written by ``json.dumps``.  orjson reads the rows as numpy chunks, so
+    the other rows make no Python float.
+    """
+    for start in range(0, len(features), _FEATURE_CHUNK_ROWS):
+        chunk = np.ascontiguousarray(features[start:start + _FEATURE_CHUNK_ROWS])
+        text = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        for row, row_text in zip(chunk, text[2:-2].split("],[")):
+            if "e" in row_text or "0.0000" in row_text:
+                yield json.dumps(row.tolist())
+            else:
+                yield f"[{row_text.replace(',', ', ')}]"
+
+
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write the JSONL layout: a header line, then one pair per line.
 
-    Floats are serialized via repr and round-trip exactly, so
-    load(save(d)) == d.  Raises ``ValueError`` naming the clip, before the
-    file is opened, when a feature is not finite, since JSON has no such
-    number and ``load_dataset`` would refuse the file.
+    Features are written with the shortest digits that round-trip, as
+    ``json.dumps`` writes them, so load(save(d)) == d.  Raises
+    ``ValueError`` naming the clip, before the file is opened, when a
+    feature is not finite, since JSON has no such number and
+    ``load_dataset`` would refuse the file.
     """
     if not dataset.pairs:
         raise ValueError("refusing to save an empty dataset")
-    finite = np.isfinite(dataset.features()).all(axis=1)
+    matrix = np.asarray(dataset.features(), dtype=np.float64)
+    finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         clip = dataset.pairs[int(np.argmin(finite))][0]
         raise ValueError(f"cannot save dataset {path}: clip {clip.id} has features "
                          "that are not finite")
     vocab = dataset.vocabulary
-    d_a = int(dataset.pairs[0][0].features.shape[0])
+    d_a = int(matrix.shape[1])
     header = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
@@ -414,30 +442,31 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     token_json: dict[int, tuple[CaptionToken, str]] = {}
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(json.dumps(header) + "\n")
-        for clip, caption in dataset.pairs:
+        for (clip, caption), features in zip(dataset.pairs, _feature_texts(matrix)):
             tokens = []
             for tok in caption.tokens:
                 entry = token_json.get(id(tok))
                 if entry is None:
                     entry = token_json[id(tok)] = (tok, json.dumps(_token_to_json(tok)))
                 tokens.append(entry[1])
-            features = np.asarray(clip.features, dtype=np.float64).tolist()
-            head = json.dumps({"id": clip.id, "tags": sorted(clip.tag_ids),
-                               "features": features})
-            # the bytes json.dumps writes with the "caption" list as a fourth key
-            f.write(f'{head[:-1]}, "caption": [{", ".join(tokens)}]}}\n')
+            head = json.dumps({"id": clip.id, "tags": sorted(clip.tag_ids)})
+            # the bytes json.dumps writes with "features" and "caption" as the
+            # third and fourth keys
+            f.write(f'{head[:-1]}, "features": {features}, '
+                    f'"caption": [{", ".join(tokens)}]}}\n')
 
 
 # The strict-type rule: every field must hold the JSON type save_dataset
-# writes.  Python's json gives bool for true/false and float for any number
-# with a fraction or exponent (1e400 is inf), so ``type(v) is int`` accepts
-# exactly the JSON integers.
+# writes.  orjson gives bool for true/false, int for an integer in
+# [-2**63, 2**64) and float for any other number, so ``type(v) is int``
+# accepts exactly the JSON integers of that range.  A number that no
+# float64 holds (1e400) is a decode error.
 _NUMBER_TYPES = frozenset((int, float))
 
 
 def _integer(value: object, name: str) -> int:
     if type(value) is not int:
-        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+        raise ValueError(f"{name} must be a JSON integer in [-2**63, 2**64), got {value!r}")
     return value
 
 
@@ -494,8 +523,8 @@ def _numbered_lines(f) -> Iterator[tuple[int, str]]:
 
 def _parse_line(line: str, line_number: int) -> dict:
     try:
-        obj = json.loads(line)
-    except (ValueError, RecursionError) as e:
+        obj = orjson.loads(line)
+    except orjson.JSONDecodeError as e:
         raise DatasetParseError(str(e), line_number=line_number) from e
     if type(obj) is not dict:
         raise DatasetParseError("expected a JSON object", line_number=line_number)
@@ -574,10 +603,7 @@ def _read_dataset(path: str | Path, check_tag_consistency: bool) -> Dataset:
                 rows = np.empty((1024, d_a))
             elif n == len(rows):
                 rows.resize((2 * n, d_a), refcheck=False)  # no views exist yet
-            try:
-                rows[n] = features
-            except OverflowError as e:  # an integer beyond the float range
-                raise DatasetParseError(f"bad pair record: {e}", line_number=line_number) from e
+            rows[n] = features
             ids.append(clip_id)
             tag_sets.append(tag_ids)
             captions.append(Caption(tokens=tokens))

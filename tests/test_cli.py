@@ -319,7 +319,8 @@ class TestTrain:
         record = json.loads(lines[2])
         if problem == "parse":
             record["id"] = "x"
-            message = "line 3: bad pair record: id must be a JSON integer, got 'x'"
+            message = ("line 3: bad pair record: id must be a JSON integer in [-2**63, 2**64), "
+                       "got 'x'")
         else:
             record["tags"] = [min(set(range(10)) - set(record["tags"]))]
             message = f"clip {record['id']}: non-negated caption tags != clip tags"

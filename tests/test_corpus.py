@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -46,6 +47,23 @@ def reference_dataset(vocab, n_clips, tags_per_clip, d_a, noise_sigma, rng_seed)
         clip = corpus.AudioClip(id=i, features=features, tag_ids=frozenset(chosen))
         pairs.append((clip, caption_from_tags(chosen, template_index=i)))
     return Dataset(vocabulary=vocab, pairs=pairs, split="train")
+
+
+def with_features(dataset, matrix):
+    """``dataset`` with its clips' features replaced by the rows of ``matrix``."""
+    pairs = [(corpus.AudioClip(id=clip.id, features=row, tag_ids=clip.tag_ids), caption)
+             for (clip, caption), row in zip(dataset.pairs, matrix)]
+    return Dataset(dataset.vocabulary, pairs, dataset.split, matrix)
+
+
+# Finite float64 values at the edges of the range where repr and orjson write
+# the same notation, and at the edges of the float64 range.
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+    *(np.nextafter(edge, toward) for edge in (1e-4, 1e16) for toward in (0.0, np.inf)),
+    1e-4, 1e16, -1e-4, -1e16,
+]
 
 
 class TestGenerateVocabulary:
@@ -224,10 +242,38 @@ class TestSaveLoad:
 
     def test_round_trip_bytes_stable(self, tmp_path):
         ds = self._dataset()
-        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        save_dataset(ds, p1)
-        save_dataset(load_dataset(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        # rows 0, 3 and 6 hold numbers that orjson and json.dumps write in
+        # different notations, so they take json.dumps's path
+        matrix = ds.features().copy()
+        matrix[0, 1], matrix[3, 5], matrix[6] = 2.5e-5, -3e17, 5e-324
+        for dataset in (ds, with_features(ds, matrix)):
+            p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+            save_dataset(dataset, p1)
+            save_dataset(load_dataset(p1), p2)
+            assert p1.read_bytes() == p2.read_bytes()
+            assert load_dataset(p1) == dataset
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_features_written_as_json_dumps_and_read_back_bit_for_bit(self, tmp_path_factory,
+                                                                     data):
+        n = data.draw(st.integers(1, 9))
+        d_a = data.draw(st.integers(1, 5))
+        number = st.one_of(st.sampled_from(EDGE_FLOATS),
+                           st.floats(allow_nan=False, allow_infinity=False))
+        matrix = np.array(data.draw(st.lists(st.lists(number, min_size=d_a, max_size=d_a),
+                                             min_size=n, max_size=n)), dtype=np.float64)
+        ds = with_features(generate_dataset(generate_vocabulary(6, 0), n, d_a=d_a), matrix)
+        path = tmp_path_factory.getbasetemp() / "features.jsonl"
+        # chunks of 2 rows, so rows of both paths meet in a chunk and across chunks
+        with unittest.mock.patch.object(corpus, "_FEATURE_CHUNK_ROWS", 2):
+            save_dataset(ds, path)
+        lines = path.read_text().splitlines()[1:]
+        for line, row in zip(lines, matrix, strict=True):
+            start = line.index('"features": ') + len('"features": ')
+            assert line[start:line.index(', "caption": ')] == json.dumps(row.tolist())
+        loaded = load_dataset(path).features()
+        assert loaded.tobytes() == matrix.tobytes()
 
     def test_wrong_feature_dimension_is_validation_error(self, tmp_path):
         ds = self._dataset()
@@ -409,19 +455,33 @@ INTEGER_FIELDS = {
 
 @pytest.mark.parametrize("field", INTEGER_FIELDS)
 def test_overflowing_integer_is_parse_error_naming_the_line(tmp_path, field):
-    # JSON 1e400 decodes to float inf; int(inf) used to escape as OverflowError
+    # 1e400 is beyond the float64 range; a 21-digit integer is beyond 64 bits,
+    # which the decoder gives as a float
     lines = toy_lines(tmp_path)
     assert json.loads(lines[1])["caption"][1].keys() == {"t", "neg"}
     index, key_path = INTEGER_FIELDS[field]
-    lines[index] = with_literal(lines[index], key_path, "1e400")
-    path = tmp_path / "bad.jsonl"
-    path.write_text("".join(lines))
-    with pytest.raises(DatasetParseError) as err:
-        load_dataset(path)
-    assert err.value.line_number == index + 1
-    code, stderr = augment(path, tmp_path / "out.jsonl")
-    assert code == 1
-    assert f"line {index + 1}:" in stderr
+    for literal in ("1e400", "100000000000000000000"):
+        bad = lines.copy()
+        bad[index] = with_literal(lines[index], key_path, literal)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(bad))
+        with pytest.raises(DatasetParseError) as err:
+            load_dataset(path)
+        assert err.value.line_number == index + 1
+        if literal != "1e400":
+            assert "must be a JSON integer in [-2**63, 2**64), got 1e+20" in str(err.value)
+        code, stderr = augment(path, tmp_path / "out.jsonl")
+        assert code == 1
+        assert f"line {index + 1}:" in stderr
+
+
+def test_integers_at_the_64_bit_bounds_load(tmp_path):
+    lines = toy_lines(tmp_path)
+    for clip_id in (-2**63, 2**64 - 1):
+        lines[1] = with_literal(lines[1], ("id",), str(clip_id))
+        path = tmp_path / "edge.jsonl"
+        path.write_text("".join(lines))
+        assert load_dataset(path).pairs[0][0].id == clip_id
 
 
 @pytest.mark.parametrize("key_path,literal", [
@@ -477,7 +537,11 @@ def test_header_field_of_wrong_json_type_is_parse_error(tmp_path, key_path, lite
     "[" * 100_000,     # nesting deeper than the decoder's recursion limit
     "1" * 5000,        # more digits than Python converts to an int
     "1" + "0" * 400,   # an integer no float holds
-], ids=["deep nesting", "5000 digits", "10**400"])
+    "NaN",             # not JSON numbers, though Python's json reads them
+    "Infinity",
+    "-Infinity",
+    "1e400",           # a number no float holds
+], ids=["deep nesting", "5000 digits", "10**400", "NaN", "Infinity", "-Infinity", "1e400"])
 def test_feature_that_cannot_decode_is_parse_error(tmp_path, literal):
     lines = toy_lines(tmp_path)
     lines[1] = with_literal(lines[1], ("features", 0), literal)
@@ -486,6 +550,19 @@ def test_feature_that_cannot_decode_is_parse_error(tmp_path, literal):
     with pytest.raises(DatasetParseError) as err:
         load_dataset(path)
     assert err.value.line_number == 2
+    assert augment(path, tmp_path / "out.jsonl")[0] == 1
+
+
+def test_escaped_lone_surrogate_is_parse_error(tmp_path):
+    # Python's json decodes it to a str that no UTF-8 text can hold
+    lines = toy_lines(tmp_path)
+    lines[1] = with_literal(lines[1], ("caption", 0, "w"), '"\\ud800"')
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(lines))
+    with pytest.raises(DatasetParseError) as err:
+        load_dataset(path)
+    assert err.value.line_number == 2
+    assert augment(path, tmp_path / "out.jsonl")[0] == 1
 
 
 class TestFuzzedDatasetFile:
