@@ -8,9 +8,9 @@ temporary directory.  For each seed N from A to B (one pair per seed) it runs
 
     python3 perfbench/run.py --workload W --seed N --seconds <run_seconds> --trace 0
 
-once in each clone, the parent first in odd pairs (the first, third, ...)
-and the change first in even ones, so a drift in host speed falls on both
-sides.  ``--seconds`` defaults to ``run_seconds`` of ``BENCHMARK.json``.
+once in each clone, with ``run_seconds`` from ``BENCHMARK.json``: the parent
+first in odd pairs (the first, third, ...) and the change first in even
+ones, so a drift in host speed falls on both sides.
 
 For each end-to-end metric of ``BENCHMARK.json`` it then prints the per-pair
 values (parent/change), both medians, the parent's quartiles, in how many
@@ -94,13 +94,12 @@ def main(argv: list[str]) -> int:
     parser.add_argument("change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=_seeds, required=True, help="A-B: one pair per seed")
-    parser.add_argument("--seconds", type=float, help="per run (default: run_seconds)")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     if args.workload not in {w["name"] for w in spec["workloads"]}:
         parser.error(f"--workload must be one of BENCHMARK.json's workloads, "
                      f"got {args.workload!r}")
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     commits = {}
     for side in ("parent", "change"):
         rev = getattr(args, side)
