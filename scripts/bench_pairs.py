@@ -16,7 +16,10 @@ For each end-to-end metric of ``BENCHMARK.json`` it then prints the per-pair
 values (parent/change), both medians, the parent's quartiles, in how many
 pairs the change read better, and whether the medians differ by more than
 the parent's quartile distance.  Last it prints whether ``r10`` was equal in
-every pair and whether every run was correct.  The clones are removed and
+every pair, whether both runs of every pair wrote the same output digest
+(``output_digest`` of each clone's
+``.perfbench-out/result-<workload>-seed<N>-trace0.json``), and whether every
+run was correct.  The clones are removed and
 no run is left behind, also when the script is interrupted.  A pair takes
 about 2 × (run_seconds + set-up) seconds; run nothing else meanwhile.
 """
@@ -55,7 +58,8 @@ def _clone(commit: str, into: Path) -> Path:
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The final JSON line of one ``perfbench/run.py`` run in ``checkout``."""
+    """The final JSON line of one ``perfbench/run.py`` run in ``checkout``, with the
+    run's ``output_digest`` from its result file added."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", f"{seconds:g}", "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
@@ -64,7 +68,10 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{' '.join(argv[1:])} in {checkout.name} exited "
                          f"{proc.returncode}:\n{proc.stderr}")
-    return json.loads(lines[-1])
+    final = json.loads(lines[-1])
+    result = checkout / ".perfbench-out" / f"result-{workload}-seed{seed}-trace0.json"
+    final["output_digest"] = json.loads(result.read_text())["output_digest"]
+    return final
 
 
 def _summary(name: str, unit: str, better: str, parent: list[float],
@@ -128,11 +135,12 @@ def main(argv: list[str]) -> int:
                   for side, runs in results.items()}
         print("\n".join(_summary(name, metric["unit"], metric["better"],
                                  values["parent"], values["change"])))
-    r10 = [(p["metrics"]["r10"]["value"], c["metrics"]["r10"]["value"])
-           for p, c in zip(results["parent"], results["change"])]
-    unequal = [i for i, (p, c) in enumerate(r10, start=1) if p != c]
-    print("r10 equal in every pair: " + ("yes" if not unequal else
-                                         f"no (pairs {', '.join(map(str, unequal))})"))
+    for name, value in (("r10", lambda run: run["metrics"]["r10"]["value"]),
+                        ("output digest", lambda run: run["output_digest"])):
+        unequal = [i for i, (p, c) in enumerate(zip(results["parent"], results["change"]),
+                                                start=1) if value(p) != value(c)]
+        print(f"{name} equal in every pair: " + ("yes" if not unequal else
+                                                  f"no (pairs {', '.join(map(str, unequal))})"))
     runs = results["parent"] + results["change"]
     print(f"runs: {sum(r['correct'] for r in runs)} of {len(runs)} correct, "
           f"{sum(r['failed'] for r in runs)} failed operations")

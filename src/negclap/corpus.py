@@ -56,8 +56,9 @@ class DatasetError(Exception):
 class DatasetParseError(DatasetError):
     """A line of a dataset file could not be decoded."""
 
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, message: str, line_number: int, column: int | None = None):
+        where = f"line {line_number}" if column is None else f"line {line_number}, column {column}"
+        super().__init__(f"{where}: {message}")
         self.line_number = line_number
 
 
@@ -525,7 +526,8 @@ def _parse_line(line: str, line_number: int) -> dict:
     try:
         obj = orjson.loads(line)
     except orjson.JSONDecodeError as e:
-        raise DatasetParseError(str(e), line_number=line_number) from e
+        # the decoder sees one line, so only its column is worth keeping
+        raise DatasetParseError(e.msg, line_number=line_number, column=e.colno) from e
     if type(obj) is not dict:
         raise DatasetParseError("expected a JSON object", line_number=line_number)
     return obj

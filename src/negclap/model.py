@@ -235,12 +235,37 @@ def tokenize(rendered: str) -> list[str]:
     return tokens
 
 
-@lru_cache(maxsize=1 << 16)
 def hash_bucket(token: str, n_buckets: int) -> int:
+    """The bucket of ``token``: its 32-bit hash state after its UTF-8 bytes, mod ``n_buckets``.
+
+    The scalar definition; ``TokenTable.ids`` runs the same arithmetic on
+    arrays (``_hash_states``).
+    """
     h = _HASH_OFFSET
     for byte in token.encode("utf-8"):
         h = ((h ^ byte) * _HASH_MULTIPLIER) & 0xFFFFFFFF
     return h % n_buckets
+
+
+def _utf8_columns(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Byte j of string i's UTF-8 text at ``[j, i]`` of a uint64 matrix, 0 past its
+    end, and each string's byte count."""
+    encoded = [s.encode("utf-8") for s in strings]
+    n_bytes = np.fromiter(map(len, encoded), np.intp, len(encoded))
+    width = int(n_bytes.max(initial=1))
+    rows = np.array(encoded, dtype=f"S{width}").view(np.uint8).reshape(len(encoded), width)
+    return np.ascontiguousarray(rows.T, dtype=np.uint64), n_bytes
+
+
+def _hash_states(states: np.ndarray, columns: np.ndarray, n_bytes: np.ndarray) -> np.ndarray:
+    """``hash_bucket``'s states run on from ``states[i]`` over the first ``n_bytes[i]``
+    bytes of column i of ``columns`` (see ``_utf8_columns``).
+
+    A state stays below 2**32 and the multiplier too, so no product wraps.
+    """
+    for j, byte in enumerate(columns):
+        states = np.where(j < n_bytes, ((states ^ byte) * _HASH_MULTIPLIER) & 0xFFFFFFFF, states)
+    return states
 
 
 # bucket ids are stored this narrow; a table of 2**31 rows would not fit in memory
@@ -444,14 +469,21 @@ class TokenTable:
         """Bucket ids over ``n_buckets`` buckets of captions given as kinds.
 
         A caption's tokens are its kinds' tokens, in order.  A token's
-        unigram bucket hashes its string; each adjacent pair's bigram bucket
-        hashes the two strings joined by a space, once per distinct pair of
-        a chunk of captions.  Each chunk's unigram and bigram runs are
-        interleaved into the ``CaptionIds`` layout there, so the temporaries
-        of the lookup stay small.
+        unigram bucket is ``hash_bucket`` of its string, every string of the
+        table hashed at once as arrays.  Each adjacent pair's bigram bucket
+        is that of the two strings joined by a space, hashed once per
+        distinct pair of a chunk of captions: the first token's state runs
+        on over the space and the second token's bytes, so no pair string
+        is built.  Each chunk's unigram and bigram runs are interleaved
+        into the ``CaptionIds`` layout there, so the temporaries of the
+        lookup stay small.
         """
-        tokens, strings = self._tokens(slots), self._strings
-        unigram = np.fromiter((hash_bucket(s, n_buckets) for s in strings), _ID_DTYPE, len(strings))
+        tokens = self._tokens(slots)
+        columns, n_bytes = _utf8_columns(self._strings)
+        states = _hash_states(np.full(len(n_bytes), _HASH_OFFSET, np.uint64), columns, n_bytes)
+        unigram = (states % n_buckets).astype(_ID_DTYPE)
+        # a bigram's hash runs on from its first token's state over the joining space
+        spaced = ((states ^ ord(" ")) * _HASH_MULTIPLIER) & 0xFFFFFFFF
         token_at = np.concatenate(([0], np.cumsum(tokens.lens)))
         lens = np.stack((tokens.lens, np.maximum(tokens.lens - 1, 0)), axis=1).ravel()
         rows = [np.empty(0, _ID_DTYPE)]
@@ -463,8 +495,9 @@ class TokenTable:
             ends = np.cumsum(chunk) - 1
             paired[ends[(chunk > 0) & (ends < len(paired))]] = False
             keys, inverse = np.unique(((t[:-1] << 32) | t[1:])[paired], return_inverse=True)
-            pairs = (f"{strings[key >> 32]} {strings[key & 0xFFFFFFFF]}" for key in keys.tolist())
-            buckets = np.fromiter((hash_bucket(p, n_buckets) for p in pairs), _ID_DTYPE, len(keys))
+            first, second = keys >> 32, keys & 0xFFFFFFFF
+            buckets = _hash_states(spaced[first], columns[:, second], n_bytes[second])
+            buckets = (buckets % n_buckets).astype(_ID_DTYPE)
             # caption i's unigram run, then its bigram run in the table's second half
             runs = lens[2 * a:2 * (a + len(chunk))]
             starts = np.stack((_starts(runs[0::2]), len(t) + _starts(runs[1::2])), axis=1).ravel()

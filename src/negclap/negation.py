@@ -10,14 +10,14 @@ Three edits over structured captions:
 
 Each edit is a draw followed by an apply, so it is a deterministic function
 of (input, RNG state).  The draws (``draw_inserts``, ``draw_insert``,
-``draw_half``, ``draw_negators``) make every generator call.  The apply
-(``insert_ids``, ``negate_ids``) edits captions given as structured-token
-kinds (see ``TokenTable``): an insert puts one negated mention's kind into a
-caption's row of kinds, and a negation swaps a plain mention's kind for its
-negated kind, so no caption object is built per edit.  ``TokenTable.captions``
-maps edited kinds back to captions where they are wanted (``edit_ids``, the
-edit ``negclap augment`` writes).  Mentions that are already negated are
-never touched, so negation never stacks.
+``draw_half``, ``draw_halves``, ``draw_negators``) make every generator
+call.  The apply (``insert_ids``, ``negate_ids``) edits captions given as
+structured-token kinds (see ``TokenTable``): an insert puts one negated
+mention's kind into a caption's row of kinds, and a negation swaps a plain
+mention's kind for its negated kind, so no caption object is built per
+edit.  ``TokenTable.captions`` maps edited kinds back to captions where they
+are wanted (``edit_ids``, the edit ``negclap augment`` writes).  Mentions
+that are already negated are never touched, so negation never stacks.
 
 The negator draws of several mentions, or of several captions, are one
 ``rng.integers(0, n, size=m)`` call.  numpy fills it one value at a time
@@ -93,10 +93,44 @@ def draw_half(n_plain: int, rng: np.random.Generator) -> np.ndarray:
     """Which ceil(n/2) of a caption's n plain mentions to negate, ascending.
 
     Raises ValueError before any draw when the caption has no plain mention.
+    ``draw_halves`` makes this draw for a run of captions.
     """
     if not n_plain:
         raise ValueError(_NO_PLAIN_MENTION)
     return np.sort(rng.choice(n_plain, size=math.ceil(n_plain / 2), replace=False))
+
+
+def draw_halves(n_plain: Sequence[int], n_negators: int, rng: np.random.Generator,
+                with_fully: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Half negations' draws for a run of captions, caption after caption.
+
+    Caption i has ``n_plain[i]`` plain mentions.  Its draws are
+    ``draw_half``'s ``choice``, then one ``rng.integers`` call for the
+    negators of the picked mentions followed, ``with_fully``, by those of
+    all its plain mentions (a full negation of the same caption).  Returns
+    the picked mentions as indices among all captions' plain mentions,
+    ascending, and the half and the full negation's negators, each in that
+    order (the second empty unless ``with_fully``).  A caption with no
+    plain mention raises ValueError after the draws of the captions before it.
+    """
+    counts = np.asarray(n_plain, dtype=np.intp)
+    picks, draws = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for n in counts.tolist():
+        if not n:
+            raise ValueError(_NO_PLAIN_MENTION)
+        picks.append(rng.choice(n, size=(n + 1) // 2, replace=False))
+        draws.append(rng.integers(0, n_negators, size=(n + 1) // 2 + (n if with_fully else 0)))
+    halves = (counts + 1) // 2
+    # caption i's picks lie in [first_i, first_i + n_i), so one sort orders every run
+    mentions = np.sort(np.concatenate(picks) + np.repeat(np.cumsum(counts) - counts, halves))
+    negators = np.concatenate(draws)
+    if not with_fully:
+        return mentions, negators, negators[:0]
+    runs = halves + counts
+    # each negator's place in its caption's run: the first halves[i] are the half's
+    at = np.arange(len(negators)) - np.repeat(np.cumsum(runs) - runs, runs)
+    in_half = at < np.repeat(halves, runs)
+    return mentions, negators[in_half], negators[~in_half]
 
 
 def draw_negators(counts: Sequence[int], n_negators: int,
@@ -170,10 +204,10 @@ def edit_ids(edit: str, slots: TokenIds, table: TokenTable, p_aug: float,
     "insert" (with probability ``p_aug``; see ``draw_inserts``, whose
     exhausted captions keep their kinds and are the count returned),
     "half" or "fully".  The draws come from ``rng`` caption after caption:
-    for "half" each caption's ``draw_half`` then its negators, for "fully"
-    every caption's negators in one ``draw_negators`` call.  A caption with
-    no plain mention makes "half" and "fully" raise ValueError after the
-    draws of the captions before it.
+    for "half" ``draw_halves``' draws, for "fully" every caption's negators
+    in one ``draw_negators`` call.  A caption with no plain mention makes
+    "half" and "fully" raise ValueError after the draws of the captions
+    before it.
     """
     n_negators = len(table.vocab.negators)
     n_plain, n_unused = (counts.tolist() for counts in edit_counts(slots, table))
@@ -182,14 +216,8 @@ def edit_ids(edit: str, slots: TokenIds, table: TokenTable, p_aug: float,
         rows, gaps, unused, negators = np.array(inserts, dtype=np.intp).reshape(-1, 4).T
         return insert_ids(slots, rows, gaps, unused, negators, table), n_exhausted
     if edit == "half":
-        flat = lambda parts: np.concatenate([np.empty(0, np.intp), *parts])
-        mentions, negators, first = [], [], 0
-        for n in n_plain:
-            picked = draw_half(n, rng)
-            mentions.append(first + picked)
-            negators.append(draw_negators([len(picked)], n_negators, rng))
-            first += n
-        return negate_ids(slots, flat(mentions), flat(negators), table), 0
+        mentions, negators, _ = draw_halves(n_plain, n_negators, rng)
+        return negate_ids(slots, mentions, negators, table), 0
     if edit != "fully":
         raise ValueError(f"unknown edit {edit!r}")
     negators = draw_negators(n_plain, n_negators, rng)

@@ -31,7 +31,8 @@ from .evaluation import (
     build_eval_variants,
     check_test_size,
     embed_eval_variants,
-    map_at_10,
+    map10_from_ranks,
+    match_ranks,
     report_rows,
     retrieval_protocol,
     triplet_protocol,
@@ -314,8 +315,7 @@ def _test_map_scores(params: ModelParams, test_ids: CaptionIds,
                      audio_features: np.ndarray) -> tuple[float, float]:
     audio_embs, _ = encode_audio_batch(params, audio_features)
     text_embs, _ = encode_token_lists(params, test_ids)
-    sim = audio_embs @ text_embs.T
-    return map_at_10(sim, "text_to_audio"), map_at_10(sim, "audio_to_text")
+    return tuple(map(map10_from_ranks, match_ranks(audio_embs @ text_embs.T)))
 
 
 def train(

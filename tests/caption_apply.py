@@ -4,7 +4,9 @@ Each function makes the same draws as the package (``negation.draw_*``) and
 applies them to a ``Caption`` directly, building a new caption per edit.
 The package applies the draws to structured-token kinds instead
 (``negation.insert_ids``/``negate_ids``, ``TokenTable.captions``); the tests
-compare the two over the same generator stream.
+compare the two over the same generator stream.  The half negation's draws
+are also kept here caption by caption, ``draw_half`` then ``draw_negators``
+per caption, as the reference for ``negation.draw_halves``.
 """
 
 from typing import Sequence
@@ -13,7 +15,15 @@ import numpy as np
 
 from negclap import evaluation
 from negclap.corpus import Caption, Dataset, TagMention, Vocabulary
-from negclap.negation import AugmentationExhausted, draw_half, draw_insert, draw_negators
+from negclap.model import TokenIds, TokenTable
+from negclap.negation import (
+    AugmentationExhausted,
+    draw_half,
+    draw_insert,
+    draw_negators,
+    edit_counts,
+    negate_ids,
+)
 from negclap.seeding import seeded_rng
 
 
@@ -104,3 +114,41 @@ def variant_captions(dataset: Dataset, eval_seed: int) -> dict[str, list[Caption
         out["half"].append(half_negate(caption, dataset.vocabulary, rng))
         out["fully"].append(fully_negate(caption, dataset.vocabulary, rng))
     return out
+
+
+def _flat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate([np.empty(0, np.intp), *parts])
+
+
+def half_edit_per_caption(slots: TokenIds, table: TokenTable,
+                          rng: np.random.Generator) -> TokenIds:
+    """``negation.edit_ids("half", ...)``'s kinds, drawn caption by caption:
+    per caption ``draw_half``, then ``draw_negators`` for its picks."""
+    mentions, negators, first = [], [], 0
+    for n in edit_counts(slots, table)[0].tolist():
+        picked = draw_half(n, rng)
+        mentions.append(first + picked)
+        negators.append(draw_negators([len(picked)], len(table.vocab.negators), rng))
+        first += n
+    return negate_ids(slots, _flat(mentions), _flat(negators), table)
+
+
+def eval_variants_per_pair(test_dataset: Dataset, eval_seed: int) -> evaluation.EvalVariantSet:
+    """``evaluation.build_eval_variants`` drawn pair by pair: per pair ``draw_half``,
+    then the half and the full negation's negators in one ``draw_negators`` call."""
+    table = TokenTable(test_dataset.vocabulary)
+    source = table.slots([caption for _, caption in test_dataset.pairs])
+    rng = seeded_rng(eval_seed, evaluation._VARIANTS_STREAM)
+    n_negators = len(table.vocab.negators)
+    picked, half_negators, fully_negators = [], [], []
+    first = 0  # index of the pair's first plain mention among all of them
+    for n_plain in edit_counts(source, table)[0].tolist():
+        half_mentions = draw_half(n_plain, rng)
+        negators = draw_negators([len(half_mentions), n_plain], n_negators, rng)
+        picked.append(first + half_mentions)
+        half_negators.append(negators[:len(half_mentions)])
+        fully_negators.append(negators[len(half_mentions):])
+        first += n_plain
+    half = negate_ids(source, _flat(picked), _flat(half_negators), table)
+    fully = negate_ids(source, np.arange(first), _flat(fully_negators), table)
+    return evaluation.EvalVariantSet(table, source, half, fully)

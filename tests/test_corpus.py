@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import re
 import unittest.mock
 
 import numpy as np
@@ -468,11 +469,15 @@ def test_overflowing_integer_is_parse_error_naming_the_line(tmp_path, field):
         with pytest.raises(DatasetParseError) as err:
             load_dataset(path)
         assert err.value.line_number == index + 1
-        if literal != "1e400":
+        if literal == "1e400":  # a decode error: the file's line and the decoder's column
+            where = f"line {index + 1}, column {bad[index].index(literal) + 1}: "
+            assert str(err.value) == f"{path}: {where}number is infinity when parsed as double"
+        else:
+            where = f"line {index + 1}: "
             assert "must be a JSON integer in [-2**63, 2**64), got 1e+20" in str(err.value)
         code, stderr = augment(path, tmp_path / "out.jsonl")
         assert code == 1
-        assert f"line {index + 1}:" in stderr
+        assert where in stderr
 
 
 def test_integers_at_the_64_bit_bounds_load(tmp_path):
@@ -563,6 +568,25 @@ def test_escaped_lone_surrogate_is_parse_error(tmp_path):
         load_dataset(path)
     assert err.value.line_number == 2
     assert augment(path, tmp_path / "out.jsonl")[0] == 1
+
+
+def test_decode_error_names_the_file_line_and_column(tmp_path):
+    # the decoder reads one line at a time, so its own line number is always 1
+    lines = toy_lines(tmp_path)
+    features = json.loads(lines[2])["features"]
+    lines[2] = with_literal(lines[2], ("features",), json.dumps(features)[:-1] + ",]")
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(lines))
+    with pytest.raises(DatasetParseError) as err:
+        load_dataset(path)
+    assert err.value.line_number == 3
+    message = str(err.value)
+    # the column is the decoder's, within the line: just past the comma's bracket
+    column = int(re.fullmatch(
+        re.escape(f"{path}: line 3, column ") + r"(\d+): trailing comma is not allowed",
+        message).group(1))
+    assert lines[2].index(",]") < column <= len(lines[2])
+    assert augment(path, tmp_path / "out.jsonl") == (1, f"error: {message}\n")
 
 
 class TestFuzzedDatasetFile:

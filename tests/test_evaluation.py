@@ -21,6 +21,7 @@ from negclap.corpus import (
 )
 from negclap.evaluation import (
     AUDIO_TO_TEXT,
+    DIRECTIONS,
     FIG_RETRIEVAL_COLUMNS,
     FIG_TRIPLET_COLUMNS,
     REPORT_COLUMNS,
@@ -59,6 +60,13 @@ def brute_rank(sims, correct):
     """1-based rank by descending similarity, lower index first on ties."""
     order = sorted(range(len(sims)), key=lambda j: (-sims[j], j))
     return order.index(correct) + 1
+
+
+def brute_ranks(S):
+    """Every query's brute_rank, text_to_audio then audio_to_text."""
+    n = len(S)
+    return ([brute_rank([S[j][i] for j in range(n)], i) for i in range(n)],
+            [brute_rank(list(S[i]), i) for i in range(n)])
 
 
 def brute_recall(S, k, direction):
@@ -148,6 +156,7 @@ class TestRecallAtK:
     @settings(max_examples=60, deadline=None)
     @given(arrays(np.float64, (7, 7), elements=st.sampled_from([-1.0, 0.0, 0.5, 1.0])))
     def test_heavy_ties_match_brute_force_exactly(self, S):
+        assert tuple(r.tolist() for r in evaluation.match_ranks(S)) == brute_ranks(S)
         for direction in (AUDIO_TO_TEXT, TEXT_TO_AUDIO):
             for k in range(1, 8):
                 assert recall_at_k(S, k, direction) == brute_recall(S, k, direction)
@@ -168,8 +177,10 @@ class TestRecallAtK:
             tied = rng.choice(others, size=rng.integers(1, len(others) + 1), replace=False)
             Q[i, tied] = Q[i, i]
         S = Q if direction == AUDIO_TO_TEXT else Q.T
-        expected = [brute_rank(list(Q[i]), i) for i in range(n)]
-        assert evaluation._match_ranks(S, direction).tolist() == expected
+        ranks = tuple(r.tolist() for r in evaluation.match_ranks(S))
+        assert ranks[DIRECTIONS.index(direction)] == [brute_rank(list(Q[i]), i)
+                                                      for i in range(n)]
+        assert ranks == brute_ranks(S)
 
     def test_non_finite_similarity_rejected(self):
         S = np.eye(3)
@@ -312,14 +323,15 @@ class TestRetrievalProtocol:
         expected = retrieval_protocol(embeddings)
         calls = []
 
-        def counting(sim, direction):
-            calls.append(direction)
-            return rank(sim, direction)
+        def counting(sim):
+            calls.append(sim.shape)
+            return rank(sim)
 
-        rank = evaluation._match_ranks
-        monkeypatch.setattr(evaluation, "_match_ranks", counting)
+        rank = evaluation.match_ranks
+        monkeypatch.setattr(evaluation, "match_ranks", counting)
         report = retrieval_protocol(embeddings)
-        assert len(calls) == 6  # 3 variants x 2 directions; R@10 and mAP@10 share ranks
+        # one call per variant ranks both directions; R@10 and mAP@10 share ranks
+        assert len(calls) == 3
         assert report == expected
         assert any(0 < r < 1 for r in report.r_at_10.values())
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from caption_apply import augment_captions
+from caption_apply import augment_captions, eval_variants_per_pair, half_edit_per_caption
 from fd_utils import (
     clap_loss_through_encoders,
     dense_table,
@@ -17,7 +17,9 @@ from fd_utils import (
     split_table,
 )
 from negclap.corpus import (
+    AudioClip,
     Caption,
+    Dataset,
     Tag,
     TagMention,
     Vocabulary,
@@ -38,13 +40,16 @@ from negclap.model import (
     init_params,
     load_checkpoint,
     _POOL_CHUNK,
+    _hash_states,
     _mlp_backward,
     _pool_rows,
+    _utf8_columns,
     model_backward,
     pooled_steps,
     save_checkpoint,
     tokenize,
 )
+from negclap.evaluation import VARIANTS, build_eval_variants
 from negclap.negation import AugmentationExhausted, edit_ids
 from negclap.seeding import seeded_rng
 
@@ -395,6 +400,24 @@ class TestTokenTable:
             assert cache.x.tobytes() == x.tobytes()
             assert emb.tobytes() == emb_ref.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.text(), max_size=5), min_size=1, max_size=4),
+           st.sampled_from([1, 3, 64, 4096]))
+    @example([["é", "日本", "\x00", "a\x00"], ["😀 x", ""], ["ΟΔΟΣ\u00a0b"]], 4096)
+    def test_array_hashing_equals_hash_bucket_on_any_text(self, texts, n):
+        # every string as it is, multi-byte UTF-8, NUL and empty strings included
+        strings = [t for words in texts for t in words]
+        columns, n_bytes = _utf8_columns(strings)
+        states = _hash_states(np.full(len(strings), 0x811C9DC5, np.uint64), columns, n_bytes)
+        assert (states % n).tolist() == [hash_bucket(t, n) for t in strings]
+        # through the table: each token's unigram and each adjacent pair's bigram
+        caps = [Caption(tuple(map(Word, words))) for words in texts]
+        table = TokenTable(ID_VOCAB)
+        want = reference_ids([tokenize(render_caption(c, ID_VOCAB)) for c in caps], n)
+        got = table.ids(table.slots(caps), n)
+        assert got.rows.tolist() == want.rows.tolist()
+        assert got.lens.tolist() == want.lens.tolist()
+
     def test_chunked_ids_equal_one_caption_at_a_time(self):
         vocab = generate_vocabulary(12, 3)
         caps = [c for _, c in generate_dataset(vocab, 2500, d_a=4, rng_seed=3).pairs]
@@ -549,6 +572,79 @@ class TestNegationIdApply:
                             "anchors")
         else:
             assert plan.negated is None and plan.anchors is None
+
+
+def as_test_split(vocab, caps):
+    """A test split of ``caps``; the eval variants read only its captions."""
+    pairs = [(AudioClip(i, np.zeros(1), frozenset(c.tag_ids())), c) for i, c in enumerate(caps)]
+    return Dataset(vocab, pairs, split="test")
+
+
+def assert_same_kinds(got, want, what=""):
+    for field in ("ids", "lens"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), f"{what}.{field}"
+
+
+# no plain mention in the second caption: the draws of the first are made, then
+# ValueError is raised before any draw of the second
+NO_PLAIN_SECOND = (oracle_vocab(5, 3), [THREE_PLAIN, Caption((TagMention(1, "no"), Word("a"))),
+                                        THREE_PLAIN], 7)
+
+
+class TestHalfDraws:
+    """``draw_halves`` against the half negation's draws made caption by caption."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(negation_cases(), st.booleans())
+    @example(NO_PLAIN_SECOND, False)
+    @example((oracle_vocab(4, 2), [THREE_PLAIN] * 3, 0), False)
+    def test_eval_variants_equal_the_per_pair_draws(self, case, all_plain):
+        vocab, caps, seed = case
+        if all_plain:
+            caps = ([c for c in caps if any(t.negator is None for t in c.mentions())]
+                    or [Caption((TagMention(0),))])
+        split = as_test_split(vocab, caps)
+        got = outcome(build_eval_variants, split, seed)
+        want = outcome(eval_variants_per_pair, split, seed)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        for variant in VARIANTS:
+            assert_same_kinds(getattr(got, variant), getattr(want, variant), variant)
+
+    @settings(max_examples=200, deadline=None)
+    @given(negation_cases(), st.booleans())
+    @example(NO_PLAIN_SECOND, False)
+    def test_half_edit_equals_the_per_caption_draws(self, case, all_plain):
+        vocab, caps, seed = case
+        if all_plain:
+            caps = ([c for c in caps if any(t.negator is None for t in c.mentions())]
+                    or [Caption((TagMention(0),))])
+        table = TokenTable(vocab)
+        slots = table.slots(caps)
+        by_helper, by_caption = seeded_rng(seed), seeded_rng(seed)
+        got = outcome(edit_ids, "half", slots, table, 0.0, by_helper)
+        want = outcome(half_edit_per_caption, slots, table, by_caption)
+        assert by_helper.bit_generator.state == by_caption.bit_generator.state
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert got[1] == 0
+        assert_same_kinds(got[0], want, "half")
+
+    def test_a_caption_without_plain_mention_raises_after_the_draws_before_it(self):
+        vocab, caps, seed = NO_PLAIN_SECOND
+        error = (ValueError, "caption has no non-negated tag mention")
+        split = as_test_split(vocab, caps)
+        assert outcome(build_eval_variants, split, seed) == error
+        assert outcome(eval_variants_per_pair, split, seed) == error
+        table = TokenTable(vocab)
+        by_helper, by_caption = seeded_rng(seed), seeded_rng(seed)
+        assert outcome(edit_ids, "half", table.slots(caps), table, 0.0, by_helper) == error
+        assert outcome(half_edit_per_caption, table.slots(caps), table, by_caption) == error
+        assert by_helper.bit_generator.state == by_caption.bit_generator.state
+        assert by_helper.bit_generator.state != seeded_rng(seed).bit_generator.state
 
 
 class TestParameterBuffers:
