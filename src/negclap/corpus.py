@@ -567,6 +567,8 @@ def _read_dataset(path: str | Path, check_tag_consistency: bool) -> Dataset:
             negators = tuple(
                 _string(s, "negators[]") for s in _list(header["negators"], "negators"))
             d_a = _integer(header["d_a"], "d_a")
+            if d_a < 1:  # generate_dataset refuses it too
+                raise ValueError(f"d_a must be >= 1, got {d_a}")
             n_tags = _integer(header["n_tags"], "n_tags")
             split = _string(header["split"], "split")
         except (KeyError, ValueError) as e:

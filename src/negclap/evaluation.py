@@ -181,9 +181,7 @@ def embed_eval_variants(params: ModelParams, test_dataset: Dataset,
     if len(variants) != len(test_dataset.pairs):
         raise ValueError("variant set does not match the test set")
     audio, _ = encode_audio_batch(params, test_dataset.features())
-    kinds = [getattr(variants, v) for v in VARIANTS]
-    joined = TokenIds(np.concatenate([k.ids for k in kinds]),
-                      np.concatenate([k.lens for k in kinds]))
+    joined = TokenIds.concat([getattr(variants, v) for v in VARIANTS])
     text, _ = encode_token_lists(params, variants.table.ids(joined, params.dims.hash_buckets))
     return EvalEmbeddings(audio, *np.split(text, len(VARIANTS)))
 

@@ -198,12 +198,6 @@ class ParamGrads(_DenseViews):
     def _views(self) -> dict[str, np.ndarray]:
         return _dense_views(self.dims, self.dense)
 
-    @classmethod
-    def zeros_like(cls, params: ModelParams) -> "ParamGrads":
-        """Zero dense gradients and a table with no rows hit."""
-        return cls(params.dims, RowGrad(np.empty(0, np.intp), np.empty((0, params.dims.d_t))),
-                   np.zeros_like(params.dense))
-
 
 def init_params(dims: ModelDims, seed: int,
                 init_scale: float = DEFAULT_INIT_SCALE) -> ModelParams:
@@ -270,7 +264,8 @@ def _hash_states(states: np.ndarray, columns: np.ndarray, n_bytes: np.ndarray) -
 
 # bucket ids are stored this narrow; a table of 2**31 rows would not fit in memory
 _ID_DTYPE = np.int32
-# captions per vectorised bigram lookup
+# captions per chunk of ``TokenTable.ids``: their kinds expand into tokens and
+# their bigrams hash this many captions at a time
 _IDS_CHUNK = 1024
 _TOKENS = operator.attrgetter("tokens")
 
@@ -302,12 +297,6 @@ class CaptionIds:
     def __len__(self) -> int:
         return len(self.lens) // 2
 
-    def take(self, captions: np.ndarray) -> "CaptionIds":
-        """The captions at ``captions``, in that order."""
-        pooled = (2 * captions[:, None] + np.arange(2)).ravel()
-        lens = self.lens[pooled]
-        return CaptionIds(self.rows[_spans(_starts(self.lens)[pooled], lens)], lens)
-
     def batches(self, size: int) -> Iterator["CaptionIds"]:
         """Runs of ``size`` consecutive captions, the last one possibly shorter, as views."""
         at = np.concatenate(([0], np.cumsum(self.lens)))
@@ -315,44 +304,14 @@ class CaptionIds:
             b = min(a + size, len(self))
             yield CaptionIds(self.rows[at[2 * a]:at[2 * b]], self.lens[2 * a:2 * b])
 
-    @staticmethod
-    def concat(parts: Sequence["CaptionIds"]) -> "CaptionIds":
-        """The captions of ``parts``, one part after another; a lone part as it is."""
-        if len(parts) == 1:
-            return parts[0]
-        return CaptionIds(np.concatenate([p.rows for p in parts]),
-                          np.concatenate([p.lens for p in parts]))
-
-
-def pooled_steps(blocks: Sequence[CaptionIds], step: int) -> Iterator[CaptionIds]:
-    """Per run of ``step`` consecutive captions of the equally long ``blocks``:
-    that run of every block, one block after another.
-
-    The blocks hold whole runs.  About ``_IDS_CHUNK`` captions at a time are
-    gathered in step order with one ``take``, so a step's ids are two slices
-    and only one chunk's are held at once.
-    """
-    if len({len(block) for block in blocks}) != 1 or len(blocks[0]) % step:
-        raise ValueError(f"blocks of {[len(b) for b in blocks]} captions are not equally "
-                         f"long runs of {step}")
-    per_chunk = max(1, _IDS_CHUNK // (step * len(blocks))) * step
-    for parts in zip(*(block.batches(per_chunk) for block in blocks)):
-        n = len(parts[0])
-        # caption c of the run of step s in part p, in (s, p, c) order
-        order = (np.arange(0, n, step)[:, None, None] + np.arange(len(parts))[:, None] * n
-                 + np.arange(step)).ravel()
-        yield from CaptionIds.concat(parts).take(order).batches(step * len(parts))
-
 
 @dataclass(frozen=True, eq=False)
 class TokenIds:
-    """Ids of a sequence of captions, in CSR form.
+    """Kinds of a sequence of captions, in CSR form.
 
-    ``ids`` holds one id per caption item, caption after caption, and
-    ``lens`` each caption's item count.  Outside ``TokenTable`` the items
-    are structured tokens and the ids their kinds (see
-    ``TokenTable.slots``); inside it, a caption's kinds also expand into
-    token ids in this form on their way to bucket ids.
+    ``ids`` holds the kind of every structured token (see
+    ``TokenTable.slots``), caption after caption, and ``lens`` each
+    caption's token count.
     """
     ids: np.ndarray
     lens: np.ndarray
@@ -364,6 +323,12 @@ class TokenIds:
         """The captions at ``rows``, in that order."""
         lens = self.lens[rows]
         return TokenIds(self.ids[_spans(_starts(self.lens)[rows], lens)], lens)
+
+    @staticmethod
+    def concat(parts: Sequence["TokenIds"]) -> "TokenIds":
+        """The captions of ``parts``, one part after another."""
+        return TokenIds(np.concatenate([p.ids for p in parts]),
+                        np.concatenate([p.lens for p in parts]))
 
     def rows(self) -> np.ndarray:
         """The caption of every id."""
@@ -455,41 +420,40 @@ class TokenTable:
         """Per slot: its kind's tag id (-1 for a word), and whether it is a plain mention."""
         return np.array(self._tags, np.intp)[slots.ids], np.array(self._plain, bool)[slots.ids]
 
-    def _tokens(self, slots: TokenIds) -> TokenIds:
-        """The token ids of captions given as kinds: each kind's ids, in order."""
-        kind_len = np.fromiter(map(len, self._pieces), np.intp, len(self._pieces))
-        kind_ids = np.fromiter(itertools.chain.from_iterable(self._pieces), np.int64)
-        slot_len = kind_len[slots.ids]
-        ids = kind_ids[_spans(_starts(kind_len)[slots.ids], slot_len)]
-        # a caption's token count: the summed lengths of its kinds' pieces
-        slot_end = np.concatenate(([0], np.cumsum(slot_len)))
-        return TokenIds(ids, np.diff(slot_end[np.concatenate(([0], np.cumsum(slots.lens)))]))
-
     def ids(self, slots: TokenIds, n_buckets: int) -> CaptionIds:
         """Bucket ids over ``n_buckets`` buckets of captions given as kinds.
 
         A caption's tokens are its kinds' tokens, in order.  A token's
         unigram bucket is ``hash_bucket`` of its string, every string of the
-        table hashed at once as arrays.  Each adjacent pair's bigram bucket
-        is that of the two strings joined by a space, hashed once per
-        distinct pair of a chunk of captions: the first token's state runs
-        on over the space and the second token's bytes, so no pair string
-        is built.  Each chunk's unigram and bigram runs are interleaved
-        into the ``CaptionIds`` layout there, so the temporaries of the
-        lookup stay small.
+        table hashed at once as arrays.  The captions then go through in
+        chunks of ``_IDS_CHUNK``: a chunk's kinds expand into token ids, and
+        each adjacent pair's bigram bucket is that of the two strings joined
+        by a space, hashed once per distinct pair of the chunk: the first
+        token's state runs on over the space and the second token's bytes,
+        so no pair string is built.  Each chunk's unigram and bigram runs
+        are interleaved into the ``CaptionIds`` layout and written into the
+        output, sized in advance, so the temporaries stay per chunk.
         """
-        tokens = self._tokens(slots)
+        kind_len = np.fromiter(map(len, self._pieces), np.intp, len(self._pieces))
+        kind_ids = np.fromiter(itertools.chain.from_iterable(self._pieces), np.int64)
+        kind_at = _starts(kind_len)
         columns, n_bytes = _utf8_columns(self._strings)
         states = _hash_states(np.full(len(n_bytes), _HASH_OFFSET, np.uint64), columns, n_bytes)
         unigram = (states % n_buckets).astype(_ID_DTYPE)
         # a bigram's hash runs on from its first token's state over the joining space
         spaced = ((states ^ ord(" ")) * _HASH_MULTIPLIER) & 0xFFFFFFFF
-        token_at = np.concatenate(([0], np.cumsum(tokens.lens)))
-        lens = np.stack((tokens.lens, np.maximum(tokens.lens - 1, 0)), axis=1).ravel()
-        rows = [np.empty(0, _ID_DTYPE)]
-        for a in range(0, len(tokens), _IDS_CHUNK):
-            chunk = tokens.lens[a:a + _IDS_CHUNK]
-            t = tokens.ids[token_at[a]:token_at[a + len(chunk)]]
+        # a caption's token count: the summed lengths of its kinds' pieces
+        slot_at = np.concatenate(([0], np.cumsum(slots.lens)))
+        token_end = np.concatenate(([0], np.cumsum(kind_len[slots.ids])))
+        n_tokens = np.diff(token_end[slot_at])
+        lens = np.stack((n_tokens, np.maximum(n_tokens - 1, 0)), axis=1).ravel()
+        row_at = np.concatenate(([0], np.cumsum(lens)))
+        rows = np.empty(row_at[-1], _ID_DTYPE)
+        for a in range(0, len(slots), _IDS_CHUNK):
+            b = min(a + _IDS_CHUNK, len(slots))
+            kinds = slots.ids[slot_at[a]:slot_at[b]]
+            t = kind_ids[_spans(kind_at[kinds], kind_len[kinds])]
+            chunk = n_tokens[a:b]
             # token j and token j + 1 form a pair unless token j ends its caption
             paired = np.ones(max(len(t) - 1, 0), dtype=bool)
             ends = np.cumsum(chunk) - 1
@@ -499,11 +463,11 @@ class TokenTable:
             buckets = _hash_states(spaced[first], columns[:, second], n_bytes[second])
             buckets = (buckets % n_buckets).astype(_ID_DTYPE)
             # caption i's unigram run, then its bigram run in the table's second half
-            runs = lens[2 * a:2 * (a + len(chunk))]
+            runs = lens[2 * a:2 * b]
             starts = np.stack((_starts(runs[0::2]), len(t) + _starts(runs[1::2])), axis=1).ravel()
             ids = np.concatenate((unigram[t], buckets[inverse] + n_buckets))
-            rows.append(ids[_spans(starts, runs)])
-        return CaptionIds(np.concatenate(rows), lens)
+            rows[row_at[2 * a]:row_at[2 * b]] = ids[_spans(starts, runs)]
+        return CaptionIds(rows, lens)
 
 
 @dataclass

@@ -52,7 +52,6 @@ from .model import (
     encode_audio_batch,
     encode_token_lists,
     init_params,
-    pooled_steps,
 )
 from .negation import (
     draw_inserts,
@@ -227,51 +226,50 @@ class EpochPlan:
     """One epoch's inputs, built before its first step.
 
     Step s trains on items [s * batch_size, (s + 1) * batch_size).
-    ``order`` holds each item's pair index; ``clap`` the bucket ids of the
-    caption its contrastive term sees (augmented or original); with k > 0,
-    ``anchors`` and ``negated`` the ids of its original caption and of that
-    caption's fully negated counterpart.
+    ``order`` holds each item's pair index.  ``ids`` holds the bucket ids of
+    every step's captions, step after step, in ``n_blocks`` blocks of B:
+    the captions its contrastive term sees (augmented or original), then
+    with k > 0 its original captions as anchors and their fully negated
+    counterparts.
     """
     batch_size: int
     order: np.ndarray
-    clap: CaptionIds
-    anchors: CaptionIds | None
-    negated: CaptionIds | None
+    n_blocks: int
+    ids: CaptionIds
     n_augmented: int
     n_exhausted: int
 
     def steps(self) -> Iterator[tuple[slice, CaptionIds]]:
-        """Each step's item slice and captions: its B contrastive ones, then with
-        k > 0 its B anchors and their B negated counterparts (``pooled_steps``)."""
+        """Each step's item slice and captions."""
         B = self.batch_size
-        blocks = [self.clap] if self.anchors is None else [self.clap, self.anchors, self.negated]
-        for start, text_ids in zip(range(0, len(self.order), B), pooled_steps(blocks, B)):
-            yield slice(start, start + B), text_ids
+        return zip((slice(a, a + B) for a in range(0, len(self.order), B)),
+                   self.ids.batches(B * self.n_blocks))
 
 
-def plan_epoch(slots: TokenIds, caption_ids: CaptionIds, order: np.ndarray,
-               config: TrainConfig, table: TokenTable, n_buckets: int,
-               rng: np.random.Generator) -> EpochPlan:
+def plan_epoch(slots: TokenIds, order: np.ndarray, config: TrainConfig, table: TokenTable,
+               n_buckets: int, rng: np.random.Generator) -> EpochPlan:
     """Draw one epoch's caption edits and apply them to the captions' kinds.
 
     ``slots`` holds the run's original captions as kinds of ``table`` (see
-    ``TokenTable.slots``) and ``caption_ids`` their bucket ids over
-    ``n_buckets`` buckets, both made once per run.  ``order`` lists the
-    pair index of every item, whole batches in step order.  The draws come
-    from ``rng`` in the order a step makes them.  Per step, the B items pass
-    through the insert augmentation (``draw_inserts``; the original caption
-    when no insert is drawn or the vocabulary is exhausted, and at
-    p_aug == 0 the contrastive ids are the originals').  Then, when k > 0,
-    the B items are fully negated, their negator draws one ``draw_negators``
-    call.  The edits are applied to kinds (see ``negation.insert_ids``), so no
-    caption object is built, and only the edited captions go on to bucket
-    ids (``table.ids``).
+    ``TokenTable.slots``), made once per run.  ``order`` lists the pair
+    index of every item, whole batches in step order; ``ValueError`` is
+    raised before any draw when it does not.  The draws come from ``rng`` in
+    the order a step makes them.  Per step, the B items pass through the
+    insert augmentation (``draw_inserts``; the original caption when no
+    insert is drawn or the vocabulary is exhausted, and at p_aug == 0 the
+    contrastive captions are the originals).  Then, when k > 0, the B items
+    are fully negated, their negator draws one ``draw_negators`` call.  The
+    edits are applied to kinds (see ``negation.insert_ids``), so no caption
+    object is built.  The blocks' kinds are laid out in step order, as
+    ``EpochPlan.ids`` holds them, and go to bucket ids in one ``table.ids``
+    call.
     """
     B = config.batch_size
-    originals = caption_ids.take(order)
+    if len(order) % B:
+        raise ValueError(f"{len(order)} items are not whole batches of {B}")
+    items = slots.take(order)
     n_negators = len(table.vocab.negators)
     if config.p_aug > 0 or config.k > 0:
-        items = slots.take(order)
         n_slots = items.lens.tolist()
         n_plain, n_unused = (counts.tolist() for counts in edit_counts(items, table))
     else:  # the baseline edits no caption; its Bernoulli draws need only the item count
@@ -280,22 +278,27 @@ def plan_epoch(slots: TokenIds, caption_ids: CaptionIds, order: np.ndarray,
     negators: list[np.ndarray] = []
     n_exhausted = 0
     for start in range(0, len(order), B):
-        stop = min(start + B, len(order))
-        drawn, exhausted = draw_inserts(n_slots[start:stop], n_unused[start:stop], n_negators,
-                                        config.p_aug, rng)
+        drawn, exhausted = draw_inserts(n_slots[start:start + B], n_unused[start:start + B],
+                                        n_negators, config.p_aug, rng)
         inserts += [(start + i, *draws) for i, *draws in drawn]
         n_exhausted += exhausted
         if config.k > 0:
-            negators.append(draw_negators(n_plain[start:stop], n_negators, rng))
+            negators.append(draw_negators(n_plain[start:start + B], n_negators, rng))
 
-    clap, negated = originals, None
+    blocks = [items]
     if config.p_aug > 0:
         rows, gaps, unused, negator = np.array(inserts, dtype=np.intp).reshape(-1, 4).T
-        clap = table.ids(insert_ids(items, rows, gaps, unused, negator, table), n_buckets)
+        blocks[0] = insert_ids(items, rows, gaps, unused, negator, table)
     if config.k > 0:
         drawn = np.concatenate(negators or [np.empty(0, np.int64)])
-        negated = table.ids(negate_ids(items, np.arange(len(drawn)), drawn, table), n_buckets)
-    return EpochPlan(B, order, clap, originals if config.k > 0 else None, negated,
+        blocks += [items, negate_ids(items, np.arange(len(drawn)), drawn, table)]
+    n_blocks = len(blocks)
+    # caption c of step s in block p, in (s, p, c) order
+    step_order = (np.arange(0, len(order), B)[:, None, None]
+                  + np.arange(n_blocks)[:, None] * len(order) + np.arange(B)).ravel()
+    stepwise = TokenIds.concat(blocks).take(step_order)
+    del items, blocks  # only the step-ordered kinds are held while they hash
+    return EpochPlan(B, order, n_blocks, table.ids(stepwise, n_buckets),
                      n_augmented=len(inserts), n_exhausted=n_exhausted)
 
 
@@ -345,10 +348,9 @@ def train(
 
     params = init_params(dims, spawn_seed(config.seed, _INIT_STREAM))
     optimizer = AdamOptimizer.for_params(params)
-    # kinds and bucket ids of the original captions, computed once for the whole run
+    # kinds of the original captions, made once for the whole run
     table, test_table = TokenTable(dataset_train.vocabulary), TokenTable(dataset_test.vocabulary)
     slots = table.slots([caption for _, caption in dataset_train.pairs])
-    caption_ids = table.ids(slots, dims.hash_buckets)
     test_caption_ids = test_table.ids(
         test_table.slots([caption for _, caption in dataset_test.pairs]), dims.hash_buckets)
 
@@ -360,7 +362,7 @@ def train(
         for epoch in range(1, config.epochs + 1):
             order = np.concatenate(make_batches(dataset_train, config.batch_size,
                                                 spawn_seed(config.seed, _SHUFFLE_STREAM, epoch)))
-            plan = plan_epoch(slots, caption_ids, order, config, table, dims.hash_buckets,
+            plan = plan_epoch(slots, order, config, table, dims.hash_buckets,
                               seeded_rng(config.seed, _EPOCH_STREAM, epoch))
             sums = np.zeros(3)
             for step, (items, text_ids) in enumerate(plan.steps(), 1):

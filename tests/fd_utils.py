@@ -3,7 +3,8 @@ and the one-term losses it checks."""
 
 import numpy as np
 
-from negclap.model import DENSE_FIELDS, PARAM_FIELDS, CaptionIds, ParamGrads, RowGrad
+from ids_utils import concat_ids
+from negclap.model import DENSE_FIELDS, PARAM_FIELDS, ParamGrads, RowGrad
 from negclap.objective import total_loss_through_encoders
 
 
@@ -19,7 +20,7 @@ def dissimilarity_through_encoders(params, anchor_ids, negated_ids, with_grads=T
     if len(anchor_ids) != len(negated_ids):
         raise ValueError(f"{len(anchor_ids)} anchors but {len(negated_ids)} negated captions")
     breakdown, grads = total_loss_through_encoders(
-        params, None, CaptionIds.concat([anchor_ids, negated_ids]), k=1.0,
+        params, None, concat_ids([anchor_ids, negated_ids]), k=1.0,
         with_grads=with_grads)
     return breakdown.l_diss, grads
 

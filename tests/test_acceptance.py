@@ -28,6 +28,7 @@ from fd_utils import (
     finite_difference_grads,
     max_gradient_violation,
 )
+from ids_utils import concat_ids
 from test_evaluation import brute_map10, brute_recall, brute_triplet
 
 from negclap.cli import main as cli_main
@@ -52,7 +53,6 @@ from negclap.evaluation import (
     triplet_protocol,
 )
 from negclap.model import (
-    CaptionIds,
     ModelDims,
     TokenTable,
     encode_audio_batch,
@@ -151,7 +151,7 @@ def test_criterion_01_gradient_oracle():
         ids = table.ids(table.slots(captions), dims.hash_buckets)
         neg_ids = table.ids(table.slots(negated), dims.hash_buckets)
         # a training step's layout: contrastive captions, anchors, negated captions
-        step_ids = CaptionIds.concat([ids, ids, neg_ids])
+        step_ids = concat_ids([ids, ids, neg_ids])
 
         checks = {
             "clap": (

@@ -332,6 +332,22 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("split", ["train", "test"])
+    def test_split_without_feature_width_names_its_file(self, tmp_path, capsys, split):
+        data = gen_small(tmp_path)
+        path = data / f"{split}.jsonl"
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        lines[0]["d_a"] = 0
+        for record in lines[1:]:
+            record["features"] = []
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        code = main(["train", "--data", str(data), "--condition", "baseline", "--epochs", "1",
+                     "--seed", "1", "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: {path}: line 1: bad header: d_a must be >= 1, got 0\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("split", ["train", "test"])
     def test_split_without_records_names_its_file(self, tmp_path, capsys, split):
         data = gen_small(tmp_path)
         path = data / f"{split}.jsonl"

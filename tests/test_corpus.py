@@ -538,6 +538,22 @@ def test_header_field_of_wrong_json_type_is_parse_error(tmp_path, key_path, lite
     assert err.value.line_number == 1
 
 
+@pytest.mark.parametrize("d_a", [0, -1])
+def test_header_without_feature_width_is_parse_error(tmp_path, d_a):
+    # a record's features must then be [], so every clip would embed to zero
+    lines = toy_lines(tmp_path)
+    lines[0] = with_literal(lines[0], ("d_a",), str(d_a))
+    lines[1:] = [with_literal(line, ("features",), "[]") for line in lines[1:]]
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(lines))
+    message = f"{path}: line 1: bad header: d_a must be >= 1, got {d_a}"
+    with pytest.raises(DatasetParseError) as err:
+        load_dataset(path)
+    assert err.value.line_number == 1 and str(err.value) == message
+    assert augment(path, tmp_path / "out.jsonl") == (1, f"error: {message}\n")
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 @pytest.mark.parametrize("literal", [
     "[" * 100_000,     # nesting deeper than the decoder's recursion limit
     "1" * 5000,        # more digits than Python converts to an int

@@ -16,6 +16,7 @@ from fd_utils import (
     max_gradient_violation,
     split_table,
 )
+from ids_utils import concat_ids, stepwise, take_ids
 from negclap.corpus import (
     AudioClip,
     Caption,
@@ -45,7 +46,6 @@ from negclap.model import (
     _pool_rows,
     _utf8_columns,
     model_backward,
-    pooled_steps,
     save_checkpoint,
     tokenize,
 )
@@ -248,7 +248,7 @@ class TestRowSparseScatter:
         params = init_params(SCATTER_DIMS, seed=3)
         n = SCATTER_DIMS.hash_buckets
         # a training step's blocks, stacked into one pass
-        ids = CaptionIds.concat([reference_ids(lists, n) for lists in blocks_tokens])
+        ids = concat_ids([reference_ids(lists, n) for lists in blocks_tokens])
         emb, cache = encode_token_lists(params, ids)
         assert cache.x.tobytes() == pooled_with_add_at(params, ids).tobytes()
         d_emb = np.random.default_rng(seed).normal(size=emb.shape)
@@ -269,7 +269,7 @@ class TestRowSparseScatter:
         params = init_params(SCATTER_DIMS, seed=3)
         n = SCATTER_DIMS.hash_buckets
         blocks = [reference_ids(lists, n) for lists in blocks_tokens]
-        emb, cache = encode_token_lists(params, CaptionIds.concat(blocks))
+        emb, cache = encode_token_lists(params, concat_ids(blocks))
         d_emb = np.random.default_rng(seed).normal(size=emb.shape)
         stacked = model_backward(params, (cache, d_emb))
         dense, table, rows = np.zeros_like(params.dense), np.zeros_like(params.tables), []
@@ -435,9 +435,10 @@ class TestCaptionIds:
     LISTS = [["a", "rock"], ["tune"], ["with", "no", "bass", "x"], ["and", "drums", "y"]]
 
     def test_take_and_batches_match_per_caption_lists(self):
+        # ``take_ids`` and ``concat_ids`` are the tests' own (tests/ids_utils.py)
         ids = reference_ids(self.LISTS, 61)
         rows = [3, 1, 1, 0]
-        taken = ids.take(np.array(rows))
+        taken = take_ids(ids, np.array(rows))
         expected = reference_ids([self.LISTS[r] for r in rows], 61)
         for field in ("rows", "lens"):
             np.testing.assert_array_equal(getattr(taken, field), getattr(expected, field))
@@ -447,15 +448,26 @@ class TestCaptionIds:
             for field in ("rows", "lens"):
                 np.testing.assert_array_equal(getattr(part, field),
                                               getattr(reference_ids(lists, 61), field))
-        joined = CaptionIds.concat(parts)
+        joined = concat_ids(parts)
         for field in ("rows", "lens"):
             np.testing.assert_array_equal(getattr(joined, field), getattr(ids, field))
 
     def test_step_layout_refuses_partial_runs(self):
-        ids = reference_ids(self.LISTS, 61)
-        for blocks, step in (([ids], 3), ([ids, ids.take(np.arange(2))], 2)):
-            with pytest.raises(ValueError, match="not equally long runs of"):
-                next(pooled_steps(blocks, step))
+        # the plan lays out whole steps only, and refuses before any draw
+        from negclap.training import TrainConfig, plan_epoch
+
+        vocab = oracle_vocab(4, 2)
+        table = TokenTable(vocab)
+        slots = table.slots([THREE_PLAIN, Caption((TagMention(1), Word("a")))])
+        for condition, p_aug, k in (("baseline", 0.0, 0.0), ("text_aug", 0.6, 0.0),
+                                    ("loss_term", 0.0, 1e-2), ("combo", 0.6, 1e-2)):
+            config = TrainConfig(condition=condition, seed=1, p_aug=p_aug, k=k, batch_size=3)
+            for n_items in (1, 2, 4, 5):
+                rng = seeded_rng(0)
+                state = rng.bit_generator.state
+                with pytest.raises(ValueError, match=f"{n_items} items are not whole batches"):
+                    plan_epoch(slots, np.arange(n_items) % 2, config, table, 61, rng)
+                assert rng.bit_generator.state == state
 
 
 # vocabularies for the negation oracle: multi-word, punctuated and non-ASCII
@@ -557,21 +569,19 @@ class TestNegationIdApply:
                              batch_size=batch_size)
         table, n = TokenTable(vocab), self.N_BUCKETS
         by_plan, by_caption = seeded_rng(seed), seeded_rng(seed)
-        slots = table.slots(caps)
-        plan = outcome(plan_epoch, slots, table.ids(slots, n), order, config, table, n, by_plan)
+        plan = outcome(plan_epoch, table.slots(caps), order, config, table, n, by_plan)
         want = outcome(per_item_reference, caps, order, config, TokenTable(vocab), n, by_caption)
         assert by_plan.bit_generator.state == by_caption.bit_generator.state
         if isinstance(want[0], type):
             assert plan == want
             return
+        # per step: its contrastive captions, then with k > 0 its anchors and negated
         clap, negated = want
-        assert_same_ids(plan.clap, clap, "clap")
+        blocks = [clap]
         if k > 0:
-            assert_same_ids(plan.negated, negated, "negated")
-            assert_same_ids(plan.anchors, table.ids(table.slots([caps[i] for i in order]), n),
-                            "anchors")
-        else:
-            assert plan.negated is None and plan.anchors is None
+            blocks += [table.ids(table.slots([caps[i] for i in order]), n), negated]
+        assert plan.n_blocks == len(blocks)
+        assert_same_ids(plan.ids, stepwise(blocks, batch_size))
 
 
 def as_test_split(vocab, caps):

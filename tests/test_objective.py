@@ -14,8 +14,9 @@ from fd_utils import (
     max_gradient_violation,
     named_grads,
 )
+from ids_utils import concat_ids, take_ids
 from negclap.corpus import generate_dataset, generate_vocabulary
-from negclap.model import CaptionIds, ModelDims, TokenTable, init_params
+from negclap.model import ModelDims, TokenTable, init_params
 from negclap.objective import clap_loss, dissimilarity_loss, total_loss_through_encoders
 from negclap.seeding import seeded_rng
 
@@ -48,7 +49,7 @@ def chain_setup(seed):
 
 def step_ids(ids, neg_ids):
     """A step's captions: the contrastive ones, then the same as anchors, then the negated."""
-    return CaptionIds.concat([ids, ids, neg_ids])
+    return concat_ids([ids, ids, neg_ids])
 
 
 unit_batches = st.integers(1, 6).flatmap(
@@ -221,15 +222,15 @@ class TestTotalLoss:
 
     def test_malformed_layout_rejected(self):
         params, feats, ids, neg_ids = chain_setup(0)
-        odd = CaptionIds.concat([ids, ids, neg_ids.take(np.arange(len(neg_ids) - 1))])
+        odd = concat_ids([ids, ids, take_ids(neg_ids, np.arange(len(neg_ids) - 1))])
         for audio, text in ((feats, odd),  # an odd remainder after the contrastive block
-                            (feats, ids.take(np.arange(len(ids) - 1))),  # fewer than the audio
-                            (None, neg_ids.take(np.arange(3)))):  # an odd pair block alone
+                            (feats, take_ids(ids, np.arange(len(ids) - 1))),  # fewer than the audio
+                            (None, take_ids(neg_ids, np.arange(3)))):  # an odd pair block alone
             with pytest.raises(ValueError, match=f"expected {0 if audio is None else 4} "
                                                  f"contrastive captions.*got {len(text)}"):
                 total_loss_through_encoders(params, audio, text, k=1e-2)
         with pytest.raises(ValueError, match="4 anchors but 3 negated"):
-            dissimilarity_through_encoders(params, ids, neg_ids.take(np.arange(3)))
+            dissimilarity_through_encoders(params, ids, take_ids(neg_ids, np.arange(3)))
 
     def test_monotone_in_weight(self):
         params, feats, ids, neg_ids = chain_setup(11)

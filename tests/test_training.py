@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from caption_apply import apply_augmentation, fully_negate
+from ids_utils import concat_ids, stepwise, take_ids
 from negclap.corpus import Dataset, generate_dataset, generate_vocabulary, split_dataset
-from negclap.model import CaptionIds, ModelDims
+from negclap.model import ModelDims, ParamGrads, RowGrad
 from negclap.seeding import seeded_rng, spawn_seed
 from negclap import training
 from negclap.negation import AugmentationExhausted
@@ -122,16 +123,13 @@ class TestTrainStep:
         table, n_buckets = TokenTable(train_ds.vocabulary), TINY_DIMS.hash_buckets
         slots = table.slots([c for _, c in train_ds.pairs[:size]])
         config = TrainConfig(condition=condition, seed=1, batch_size=8, epochs=1, **config)
-        plan = plan_epoch(slots, table.ids(slots, n_buckets), np.arange(size), config,
-                          table, n_buckets, seeded_rng(0))
+        plan = plan_epoch(slots, np.arange(size), config, table, n_buckets, seeded_rng(0))
         params = init_params(TINY_DIMS, 3)
         # (size, d_a) even at size 0, so an empty batch reaches train_step
         features = np.array([clip.features for clip, _ in train_ds.pairs[:size]],
                             dtype=np.float64).reshape(size, TINY_DIMS.d_a)
-        # the plan's one step, in the layout EpochPlan.steps yields (none at size 0)
-        text_ids = CaptionIds.concat([b for b in (plan.clap, plan.anchors, plan.negated)
-                                      if b is not None])
-        breakdown = train_step(params, features, text_ids, config,
+        # the plan's ids are its one step's (none at size 0)
+        breakdown = train_step(params, features, plan.ids, config,
                                AdamOptimizer.for_params(params))
         return breakdown, plan
 
@@ -140,12 +138,14 @@ class TestTrainStep:
         assert breakdown.l_diss == 0.0
         assert breakdown.l_total == breakdown.l_clap
         assert (plan.n_augmented, plan.n_exhausted) == (0, 0)
-        assert plan.anchors is None and plan.negated is None
+        assert plan.n_blocks == 1 and len(plan.ids) == 8
 
     def test_loss_term_keeps_contrastive_captions_unaugmented(self):
         breakdown, plan = self._step("loss_term", k=1e-2)
         assert plan.n_augmented == 0
-        assert plan.clap is plan.anchors
+        clap, anchors, _ = plan.ids.batches(8)
+        for field in ("rows", "lens"):
+            np.testing.assert_array_equal(getattr(clap, field), getattr(anchors, field))
         assert 0.0 <= breakdown.l_diss <= 2.0 + 1e-9
         assert breakdown.l_total == breakdown.l_clap + 1e-2 * breakdown.l_diss
 
@@ -202,6 +202,22 @@ def per_item_reference(captions, order, config, table, n_buckets, rng):
             table.ids(table.slots(negated), n_buckets) if negated else None)
 
 
+def reference_blocks(captions, order, config, table, n_buckets, rng):
+    """Every item's captions by ``per_item_reference``, as blocks of the plan's step
+    layout: the contrastive captions, then with k > 0 the originals (the anchors)
+    and the negated captions."""
+    clap, negated = per_item_reference(captions, order, config, table, n_buckets, rng)
+    if negated is None:
+        return [clap]
+    return [clap, table.ids(table.slots([captions[i] for i in order]), n_buckets), negated]
+
+
+def assert_same_ids(got, want, what=""):
+    for field in ("rows", "lens"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field),
+                                      err_msg=f"{what}.{field}")
+
+
 class TestEpochPlan:
     @pytest.mark.parametrize("condition, hyper", [
         ("baseline", {}), ("loss_term", {"k": 1e-2}), ("text_aug", {"p_aug": 0.6}),
@@ -214,32 +230,18 @@ class TestEpochPlan:
         config = TrainConfig(condition=condition, seed=1, batch_size=8, **hyper)
         order = np.concatenate(make_batches(train_ds, 8, epoch_seed=4))
         table, n_buckets = TokenTable(train_ds.vocabulary), TINY_DIMS.hash_buckets
-        slots = table.slots(captions)
-        plan = plan_epoch(slots, table.ids(slots, n_buckets), order, config, table, n_buckets,
+        plan = plan_epoch(table.slots(captions), order, config, table, n_buckets,
                           seeded_rng(3))
-        clap, negated = per_item_reference(captions, order, config, table, n_buckets,
-                                           seeded_rng(3))
-        expected = {"clap": clap, "negated": negated,
-                    "anchors": table.ids(table.slots([captions[i] for i in order]), n_buckets)
-                    if negated else None}
-        for name, want in expected.items():
-            got = getattr(plan, name)
-            if want is None:
-                assert got is None, name
-                continue
-            for field in ("rows", "lens"):
-                np.testing.assert_array_equal(getattr(got, field), getattr(want, field),
-                                              err_msg=f"{name}.{field}")
+        blocks = reference_blocks(captions, order, config, table, n_buckets, seeded_rng(3))
+        assert plan.n_blocks == len(blocks) == (3 if "k" in hyper else 1)
+        assert_same_ids(plan.ids, stepwise(blocks, 8), "ids")
         steps = list(plan.steps())
         assert len(steps) == len(order) // 8
         # each step's captions: its contrastive block, then its anchors and negated
-        blocks = [expected[name] for name in ("clap", "anchors", "negated")
-                  if expected[name] is not None]
         for s, (items, text_ids) in enumerate(steps):
             assert items == slice(8 * s, 8 * s + 8)
-            want = CaptionIds.concat([block.take(np.arange(8 * s, 8 * s + 8)) for block in blocks])
-            for field in ("rows", "lens"):
-                np.testing.assert_array_equal(getattr(text_ids, field), getattr(want, field))
+            want = concat_ids([take_ids(block, np.arange(8 * s, 8 * s + 8)) for block in blocks])
+            assert_same_ids(text_ids, want, f"step {s}")
 
     @pytest.mark.parametrize("condition, hyper", [
         ("baseline", {}), ("loss_term", {"k": 1e-2}), ("text_aug", {"p_aug": 0.6}),
@@ -254,21 +256,20 @@ class TestEpochPlan:
                 super().step(params, grads, learning_rate)
 
         train_ds, _ = tiny_splits(n=1220, n_test=20)
+        captions = [c for _, c in train_ds.pairs]
         config = TrainConfig(condition=condition, seed=1, batch_size=8, **hyper)
         order = np.concatenate(make_batches(train_ds, 8, epoch_seed=4))
         table, n_buckets = TokenTable(train_ds.vocabulary), TINY_DIMS.hash_buckets
-        slots = table.slots([c for _, c in train_ds.pairs])
-        plan = plan_epoch(slots, table.ids(slots, n_buckets), order, config, table, n_buckets,
+        plan = plan_epoch(table.slots(captions), order, config, table, n_buckets,
                           seeded_rng(3))
-        blocks = [b for b in (plan.clap, plan.anchors, plan.negated) if b is not None]
+        blocks = reference_blocks(captions, order, config, table, n_buckets, seeded_rng(3))
         steps = list(plan.steps())
         assert len(steps) == 150
-        assert len(steps) * 8 * len(blocks) > _IDS_CHUNK  # laid out in more than one chunk
+        assert len(steps) * 8 * len(blocks) > _IDS_CHUNK  # hashed in more than one chunk
         features, params = train_ds.features(), init_params(TINY_DIMS, 3)
         for s, (items, layout) in enumerate(steps):
-            ids = CaptionIds.concat([b.take(np.arange(8 * s, 8 * s + 8)) for b in blocks])
-            for field in ("rows", "lens"):
-                np.testing.assert_array_equal(getattr(layout, field), getattr(ids, field))
+            ids = concat_ids([take_ids(b, np.arange(8 * s, 8 * s + 8)) for b in blocks])
+            assert_same_ids(layout, ids, f"step {s}")
             # every step trains on the layout as the chain does on the concatenated ids
             by_layout, by_ids = params.copy(), params.copy()
             optimizer = Recording.for_params(by_layout)
@@ -320,9 +321,15 @@ class TestEpochPlan:
             assert arr.tobytes() == getattr(aug.params, name).tobytes(), name
 
 
+def zero_grads(params):
+    """Zero dense gradients and a table gradient with no row hit."""
+    return ParamGrads(params.dims, RowGrad(np.empty(0, np.intp), np.empty((0, params.dims.d_t))),
+                      np.zeros_like(params.dense))
+
+
 class TestAdamOptimizer:
     def test_sparse_table_update_matches_dense_computation(self):
-        from negclap.model import ParamGrads, RowGrad, init_params
+        from negclap.model import init_params
 
         params_sparse = init_params(TINY_DIMS, 7)
         params_dense = params_sparse.copy()
@@ -332,7 +339,7 @@ class TestAdamOptimizer:
         n_rows = 2 * TINY_DIMS.hash_buckets  # unigram rows, then bigram rows
         every_row = np.arange(n_rows)
         for step in range(12):
-            grads = ParamGrads.zeros_like(params_sparse)
+            grads = zero_grads(params_sparse)
             rows = np.sort(rng.choice(n_rows, size=5, replace=False))
             grads.table = RowGrad(rows, rng.normal(size=(5, TINY_DIMS.d_t)))
             grads.text_out_b += rng.normal(size=TINY_DIMS.d)
@@ -348,7 +355,7 @@ class TestAdamOptimizer:
                                        err_msg=name)
 
     def test_table_update_matches_per_row_reference_bit_for_bit(self):
-        from negclap.model import ParamGrads, RowGrad, init_params
+        from negclap.model import init_params
 
         params = init_params(TINY_DIMS, 7)
         opt = AdamOptimizer.for_params(params)
@@ -363,7 +370,7 @@ class TestAdamOptimizer:
         for t, rows in enumerate(schedule, 1):
             rows = np.array(rows, dtype=np.intp)
             g = rng.normal(size=(len(rows), TINY_DIMS.d_t)) * 10.0 ** rng.integers(-6, 2)
-            grads = ParamGrads.zeros_like(params)
+            grads = zero_grads(params)
             grads.table = RowGrad(rows, g)
             lr = [0.01, 0.1][t % 2]
             opt.step(params, grads, lr)
@@ -380,7 +387,7 @@ class TestAdamOptimizer:
             assert {r: int(opt.table_last[r]) for r in np.flatnonzero(opt.table_last)} == last
 
     def test_flat_dense_update_matches_per_parameter_adam(self):
-        from negclap.model import DENSE_FIELDS, ParamGrads, init_params
+        from negclap.model import DENSE_FIELDS, init_params
 
         params = init_params(TINY_DIMS, 7)
         reference = params.copy()
@@ -389,7 +396,7 @@ class TestAdamOptimizer:
         v = {n: np.zeros_like(getattr(params, n)) for n in DENSE_FIELDS}
         rng = np.random.default_rng(3)
         for t in range(1, 6):
-            grads = ParamGrads.zeros_like(params)
+            grads = zero_grads(params)
             for name in DENSE_FIELDS:
                 getattr(grads, name)[...] = rng.normal(size=getattr(params, name).shape)
             opt.step(params, grads, 0.01)
@@ -407,14 +414,14 @@ class TestAdamOptimizer:
                 assert getattr(params, name).tobytes() == getattr(reference, name).tobytes(), name
 
     def test_temperature_clamped_after_step(self):
-        from negclap.model import ParamGrads, init_params
+        from negclap.model import init_params
 
         # a first Adam step moves by about the learning rate, past either bound
         for start, grad, bound in ((np.log(100.0) - 1e-3, -1.0, np.log(100.0)),
                                    (1e-3, 1.0, 0.0)):
             params = init_params(TINY_DIMS, 7)
             params.log_temperature[...] = start
-            grads = ParamGrads.zeros_like(params)
+            grads = zero_grads(params)
             grads.log_temperature += grad
             AdamOptimizer.for_params(params).step(params, grads, learning_rate=0.5)
             assert float(params.log_temperature) == bound
