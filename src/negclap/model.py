@@ -311,7 +311,7 @@ class TokenIds:
 
     ``ids`` holds the kind of every structured token (see
     ``TokenTable.slots``), caption after caption, and ``lens`` each
-    caption's token count.
+    caption's count of structured tokens.
     """
     ids: np.ndarray
     lens: np.ndarray

@@ -1,4 +1,4 @@
-"""Gathering and joining ``CaptionIds`` for tests that lay out a step's captions by hand."""
+"""Gathering, joining and comparing ``CaptionIds`` for tests that lay out a step's captions by hand."""
 
 import numpy as np
 
@@ -25,3 +25,9 @@ def stepwise(blocks, step):
     consecutive captions, that run of every block, one block after another."""
     return concat_ids([take_ids(block, np.arange(a, a + step))
                        for a in range(0, len(blocks[0]), step) for block in blocks])
+
+
+def assert_same_ids(got, want, what=""):
+    for field in ("rows", "lens"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), f"{what}.{field}"

@@ -16,7 +16,7 @@ from fd_utils import (
     max_gradient_violation,
     split_table,
 )
-from ids_utils import concat_ids, stepwise, take_ids
+from ids_utils import assert_same_ids, concat_ids, stepwise, take_ids
 from negclap.corpus import (
     AudioClip,
     Caption,
@@ -491,12 +491,6 @@ def negation_cases(draw):
     caps = draw(st.lists(st.builds(Caption, st.lists(token, max_size=6).map(tuple)),
                          min_size=1, max_size=6))
     return vocab, caps, draw(st.integers(0, 2**32 - 1))
-
-
-def assert_same_ids(got, want, what=""):
-    for field in ("rows", "lens"):
-        a, b = getattr(got, field), getattr(want, field)
-        assert a.dtype == b.dtype and a.tolist() == b.tolist(), f"{what}.{field}"
 
 
 def outcome(edit, *args):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from caption_apply import apply_augmentation, fully_negate
-from ids_utils import concat_ids, stepwise, take_ids
+from ids_utils import assert_same_ids, concat_ids, stepwise, take_ids
 from negclap.corpus import Dataset, generate_dataset, generate_vocabulary, split_dataset
 from negclap.model import ModelDims, ParamGrads, RowGrad
 from negclap.seeding import seeded_rng, spawn_seed
@@ -210,12 +210,6 @@ def reference_blocks(captions, order, config, table, n_buckets, rng):
     if negated is None:
         return [clap]
     return [clap, table.ids(table.slots([captions[i] for i in order]), n_buckets), negated]
-
-
-def assert_same_ids(got, want, what=""):
-    for field in ("rows", "lens"):
-        np.testing.assert_array_equal(getattr(got, field), getattr(want, field),
-                                      err_msg=f"{what}.{field}")
 
 
 class TestEpochPlan:
