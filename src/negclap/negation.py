@@ -10,24 +10,25 @@ Three edits over structured captions:
 
 Each edit is a draw followed by an apply, so it is a deterministic function
 of (input, RNG state).  The draws (``draw_inserts``, ``draw_insert``,
-``draw_half``, ``draw_halves``, ``draw_negators``) make every generator
-call.  The apply (``insert_ids``, ``negate_ids``) edits captions given as
-structured-token kinds (see ``TokenTable``): an insert puts one negated
-mention's kind into a caption's row of kinds, and a negation swaps a plain
-mention's kind for its negated kind, so no caption object is built per
-edit.  ``TokenTable.captions`` maps edited kinds back to captions where they
-are wanted (``edit_ids``, the edit ``negclap augment`` writes).  Mentions
-that are already negated are never touched, so negation never stacks.
+``draw_halves``, ``draw_negators``) make every generator call.  The apply
+(``insert_ids``, ``negate_ids``) edits captions given as structured-token
+kinds (see ``TokenTable``): an insert puts one negated mention's kind into
+a caption's row of kinds, and a negation swaps a plain mention's kind for
+its negated kind, so no caption object is built per edit.
+``TokenTable.captions`` maps edited kinds back to captions where they are
+wanted (``edit_ids``, the edit ``negclap augment`` writes).  Mentions that
+are already negated are never touched, so negation never stacks.
 
 The negator draws of several mentions, or of several captions, are one
 ``rng.integers(0, n, size=m)`` call.  numpy fills it one value at a time
 with the same generator calls as m scalar draws, so the values and the
-generator's end state are those of the scalar draws.
+generator's end state are those of the scalar draws.  ``draw_halves`` goes
+further: it replays every caption's ``rng.choice`` and negator draws from
+one ``rng.integers`` call with an array of bounds.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -89,47 +90,80 @@ def draw_inserts(n_slots: Sequence[int], n_unused: Sequence[int], n_negators: in
     return inserts, n_exhausted
 
 
-def draw_half(n_plain: int, rng: np.random.Generator) -> np.ndarray:
-    """Which ceil(n/2) of a caption's n plain mentions to negate, ascending.
-
-    Raises ValueError before any draw when the caption has no plain mention.
-    ``draw_halves`` makes this draw for a run of captions.
-    """
-    if not n_plain:
-        raise ValueError(_NO_PLAIN_MENTION)
-    return np.sort(rng.choice(n_plain, size=math.ceil(n_plain / 2), replace=False))
+# Generator.choice(n, k, replace=False) runs Floyd's algorithm up to this many
+# items and a tail shuffle above it
+_FLOYD_MAX_ITEMS = 10_000
 
 
 def draw_halves(n_plain: Sequence[int], n_negators: int, rng: np.random.Generator,
                 with_fully: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Half negations' draws for a run of captions, caption after caption.
+    """Half negations' draws for a run of captions, in one generator call.
 
-    Caption i has ``n_plain[i]`` plain mentions.  Its draws are
-    ``draw_half``'s ``choice``, then one ``rng.integers`` call for the
-    negators of the picked mentions followed, ``with_fully``, by those of
-    all its plain mentions (a full negation of the same caption).  Returns
-    the picked mentions as indices among all captions' plain mentions,
-    ascending, and the half and the full negation's negators, each in that
-    order (the second empty unless ``with_fully``).  A caption with no
-    plain mention raises ValueError after the draws of the captions before it.
+    Caption i has ``n_plain[i]`` plain mentions.  Its draws are those of
+    ``rng.choice(n, ceil(n/2), replace=False)``, which picks the mentions to
+    negate, then of ``rng.integers`` for the negators of the picked mentions
+    followed, ``with_fully``, by those of all its plain mentions (a full
+    negation of the same caption).  Returns the picked mentions as indices
+    among all captions' plain mentions, ascending, and the half and the full
+    negation's negators, each in that order (the second empty unless
+    ``with_fully``).  A caption with no plain mention raises ValueError
+    after the draws of the captions before it.
+
+    Every one of these draws is numpy's bounded 32-bit draw, and every bound
+    follows from the counts, so one ``rng.integers(0, bounds + 1)`` makes
+    them all with the same values and the same end state.  For n plain
+    mentions and k = ceil(n/2), ``choice`` makes Floyd's draws with bounds
+    n-k ... n-1 and then shuffles its k picks with bounds k-1 ... 1; above
+    ``_FLOYD_MAX_ITEMS`` it makes a tail shuffle of range(n) with bounds
+    n-1 ... n-k instead.  A bound of 0 consumes nothing.  The picks are
+    then rebuilt from the draws without another one; their order does not
+    matter, so the shuffle draws are only consumed.
     """
     counts = np.asarray(n_plain, dtype=np.intp)
-    picks, draws = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-    for n in counts.tolist():
-        if not n:
-            raise ValueError(_NO_PLAIN_MENTION)
-        picks.append(rng.choice(n, size=(n + 1) // 2, replace=False))
-        draws.append(rng.integers(0, n_negators, size=(n + 1) // 2 + (n if with_fully else 0)))
+    if not counts.all():  # draw the captions before the first one without a plain mention
+        draw_halves(counts[:np.argmin(counts)], n_negators, rng, with_fully)
+        raise ValueError(_NO_PLAIN_MENTION)
     halves = (counts + 1) // 2
-    # caption i's picks lie in [first_i, first_i + n_i), so one sort orders every run
-    mentions = np.sort(np.concatenate(picks) + np.repeat(np.cumsum(counts) - counts, halves))
-    negators = np.concatenate(draws)
+    floyd = counts <= _FLOYD_MAX_ITEMS
+    # a caption's draws are three runs: choice's picks, its shuffle, the negators;
+    # draw d of a run that starts at bound b and steps by s has bound b + s * d
+    runs = np.stack([halves, np.where(floyd, halves - 1, 0),
+                     halves + counts * with_fully], 1).ravel()
+    start = np.stack([np.where(floyd, counts - halves, counts - 1), halves - 1,
+                      np.full_like(counts, n_negators - 1)], 1).ravel()
+    step = np.stack([np.where(floyd, 1, -1), np.full_like(counts, -1),
+                     np.zeros_like(counts)], 1).ravel()
+    at = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
+    bounds = np.repeat(start, runs) + np.repeat(step, runs) * at
+    draws = rng.integers(0, bounds + 1)
+    run = np.repeat(np.tile(np.arange(3), len(counts)), runs)
+
+    choose = run == 0
+    pick, value, bound = at[choose], draws[choose], bounds[choose]
+    caption = np.repeat(np.arange(len(counts)), halves)  # of each pick
+    offset = np.cumsum(counts) - counts  # each caption's first plain mention
+    picked = np.zeros(counts.sum(), dtype=bool)
+    # Floyd's rule, pick t of every caption at once: a draw equal to one of the
+    # caption's earlier picks becomes the pick's bound
+    by_floyd = np.flatnonzero(floyd[caption])
+    by_pick = by_floyd[np.argsort(pick[by_floyd], kind="stable")]
+    for at_t in np.split(by_pick, np.cumsum(np.bincount(pick[by_floyd]))[:-1]):
+        first = offset[caption[at_t]]
+        mention = first + value[at_t]
+        mention = np.where(picked[mention], first + bound[at_t], mention)
+        picked[mention] = True
+    # the tail shuffle swaps position j with its draw; the picks are the last k
+    for i in np.flatnonzero(~floyd).tolist():
+        order, own = list(range(counts[i])), caption == i
+        for j, d in zip(bound[own].tolist(), value[own].tolist()):
+            order[j], order[d] = order[d], order[j]
+        picked[offset[i] + np.array(order[counts[i] - halves[i]:], dtype=np.intp)] = True
+    mentions = np.flatnonzero(picked)
+
+    negators = draws[run == 2]
     if not with_fully:
         return mentions, negators, negators[:0]
-    runs = halves + counts
-    # each negator's place in its caption's run: the first halves[i] are the half's
-    at = np.arange(len(negators)) - np.repeat(np.cumsum(runs) - runs, runs)
-    in_half = at < np.repeat(halves, runs)
+    in_half = at[run == 2] < np.repeat(halves, runs[2::3])
     return mentions, negators[in_half], negators[~in_half]
 
 

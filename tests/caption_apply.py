@@ -5,10 +5,12 @@ applies them to a ``Caption`` directly, building a new caption per edit.
 The package applies the draws to structured-token kinds instead
 (``negation.insert_ids``/``negate_ids``, ``TokenTable.captions``); the tests
 compare the two over the same generator stream.  The half negation's draws
-are also kept here caption by caption, ``draw_half`` then ``draw_negators``
-per caption, as the reference for ``negation.draw_halves``.
+are also kept here caption by caption, ``draw_half`` (one ``rng.choice``)
+then ``draw_negators`` per caption, as the reference for
+``negation.draw_halves``, which replays them from one generator call.
 """
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -18,13 +20,22 @@ from negclap.corpus import Caption, Dataset, TagMention, Vocabulary
 from negclap.model import TokenIds, TokenTable
 from negclap.negation import (
     AugmentationExhausted,
-    draw_half,
     draw_insert,
     draw_negators,
     edit_counts,
     negate_ids,
 )
 from negclap.seeding import seeded_rng
+
+
+def draw_half(n_plain: int, rng: np.random.Generator) -> np.ndarray:
+    """Which ceil(n/2) of a caption's n plain mentions to negate, ascending.
+
+    Raises ValueError before any draw when the caption has no plain mention.
+    """
+    if not n_plain:
+        raise ValueError("caption has no non-negated tag mention")
+    return np.sort(rng.choice(n_plain, size=math.ceil(n_plain / 2), replace=False))
 
 
 def negation_insert(caption: Caption, vocab: Vocabulary, rng: np.random.Generator) -> Caption:
@@ -118,6 +129,22 @@ def variant_captions(dataset: Dataset, eval_seed: int) -> dict[str, list[Caption
 
 def _flat(parts: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.empty(0, np.intp), *parts])
+
+
+def halves_per_caption(n_plain: Sequence[int], n_negators: int, rng: np.random.Generator,
+                       with_fully: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``negation.draw_halves`` drawn caption by caption: per caption ``draw_half``,
+    then one ``rng.integers`` call for the half's negators followed, ``with_fully``,
+    by the full negation's."""
+    mentions, half, fully, first = [], [], [], 0
+    for n in n_plain:
+        picked = draw_half(n, rng)
+        negators = rng.integers(0, n_negators, size=len(picked) + (n if with_fully else 0))
+        mentions.append(first + picked)
+        half.append(negators[:len(picked)])
+        fully.append(negators[len(picked):])
+        first += n
+    return _flat(mentions), _flat(half), _flat(fully)
 
 
 def half_edit_per_caption(slots: TokenIds, table: TokenTable,

@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from caption_apply import fully_negate, variant_captions
+from caption_apply import draw_half, fully_negate, variant_captions
 from fd_utils import (
     clap_loss_through_encoders,
     dissimilarity_through_encoders,
@@ -60,7 +60,6 @@ from negclap.model import (
     init_params,
 )
 from negclap.negation import (
-    draw_half,
     draw_insert,
     draw_negators,
     edit_counts,

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from caption_apply import augment_captions, eval_variants_per_pair, half_edit_per_caption
+from caption_apply import (
+    augment_captions,
+    eval_variants_per_pair,
+    half_edit_per_caption,
+    halves_per_caption,
+)
 from fd_utils import (
     clap_loss_through_encoders,
     dense_table,
@@ -50,7 +55,7 @@ from negclap.model import (
     tokenize,
 )
 from negclap.evaluation import VARIANTS, build_eval_variants
-from negclap.negation import AugmentationExhausted, edit_ids
+from negclap.negation import AugmentationExhausted, draw_halves, edit_ids
 from negclap.seeding import seeded_rng
 
 
@@ -637,6 +642,27 @@ class TestHalfDraws:
             return
         assert got[1] == 0
         assert_same_kinds(got[0], want, "half")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 40), max_size=12), st.booleans(), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    @example([], True, 3, 0)
+    @example([1] * 7, True, 3, 1)
+    @example([3, 1, 0, 2, 5], True, 3, 2)
+    @example([3, 1, 0, 2, 5], False, 1, 2)
+    # Generator.choice runs Floyd's algorithm up to 10 000 items, a tail shuffle above
+    @example([10_000, 10_001, 20_000], True, 3, 3)
+    @example([2, 20_000, 10_001, 1, 10_000], False, 4, 4)
+    def test_counts_equal_the_per_caption_choice(self, counts, with_fully, n_negators, seed):
+        by_call, by_caption = seeded_rng(seed), seeded_rng(seed)
+        got = outcome(draw_halves, counts, n_negators, by_call, with_fully)
+        want = outcome(halves_per_caption, counts, n_negators, by_caption, with_fully)
+        assert by_call.bit_generator.state == by_caption.bit_generator.state
+        if 0 in counts:  # the draws of the captions before the 0, then the error
+            assert want == NO_PLAIN_ERROR and got == want
+            return
+        for name, a, b in zip(("mentions", "half negators", "fully negators"), got, want):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
 
 
 class TestParameterBuffers:

@@ -6,9 +6,9 @@ import pytest
 
 from caption_apply import apply_augmentation, fully_negate
 from ids_utils import assert_same_ids, concat_ids, stepwise, take_ids
-from negclap.corpus import Dataset, generate_dataset, generate_vocabulary, split_dataset
+from negclap.corpus import generate_dataset, generate_vocabulary, split_dataset
 from negclap.model import ModelDims, ParamGrads, RowGrad
-from negclap.seeding import seeded_rng, spawn_seed
+from negclap.seeding import seeded_rng
 from negclap import training
 from negclap.negation import AugmentationExhausted
 from negclap.training import (
