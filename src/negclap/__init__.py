@@ -13,7 +13,6 @@ from .corpus import (
     DatasetError,
     DatasetParseError,
     DatasetValidationError,
-    Tag,
     TagMention,
     Vocabulary,
     Word,

@@ -117,10 +117,11 @@ def _cmd_augment(args) -> int:
     table = model.TokenTable(dataset.vocabulary)
     slots, skipped = negation.edit_ids(args.op, table.slots([c for _, c in dataset.pairs]),
                                        table, args.p_aug, seeded_rng(args.seed, 0))
-    new_pairs = [(clip, caption)
-                 for (clip, _), caption in zip(dataset.pairs, table.captions(slots))]
+    new_pairs = tuple((clip, caption)
+                      for (clip, _), caption in zip(dataset.pairs, table.captions(slots)))
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    corpus.save_dataset(corpus.Dataset(dataset.vocabulary, new_pairs, dataset.split), args.out)
+    corpus.save_dataset(corpus.Dataset(dataset.vocabulary, new_pairs, dataset.split,
+                                       dataset.features), args.out)
     print(f"wrote {len(new_pairs)} pairs to {args.out}" +
           (f" ({skipped} items had no unused tag)" if skipped else ""))
     return 0
@@ -190,7 +191,7 @@ def _cmd_sweep(args) -> int:
         k_grid = training.QUICK_K_GRID
         if len(train_ds.pairs) > _QUICK_TRAIN_PAIRS:
             train_ds = corpus.Dataset(train_ds.vocabulary, train_ds.pairs[:_QUICK_TRAIN_PAIRS],
-                                      train_ds.split, train_ds.features()[:_QUICK_TRAIN_PAIRS])
+                                      train_ds.split, train_ds.features[:_QUICK_TRAIN_PAIRS])
     configs = training.sweep_configs(args.seed, p_aug_grid, k_grid, args.batch_size,
                                      epochs, args.lr)
     rows = training.sweep(train_ds, test_ds, configs, eval_seed=args.eval_seed)

@@ -67,25 +67,13 @@ class DatasetValidationError(DatasetError):
 
 
 @dataclass(frozen=True)
-class Tag:
-    id: int
-    surface: str
-
-
-@dataclass(frozen=True)
 class Vocabulary:
-    tags: tuple[Tag, ...]
+    """Tag surfaces, indexed by tag id, and the negators."""
+    surfaces: tuple[str, ...]
     negators: tuple[str, ...]
 
-    @property
-    def surfaces(self) -> tuple[str, ...]:
-        return tuple(t.surface for t in self.tags)
-
-    def surface(self, tag_id: int) -> str:
-        return self.tags[tag_id].surface
-
     def __len__(self) -> int:
-        return len(self.tags)
+        return len(self.surfaces)
 
 
 @dataclass(frozen=True)
@@ -134,32 +122,21 @@ class AudioClip:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     """Paired clips and captions of one split.
 
-    ``generate_dataset`` and ``load_dataset`` make every clip's features a
-    row view of one ``(n, d_a)`` matrix, kept as ``feature_matrix``: row i
-    is pair i's clip.  ``split_dataset`` slices it.  A dataset built from
-    pairs alone leaves it None.
+    ``features`` is the ``(n, d_a)`` matrix whose row i is pair i's clip
+    features; ``generate_dataset`` and ``load_dataset`` make every clip's
+    features a row view of it, and ``split_dataset`` slices it.
     """
     vocabulary: Vocabulary
-    pairs: list[tuple[AudioClip, Caption]]
+    pairs: tuple[tuple[AudioClip, Caption], ...]
     split: str  # "train" | "test"
-    feature_matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
+    features: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def features(self) -> np.ndarray:
-        """The ``(n, d_a)`` matrix whose row i is pair i's clip features.
-
-        Returns ``feature_matrix`` itself when the dataset has one, so no
-        copy of the features is made; otherwise stacks the clips' features.
-        """
-        if self.feature_matrix is not None:
-            return self.feature_matrix
-        return np.stack([clip.features for clip, _ in self.pairs])
 
 
 def generate_vocabulary(n_tags: int, rng_seed: int) -> Vocabulary:
@@ -172,9 +149,8 @@ def generate_vocabulary(n_tags: int, rng_seed: int) -> Vocabulary:
         raise ValueError(f"n_tags must be >= 2, got {n_tags}")
     pool = list(MUSIC_WORD_POOL)
     seeded_rng(rng_seed, 0).shuffle(pool)
-    surfaces = [pool[i] if i < len(pool) else f"tag{i:03d}" for i in range(n_tags)]
-    tags = tuple(Tag(i, s) for i, s in enumerate(surfaces))
-    return Vocabulary(tags=tags, negators=DEFAULT_NEGATORS)
+    surfaces = tuple(pool[i] if i < len(pool) else f"tag{i:03d}" for i in range(n_tags))
+    return Vocabulary(surfaces, DEFAULT_NEGATORS)
 
 
 def tag_directions(n_tags: int, d_a: int, rng_seed: int) -> np.ndarray:
@@ -209,12 +185,8 @@ _TEMPLATE_WORDS = tuple(
 _AND = Word("and")
 
 
-def caption_from_tags(tag_ids: Sequence[int], template_index: int) -> Caption:
-    """Templated caption mentioning the given tags, in order."""
-    return _templated_caption([TagMention(t) for t in tag_ids], template_index)
-
-
 def _templated_caption(mentions: Sequence[TagMention], template_index: int) -> Caption:
+    """Template ``template_index`` (cycled) over the given mentions, in order."""
     if not mentions:
         raise ValueError("a caption needs at least one tag")
     prefix, mid, suffix = _TEMPLATE_WORDS[template_index % len(_TEMPLATE_WORDS)]
@@ -248,8 +220,8 @@ def generate_dataset(
     lo, hi = tags_per_clip
     if lo > hi or lo < 1:
         raise ValueError(f"empty or invalid tag range {tags_per_clip}")
-    if hi > len(vocab.tags):
-        raise ValueError(f"tags_per_clip max {hi} exceeds vocabulary size {len(vocab.tags)}")
+    if hi > len(vocab):
+        raise ValueError(f"tags_per_clip max {hi} exceeds vocabulary size {len(vocab)}")
     if n_clips < 1:
         raise ValueError("n_clips must be positive")
     if d_a < 1:
@@ -257,7 +229,7 @@ def generate_dataset(
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError(f"noise_sigma must be finite and nonnegative, got {noise_sigma}")
 
-    n_vocab = len(vocab.tags)
+    n_vocab = len(vocab)
     tag_rng = seeded_rng(rng_seed, _TAGSETS_STREAM)
     chosen = []
     for _ in range(n_clips):
@@ -288,11 +260,11 @@ def generate_dataset(
                          "adds (almost) nothing")
 
     mentions = [TagMention(t) for t in range(n_vocab)]
-    pairs = [
+    pairs = tuple(
         (AudioClip(id=i, features=features[i], tag_ids=frozenset(tags)),
          _templated_caption([mentions[t] for t in tags], template_index=i))
         for i, tags in enumerate(chosen)
-    ]
+    )
     return Dataset(vocab, pairs, "train", features)
 
 
@@ -300,7 +272,7 @@ def split_dataset(dataset: Dataset, n_test: int) -> tuple[Dataset, Dataset]:
     """Partition into a train head and test tail (clips are iid by construction)."""
     if not 0 < n_test < len(dataset.pairs):
         raise ValueError(f"n_test must be in (0, {len(dataset.pairs)}), got {n_test}")
-    matrix = dataset.features()
+    matrix = dataset.features
     train = Dataset(dataset.vocabulary, dataset.pairs[:-n_test], "train", matrix[:-n_test])
     test = Dataset(dataset.vocabulary, dataset.pairs[-n_test:], "test", matrix[-n_test:])
     return train, test
@@ -310,7 +282,7 @@ def render_token(tok: CaptionToken, vocab: Vocabulary) -> str:
     """One caption token as text: a word verbatim, a mention as ``[negator] surface``."""
     if isinstance(tok, Word):
         return tok.text
-    surface = vocab.surface(tok.tag_id)
+    surface = vocab.surfaces[tok.tag_id]
     return surface if tok.negator is None else f"{tok.negator} {surface}"
 
 
@@ -321,33 +293,31 @@ def render_caption(caption: Caption, vocab: Vocabulary) -> str:
 
 def validate_dataset(dataset: Dataset, check_tag_consistency: bool = True) -> None:
     """Raise DatasetValidationError naming the first violated invariant."""
-    finite = [bool(np.isfinite(clip.features).all()) for clip, _ in dataset.pairs]
-    _validate(dataset, finite, check_tag_consistency)
-
-
-def _validate(dataset: Dataset, finite: Sequence[bool], check_tag_consistency: bool) -> None:
-    """validate_dataset, given whether each clip's features are all finite."""
     vocab = dataset.vocabulary
-    if len(vocab.tags) < 2:
+    n_tags = len(vocab)
+    if n_tags < 2:
         raise DatasetValidationError("vocabulary must hold at least 2 tags")
     if not vocab.negators:
         raise DatasetValidationError("vocabulary negators must be nonempty")
-    if len(set(vocab.surfaces)) != len(vocab.tags):
+    if len(set(vocab.surfaces)) != n_tags:
         raise DatasetValidationError("tag surfaces must be unique")
     if set(vocab.negators) & set(vocab.surfaces):
         raise DatasetValidationError("negators must not collide with tag surfaces")
     if dataset.split not in ("train", "test"):
         raise DatasetValidationError(f"unknown split {dataset.split!r}")
+    matrix = dataset.features
+    if matrix.ndim != 2 or len(matrix) != len(dataset.pairs):
+        raise DatasetValidationError(
+            f"feature matrix of shape {matrix.shape} does not hold one row per pair "
+            f"({len(dataset.pairs)} pairs)")
 
     seen_ids: set[int] = set()
-    n_tags = len(vocab.tags)
-    d_a = None
+    d_a = matrix.shape[1]
+    finite = np.isfinite(matrix).all(axis=1).tolist()
     for (clip, caption), is_finite in zip(dataset.pairs, finite):
         if clip.id in seen_ids:
             raise DatasetValidationError(f"duplicate clip id {clip.id}")
         seen_ids.add(clip.id)
-        if d_a is None:
-            d_a = clip.features.shape[0]
         if clip.features.shape != (d_a,):
             raise DatasetValidationError(
                 f"clip {clip.id}: feature dimension {clip.features.shape} != ({d_a},)"
@@ -421,7 +391,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """
     if not dataset.pairs:
         raise ValueError("refusing to save an empty dataset")
-    matrix = np.asarray(dataset.features(), dtype=np.float64)
+    matrix = np.asarray(dataset.features, dtype=np.float64)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         clip = dataset.pairs[int(np.argmin(finite))][0]
@@ -432,7 +402,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     header = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
-        "n_tags": len(vocab.tags),
+        "n_tags": len(vocab),
         "d_a": d_a,
         "negators": list(vocab.negators),
         "tags": list(vocab.surfaces),
@@ -575,8 +545,7 @@ def _read_dataset(path: str | Path, check_tag_consistency: bool) -> Dataset:
             raise DatasetParseError(f"bad header: {e}", line_number=1) from e
         if len(surfaces) != n_tags:
             raise DatasetParseError("header n_tags does not match tag list", line_number=1)
-        vocab = Vocabulary(tags=tuple(Tag(i, s) for i, s in enumerate(surfaces)),
-                           negators=negators)
+        vocab = Vocabulary(tuple(surfaces), negators)
 
         ids: list[int] = []
         tag_sets: list[frozenset[int]] = []
@@ -615,9 +584,8 @@ def _read_dataset(path: str | Path, check_tag_consistency: bool) -> Dataset:
     if rows is None:  # save_dataset refuses an empty dataset too
         raise DatasetValidationError("no pair records after the header")
     rows.resize((len(ids), d_a), refcheck=False)
-    finite = np.isfinite(rows).all(axis=1)
-    pairs = [(AudioClip(id=i, features=row, tag_ids=t), c)
-             for i, row, t, c in zip(ids, rows, tag_sets, captions)]
+    pairs = tuple((AudioClip(id=i, features=row, tag_ids=t), c)
+                  for i, row, t, c in zip(ids, rows, tag_sets, captions))
     dataset = Dataset(vocab, pairs, split, rows)
-    _validate(dataset, finite, check_tag_consistency)
+    validate_dataset(dataset, check_tag_consistency)
     return dataset

@@ -339,7 +339,7 @@ def train(
     test_ids = {clip.id for clip, _ in dataset_test.pairs}
     if train_ids & test_ids:
         raise ValueError("train and test splits share clip ids")
-    features, test_features = dataset_train.features(), dataset_test.features()
+    features, test_features = dataset_train.features, dataset_test.features
     if test_features.shape[1] != features.shape[1]:
         raise ValueError(f"the test split's clip features have width {test_features.shape[1]}, "
                          f"the train split's {features.shape[1]}")

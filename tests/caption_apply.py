@@ -45,7 +45,7 @@ def negation_insert(caption: Caption, vocab: Vocabulary, rng: np.random.Generato
     vocabulary tags not mentioned in the caption, and the negator uniform
     over the vocabulary negators.  All original tokens keep their order.
     """
-    unused = sorted(set(range(len(vocab.tags))) - caption.tag_ids())
+    unused = sorted(set(range(len(vocab))) - caption.tag_ids())
     gap, k, negator = draw_insert(len(caption.tokens), len(unused), len(vocab.negators), rng)
     mention = TagMention(unused[k], vocab.negators[negator])
     return Caption(tokens=caption.tokens[:gap] + (mention,) + caption.tokens[gap:])

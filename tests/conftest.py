@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from negclap.corpus import Caption, Tag, TagMention, Vocabulary, Word
+from negclap.corpus import Caption, TagMention, Vocabulary, Word
 from negclap.model import ModelDims, init_params
 
 # a CI run (GitHub sets CI) draws the same examples every time, so a red run
@@ -19,8 +19,7 @@ SONG_WORDS = ("rock", "guitar", "bass", "pop", "drums", "piano", "jazz", "synth"
 @pytest.fixture
 def song_vocab():
     """Small vocabulary whose first tags match the worked caption examples."""
-    tags = tuple(Tag(i, s) for i, s in enumerate(SONG_WORDS))
-    return Vocabulary(tags=tags, negators=("not", "no", "without"))
+    return Vocabulary(SONG_WORDS, negators=("not", "no", "without"))
 
 
 @pytest.fixture

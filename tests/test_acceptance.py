@@ -285,7 +285,7 @@ def test_criterion_04_protocol_oracles():
 
         vocab = generate_vocabulary(6, instance)
         ds = generate_dataset(vocab, n, d_a=10, rng_seed=instance)
-        ds = Dataset(vocab, ds.pairs, split="test")
+        ds = Dataset(vocab, ds.pairs, "test", ds.features)
         dims = ModelDims(d_t=12, d_h=12, d=8, d_a=10, hash_buckets=32)
         params = init_params(dims, seed=instance)
         variants = build_eval_variants(ds, eval_seed=instance)

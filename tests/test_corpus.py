@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -19,7 +20,6 @@ from negclap.corpus import (
     DatasetValidationError,
     TagMention,
     Word,
-    caption_from_tags,
     generate_dataset,
     generate_vocabulary,
     load_dataset,
@@ -35,26 +35,33 @@ from negclap.seeding import seeded_rng
 def reference_dataset(vocab, n_clips, tags_per_clip, d_a, noise_sigma, rng_seed):
     """generate_dataset as one loop over clips, drawing each clip's noise on its own."""
     lo, hi = tags_per_clip
-    directions = tag_directions(len(vocab.tags), d_a, rng_seed)
+    directions = tag_directions(len(vocab), d_a, rng_seed)
     tag_rng = seeded_rng(rng_seed, corpus._TAGSETS_STREAM)
     noise_rng = seeded_rng(rng_seed, corpus._NOISE_STREAM)
     pairs = []
     for i in range(n_clips):
         n_tags = int(tag_rng.integers(lo, hi + 1))
-        chosen = [int(t) for t in tag_rng.choice(len(vocab.tags), size=n_tags, replace=False)]
+        chosen = [int(t) for t in tag_rng.choice(len(vocab), size=n_tags, replace=False)]
         base = directions[chosen].sum(axis=0)
         base /= max(float(np.linalg.norm(base)), 1e-12)
         features = base + noise_sigma * noise_rng.normal(size=d_a)
         clip = corpus.AudioClip(id=i, features=features, tag_ids=frozenset(chosen))
-        pairs.append((clip, caption_from_tags(chosen, template_index=i)))
-    return Dataset(vocabulary=vocab, pairs=pairs, split="train")
+        caption = corpus._templated_caption([TagMention(t) for t in chosen], template_index=i)
+        pairs.append((clip, caption))
+    return Dataset(vocab, tuple(pairs), "train", np.array([c.features for c, _ in pairs]))
 
 
 def with_features(dataset, matrix):
     """``dataset`` with its clips' features replaced by the rows of ``matrix``."""
-    pairs = [(corpus.AudioClip(id=clip.id, features=row, tag_ids=clip.tag_ids), caption)
-             for (clip, caption), row in zip(dataset.pairs, matrix)]
+    pairs = tuple((corpus.AudioClip(id=clip.id, features=row, tag_ids=clip.tag_ids), caption)
+                  for (clip, caption), row in zip(dataset.pairs, matrix))
     return Dataset(dataset.vocabulary, pairs, dataset.split, matrix)
+
+
+def with_pair(dataset, i, pair):
+    """``dataset`` with pair ``i`` replaced by ``pair``; the feature matrix is kept."""
+    pairs = dataset.pairs[:i] + (pair,) + dataset.pairs[i + 1:]
+    return Dataset(dataset.vocabulary, pairs, dataset.split, dataset.features)
 
 
 # Finite float64 values at the edges of the range where repr and orjson write
@@ -70,7 +77,7 @@ EDGE_FLOATS = [
 class TestGenerateVocabulary:
     def test_basic_construction(self):
         vocab = generate_vocabulary(3, rng_seed=7)
-        assert len(vocab.tags) == 3
+        assert len(vocab) == 3
         assert len(set(vocab.surfaces)) == 3
         assert vocab.negators == ("not", "no", "without")
 
@@ -158,10 +165,10 @@ class TestGenerateDataset:
         seed = 11
         ds = generate_dataset(vocab, 30, tags_per_clip=(2, 2), d_a=d_a,
                               noise_sigma=0.05, rng_seed=seed)
-        dirs = tag_directions(len(vocab.tags), d_a, seed)
+        dirs = tag_directions(len(vocab), d_a, seed)
         for clip, _ in ds.pairs:
             best, best_cos = None, -2.0
-            for subset in itertools.combinations(range(len(vocab.tags)), 2):
+            for subset in itertools.combinations(range(len(vocab)), 2):
                 centroid = dirs[list(subset)].sum(axis=0)
                 centroid /= np.linalg.norm(centroid)
                 cos = float(centroid @ clip.features / np.linalg.norm(clip.features))
@@ -207,15 +214,15 @@ class TestRenderCaption:
         assert len(rendered) == len(captions)
 
 
-class TestCaptionFromTags:
+class TestTemplatedCaption:
     def test_needs_a_tag(self):
         with pytest.raises(ValueError):
-            caption_from_tags([], 0)
+            corpus._templated_caption([], 0)
 
     def test_templates_cycle_and_mention_all_tags(self):
         seen = set()
         for idx in range(8):
-            cap = caption_from_tags([1, 2, 3], idx)
+            cap = corpus._templated_caption([TagMention(t) for t in (1, 2, 3)], idx)
             assert [m.tag_id for m in cap.mentions()] == [1, 2, 3]
             seen.add(tuple(t.text for t in cap.tokens if isinstance(t, Word)))
         assert len(seen) == 4
@@ -245,7 +252,7 @@ class TestSaveLoad:
         ds = self._dataset()
         # rows 0, 3 and 6 hold numbers that orjson and json.dumps write in
         # different notations, so they take json.dumps's path
-        matrix = ds.features().copy()
+        matrix = ds.features.copy()
         matrix[0, 1], matrix[3, 5], matrix[6] = 2.5e-5, -3e17, 5e-324
         for dataset in (ds, with_features(ds, matrix)):
             p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -273,7 +280,7 @@ class TestSaveLoad:
         for line, row in zip(lines, matrix, strict=True):
             start = line.index('"features": ') + len('"features": ')
             assert line[start:line.index(', "caption": ')] == json.dumps(row.tolist())
-        loaded = load_dataset(path).features()
+        loaded = load_dataset(path).features
         assert loaded.tobytes() == matrix.tobytes()
 
     def test_wrong_feature_dimension_is_validation_error(self, tmp_path):
@@ -326,7 +333,7 @@ class TestSaveLoad:
 
     def test_duplicate_ids_rejected(self, tmp_path):
         ds = self._dataset()
-        ds.pairs[1] = (ds.pairs[0][0], ds.pairs[1][1])
+        ds = with_pair(ds, 1, (ds.pairs[0][0], ds.pairs[1][1]))
         path = tmp_path / "ds.jsonl"
         save_dataset(ds, path)
         with pytest.raises(DatasetValidationError, match="duplicate"):
@@ -339,7 +346,7 @@ class TestSaveLoad:
             TagMention(m.tag_id, "no") if isinstance(m, TagMention) else m
             for m in caption.tokens
         )
-        ds.pairs[0] = (clip, Caption(tokens=tokens))
+        ds = with_pair(ds, 0, (clip, Caption(tokens=tokens)))
         path = tmp_path / "ds.jsonl"
         save_dataset(ds, path)
         with pytest.raises(DatasetValidationError):
@@ -357,13 +364,13 @@ class TestSaveLoad:
         matrix = loaded.pairs[0][0].features.base
         assert matrix.shape == (2100, 3)
         assert all(clip.features.base is matrix for clip, _ in loaded.pairs)
-        assert loaded.features() is matrix
+        assert loaded.features is matrix
         tokens = [tok for _, caption in loaded.pairs for tok in caption.tokens]
         assert len({id(tok) for tok in tokens}) == len(set(tokens))
 
     def test_empty_dataset_not_saved(self, tmp_path):
         ds = self._dataset()
-        empty = Dataset(ds.vocabulary, [], split="train")
+        empty = Dataset(ds.vocabulary, (), "train", ds.features[:0])
         with pytest.raises(ValueError):
             save_dataset(empty, tmp_path / "empty.jsonl")
 
@@ -380,24 +387,14 @@ class TestSplitDataset:
 
     def test_splits_share_the_feature_matrix(self):
         ds = generate_dataset(generate_vocabulary(6, 1), 30, d_a=8, rng_seed=1)
-        matrix = ds.features()
+        matrix = ds.features
         assert all(clip.features.base is matrix for clip, _ in ds.pairs)
         for part in split_dataset(ds, 10):
-            features = part.features()
+            features = part.features
             assert features.base is matrix and len(features) == len(part.pairs)
             for (clip, _), row in zip(part.pairs, features):
                 assert np.shares_memory(clip.features, row)
                 assert clip.features.tobytes() == row.tobytes()
-
-    def test_dataset_built_from_pairs_stacks_its_features(self):
-        ds = generate_dataset(generate_vocabulary(6, 1), 12, d_a=8, rng_seed=1)
-        built = Dataset(ds.vocabulary, ds.pairs[::-1], split="train")
-        assert built.feature_matrix is None
-        train, test = split_dataset(built, 4)
-        for part in (built, train, test):
-            assert part.features().tobytes() == np.stack(
-                [clip.features for clip, _ in part.pairs]).tobytes()
-        assert train.feature_matrix.base is test.feature_matrix.base
 
     def test_bad_test_size(self):
         ds = generate_dataset(generate_vocabulary(6, 1), 10, d_a=8, rng_seed=1)
@@ -410,9 +407,27 @@ def test_validate_dataset_names_violated_invariant():
     ds = generate_dataset(generate_vocabulary(6, 1), 5, d_a=8, rng_seed=1)
     clip, caption = ds.pairs[0]
     words_only = tuple(t for t in caption.tokens if isinstance(t, Word))
-    ds.pairs[0] = (clip, Caption(tokens=words_only))
+    ds = with_pair(ds, 0, (clip, Caption(tokens=words_only)))
     with pytest.raises(DatasetValidationError, match="tag mention"):
         validate_dataset(ds)
+
+
+def test_validate_dataset_needs_one_feature_row_per_pair():
+    ds = generate_dataset(generate_vocabulary(6, 1), 5, d_a=8, rng_seed=1)
+    validate_dataset(ds)
+    for matrix in (ds.features[:4], ds.features[0]):
+        with pytest.raises(DatasetValidationError, match="one row per pair"):
+            validate_dataset(Dataset(ds.vocabulary, ds.pairs, ds.split, matrix))
+
+
+def test_dataset_pairs_are_frozen(tmp_path):
+    ds = generate_dataset(generate_vocabulary(6, 1), 5, d_a=8, rng_seed=1)
+    save_dataset(ds, tmp_path / "ds.jsonl")
+    for part in (ds, *split_dataset(ds, 2), load_dataset(tmp_path / "ds.jsonl")):
+        with pytest.raises(TypeError):
+            part.pairs[0] = part.pairs[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            part.pairs = part.pairs[::-1]
 
 
 SENTINEL = "@@value@@"

@@ -227,7 +227,7 @@ RANKED_PAIRS = 32
 def make_tiny_setup(seed=0, n=6):
     vocab = generate_vocabulary(8, seed)
     ds = generate_dataset(vocab, n, d_a=12, rng_seed=seed)
-    ds = Dataset(vocab, ds.pairs, split="test")
+    ds = Dataset(vocab, ds.pairs, "test", ds.features)
     dims = ModelDims(d_t=16, d_h=16, d=8, d_a=12, hash_buckets=64)
     params = init_params(dims, seed=seed + 1)
     return params, ds
@@ -279,7 +279,7 @@ class TestBuildEvalVariants:
         from negclap.corpus import AudioClip
 
         clip = AudioClip(id=0, features=clip_features, tag_ids=frozenset({0, 1, 2}))
-        ds = Dataset(song_vocab, [(clip, tune_caption)], split="test")
+        ds = Dataset(song_vocab, ((clip, tune_caption),), "test", clip_features[None])
         target_half = Caption((Word("a"), TagMention(0, "not"), Word("tune"), Word("with"),
                                TagMention(1), Word("and"), TagMention(2, "without")))
         target_fully = Caption(target_half.tokens[:4] + (TagMention(1, "no"),)
@@ -302,7 +302,7 @@ class TestRetrievalProtocol:
         params, ds = make_tiny_setup(5, n=RANKED_PAIRS)
         variants = build_eval_variants(ds, eval_seed=11)
         report = retrieval_protocol(embed_eval_variants(params, ds, variants))
-        audio = encode_audio_batch(params, ds.features())[0]
+        audio = encode_audio_batch(params, ds.features)[0]
         captions = variant_captions(ds, eval_seed=11)
         for variant_name in ("original", "half", "fully"):
             caps = captions[variant_name]
@@ -347,7 +347,7 @@ class TestTripletProtocol:
         params, ds = make_tiny_setup(7, n=5)
         variants = build_eval_variants(ds, eval_seed=2)
         report = triplet_protocol(embed_eval_variants(params, ds, variants))
-        audio = encode_audio_batch(params, ds.features())[0]
+        audio = encode_audio_batch(params, ds.features)[0]
         embed = lambda caps: encode_text_batch(params, caps, ds.vocabulary)[0]
         captions = variant_captions(ds, eval_seed=2)
         oracle = brute_triplet(audio, embed(captions["original"]),
@@ -385,7 +385,7 @@ class TestTripletProtocol:
         params, ds = make_tiny_setup(9, n=6)
         variants = build_eval_variants(ds, eval_seed=4)
         base = triplet_protocol(embed_eval_variants(params, ds, variants))
-        audio = encode_audio_batch(params, ds.features())[0]
+        audio = encode_audio_batch(params, ds.features)[0]
         embed = lambda caps: encode_text_batch(params, caps, ds.vocabulary)[0]
         captions = variant_captions(ds, eval_seed=4)
         sims = {n_: np.sum(audio * embed(captions[n_]), axis=1)
@@ -420,7 +420,7 @@ class TestEmbedOnce:
     def test_eval_embeds_audio_once_and_each_variant_once(self, tmp_path, monkeypatch):
         vocab = generate_vocabulary(10, 12)
         ds = generate_dataset(vocab, 64, d_a=12, rng_seed=12)
-        ds = Dataset(vocab, ds.pairs, split="test")
+        ds = Dataset(vocab, ds.pairs, "test", ds.features)
         data = tmp_path / "test.jsonl"
         save_dataset(ds, data)
         ckpt = tmp_path / "model.ckpt"
@@ -472,8 +472,8 @@ class TestOneTextPass:
         (50, 512, ModelDims(d_a=12))])  # the desk test split's size and model
     def test_equals_a_pass_per_variant_bit_for_bit(self, n_tags, n_pairs, dims):
         vocab = generate_vocabulary(n_tags, 4)
-        ds = Dataset(vocab, generate_dataset(vocab, n_pairs, d_a=12, rng_seed=4).pairs,
-                     split="test")
+        ds = generate_dataset(vocab, n_pairs, d_a=12, rng_seed=4)
+        ds = Dataset(vocab, ds.pairs, "test", ds.features)
         params = init_params(dims, seed=4)
         variants = build_eval_variants(ds, eval_seed=6)
         embeddings = embed_eval_variants(params, ds, variants)

@@ -26,7 +26,6 @@ from negclap.corpus import (
     AudioClip,
     Caption,
     Dataset,
-    Tag,
     TagMention,
     Vocabulary,
     Word,
@@ -160,7 +159,7 @@ class TestModelBackward:
         ds = generate_dataset(vocab, 4, d_a=small_params.dims.d_a, rng_seed=4)
         rng = np.random.default_rng(5)
         t_emb, t_cache = encode_text_batch(small_params, [c for _, c in ds.pairs], vocab)
-        a_emb, a_cache = encode_audio_batch(small_params, ds.features())
+        a_emb, a_cache = encode_audio_batch(small_params, ds.features)
         text = (t_cache, rng.normal(size=t_emb.shape))
         audio = (a_cache, rng.normal(size=a_emb.shape))
         joint = model_backward(small_params, text, audio)
@@ -335,16 +334,15 @@ class TestRowSparseScatter:
 # surfaces and word texts that exercise tokenize: case, punctuation, inner and
 # non-ASCII whitespace, a final sigma, and text that strips to nothing
 ID_VOCAB = Vocabulary(
-    tags=tuple(Tag(i, s) for i, s in enumerate(
-        ("rock", "Hip Hop", "guitar,", "...", "ΟΔΟΣ", "no\u00a0wave"))),
+    surfaces=("rock", "Hip Hop", "guitar,", "...", "ΟΔΟΣ", "no\u00a0wave"),
     negators=("not", "no", "without"),
 )
 word_texts = st.text(st.sampled_from(list("abrkAZ.,!'-() \t\n\u00a0\u2003ΣσİΟ")), max_size=7)
 caption_tokens = st.one_of(
     st.builds(Word, word_texts),
-    st.builds(TagMention, st.integers(0, len(ID_VOCAB.tags) - 1)),
+    st.builds(TagMention, st.integers(0, len(ID_VOCAB) - 1)),
     st.builds(lambda t, n: TagMention(t, n),
-              st.integers(0, len(ID_VOCAB.tags) - 1), st.sampled_from(ID_VOCAB.negators)),
+              st.integers(0, len(ID_VOCAB) - 1), st.sampled_from(ID_VOCAB.negators)),
 )
 captions = st.builds(Caption, st.lists(caption_tokens, min_size=1, max_size=8).map(tuple))
 # hash_bucket modulo 2**m keeps only the low bits of a multiplicative hash,
@@ -489,7 +487,7 @@ def negation_cases(draw):
                              unique=True))
     negators = draw(st.lists(st.sampled_from(ORACLE_NEGATORS), min_size=1, max_size=3,
                              unique=True))
-    vocab = Vocabulary(tuple(Tag(i, s) for i, s in enumerate(surfaces)), tuple(negators))
+    vocab = Vocabulary(tuple(surfaces), tuple(negators))
     tag = st.integers(0, len(surfaces) - 1)
     token = st.one_of(st.builds(Word, st.sampled_from(ORACLE_WORDS)), st.builds(TagMention, tag),
                       st.builds(TagMention, tag, st.sampled_from(negators)))
@@ -507,8 +505,7 @@ def outcome(edit, *args):
 
 
 def oracle_vocab(n_tags, n_negators):
-    return Vocabulary(tuple(Tag(i, s) for i, s in enumerate(ORACLE_SURFACES[:n_tags])),
-                      ORACLE_NEGATORS[:n_negators])
+    return Vocabulary(ORACLE_SURFACES[:n_tags], ORACLE_NEGATORS[:n_negators])
 
 
 # three plain mentions (and a negated one): a half negation negates two of
@@ -585,8 +582,9 @@ class TestNegationIdApply:
 
 def as_test_split(vocab, caps):
     """A test split of ``caps``; the eval variants read only its captions."""
-    pairs = [(AudioClip(i, np.zeros(1), frozenset(c.tag_ids())), c) for i, c in enumerate(caps)]
-    return Dataset(vocab, pairs, split="test")
+    pairs = tuple((AudioClip(i, np.zeros(1), frozenset(c.tag_ids())), c)
+                  for i, c in enumerate(caps))
+    return Dataset(vocab, pairs, "test", np.zeros((len(caps), 1)))
 
 
 def assert_same_kinds(got, want, what=""):

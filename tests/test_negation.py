@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negclap.corpus import Caption, Tag, TagMention, Vocabulary, Word, render_caption
+from negclap.corpus import Caption, TagMention, Vocabulary, Word, render_caption
 from negclap.model import TokenTable
 from negclap.negation import AugmentationExhausted, draw_insert, edit_ids
 from negclap.seeding import seeded_rng
@@ -15,8 +15,7 @@ NEGATORS = ("not", "no", "without")
 
 
 def big_vocab(n=12):
-    return Vocabulary(tags=tuple(Tag(i, f"tag{i:02d}") for i in range(n)),
-                      negators=NEGATORS)
+    return Vocabulary(tuple(f"tag{i:02d}" for i in range(n)), NEGATORS)
 
 
 def edit(name, captions, vocab, rng, p_aug=1.0):
@@ -32,7 +31,7 @@ def edit_one(name, caption, vocab, rng):
 
 def enumerate_insert_candidates(caption, vocab):
     """All captions an insert may produce: gap x unused tag x negator."""
-    unused = sorted(set(range(len(vocab.tags))) - caption.tag_ids())
+    unused = sorted(set(range(len(vocab))) - caption.tag_ids())
     out = set()
     for gap in range(len(caption.tokens) + 1):
         for tag in unused:

@@ -260,7 +260,7 @@ class TestEpochPlan:
         steps = list(plan.steps())
         assert len(steps) == 150
         assert len(steps) * 8 * len(blocks) > _IDS_CHUNK  # hashed in more than one chunk
-        features, params = train_ds.features(), init_params(TINY_DIMS, 3)
+        features, params = train_ds.features, init_params(TINY_DIMS, 3)
         for s, (items, layout) in enumerate(steps):
             ids = concat_ids([take_ids(b, np.arange(8 * s, 8 * s + 8)) for b in blocks])
             assert_same_ids(layout, ids, f"step {s}")
