@@ -22,6 +22,7 @@ from .corpus import (
     render_caption,
     save_dataset,
     split_dataset,
+    tokenize,
 )
 from .evaluation import (
     EvalEmbeddings,
@@ -45,7 +46,6 @@ from .model import (
     load_checkpoint,
     model_backward,
     save_checkpoint,
-    tokenize,
 )
 from .negation import AugmentationExhausted
 from .objective import (

@@ -12,8 +12,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus, evaluation, model, negation, training
 from .seeding import seeded_rng
 
@@ -111,8 +109,9 @@ def _cmd_augment(args) -> int:
     if args.out.is_dir():
         raise ValueError(f"--out {args.out} is a directory, not a dataset file")
     _check_out_dir(args.out.parent)
-    # half/fully outputs intentionally break the caption-tags == clip-tags
-    # rule, so reloading them needs check_tag_consistency=False
+    # half and fully outputs break the caption-tags == clip-tags rule on
+    # purpose; no command reads them back, only
+    # load_dataset(..., check_tag_consistency=False) does
     dataset = corpus.load_dataset(args.data)
     table = model.TokenTable(dataset.vocabulary)
     slots, skipped = negation.edit_ids(args.op, table.slots([c for _, c in dataset.pairs]),
@@ -165,6 +164,9 @@ def _cmd_eval(args) -> int:
     test_path = args.data / TEST_FILE if args.data.is_dir() else args.data
     test_ds = corpus.load_dataset(test_path)
     params = model.load_checkpoint(args.checkpoint)
+    if params.dims.d_a != test_ds.features.shape[1]:
+        raise ValueError(f"checkpoint {args.checkpoint} has d_a {params.dims.d_a}, but the "
+                         f"features of {test_path} have width {test_ds.features.shape[1]}")
     variants = evaluation.build_eval_variants(test_ds, args.eval_seed)
     embeddings = evaluation.embed_eval_variants(params, test_ds, variants)
     retrieval = evaluation.retrieval_protocol(embeddings)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import string
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence, Union
@@ -291,6 +292,38 @@ def render_caption(caption: Caption, vocab: Vocabulary) -> str:
     return " ".join([render_token(tok, vocab) for tok in caption.tokens])
 
 
+def tokenize(rendered: str) -> list[str]:
+    """Lowercase whitespace tokens with surrounding punctuation stripped."""
+    tokens = []
+    for raw in rendered.lower().split():
+        tok = raw.strip(string.punctuation)
+        if tok:
+            tokens.append(tok)
+    return tokens
+
+
+def _check_mentions_distinct(vocab: Vocabulary) -> None:
+    """Refuse a vocabulary whose mentions the text encoder cannot tell apart.
+
+    Each tag's plain mention and its mention under each negator, rendered
+    and tokenized, must give at least one token, and tokens no other
+    mention gives.
+    """
+    seen: dict[tuple[str, ...], str] = {}
+    for tag_id, surface in enumerate(vocab.surfaces):
+        for negator in (None, *vocab.negators):
+            entry = f"tag {surface!r}"
+            if negator is not None:
+                entry += f" under negator {negator!r}"
+            tokens = tuple(tokenize(render_token(TagMention(tag_id, negator), vocab)))
+            if not tokens:
+                raise DatasetValidationError(f"{entry} tokenizes to nothing")
+            if tokens in seen:
+                raise DatasetValidationError(
+                    f"{seen[tokens]} and {entry} both tokenize to {list(tokens)}")
+            seen[tokens] = entry
+
+
 def validate_dataset(dataset: Dataset, check_tag_consistency: bool = True) -> None:
     """Raise DatasetValidationError naming the first violated invariant."""
     vocab = dataset.vocabulary
@@ -299,10 +332,9 @@ def validate_dataset(dataset: Dataset, check_tag_consistency: bool = True) -> No
         raise DatasetValidationError("vocabulary must hold at least 2 tags")
     if not vocab.negators:
         raise DatasetValidationError("vocabulary negators must be nonempty")
-    if len(set(vocab.surfaces)) != n_tags:
-        raise DatasetValidationError("tag surfaces must be unique")
     if set(vocab.negators) & set(vocab.surfaces):
         raise DatasetValidationError("negators must not collide with tag surfaces")
+    _check_mentions_distinct(vocab)
     if dataset.split not in ("train", "test"):
         raise DatasetValidationError(f"unknown split {dataset.split!r}")
     matrix = dataset.features

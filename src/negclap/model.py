@@ -17,7 +17,6 @@ import itertools
 import json
 import math
 import operator
-import string
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -25,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Caption, TagMention, Vocabulary, Word, render_token
+from .corpus import Caption, TagMention, Vocabulary, Word, render_token, tokenize
 from .seeding import seeded_rng
 
 CHECKPOINT_FORMAT = "negclap-ckpt"
@@ -217,16 +216,6 @@ def init_params(dims: ModelDims, seed: int,
         weight[...] = rng.normal(0.0, init_scale, size=weight.shape)
     params.log_temperature[...] = LOG_TEMPERATURE_INIT
     return params
-
-
-def tokenize(rendered: str) -> list[str]:
-    """Lowercase whitespace tokens with surrounding punctuation stripped."""
-    tokens = []
-    for raw in rendered.lower().split():
-        tok = raw.strip(string.punctuation)
-        if tok:
-            tokens.append(tok)
-    return tokens
 
 
 def hash_bucket(token: str, n_buckets: int) -> int:

@@ -459,6 +459,42 @@ class TestEval:
         assert capsys.readouterr().err == f"error: {path}: no pair records after the header\n"
         assert not (tmp_path / "e").exists()
 
+    def test_checkpoint_of_another_feature_width_names_both_files(self, tmp_path, capsys):
+        data = gen_small(tmp_path)  # --d-a 12
+        ckpt = tmp_path / "narrow.ckpt"
+        save_checkpoint(ckpt, init_params(ModelDims(d_t=16, d_h=16, d=8, d_a=5,
+                                                    hash_buckets=64), seed=1))
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--eval-seed", "9", "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {ckpt} has d_a 5, but the features of "
+            f"{data / 'test.jsonl'} have width 12\n")
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("fields, problem", [
+        ({"negators": ["!!!", "...", "?"]},
+         "tag 'opera' and tag 'opera' under negator '!!!' both tokenize to ['opera']"),
+        ({"tags": ["opera", "OPERA", "acoustic", "cello", "strings", "metal", "rock",
+                   "ambient", "organ", "techno"]},
+         "tag 'opera' and tag 'OPERA' both tokenize to ['opera']"),
+    ], ids=["negators of punctuation", "tags differing in case"])
+    def test_indistinct_mentions_name_the_split(self, tmp_path, capsys, fields, problem):
+        data = gen_small(tmp_path)  # --d-a 12, tags opera, piano, acoustic, ...
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, init_params(ModelDims(d_t=16, d_h=16, d=8, d_a=12,
+                                                    hash_buckets=64), seed=1))
+        path = data / "test.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        assert json.loads(lines[0])["tags"][:3] == ["opera", "piano", "acoustic"]
+        lines[0] = json.dumps({**json.loads(lines[0]), **fields}) + "\n"
+        path.write_text("".join(lines))
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--eval-seed", "9", "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: {problem}\n"
+        assert not (tmp_path / "e").exists()
+
     def test_checkpoint_without_dims_is_usage_error(self, tmp_path, capsys):
         data, ckpt = self._trained(tmp_path)
         head, rest = ckpt.read_bytes().split(b"\n", 1)

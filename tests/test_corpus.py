@@ -553,6 +553,48 @@ def test_header_field_of_wrong_json_type_is_parse_error(tmp_path, key_path, lite
     assert err.value.line_number == 1
 
 
+# header edits of the toy split (tags drums, electronic, cello, bass, trumpet,
+# jazz) that leave two mentions the text encoder cannot tell apart, or one
+# with no token
+INDISTINCT_MENTIONS = {
+    "negators of punctuation": (
+        {"negators": ["!!!", "...", "?"]},
+        "tag 'drums' and tag 'drums' under negator '!!!' both tokenize to ['drums']"),
+    "negators differing in case": (
+        {"negators": ["not", "Not!"]},
+        "tag 'drums' under negator 'not' and tag 'drums' under negator 'Not!' both "
+        "tokenize to ['not', 'drums']"),
+    "repeated tag": (
+        {"tags": ["drums", "electronic", "cello", "bass", "drums", "jazz"]},
+        "tag 'drums' and tag 'drums' both tokenize to ['drums']"),
+    "tags differing in case": (
+        {"tags": ["drums", "DRUMS", "cello", "bass", "trumpet", "jazz"]},
+        "tag 'drums' and tag 'DRUMS' both tokenize to ['drums']"),
+    "tag of punctuation": (
+        {"tags": ["drums", "electronic", "...", "bass", "trumpet", "jazz"]},
+        "tag '...' tokenizes to nothing"),
+    "tag holding a negated mention": (
+        {"tags": ["no cello", "electronic", "cello", "bass", "trumpet", "jazz"]},
+        "tag 'no cello' and tag 'cello' under negator 'no' both tokenize to ['no', 'cello']"),
+}
+
+
+@pytest.mark.parametrize("case", INDISTINCT_MENTIONS)
+def test_indistinct_mentions_are_validation_error(tmp_path, case):
+    fields, problem = INDISTINCT_MENTIONS[case]
+    lines = toy_lines(tmp_path)
+    header = json.loads(lines[0])
+    assert header["tags"] == ["drums", "electronic", "cello", "bass", "trumpet", "jazz"]
+    lines[0] = json.dumps({**header, **fields}) + "\n"
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(lines))
+    with pytest.raises(DatasetValidationError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}: {problem}"
+    assert augment(path, tmp_path / "out.jsonl") == (1, f"error: {path}: {problem}\n")
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 @pytest.mark.parametrize("d_a", [0, -1])
 def test_header_without_feature_width_is_parse_error(tmp_path, d_a):
     # a record's features must then be [], so every clip would embed to zero
