@@ -19,7 +19,6 @@ from .corpus import (
     generate_dataset,
     generate_vocabulary,
     load_dataset,
-    render_caption,
     save_dataset,
     split_dataset,
     tokenize,
@@ -31,8 +30,6 @@ from .evaluation import (
     TripletReport,
     build_eval_variants,
     embed_eval_variants,
-    map_at_10,
-    recall_at_k,
     retrieval_protocol,
     triplet_protocol,
 )

@@ -9,6 +9,7 @@ I/O error, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -113,21 +114,25 @@ def _cmd_augment(args) -> int:
     # purpose; no command reads them back, only
     # load_dataset(..., check_tag_consistency=False) does
     dataset = corpus.load_dataset(args.data)
-    table = model.TokenTable(dataset.vocabulary)
-    slots, skipped = negation.edit_ids(args.op, table.slots([c for _, c in dataset.pairs]),
-                                       table, args.p_aug, seeded_rng(args.seed, 0))
-    new_pairs = tuple((clip, caption)
-                      for (clip, _), caption in zip(dataset.pairs, table.captions(slots)))
+    captions, skipped = negation.edit_ids(
+        args.op, dataset.captions, model.TokenTable(dataset.vocabulary, dataset.words),
+        args.p_aug, seeded_rng(args.seed, 0))
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    corpus.save_dataset(corpus.Dataset(dataset.vocabulary, new_pairs, dataset.split,
-                                       dataset.features), args.out)
-    print(f"wrote {len(new_pairs)} pairs to {args.out}" +
+    corpus.save_dataset(dataclasses.replace(dataset, captions=captions), args.out)
+    print(f"wrote {len(dataset)} pairs to {args.out}" +
           (f" ({skipped} items had no unused tag)" if skipped else ""))
     return 0
 
 
 def _load_split_dir(data: Path) -> tuple[corpus.Dataset, corpus.Dataset]:
-    return (corpus.load_dataset(data / TRAIN_FILE), corpus.load_dataset(data / TEST_FILE))
+    """The splits in ``data``, refused naming both files unless ``check_splits`` passes."""
+    paths = (data / TRAIN_FILE, data / TEST_FILE)
+    train_ds, test_ds = map(corpus.load_dataset, paths)
+    try:
+        corpus.check_splits(train_ds, test_ds)
+    except ValueError as e:
+        raise ValueError(f"{paths[0]} and {paths[1]}: {e}") from e
+    return train_ds, test_ds
 
 
 def _check_out_dir(out: Path) -> None:
@@ -191,9 +196,8 @@ def _cmd_sweep(args) -> int:
         epochs = min(epochs, _QUICK_EPOCHS)
         p_aug_grid = training.QUICK_P_AUG_GRID
         k_grid = training.QUICK_K_GRID
-        if len(train_ds.pairs) > _QUICK_TRAIN_PAIRS:
-            train_ds = corpus.Dataset(train_ds.vocabulary, train_ds.pairs[:_QUICK_TRAIN_PAIRS],
-                                      train_ds.split, train_ds.features[:_QUICK_TRAIN_PAIRS])
+        if len(train_ds) > _QUICK_TRAIN_PAIRS:
+            train_ds = train_ds.slice(0, _QUICK_TRAIN_PAIRS)
     configs = training.sweep_configs(args.seed, p_aug_grid, k_grid, args.batch_size,
                                      epochs, args.lr)
     rows = training.sweep(train_ds, test_ds, configs, eval_seed=args.eval_seed)

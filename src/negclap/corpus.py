@@ -1,18 +1,22 @@
-"""Synthetic tag-grounded corpus: vocabulary, captions, audio clips, JSONL persistence.
+"""Synthetic tag-grounded corpus: vocabulary, captions as kinds, JSONL persistence.
 
 A clip is a noisy sum of per-tag latent unit directions; its caption is a
-templated token sequence mentioning exactly the clip's tags.  Captions are
-kept structured (word tokens vs. tag mentions) so that negation operations
-can manipulate tag mentions without string surgery; rendering to a flat
-string happens only at encoding time.
+templated token sequence mentioning exactly the clip's tags.  A dataset
+holds its pairs as columns, and each caption as a row of kinds: a kind is a
+tag's mention under a given negator (or none), or a word.  Negation edits
+are then edits of kinds, without string surgery; rendering to text happens
+only at encoding time.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterator, Sequence, Union
 
@@ -76,6 +80,12 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.surfaces)
 
+    @cached_property
+    def mention_tokens(self) -> tuple[tuple[str, ...], ...]:
+        """The tokens of every mention kind's text, in kind order (see ``Dataset``)."""
+        return tuple(tuple(tokenize(s if n is None else f"{n} {s}"))
+                     for s in self.surfaces for n in (None, *self.negators))
+
 
 @dataclass(frozen=True)
 class Word:
@@ -92,12 +102,9 @@ class TagMention:
         return self.negator is not None
 
 
-CaptionToken = Union[Word, TagMention]
-
-
 @dataclass(frozen=True)
 class Caption:
-    tokens: tuple[CaptionToken, ...]
+    tokens: tuple[Union[Word, TagMention], ...]
 
     def mentions(self) -> tuple[TagMention, ...]:
         return tuple(t for t in self.tokens if isinstance(t, TagMention))
@@ -114,30 +121,104 @@ class AudioClip:
     tag_ids: frozenset[int]
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, AudioClip):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.tag_ids == other.tag_ids
-            and np.array_equal(self.features, other.features)
-        )
+        return (isinstance(other, AudioClip) and self.id == other.id
+                and self.tag_ids == other.tag_ids and np.array_equal(self.features, other.features))
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Paired clips and captions of one split.
+def _starts(lens: np.ndarray) -> np.ndarray:
+    return np.cumsum(lens) - lens
 
-    ``features`` is the ``(n, d_a)`` matrix whose row i is pair i's clip
-    features; ``generate_dataset`` and ``load_dataset`` make every clip's
-    features a row view of it, and ``split_dataset`` slices it.
-    """
-    vocabulary: Vocabulary
-    pairs: tuple[tuple[AudioClip, Caption], ...]
-    split: str  # "train" | "test"
-    features: np.ndarray = field(repr=False, compare=False)
+
+def _spans(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Flat indices of the ranges [starts[i], starts[i] + lens[i]), concatenated in order."""
+    ends = np.cumsum(lens)
+    # int32 positions index faster; no flat column comes near 2**31 entries
+    shift = (starts - ends + lens).astype(np.int32)
+    return np.repeat(shift, lens) + np.arange(ends[-1] if len(ends) else 0, dtype=np.int32)
+
+
+@dataclass(frozen=True, eq=False)
+class TokenIds:
+    """Rows of integers in CSR form (captions as kinds, or clips' tag ids): ``ids``
+    holds every row's entries, row after row, and ``lens`` each row's count."""
+    ids: np.ndarray
+    lens: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.lens)
+
+    def take(self, rows: np.ndarray) -> "TokenIds":
+        """The rows at ``rows``, in that order."""
+        lens = self.lens[rows]
+        return TokenIds(self.ids[_spans(_starts(self.lens)[rows], lens)], lens)
+
+    @staticmethod
+    def concat(parts: Sequence["TokenIds"]) -> "TokenIds":
+        """The rows of ``parts``, one part after another."""
+        return TokenIds(np.concatenate([p.ids for p in parts]),
+                        np.concatenate([p.lens for p in parts]))
+
+    def rows(self) -> np.ndarray:
+        """The row of every entry."""
+        return np.repeat(np.arange(len(self)), self.lens)
+
+    def insert(self, rows: np.ndarray, at: np.ndarray, values: np.ndarray) -> "TokenIds":
+        """Row ``rows[j]`` with ``values[j]`` inserted before its entry at ``at[j]``.
+
+        ``rows`` is strictly increasing.  A value at the end of a row goes
+        before one at the start of the next, so it stays in its row.
+        """
+        lens = self.lens.copy()
+        lens[rows] += 1
+        return TokenIds(np.insert(self.ids, _starts(self.lens)[rows] + at, values), lens)
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Paired clips and captions of one split, as columns.
+
+    Row i of each column is pair i: its clip id, its clip's tag ids in
+    ascending order, its clip features and its caption as kinds.  With N
+    negators, kind t * (1 + N) is tag t's plain mention and kind
+    t * (1 + N) + 1 + n its mention under negator n; one kind per entry of
+    ``words`` follows the mention kinds.
+    """
+    vocabulary: Vocabulary
+    split: str  # "train" | "test"
+    ids: np.ndarray
+    tags: TokenIds
+    features: np.ndarray
+    words: tuple[str, ...]
+    captions: TokenIds
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Dataset) and self.vocabulary == other.vocabulary
+                and self.split == other.split and self.pairs == other.pairs)
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[AudioClip, Caption], ...]:
+        """The pairs as objects, decoded when first read: each clip's features are a
+        row view of ``features``, and each kind is one shared token object."""
+        vocab = self.vocabulary
+        tokens = [TagMention(t, n) for t in range(len(vocab)) for n in (None, *vocab.negators)]
+        tokens += map(Word, self.words)
+        kinds, tags = self.captions.ids.tolist(), self.tags.ids.tolist()
+        return tuple(
+            (AudioClip(id=i, features=row, tag_ids=frozenset(tags[a:a + m])),
+             Caption(tuple(map(tokens.__getitem__, kinds[b:b + n]))))
+            for i, row, a, m, b, n in zip(
+                self.ids.tolist(), self.features, _starts(self.tags.lens).tolist(),
+                self.tags.lens.tolist(), _starts(self.captions.lens).tolist(),
+                self.captions.lens.tolist()))
+
+    def slice(self, start: int, stop: int, split: str | None = None) -> "Dataset":
+        """Pairs ``start`` to ``stop``, in ``split`` (this one's by default)."""
+        rows = np.arange(start, stop)
+        return Dataset(self.vocabulary, split or self.split, self.ids[rows], self.tags.take(rows),
+                       self.features[start:stop], self.words, self.captions.take(rows))
 
 
 def generate_vocabulary(n_tags: int, rng_seed: int) -> Vocabulary:
@@ -179,26 +260,24 @@ _TEMPLATES: tuple[tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]], ...]
 )
 
 
-# Tokens are immutable, so every templated caption shares these Word objects.
-_TEMPLATE_WORDS = tuple(
-    tuple(tuple(Word(w) for w in part) for part in template) for template in _TEMPLATES
-)
-_AND = Word("and")
+# the templates' words, then "and": the word kinds of a generated dataset
+_TEMPLATE_WORDS = (*dict.fromkeys(w for t in _TEMPLATES for part in t for w in part), "and")
 
 
-def _templated_caption(mentions: Sequence[TagMention], template_index: int) -> Caption:
-    """Template ``template_index`` (cycled) over the given mentions, in order."""
-    if not mentions:
+@lru_cache(maxsize=None)
+def _template(template_index: int, n_mentions: int) -> tuple[int, ...]:
+    """Template ``template_index`` (cycled) over ``n_mentions`` mentions, as a layout:
+    ``_TEMPLATE_WORDS[j]`` as j and mention m as -1 - m."""
+    if n_mentions < 1:
         raise ValueError("a caption needs at least one tag")
-    prefix, mid, suffix = _TEMPLATE_WORDS[template_index % len(_TEMPLATE_WORDS)]
-    toks: list[CaptionToken] = [*prefix, mentions[0]]
-    if len(mentions) > 1:
-        toks += mid
-        toks.append(mentions[1])
-        for m in mentions[2:]:
-            toks += (_AND, m)
-    toks += suffix
-    return Caption(tokens=tuple(toks))
+    prefix, mid, suffix = (tuple(map(_TEMPLATE_WORDS.index, part))
+                           for part in _TEMPLATES[template_index % len(_TEMPLATES)])
+    layout = (*prefix, -1)
+    if n_mentions > 1:
+        layout += (*mid, -2)
+        for m in range(2, n_mentions):
+            layout += (len(_TEMPLATE_WORDS) - 1, -1 - m)
+    return layout + suffix
 
 
 def generate_dataset(
@@ -236,60 +315,68 @@ def generate_dataset(
     for _ in range(n_clips):
         n_tags = int(tag_rng.integers(lo, hi + 1))
         chosen.append(tag_rng.choice(n_vocab, size=n_tags, replace=False).tolist())
+    lens = np.fromiter(map(len, chosen), np.intp, n_clips)
+    # each clip's tags in draw order, padded with n_vocab
+    drawn = np.full((n_clips, hi), n_vocab)
+    drawn[np.arange(hi) < lens[:, None]] = list(itertools.chain.from_iterable(chosen))
 
     # A clip's base adds its tags' directions in draw order, as
     # ``directions[tags].sum(axis=0)`` does, then divides by
     # ``np.linalg.norm``, which is sqrt(dot(base, base)).
     directions = tag_directions(n_vocab, d_a, rng_seed)
-    bases = directions[[tags[0] for tags in chosen]]
+    bases = directions[drawn[:, 0]]
     for j in range(1, hi):
-        rows = [i for i, tags in enumerate(chosen) if len(tags) > j]
-        bases[rows] += directions[[chosen[i][j] for i in rows]]
+        rows = np.flatnonzero(lens > j)
+        bases[rows] += directions[drawn[rows, j]]
     norms = np.sqrt([base.dot(base) for base in bases])
     bases /= np.maximum(norms, 1e-12)[:, None]
     # The noise stream serves only the noise, so one draw equals the
     # per-clip draws in clip order.
     noise = seeded_rng(rng_seed, _NOISE_STREAM).normal(size=(n_clips, d_a))
     features = bases + noise_sigma * noise
-    # a clip whose squared norm is below the smallest normal float64 has no
-    # direction an audio embedding can normalize: the zero-bias tower maps it
-    # to an output whose squared norm underflows to zero
-    weak = np.einsum("ij,ij->i", features, features) < np.finfo(np.float64).tiny
-    if weak.any():
-        raise ValueError(f"clip {int(np.argmax(weak))} has features too close to zero to "
-                         "normalize: its tags' latent directions cancel and noise_sigma "
-                         "adds (almost) nothing")
+    weak = _weak_rows(features)
+    if len(weak):
+        raise ValueError(f"clip {weak[0]} has features too close to zero to normalize: its "
+                         "tags' latent directions cancel and noise_sigma adds (almost) nothing")
 
-    mentions = [TagMention(t) for t in range(n_vocab)]
-    pairs = tuple(
-        (AudioClip(id=i, features=features[i], tag_ids=frozenset(tags)),
-         _templated_caption([mentions[t] for t in tags], template_index=i))
-        for i, tags in enumerate(chosen)
-    )
-    return Dataset(vocab, pairs, "train", features)
+    stride = 1 + len(vocab.negators)
+    captions = [[n_vocab * stride + k if k >= 0 else tags[-1 - k] * stride
+                 for k in _template(i % len(_TEMPLATES), len(tags))]
+                for i, tags in enumerate(chosen)]
+    kinds = TokenIds(np.fromiter(itertools.chain.from_iterable(captions), np.intp),
+                     np.fromiter(map(len, captions), np.intp, n_clips))
+    tags = TokenIds(np.sort(drawn, axis=1)[np.arange(hi) < lens[:, None]], lens)
+    return Dataset(vocab, "train", np.arange(n_clips), tags, features, _TEMPLATE_WORDS, kinds)
+
+
+def _weak_rows(features: np.ndarray) -> np.ndarray:
+    """The rows whose squared norm is below the smallest normal float64: no audio
+    embedding can normalize them, as the zero-bias tower maps them to an output
+    whose squared norm underflows to zero."""
+    with np.errstate(over="ignore"):
+        squares = np.einsum("ij,ij->i", features, features)
+    return np.flatnonzero(squares < np.finfo(np.float64).tiny)
 
 
 def split_dataset(dataset: Dataset, n_test: int) -> tuple[Dataset, Dataset]:
     """Partition into a train head and test tail (clips are iid by construction)."""
-    if not 0 < n_test < len(dataset.pairs):
-        raise ValueError(f"n_test must be in (0, {len(dataset.pairs)}), got {n_test}")
-    matrix = dataset.features
-    train = Dataset(dataset.vocabulary, dataset.pairs[:-n_test], "train", matrix[:-n_test])
-    test = Dataset(dataset.vocabulary, dataset.pairs[-n_test:], "test", matrix[-n_test:])
-    return train, test
+    n = len(dataset)
+    if not 0 < n_test < n:
+        raise ValueError(f"n_test must be in (0, {n}), got {n_test}")
+    return dataset.slice(0, n - n_test, "train"), dataset.slice(n - n_test, n, "test")
 
 
-def render_token(tok: CaptionToken, vocab: Vocabulary) -> str:
-    """One caption token as text: a word verbatim, a mention as ``[negator] surface``."""
-    if isinstance(tok, Word):
-        return tok.text
-    surface = vocab.surfaces[tok.tag_id]
-    return surface if tok.negator is None else f"{tok.negator} {surface}"
-
-
-def render_caption(caption: Caption, vocab: Vocabulary) -> str:
-    """Flat lowercase string: the rendered tokens joined by single spaces."""
-    return " ".join([render_token(tok, vocab) for tok in caption.tokens])
+def check_splits(train: Dataset, test: Dataset) -> None:
+    """Raise ValueError unless the splits share their vocabulary and width, and no id."""
+    if train.vocabulary != test.vocabulary:
+        raise ValueError("the train and test splits have different vocabularies")
+    if test.features.shape[1] != train.features.shape[1]:
+        raise ValueError(f"the test split's clip features have width {test.features.shape[1]}, "
+                         f"the train split's {train.features.shape[1]}")
+    shared = np.intersect1d(train.ids, test.ids)
+    if len(shared):
+        raise ValueError(f"the train and test splits share {len(shared)} clip ids, the "
+                         f"smallest {shared[0]}")
 
 
 def tokenize(rendered: str) -> list[str]:
@@ -310,22 +397,28 @@ def _check_mentions_distinct(vocab: Vocabulary) -> None:
     mention gives.
     """
     seen: dict[tuple[str, ...], str] = {}
-    for tag_id, surface in enumerate(vocab.surfaces):
-        for negator in (None, *vocab.negators):
-            entry = f"tag {surface!r}"
-            if negator is not None:
-                entry += f" under negator {negator!r}"
-            tokens = tuple(tokenize(render_token(TagMention(tag_id, negator), vocab)))
-            if not tokens:
-                raise DatasetValidationError(f"{entry} tokenizes to nothing")
-            if tokens in seen:
-                raise DatasetValidationError(
-                    f"{seen[tokens]} and {entry} both tokenize to {list(tokens)}")
-            seen[tokens] = entry
+    for kind, tokens in enumerate(vocab.mention_tokens):
+        tag, negator = divmod(kind, 1 + len(vocab.negators))
+        entry = f"tag {vocab.surfaces[tag]!r}"
+        if negator:
+            entry += f" under negator {vocab.negators[negator - 1]!r}"
+        if not tokens:
+            raise DatasetValidationError(f"{entry} tokenizes to nothing")
+        if tokens in seen:
+            raise DatasetValidationError(
+                f"{seen[tokens]} and {entry} both tokenize to {list(tokens)}")
+        seen[tokens] = entry
 
 
-def validate_dataset(dataset: Dataset, check_tag_consistency: bool = True) -> None:
-    """Raise DatasetValidationError naming the first violated invariant."""
+def validate_dataset(dataset: Dataset, check_tag_consistency: bool = True, *,
+                     bad_mention: tuple[int, str] | None = None) -> None:
+    """Raise DatasetValidationError naming the first violated invariant.
+
+    The vocabulary and split come first, then the pairs, checked with
+    arrays: the fault of the earliest pair is reported, within it the first
+    check listed below.  ``bad_mention`` is ``(pair, message)`` of the first
+    mention outside the vocabulary that ``load_dataset`` met.
+    """
     vocab = dataset.vocabulary
     n_tags = len(vocab)
     if n_tags < 2:
@@ -337,54 +430,44 @@ def validate_dataset(dataset: Dataset, check_tag_consistency: bool = True) -> No
     _check_mentions_distinct(vocab)
     if dataset.split not in ("train", "test"):
         raise DatasetValidationError(f"unknown split {dataset.split!r}")
-    matrix = dataset.features
-    if matrix.ndim != 2 or len(matrix) != len(dataset.pairs):
+    matrix, n = dataset.features, len(dataset)
+    if matrix.ndim != 2 or len(matrix) != n:
         raise DatasetValidationError(
-            f"feature matrix of shape {matrix.shape} does not hold one row per pair "
-            f"({len(dataset.pairs)} pairs)")
+            f"feature matrix of shape {matrix.shape} does not hold one row per pair ({n} pairs)")
 
-    seen_ids: set[int] = set()
-    d_a = matrix.shape[1]
-    finite = np.isfinite(matrix).all(axis=1).tolist()
-    for (clip, caption), is_finite in zip(dataset.pairs, finite):
-        if clip.id in seen_ids:
-            raise DatasetValidationError(f"duplicate clip id {clip.id}")
-        seen_ids.add(clip.id)
-        if clip.features.shape != (d_a,):
-            raise DatasetValidationError(
-                f"clip {clip.id}: feature dimension {clip.features.shape} != ({d_a},)"
-            )
-        if not is_finite:
-            raise DatasetValidationError(f"clip {clip.id}: features must be finite")
-        if not clip.tag_ids:
-            raise DatasetValidationError(f"clip {clip.id}: tag set must be nonempty")
-        if min(clip.tag_ids) < 0 or max(clip.tag_ids) >= n_tags:
-            raise DatasetValidationError(f"clip {clip.id}: tag id out of range")
-        mentions = caption.mentions()
-        if not mentions:
-            raise DatasetValidationError(f"clip {clip.id}: caption has no tag mention")
-        plain = []
-        for m in mentions:
-            if not 0 <= m.tag_id < n_tags:
-                raise DatasetValidationError(f"clip {clip.id}: caption tag id out of range")
-            if m.negator is None:
-                plain.append(m.tag_id)
-            elif m.negator not in vocab.negators:
-                raise DatasetValidationError(
-                    f"clip {clip.id}: negator {m.negator!r} not in vocabulary"
-                )
-        if len(set(plain)) != len(plain):
-            raise DatasetValidationError(f"clip {clip.id}: repeated non-negated tag mention")
-        if check_tag_consistency and frozenset(plain) != clip.tag_ids:
-            raise DatasetValidationError(
-                f"clip {clip.id}: non-negated caption tags != clip tags"
-            )
-
-
-def _token_to_json(tok: CaptionToken) -> dict:
-    if isinstance(tok, Word):
-        return {"w": tok.text}
-    return {"t": tok.tag_id, "neg": tok.negator}
+    ids, tags, kinds = dataset.ids, dataset.tags, dataset.captions
+    stride = 1 + len(vocab.negators)
+    mention = kinds.ids < n_tags * stride
+    plain = mention & (kinds.ids % stride == 0)
+    # (pair, tag) as one key, the tag shifted by one so that a tag of -1 stays in its pair
+    plain_keys = np.sort(kinds.rows()[plain] * (n_tags + 1) + kinds.ids[plain] // stride + 1)
+    by_id = np.argsort(ids, kind="stable")
+    checks = [  # (failing pairs, message)
+        (by_id[1:][ids[by_id[1:]] == ids[by_id[:-1]]], "duplicate clip id"),
+        (np.flatnonzero(~np.isfinite(matrix).all(axis=1)), "features must be finite"),
+        (_weak_rows(matrix), "features too close to zero to normalize"),
+        (np.flatnonzero(tags.lens == 0), "tag set must be nonempty"),
+        (tags.rows()[(tags.ids < 0) | (tags.ids >= n_tags)], "tag id out of range"),
+        (np.flatnonzero(np.bincount(kinds.rows()[mention], minlength=n) == 0),
+         "caption has no tag mention"),
+        ([bad_mention[0]] if bad_mention else [], bad_mention and bad_mention[1]),
+        (plain_keys[1:][plain_keys[1:] == plain_keys[:-1]] // (n_tags + 1),
+         "repeated non-negated tag mention"),
+    ]
+    if check_tag_consistency:
+        clip_keys = np.sort(tags.rows() * (n_tags + 1) + tags.ids + 1)
+        # both sorted, so the first place they differ lies in the first pair whose sets differ
+        m = min(len(clip_keys), len(plain_keys))
+        at = np.flatnonzero(clip_keys[:m] != plain_keys[:m])[:1]
+        first = (np.minimum(clip_keys[at], plain_keys[at]) if len(at)
+                 else np.concatenate((clip_keys[m:m + 1], plain_keys[m:m + 1])))
+        checks.append((first // (n_tags + 1), "non-negated caption tags != clip tags"))
+    faults = [(int(np.min(rows)), i) for i, (rows, _) in enumerate(checks) if len(rows)]
+    if faults:
+        row, i = min(faults)
+        message = checks[i][1]
+        raise DatasetValidationError(f"{message} {ids[row]}" if i == 0
+                                     else f"clip {ids[row]}: {message}")
 
 
 # Rows per orjson call in _feature_texts: few enough that a chunk's text
@@ -416,47 +499,36 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write the JSONL layout: a header line, then one pair per line.
 
     Features are written with the shortest digits that round-trip, as
-    ``json.dumps`` writes them, so load(save(d)) == d.  Raises
-    ``ValueError`` naming the clip, before the file is opened, when a
-    feature is not finite, since JSON has no such number and
-    ``load_dataset`` would refuse the file.
+    ``json.dumps`` writes them, so load(save(d)) == d.  Each kind's JSON is
+    rendered once.  Raises ``ValueError`` naming the clip, before the file
+    is opened, when a feature is not finite, since JSON has no such number
+    and ``load_dataset`` would refuse the file.
     """
-    if not dataset.pairs:
+    if not len(dataset):
         raise ValueError("refusing to save an empty dataset")
     matrix = np.asarray(dataset.features, dtype=np.float64)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
-        clip = dataset.pairs[int(np.argmin(finite))][0]
-        raise ValueError(f"cannot save dataset {path}: clip {clip.id} has features "
-                         "that are not finite")
+        raise ValueError(f"cannot save dataset {path}: clip {dataset.ids[np.argmin(finite)]} "
+                         "has features that are not finite")
     vocab = dataset.vocabulary
-    d_a = int(matrix.shape[1])
-    header = {
-        "format": DATASET_FORMAT,
-        "version": DATASET_VERSION,
-        "n_tags": len(vocab),
-        "d_a": d_a,
-        "negators": list(vocab.negators),
-        "tags": list(vocab.surfaces),
-        "split": dataset.split,
-    }
-    # Each token object's JSON is built once; the entry holds the token so
-    # that its id stays its own while the cache lives.
-    token_json: dict[int, tuple[CaptionToken, str]] = {}
+    header = {"format": DATASET_FORMAT, "version": DATASET_VERSION, "n_tags": len(vocab),
+              "d_a": int(matrix.shape[1]), "negators": list(vocab.negators),
+              "tags": list(vocab.surfaces), "split": dataset.split}
+    kind_json = [json.dumps({"t": t, "neg": n})
+                 for t in range(len(vocab)) for n in (None, *vocab.negators)]
+    kind_json += [json.dumps({"w": w}) for w in dataset.words]
+    tokens = list(map(kind_json.__getitem__, dataset.captions.ids.tolist()))
+    tags = list(map(str, dataset.tags.ids.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(json.dumps(header) + "\n")
-        for (clip, caption), features in zip(dataset.pairs, _feature_texts(matrix)):
-            tokens = []
-            for tok in caption.tokens:
-                entry = token_json.get(id(tok))
-                if entry is None:
-                    entry = token_json[id(tok)] = (tok, json.dumps(_token_to_json(tok)))
-                tokens.append(entry[1])
-            head = json.dumps({"id": clip.id, "tags": sorted(clip.tag_ids)})
-            # the bytes json.dumps writes with "features" and "caption" as the
-            # third and fourth keys
-            f.write(f'{head[:-1]}, "features": {features}, '
-                    f'"caption": [{", ".join(tokens)}]}}\n')
+        for clip_id, a, m, b, n, features in zip(
+                dataset.ids.tolist(), _starts(dataset.tags.lens).tolist(),
+                dataset.tags.lens.tolist(), _starts(dataset.captions.lens).tolist(),
+                dataset.captions.lens.tolist(), _feature_texts(matrix)):
+            # the bytes json.dumps writes for the record, keys in this order
+            f.write(f'{{"id": {clip_id}, "tags": [{", ".join(tags[a:a + m])}], '
+                    f'"features": {features}, "caption": [{", ".join(tokens[b:b + n])}]}}\n')
 
 
 # The strict-type rule: every field must hold the JSON type save_dataset
@@ -465,6 +537,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 # accepts exactly the JSON integers of that range.  A number that no
 # float64 holds (1e400) is a decode error.
 _NUMBER_TYPES = frozenset((int, float))
+_INTEGER_TYPE = frozenset((int,))
 
 
 def _integer(value: object, name: str) -> int:
@@ -485,24 +558,50 @@ def _list(value: object, name: str) -> list:
     return value
 
 
-def _token_from_json(obj: object, shared: dict) -> CaptionToken:
-    """Decode one caption token, reusing the equal token already in ``shared``."""
-    if type(obj) is not dict:
-        raise ValueError(f"caption token must be a JSON object, got {obj!r}")
-    if "w" in obj:
-        key = _string(obj["w"], "w")
-    elif "t" in obj:
-        neg = obj["neg"]
-        key = (_integer(obj["t"], "t"), None if neg is None else _string(neg, "neg"))
-    else:
-        raise ValueError(f"unrecognized caption token {obj!r}")
-    tok = shared.get(key)
-    if tok is None:
-        tok = shared[key] = (
-            Word(key) if type(key) is str
-            else TagMention(*key)
-        )
-    return tok
+class _KindReader:
+    """Caption tokens read from decoded JSON as kinds of a vocabulary (see ``Dataset``).
+
+    Each distinct token is checked and given its kind once: a token seen
+    before is looked up by its JSON, as orjson writes it, so that a bool or
+    a float never passes for an equal integer.  Words get kinds in order of
+    first appearance.  A mention outside the vocabulary has no kind: kind 0
+    stands in, and the first is kept in ``bad_mention`` as (pair, message).
+    """
+
+    def __init__(self, vocab: Vocabulary):
+        self.vocab, self.stride = vocab, 1 + len(vocab.negators)
+        self.words: dict[str, int] = {}
+        self.known: dict[bytes, int] = {}  # a checked token's JSON -> its kind
+        self.bad_mention: tuple[int, str] | None = None
+
+    def kinds(self, caption: list, pair: int) -> list[int]:
+        try:
+            return list(map(self.known.__getitem__, map(orjson.dumps, caption)))
+        except (KeyError, TypeError):  # a token not seen before, or none orjson can write
+            return [self._kind(token, pair) for token in caption]
+
+    def _kind(self, token: object, pair: int) -> int:
+        if type(token) is not dict:
+            raise ValueError(f"caption token must be a JSON object, got {token!r}")
+        if "w" in token:
+            text = _string(token["w"], "w")
+            kind = self.words.setdefault(text, len(self.vocab) * self.stride + len(self.words))
+        elif "t" in token:
+            negator, tag = token["neg"], _integer(token["t"], "t")
+            negators = (None, *self.vocab.negators)
+            if negator is not None:
+                _string(negator, "neg")
+            if not 0 <= tag < len(self.vocab) or negator not in negators:
+                self.bad_mention = self.bad_mention or (pair, (
+                    f"negator {negator!r} not in vocabulary" if 0 <= tag < len(self.vocab)
+                    else "caption tag id out of range"))
+                return 0
+            kind = tag * self.stride + negators.index(negator)
+        else:
+            raise ValueError(f"unrecognized caption token {token!r}")
+        with contextlib.suppress(TypeError):  # nested too deep for orjson in a key no kind reads
+            self.known[orjson.dumps(token)] = kind
+        return kind
 
 
 def _numbered_lines(f) -> Iterator[tuple[int, str]]:
@@ -538,12 +637,12 @@ def _parse_line(line: str, line_number: int) -> dict:
 def load_dataset(path: str | Path, check_tag_consistency: bool = True) -> Dataset:
     """Parse and validate a dataset file written by save_dataset.
 
-    The file is read line by line.  All clips' features go into one
-    ``(n, d_a)`` float64 matrix, and each clip holds a row view of it; equal
-    caption tokens are one shared object.  Every field must hold the JSON
-    type save_dataset writes, or DatasetParseError names the line; a file
-    with no pair record after its header is a DatasetValidationError.  Every
-    DatasetError it raises names ``path``.
+    The file is read line by line into ``Dataset``'s columns: all clips'
+    features go into one ``(n, d_a)`` float64 matrix, and the captions into
+    kinds, each distinct token checked once (see ``_KindReader``).  Every
+    field must hold the JSON type save_dataset writes, or DatasetParseError
+    names the line; a file with no pair record after its header is a
+    DatasetValidationError.  Every DatasetError it raises names ``path``.
     """
     try:
         return _read_dataset(path, check_tag_consistency)
@@ -579,10 +678,8 @@ def _read_dataset(path: str | Path, check_tag_consistency: bool) -> Dataset:
             raise DatasetParseError("header n_tags does not match tag list", line_number=1)
         vocab = Vocabulary(tuple(surfaces), negators)
 
-        ids: list[int] = []
-        tag_sets: list[frozenset[int]] = []
-        captions: list[Caption] = []
-        shared: dict = {}
+        reader = _KindReader(vocab)
+        ids, tags, tag_lens, kinds, kind_lens = [], [], [], [], []  # the columns, as lists
         rows = None  # (capacity, d_a) feature buffer, grown by doubling
         for line_number, line in lines:
             obj = _parse_line(line, line_number)
@@ -591,10 +688,11 @@ def _read_dataset(path: str | Path, check_tag_consistency: bool) -> Dataset:
                 features = _list(obj["features"], "features")
                 if not _NUMBER_TYPES.issuperset(map(type, features)):
                     raise ValueError("features must hold only JSON numbers")
-                tags = _list(obj["tags"], "tags")
-                tag_ids = frozenset(_integer(t, "tags[]") for t in tags)
-                tokens = tuple(
-                    _token_from_json(t, shared) for t in _list(obj["caption"], "caption"))
+                clip_tags = _list(obj["tags"], "tags")
+                if not _INTEGER_TYPE.issuperset(map(type, clip_tags)):
+                    for t in clip_tags:
+                        _integer(t, "tags[]")
+                caption = reader.kinds(_list(obj["caption"], "caption"), len(ids))
             except (KeyError, ValueError) as e:
                 raise DatasetParseError(f"bad pair record: {e}", line_number=line_number) from e
             if len(features) != d_a:
@@ -610,14 +708,24 @@ def _read_dataset(path: str | Path, check_tag_consistency: bool) -> Dataset:
                 rows.resize((2 * n, d_a), refcheck=False)  # no views exist yet
             rows[n] = features
             ids.append(clip_id)
-            tag_sets.append(tag_ids)
-            captions.append(Caption(tokens=tokens))
+            clip_tags = sorted(set(clip_tags))
+            if clip_tags and not 0 <= clip_tags[0] <= clip_tags[-1] < n_tags:
+                clip_tags = [-1]  # out of range, as validate_dataset reports; -1 fits an array
+            tags += clip_tags
+            tag_lens.append(len(clip_tags))
+            kinds += caption
+            kind_lens.append(len(caption))
 
     if rows is None:  # save_dataset refuses an empty dataset too
         raise DatasetValidationError("no pair records after the header")
     rows.resize((len(ids), d_a), refcheck=False)
-    pairs = tuple((AudioClip(id=i, features=row, tag_ids=t), c)
-                  for i, row, t, c in zip(ids, rows, tag_sets, captions))
-    dataset = Dataset(vocab, pairs, split, rows)
-    validate_dataset(dataset, check_tag_consistency)
+    try:
+        id_column = np.array(ids, dtype=np.int64)
+    except OverflowError:  # an id of 2**63 or more, which the file format allows
+        id_column = np.array(ids, dtype=object)
+    dataset = Dataset(vocab, split, id_column,
+                      TokenIds(np.array(tags, np.intp), np.array(tag_lens, np.intp)), rows,
+                      tuple(reader.words),
+                      TokenIds(np.array(kinds, np.intp), np.array(kind_lens, np.intp)))
+    validate_dataset(dataset, check_tag_consistency, bad_mention=reader.bad_mention)
     return dataset

@@ -52,7 +52,7 @@ class EvalVariantSet:
     """Per-pair caption variants as kinds, drawn once and shared across models.
 
     Row i of ``original``, ``half`` and ``fully`` belongs to test pair i, and
-    their ids are kinds of ``table`` (see ``TokenTable.slots``).  Nothing
+    their ids are kinds of ``table`` (see ``Dataset``).  Nothing
     here depends on a model's bucket count; ``embed_eval_variants`` maps the
     kinds to its buckets with ``table.ids``.
     """
@@ -103,8 +103,8 @@ def build_eval_variants(test_dataset: Dataset, eval_seed: int) -> EvalVariantSet
     for every model being compared.  They are ``draw_halves``' draws with
     the full negation's negators, applied to the captions' kinds.
     """
-    table = TokenTable(test_dataset.vocabulary)
-    source = table.slots([caption for _, caption in test_dataset.pairs])
+    table = TokenTable(test_dataset.vocabulary, test_dataset.words)
+    source = test_dataset.captions
     rng = seeded_rng(eval_seed, _VARIANTS_STREAM)
     mentions, half_negators, fully_negators = draw_halves(
         edit_counts(source, table)[0], len(table.vocab.negators), rng, with_fully=True)
@@ -142,32 +142,9 @@ def match_ranks(sim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out[0], out[1]
 
 
-def _direction_ranks(sim: np.ndarray, direction: str) -> np.ndarray:
-    if direction not in DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
-    return match_ranks(sim)[DIRECTIONS.index(direction)]
-
-
-def _recall_from_ranks(ranks: np.ndarray, k: int) -> float:
-    return float(np.mean(ranks <= k))
-
-
 def map10_from_ranks(ranks: np.ndarray) -> float:
     ap = np.where(ranks <= 10, 1.0 / ranks, 0.0)
     return float(ap.mean())
-
-
-def recall_at_k(sim: np.ndarray, k: int, direction: str) -> float:
-    """Fraction of queries whose matching item ranks within the top k."""
-    n = np.asarray(sim).shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
-    return _recall_from_ranks(_direction_ranks(sim, direction), k)
-
-
-def map_at_10(sim: np.ndarray, direction: str) -> float:
-    """Mean of 1/rank over queries whose match ranks within the top 10, else 0."""
-    return map10_from_ranks(_direction_ranks(sim, direction))
 
 
 def embed_eval_variants(params: ModelParams, test_dataset: Dataset,
@@ -178,7 +155,7 @@ def embed_eval_variants(params: ModelParams, test_dataset: Dataset,
     bucket ids here.  Every caption's embedding depends on its own rows
     alone, so it equals that of a pass per variant, bit for bit.
     """
-    if len(variants) != len(test_dataset.pairs):
+    if len(variants) != len(test_dataset):
         raise ValueError("variant set does not match the test set")
     audio, _ = encode_audio_batch(params, test_dataset.features)
     joined = TokenIds.concat([getattr(variants, v) for v in VARIANTS])
@@ -200,7 +177,7 @@ def retrieval_protocol(embeddings: EvalEmbeddings) -> RetrievalReport:
     for variant in VARIANTS:
         ranked = match_ranks(embeddings.audio @ getattr(embeddings, variant).T)
         for direction, ranks in zip(DIRECTIONS, ranked):
-            r_at_10[(variant, direction)] = _recall_from_ranks(ranks, 10)
+            r_at_10[(variant, direction)] = float(np.mean(ranks <= 10))
             if variant == "original":
                 map10[direction] = map10_from_ranks(ranks)
     return RetrievalReport(r_at_10=r_at_10, map_at_10=map10)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -24,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Caption, TagMention, Vocabulary, Word, render_token, tokenize
+from .corpus import Caption, TagMention, TokenIds, Vocabulary, _spans, _starts, tokenize
 from .seeding import seeded_rng
 
 CHECKPOINT_FORMAT = "negclap-ckpt"
@@ -256,18 +255,6 @@ _ID_DTYPE = np.int32
 # captions per chunk of ``TokenTable.ids``: their kinds expand into tokens and
 # their bigrams hash this many captions at a time
 _IDS_CHUNK = 1024
-_TOKENS = operator.attrgetter("tokens")
-
-
-def _spans(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Flat indices of the ranges [starts[i], starts[i] + lens[i]), concatenated in order."""
-    ends = np.cumsum(lens)
-    shift = (starts - ends + lens).astype(_ID_DTYPE)
-    return np.repeat(shift, lens) + np.arange(ends[-1] if len(ends) else 0, dtype=_ID_DTYPE)
-
-
-def _starts(lens: np.ndarray) -> np.ndarray:
-    return np.cumsum(lens) - lens
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,143 +281,57 @@ class CaptionIds:
             yield CaptionIds(self.rows[at[2 * a]:at[2 * b]], self.lens[2 * a:2 * b])
 
 
-@dataclass(frozen=True, eq=False)
-class TokenIds:
-    """Kinds of a sequence of captions, in CSR form.
-
-    ``ids`` holds the kind of every structured token (see
-    ``TokenTable.slots``), caption after caption, and ``lens`` each
-    caption's count of structured tokens.
-    """
-    ids: np.ndarray
-    lens: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.lens)
-
-    def take(self, rows: np.ndarray) -> "TokenIds":
-        """The captions at ``rows``, in that order."""
-        lens = self.lens[rows]
-        return TokenIds(self.ids[_spans(_starts(self.lens)[rows], lens)], lens)
-
-    @staticmethod
-    def concat(parts: Sequence["TokenIds"]) -> "TokenIds":
-        """The captions of ``parts``, one part after another."""
-        return TokenIds(np.concatenate([p.ids for p in parts]),
-                        np.concatenate([p.lens for p in parts]))
-
-    def rows(self) -> np.ndarray:
-        """The caption of every id."""
-        return np.repeat(np.arange(len(self)), self.lens)
-
-    def insert(self, rows: np.ndarray, at: np.ndarray, values: np.ndarray) -> "TokenIds":
-        """Caption ``rows[j]`` with ``values[j]`` inserted before its id at ``at[j]``.
-
-        ``rows`` is strictly increasing.  A value at the end of a caption
-        goes before one at the start of the next, so it stays in its caption.
-        """
-        lens = self.lens.copy()
-        lens[rows] += 1
-        return TokenIds(np.insert(self.ids, _starts(self.lens)[rows] + at, values), lens)
-
-
 class TokenTable:
-    """Captions over one vocabulary as kinds, and kinds as bucket ids.
+    """Captions as kinds of one vocabulary and word list, and kinds as bucket ids.
 
-    Each kind of structured caption token (a ``Word``, or a ``TagMention``
-    with its negator) gets a kind id when first seen, and is rendered and
-    tokenized once; each distinct token string gets a token id.  ``slots``
-    gives captions' structured tokens as kinds, and ``ids`` maps kinds to
-    bucket ids for any bucket count, so token ids never leave the table.
-    Expanding a caption's kinds into their tokens equals tokenizing the
-    rendered caption because ``render_caption`` joins the rendered tokens
-    with a space and ``tokenize`` splits on whitespace.  A negation edit is
-    therefore an edit of kinds: ``mention[t, 0]`` is the kind of tag t's
-    plain mention and ``mention[t, 1 + n]`` that of its mention negated by
-    the vocabulary's negator n, all made with the table.  ``captions`` maps
-    edited kinds back to captions.
+    The kinds are those of ``Dataset``: ``mention[t, 0]`` is tag t's plain
+    mention, ``mention[t, 1 + n]`` its mention under negator n, and the
+    kinds of ``words`` follow.  Each kind is tokenized, and each distinct
+    token hashed, once, when the table is made.  A caption's tokens are its
+    kinds' tokens in order, which equals tokenizing its text (its kinds'
+    texts joined by spaces) since ``tokenize`` splits on whitespace.
     """
 
-    def __init__(self, vocab: Vocabulary):
-        self.vocab = vocab
-        self._strings: list[str] = []
-        self._token_ids: dict[str, int] = {}
-        # per kind (keyed by a word's text, or a mention's tag and negator):
-        # its structured token, its token ids, its tag id (-1 for a word),
-        # whether it is plain
-        self._kinds: dict[object, int] = {}
-        self._structured: list[Word | TagMention] = []
-        self._pieces: list[tuple[int, ...]] = []
-        self._tags: list[int] = []
-        self._plain: list[bool] = []
-        negators = (None, *vocab.negators)
-        self.mention = np.array([self._kind(TagMention(t, n))
-                                 for t in range(len(vocab)) for n in negators],
-                                dtype=np.intp).reshape(len(vocab), len(negators))
-
-    def _token_id(self, token: str) -> int:
-        tid = self._token_ids.get(token)
-        if tid is None:
-            tid = self._token_ids[token] = len(self._strings)
-            self._strings.append(token)
-        return tid
-
-    def _kind(self, tok) -> int:
-        key = tok.text if isinstance(tok, Word) else (tok.tag_id, tok.negator)
-        kind = self._kinds.get(key)
-        if kind is None:
-            kind = self._kinds[key] = len(self._pieces)
-            self._structured.append(tok)
-            rendered = render_token(tok, self.vocab)
-            self._pieces.append(tuple(map(self._token_id, tokenize(rendered))))
-            word = isinstance(tok, Word)
-            self._tags.append(-1 if word else tok.tag_id)
-            self._plain.append(not word and tok.negator is None)
-        return kind
-
-    def slots(self, captions: Sequence[Caption]) -> TokenIds:
-        """The captions' structured tokens as kinds, in order."""
-        structured = list(itertools.chain.from_iterable(map(_TOKENS, captions)))
-        # every token object of the call is alive here, so its id() names it;
-        # captions share token objects, so few distinct ones need a lookup
-        kind_of = {key: self._kind(tok)
-                   for key, tok in dict(zip(map(id, structured), structured)).items()}
-        return TokenIds(np.fromiter(map(kind_of.__getitem__, map(id, structured)), np.intp,
-                                    len(structured)),
-                        np.fromiter(map(len, map(_TOKENS, captions)), np.intp, len(captions)))
-
-    def captions(self, slots: TokenIds) -> list[Caption]:
-        """Captions given as kinds, as ``Caption``s: each kind's structured token, in order."""
-        tokens = list(map(self._structured.__getitem__, slots.ids.tolist()))
-        return [Caption(tuple(tokens[a:a + n]))
-                for a, n in zip(_starts(slots.lens).tolist(), slots.lens.tolist())]
+    def __init__(self, vocab: Vocabulary, words: Sequence[str] = ()):
+        self.vocab, self.words = vocab, tuple(words)
+        stride = 1 + len(vocab.negators)
+        self.mention = np.arange(len(vocab) * stride).reshape(len(vocab), stride)
+        kind = np.arange(self.mention.size + len(self.words))
+        # per kind: its tag id (-1 for a word), and whether it is a plain mention
+        self._tag = np.where(kind < self.mention.size, kind // stride, -1)
+        self._plain = (self._tag >= 0) & (kind % stride == 0)
+        pieces = [*vocab.mention_tokens, *map(tokenize, self.words)]
+        strings = list(dict.fromkeys(itertools.chain.from_iterable(pieces)))
+        token_id = {token: i for i, token in enumerate(strings)}
+        self._kind_len = np.fromiter(map(len, pieces), np.intp, len(pieces))
+        self._kind_at = _starts(self._kind_len)
+        self._kind_ids = np.array([token_id[t] for piece in pieces for t in piece], np.int64)
+        self._columns, self._n_bytes = _utf8_columns(strings)
+        self._states = _hash_states(np.full(len(strings), _HASH_OFFSET, np.uint64),
+                                    self._columns, self._n_bytes)
+        # a bigram's hash runs on from its first token's state over the joining space
+        self._spaced = ((self._states ^ ord(" ")) * _HASH_MULTIPLIER) & 0xFFFFFFFF
 
     def tags(self, slots: TokenIds) -> tuple[np.ndarray, np.ndarray]:
         """Per slot: its kind's tag id (-1 for a word), and whether it is a plain mention."""
-        return np.array(self._tags, np.intp)[slots.ids], np.array(self._plain, bool)[slots.ids]
+        return self._tag[slots.ids], self._plain[slots.ids]
 
     def ids(self, slots: TokenIds, n_buckets: int) -> CaptionIds:
         """Bucket ids over ``n_buckets`` buckets of captions given as kinds.
 
         A caption's tokens are its kinds' tokens, in order.  A token's
-        unigram bucket is ``hash_bucket`` of its string, every string of the
-        table hashed at once as arrays.  The captions then go through in
-        chunks of ``_IDS_CHUNK``: a chunk's kinds expand into token ids, and
-        each adjacent pair's bigram bucket is that of the two strings joined
-        by a space, hashed once per distinct pair of the chunk: the first
-        token's state runs on over the space and the second token's bytes,
-        so no pair string is built.  Each chunk's unigram and bigram runs
-        are interleaved into the ``CaptionIds`` layout and written into the
-        output, sized in advance, so the temporaries stay per chunk.
+        unigram bucket is ``hash_bucket`` of its string.  The captions go
+        through in chunks of ``_IDS_CHUNK``: a chunk's kinds expand into
+        token ids, and each adjacent pair's bigram bucket is that of the two
+        strings joined by a space, hashed once per distinct pair of the
+        chunk: the first token's state runs on over the space and the
+        second token's bytes, so no pair string is built.  Each chunk's
+        unigram and bigram runs are interleaved into the ``CaptionIds``
+        layout and written into the output, sized in advance, so the
+        temporaries stay per chunk.
         """
-        kind_len = np.fromiter(map(len, self._pieces), np.intp, len(self._pieces))
-        kind_ids = np.fromiter(itertools.chain.from_iterable(self._pieces), np.int64)
-        kind_at = _starts(kind_len)
-        columns, n_bytes = _utf8_columns(self._strings)
-        states = _hash_states(np.full(len(n_bytes), _HASH_OFFSET, np.uint64), columns, n_bytes)
-        unigram = (states % n_buckets).astype(_ID_DTYPE)
-        # a bigram's hash runs on from its first token's state over the joining space
-        spaced = ((states ^ ord(" ")) * _HASH_MULTIPLIER) & 0xFFFFFFFF
+        kind_len, kind_ids, kind_at = self._kind_len, self._kind_ids, self._kind_at
+        unigram = (self._states % n_buckets).astype(_ID_DTYPE)
         # a caption's token count: the summed lengths of its kinds' pieces
         slot_at = np.concatenate(([0], np.cumsum(slots.lens)))
         token_end = np.concatenate(([0], np.cumsum(kind_len[slots.ids])))
@@ -449,7 +350,8 @@ class TokenTable:
             paired[ends[(chunk > 0) & (ends < len(paired))]] = False
             keys, inverse = np.unique(((t[:-1] << 32) | t[1:])[paired], return_inverse=True)
             first, second = keys >> 32, keys & 0xFFFFFFFF
-            buckets = _hash_states(spaced[first], columns[:, second], n_bytes[second])
+            buckets = _hash_states(self._spaced[first], self._columns[:, second],
+                                   self._n_bytes[second])
             buckets = (buckets % n_buckets).astype(_ID_DTYPE)
             # caption i's unigram run, then its bigram run in the table's second half
             runs = lens[2 * a:2 * b]
@@ -589,10 +491,26 @@ def encode_token_lists(params: ModelParams,
     return emb, TextBatchCache(ids.rows, ids.lens, counts, x, h, norms, emb)
 
 
+def caption_kinds(captions: Sequence[Caption],
+                  vocab: Vocabulary) -> tuple[TokenTable, TokenIds]:
+    """A table over ``vocab`` and the captions' words, and the captions as its kinds:
+    the route from ``Caption`` objects, such as ``Dataset.pairs`` holds, to ``ids``."""
+    stride = 1 + len(vocab.negators)
+    negator = {n: 1 + i for i, n in enumerate(vocab.negators)}
+    words: dict[str, int] = {}
+    kinds = [token.tag_id * stride + negator.get(token.negator, 0)
+             if isinstance(token, TagMention)
+             else len(vocab) * stride + words.setdefault(token.text, len(words))
+             for caption in captions for token in caption.tokens]
+    lens = [len(caption.tokens) for caption in captions]
+    return TokenTable(vocab, words), TokenIds(np.array(kinds, np.intp), np.array(lens, np.intp))
+
+
 def encode_text_batch(params: ModelParams, captions: Sequence[Caption],
                       vocab: Vocabulary) -> tuple[np.ndarray, TextBatchCache]:
-    table = TokenTable(vocab)
-    return encode_token_lists(params, table.ids(table.slots(captions), params.dims.hash_buckets))
+    """``encode_token_lists`` over ``Caption`` objects (see ``caption_kinds``)."""
+    table, slots = caption_kinds(captions, vocab)
+    return encode_token_lists(params, table.ids(slots, params.dims.hash_buckets))
 
 
 def encode_audio_batch(params: ModelParams,

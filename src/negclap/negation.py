@@ -1,6 +1,6 @@
 """Caption edits that introduce negation.
 
-Three edits over structured captions:
+Three edits over captions:
 
 * an insert adds one negated mention of a tag that is absent from the
   caption (training-time augmentation, with probability p_aug);
@@ -11,13 +11,11 @@ Three edits over structured captions:
 Each edit is a draw followed by an apply, so it is a deterministic function
 of (input, RNG state).  The draws (``draw_inserts``, ``draw_insert``,
 ``draw_halves``, ``draw_negators``) make every generator call.  The apply
-(``insert_ids``, ``negate_ids``) edits captions given as structured-token
-kinds (see ``TokenTable``): an insert puts one negated mention's kind into
-a caption's row of kinds, and a negation swaps a plain mention's kind for
-its negated kind, so no caption object is built per edit.
-``TokenTable.captions`` maps edited kinds back to captions where they are
-wanted (``edit_ids``, the edit ``negclap augment`` writes).  Mentions that
-are already negated are never touched, so negation never stacks.
+(``insert_ids``, ``negate_ids``) edits captions given as kinds (see
+``Dataset``): an insert puts one negated mention's kind into a caption's
+row of kinds, and a negation swaps a plain mention's kind for its negated
+kind, so no caption object is built per edit.  Mentions that are already
+negated are never touched, so negation never stacks.
 
 The negator draws of several mentions, or of several captions, are one
 ``rng.integers(0, n, size=m)`` call.  numpy fills it one value at a time
@@ -50,7 +48,7 @@ def draw_insert(n_slots: int, n_unused: int, n_negators: int,
     """An insert's draws: the gap, the unused tag and the negator, each uniform.
 
     The gap is one of the ``n_slots + 1`` positions around a caption's
-    structured tokens, and the tag an index into its unused tags in
+    kinds, and the tag an index into its unused tags in
     ascending order.  Raises AugmentationExhausted before any draw when no
     tag is unused.
     """
@@ -66,7 +64,7 @@ def draw_inserts(n_slots: Sequence[int], n_unused: Sequence[int], n_negators: in
                  ) -> tuple[list[tuple[int, int, int, int]], int]:
     """The insert augmentation's draws for a run of captions, caption by caption.
 
-    Caption i has ``n_slots[i]`` structured tokens and leaves ``n_unused[i]``
+    Caption i has ``n_slots[i]`` kinds and leaves ``n_unused[i]``
     vocabulary tags unused.  It gets an insert with probability ``p_aug``: a
     Bernoulli draw, then ``draw_insert``'s draws when it succeeds.  Returns
     ``(i, gap, unused tag, negator)`` per insert, and the number of captions

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Dataset
+from .corpus import Dataset, check_splits
 from .evaluation import (
     RetrievalReport,
     TripletReport,
@@ -213,7 +213,7 @@ def make_batches(dataset: Dataset, batch_size: int, epoch_seed: int) -> list[np.
 
     The shuffle is exactly np.random.default_rng(epoch_seed).permutation(n).
     """
-    n = len(dataset.pairs)
+    n = len(dataset)
     if not 1 <= batch_size <= n:
         raise ValueError(f"batch_size must lie in [1, {n}], got {batch_size}")
     perm = np.random.default_rng(epoch_seed).permutation(n)
@@ -250,8 +250,8 @@ def plan_epoch(slots: TokenIds, order: np.ndarray, config: TrainConfig, table: T
                n_buckets: int, rng: np.random.Generator) -> EpochPlan:
     """Draw one epoch's caption edits and apply them to the captions' kinds.
 
-    ``slots`` holds the run's original captions as kinds of ``table`` (see
-    ``TokenTable.slots``), made once per run.  ``order`` lists the pair
+    ``slots`` holds the run's original captions as kinds of ``table``
+    (``Dataset.captions``).  ``order`` lists the pair
     index of every item, whole batches in step order; ``ValueError`` is
     raised before any draw when it does not.  The draws come from ``rng`` in
     the order a step makes them.  Per step, the B items pass through the
@@ -331,28 +331,20 @@ def train(
 
     Each epoch's inputs are planned before its first step (see
     ``plan_epoch``).  Raises ``ValueError`` before the first step when the
-    splits share clip ids or differ in clip-feature width, and naming the
-    condition, epoch and step at the first step whose loss, or an embedding
-    norm, is not finite.
+    splits do not go together (``check_splits``), and naming the condition,
+    epoch and step at the first step whose loss, or an embedding norm, is
+    not finite.
     """
-    train_ids = {clip.id for clip, _ in dataset_train.pairs}
-    test_ids = {clip.id for clip, _ in dataset_test.pairs}
-    if train_ids & test_ids:
-        raise ValueError("train and test splits share clip ids")
+    check_splits(dataset_train, dataset_test)
     features, test_features = dataset_train.features, dataset_test.features
-    if test_features.shape[1] != features.shape[1]:
-        raise ValueError(f"the test split's clip features have width {test_features.shape[1]}, "
-                         f"the train split's {features.shape[1]}")
     if dims is None:
         dims = ModelDims(d_a=features.shape[1])
 
     params = init_params(dims, spawn_seed(config.seed, _INIT_STREAM))
     optimizer = AdamOptimizer.for_params(params)
-    # kinds of the original captions, made once for the whole run
-    table, test_table = TokenTable(dataset_train.vocabulary), TokenTable(dataset_test.vocabulary)
-    slots = table.slots([caption for _, caption in dataset_train.pairs])
-    test_caption_ids = test_table.ids(
-        test_table.slots([caption for _, caption in dataset_test.pairs]), dims.hash_buckets)
+    table = TokenTable(dataset_train.vocabulary, dataset_train.words)
+    test_caption_ids = TokenTable(dataset_test.vocabulary, dataset_test.words).ids(
+        dataset_test.captions, dims.hash_buckets)
 
     best: CheckpointRecord | None = None
     logs: list[EpochLog] = []
@@ -362,7 +354,7 @@ def train(
         for epoch in range(1, config.epochs + 1):
             order = np.concatenate(make_batches(dataset_train, config.batch_size,
                                                 spawn_seed(config.seed, _SHUFFLE_STREAM, epoch)))
-            plan = plan_epoch(slots, order, config, table, dims.hash_buckets,
+            plan = plan_epoch(dataset_train.captions, order, config, table, dims.hash_buckets,
                               seeded_rng(config.seed, _EPOCH_STREAM, epoch))
             sums = np.zeros(3)
             for step, (items, text_ids) in enumerate(plan.steps(), 1):

@@ -2,9 +2,13 @@
 
 Each function makes the same draws as the package (``negation.draw_*``) and
 applies them to a ``Caption`` directly, building a new caption per edit.
-The package applies the draws to structured-token kinds instead
-(``negation.insert_ids``/``negate_ids``, ``TokenTable.captions``); the tests
-compare the two over the same generator stream.  The half negation's draws
+The package applies the draws to kinds instead
+(``negation.insert_ids``/``negate_ids``); the tests compare the two over the
+same generator stream, reading kinds back as captions with
+``kind_captions``.  ``dataset_of`` builds a ``Dataset``'s columns from
+``(AudioClip, Caption)`` pairs, ``templated_caption`` is the caption
+``generate_dataset`` lays out as kinds, and ``render_caption`` is a
+caption's text, the string reference for ``TokenTable.ids``.  The half negation's draws
 are also kept here caption by caption, ``draw_half`` (one ``rng.choice``)
 then ``draw_negators`` per caption, as the reference for
 ``negation.draw_halves``, which replays them from one generator call.
@@ -15,9 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from negclap import evaluation
-from negclap.corpus import Caption, Dataset, TagMention, Vocabulary
-from negclap.model import TokenIds, TokenTable
+from negclap import corpus, evaluation
+from negclap.corpus import Caption, Dataset, TagMention, Vocabulary, Word
+from negclap.model import TokenIds, TokenTable, caption_kinds
 from negclap.negation import (
     AugmentationExhausted,
     draw_insert,
@@ -26,6 +30,61 @@ from negclap.negation import (
     negate_ids,
 )
 from negclap.seeding import seeded_rng
+
+
+def render_caption(caption: Caption, vocab: Vocabulary) -> str:
+    """The caption's tokens joined by single spaces: a word verbatim, a mention as
+    ``[negator] surface``."""
+    def text(token):
+        if isinstance(token, Word):
+            return token.text
+        surface = vocab.surfaces[token.tag_id]
+        return surface if token.negator is None else f"{token.negator} {surface}"
+    return " ".join(map(text, caption.tokens))
+
+
+def kind_captions(table: TokenTable, slots: TokenIds) -> list[Caption]:
+    """Captions given as kinds of ``table``, as ``Caption``s."""
+    vocab = table.vocab
+    tokens = [TagMention(t, n) for t in range(len(vocab)) for n in (None, *vocab.negators)]
+    tokens += [Word(w) for w in table.words]
+    kinds, at = slots.ids.tolist(), np.cumsum(slots.lens).tolist()
+    return [Caption(tuple(tokens[k] for k in kinds[b - n:b]))
+            for b, n in zip(at, slots.lens.tolist())]
+
+
+def caption_ids(captions: Sequence[Caption], vocab: Vocabulary, n_buckets: int):
+    """The captions' bucket ids over ``n_buckets`` buckets, through their kinds."""
+    table, slots = caption_kinds(captions, vocab)
+    return table.ids(slots, n_buckets)
+
+
+def dataset_of(vocab: Vocabulary, pairs, split: str = "train",
+               features: np.ndarray | None = None) -> Dataset:
+    """A dataset of ``(AudioClip, Caption)`` pairs; its feature matrix is ``features``,
+    or the clips' features stacked."""
+    table, kinds = caption_kinds([caption for _, caption in pairs], vocab)
+    tags = [sorted(clip.tag_ids) for clip, _ in pairs]
+    if features is None:
+        features = np.array([clip.features for clip, _ in pairs])
+    return Dataset(vocab, split, np.array([clip.id for clip, _ in pairs], dtype=np.int64),
+                   TokenIds(np.array([t for ts in tags for t in ts], np.intp),
+                            np.array(list(map(len, tags)), np.intp)),
+                   features, table.words, kinds)
+
+
+def templated_caption(tags: Sequence[int], template_index: int) -> Caption:
+    """Template ``template_index`` (cycled) over plain mentions of ``tags``, in order."""
+    if not tags:
+        raise ValueError("a caption needs at least one tag")
+    prefix, mid, suffix = (tuple(map(Word, part)) for part in
+                           corpus._TEMPLATES[template_index % len(corpus._TEMPLATES)])
+    tokens = [*prefix, TagMention(tags[0])]
+    if len(tags) > 1:
+        tokens += [*mid, TagMention(tags[1])]
+        for t in tags[2:]:
+            tokens += [Word("and"), TagMention(t)]
+    return Caption(tuple(tokens + list(suffix)))
 
 
 def draw_half(n_plain: int, rng: np.random.Generator) -> np.ndarray:
@@ -163,8 +222,8 @@ def half_edit_per_caption(slots: TokenIds, table: TokenTable,
 def eval_variants_per_pair(test_dataset: Dataset, eval_seed: int) -> evaluation.EvalVariantSet:
     """``evaluation.build_eval_variants`` drawn pair by pair: per pair ``draw_half``,
     then the half and the full negation's negators in one ``draw_negators`` call."""
-    table = TokenTable(test_dataset.vocabulary)
-    source = table.slots([caption for _, caption in test_dataset.pairs])
+    table = TokenTable(test_dataset.vocabulary, test_dataset.words)
+    source = test_dataset.captions
     rng = seeded_rng(eval_seed, evaluation._VARIANTS_STREAM)
     n_negators = len(table.vocab.negators)
     picked, half_negators, fully_negators = [], [], []

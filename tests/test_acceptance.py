@@ -15,13 +15,14 @@ half-negated captions above fully negated ones almost surely, so the
 criterion is expected to fail; the test reports the measured values.
 """
 
+import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
 
-from caption_apply import draw_half, fully_negate, variant_captions
+from caption_apply import caption_ids, draw_half, fully_negate, kind_captions, variant_captions
 from fd_utils import (
     clap_loss_through_encoders,
     dissimilarity_through_encoders,
@@ -29,12 +30,11 @@ from fd_utils import (
     max_gradient_violation,
 )
 from ids_utils import concat_ids
-from test_evaluation import brute_map10, brute_recall, brute_triplet
+from test_evaluation import brute_map10, brute_recall, brute_triplet, map_at_10, recall_at_k
 
 from negclap.cli import main as cli_main
 from negclap.corpus import (
     Caption,
-    Dataset,
     TagMention,
     Word,
     generate_dataset,
@@ -47,14 +47,12 @@ from negclap.evaluation import (
     TEXT_TO_AUDIO,
     build_eval_variants,
     embed_eval_variants,
-    map_at_10,
-    recall_at_k,
     retrieval_protocol,
     triplet_protocol,
 )
 from negclap.model import (
     ModelDims,
-    TokenTable,
+    caption_kinds,
     encode_audio_batch,
     encode_text_batch,
     init_params,
@@ -146,9 +144,8 @@ def test_criterion_01_gradient_oracle():
         captions = [c for _, c in ds.pairs]
         feats = np.stack([clip.features for clip, _ in ds.pairs])
         negated = [fully_negate(c, vocab, seeded_rng(seed, 1)) for c in captions]
-        table = TokenTable(vocab)
-        ids = table.ids(table.slots(captions), dims.hash_buckets)
-        neg_ids = table.ids(table.slots(negated), dims.hash_buckets)
+        ids = caption_ids(captions, vocab, dims.hash_buckets)
+        neg_ids = caption_ids(negated, vocab, dims.hash_buckets)
         # a training step's layout: contrastive captions, anchors, negated captions
         step_ids = concat_ids([ids, ids, neg_ids])
 
@@ -199,7 +196,6 @@ def test_criterion_03_augmentation_invariants():
     n_tags = 12
     n_iterations = 10_000
     vocab = generate_vocabulary(n_tags, 0)
-    table = TokenTable(vocab)
     n_negators = len(vocab.negators)
     failures = []
     for seed in SEEDS:
@@ -219,7 +215,8 @@ def test_criterion_03_augmentation_invariants():
         # iteration i edits caption i % 500 three times: an insert, a half and
         # a full negation, drawn in that order from one stream; each edit of
         # all iterations is then one id apply, decoded back to captions
-        slots = table.slots([captions[i % len(captions)] for i in range(n_iterations)])
+        table, slots = caption_kinds([captions[i % len(captions)] for i in range(n_iterations)],
+                                     vocab)
         n_plain, n_unused = (counts.tolist() for counts in edit_counts(slots, table))
         inserts, half_mentions, half_negators, fully_negators = [], [], [], []
         first = 0
@@ -232,12 +229,12 @@ def test_criterion_03_augmentation_invariants():
             first += n_plain[i]
         gaps, unused, negators = np.array(inserts, dtype=np.intp).T
         edited = zip(
-            table.captions(insert_ids(slots, np.arange(n_iterations), gaps, unused, negators,
-                                      table)),
-            table.captions(negate_ids(slots, np.concatenate(half_mentions),
-                                      np.concatenate(half_negators), table)),
-            table.captions(negate_ids(slots, np.arange(first), np.concatenate(fully_negators),
-                                      table)))
+            kind_captions(table, insert_ids(slots, np.arange(n_iterations), gaps, unused,
+                                            negators, table)),
+            kind_captions(table, negate_ids(slots, np.concatenate(half_mentions),
+                                            np.concatenate(half_negators), table)),
+            kind_captions(table, negate_ids(slots, np.arange(first),
+                                            np.concatenate(fully_negators), table)))
         for i, (inserted, halved, full) in enumerate(edited):
             caption = captions[i % len(captions)]
             plain = [m for m in caption.mentions() if not m.negated]
@@ -285,7 +282,7 @@ def test_criterion_04_protocol_oracles():
 
         vocab = generate_vocabulary(6, instance)
         ds = generate_dataset(vocab, n, d_a=10, rng_seed=instance)
-        ds = Dataset(vocab, ds.pairs, "test", ds.features)
+        ds = dataclasses.replace(ds, split="test")
         dims = ModelDims(d_t=12, d_h=12, d=8, d_a=10, hash_buckets=32)
         params = init_params(dims, seed=instance)
         variants = build_eval_variants(ds, eval_seed=instance)

@@ -56,7 +56,40 @@ def gen_mixed_widths(tmp_path):
     return data
 
 
-WIDTHS_DIFFER = "error: the test split's clip features have width 12, the train split's 8\n"
+def splits_differ(data, problem="the test split's clip features have width 12, "
+                                 "the train split's 8"):
+    return f"error: {data / 'train.jsonl'} and {data / 'test.jsonl'}: {problem}\n"
+
+
+# (how the test split is made, the problem): a split of another seed has other
+# surfaces; a split of fewer clips from the same seed has ids the train split holds
+MISMATCHED_SPLITS = {
+    "vocabulary": (dict(seed=4), "the train and test splits have different vocabularies"),
+    "shared ids": (dict(n_clips=60), "the train and test splits share 16 clip ids, "
+                                     "the smallest 44"),
+}
+
+
+def gen_mismatched(tmp_path, case):
+    """The small corpus with its test split replaced by one that does not go with it."""
+    data = gen_small(tmp_path)
+    other = gen_small(tmp_path, name="other", **MISMATCHED_SPLITS[case][0])
+    (data / "test.jsonl").write_bytes((other / "test.jsonl").read_bytes())
+    return data
+
+
+def zero_rows(path, rows):
+    """Set the features of records ``rows`` (0-based, after the header) of ``path`` to zero;
+    returns their clip ids."""
+    lines = path.read_text().splitlines(keepends=True)
+    ids = []
+    for r in rows:
+        record = json.loads(lines[1 + r])
+        record["features"] = [0.0] * len(record["features"])
+        lines[1 + r] = json.dumps(record) + "\n"
+        ids.append(record["id"])
+    path.write_text("".join(lines))
+    return ids
 
 
 def count_epochs(monkeypatch):
@@ -366,9 +399,32 @@ class TestTrain:
         code = main(["train", "--data", str(data), "--condition", "baseline", "--epochs", "1",
                      "--seed", "1", "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err == WIDTHS_DIFFER
+        assert capsys.readouterr().err == splits_differ(data)
         assert epochs == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", MISMATCHED_SPLITS)
+    def test_splits_that_do_not_go_together_name_both_files(self, tmp_path, capsys,
+                                                           monkeypatch, case):
+        data = gen_mismatched(tmp_path, case)
+        epochs = count_epochs(monkeypatch)
+        code = main(["train", "--data", str(data), "--condition", "baseline", "--epochs", "1",
+                     "--seed", "1", "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err == splits_differ(data, MISMATCHED_SPLITS[case][1])
+        assert epochs == []
+        assert not (tmp_path / "run").exists()
+
+    def test_train_row_that_cannot_be_normalized_names_file_and_clip(self, tmp_path, capsys):
+        data = gen_small(tmp_path)
+        path = data / "train.jsonl"
+        clip_id, = zero_rows(path, [5])
+        code = main(["train", "--data", str(data), "--condition", "baseline", "--epochs", "1",
+                     "--seed", "1", "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: clip {clip_id}: features too close to zero to normalize\n")
+        assert not (tmp_path / "run").exists()
 
     def test_invalid_condition_combination_is_usage_error(self, tmp_path):
         data = gen_small(tmp_path)
@@ -595,6 +651,32 @@ class TestEval:
             "error: embedding norms before normalization must be finite and positive, "
             "got values in [0, 0]")
 
+    def test_test_rows_that_cannot_be_normalized_name_file_and_clip(self, tmp_path, capsys):
+        data, ckpt = self._trained(tmp_path)
+        path = data / "test.jsonl"
+        first, *_ = zero_rows(path, range(16))
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--eval-seed", "9", "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: clip {first}: features too close to zero to normalize\n")
+        assert not (tmp_path / "e").exists()
+
+    def test_load_train_and_eval_build_no_pair_object(self, tmp_path, monkeypatch):
+        data = gen_small(tmp_path)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a pair object was built")
+        for name in ("AudioClip", "Caption", "TagMention", "Word"):
+            monkeypatch.setattr(getattr(corpus, name), "__init__", refused)
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--condition", "combo", "--p-aug", "0.6",
+                     "--k", "1e-2", "--epochs", "1", "--seed", "1", "--out", str(run)]) == 0
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.ckpt"), "--data", str(data),
+                     "--eval-seed", "9", "--out", str(tmp_path / "e")]) == 0
+        with pytest.raises(AssertionError, match="a pair object was built"):
+            corpus.load_dataset(data / "test.jsonl").pairs
+
     def test_report_schema(self, tmp_path):
         data, ckpt = self._trained(tmp_path)
         out = tmp_path / "e"
@@ -725,9 +807,20 @@ class TestSweep:
         code = main(["sweep", "--quick", "--data", str(data), "--seed", "1",
                      "--eval-seed", "7", "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err == WIDTHS_DIFFER
+        assert capsys.readouterr().err == splits_differ(data)
         assert epochs == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", MISMATCHED_SPLITS)
+    def test_splits_that_do_not_go_together_name_both_files(self, tmp_path, capsys,
+                                                           monkeypatch, case):
+        data = gen_mismatched(tmp_path, case)
+        epochs = count_epochs(monkeypatch)
+        code = main(["sweep", "--quick", "--data", str(data), "--seed", "1",
+                     "--eval-seed", "7", "--out", str(tmp_path / "sweep")])
+        assert code == 2
+        assert capsys.readouterr().err == splits_differ(data, MISMATCHED_SPLITS[case][1])
+        assert epochs == []
 
     def test_quick_sweep_outputs(self, tmp_path):
         data = gen_small(tmp_path, n_clips=90, n_test=16)

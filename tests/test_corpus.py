@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caption_apply import dataset_of, render_caption, templated_caption
 from negclap import corpus
 from negclap.cli import main as cli_main
 from negclap.corpus import (
     Caption,
-    Dataset,
     DatasetParseError,
     DatasetValidationError,
     TagMention,
@@ -23,7 +23,6 @@ from negclap.corpus import (
     generate_dataset,
     generate_vocabulary,
     load_dataset,
-    render_caption,
     save_dataset,
     split_dataset,
     tag_directions,
@@ -46,22 +45,19 @@ def reference_dataset(vocab, n_clips, tags_per_clip, d_a, noise_sigma, rng_seed)
         base /= max(float(np.linalg.norm(base)), 1e-12)
         features = base + noise_sigma * noise_rng.normal(size=d_a)
         clip = corpus.AudioClip(id=i, features=features, tag_ids=frozenset(chosen))
-        caption = corpus._templated_caption([TagMention(t) for t in chosen], template_index=i)
-        pairs.append((clip, caption))
-    return Dataset(vocab, tuple(pairs), "train", np.array([c.features for c, _ in pairs]))
+        pairs.append((clip, templated_caption(chosen, template_index=i)))
+    return dataset_of(vocab, pairs)
 
 
 def with_features(dataset, matrix):
-    """``dataset`` with its clips' features replaced by the rows of ``matrix``."""
-    pairs = tuple((corpus.AudioClip(id=clip.id, features=row, tag_ids=clip.tag_ids), caption)
-                  for (clip, caption), row in zip(dataset.pairs, matrix))
-    return Dataset(dataset.vocabulary, pairs, dataset.split, matrix)
+    """``dataset`` with its feature matrix replaced by ``matrix``."""
+    return dataclasses.replace(dataset, features=matrix)
 
 
 def with_pair(dataset, i, pair):
     """``dataset`` with pair ``i`` replaced by ``pair``; the feature matrix is kept."""
     pairs = dataset.pairs[:i] + (pair,) + dataset.pairs[i + 1:]
-    return Dataset(dataset.vocabulary, pairs, dataset.split, dataset.features)
+    return dataset_of(dataset.vocabulary, pairs, dataset.split, dataset.features)
 
 
 # Finite float64 values at the edges of the range where repr and orjson write
@@ -217,14 +213,14 @@ class TestRenderCaption:
 class TestTemplatedCaption:
     def test_needs_a_tag(self):
         with pytest.raises(ValueError):
-            corpus._templated_caption([], 0)
+            corpus._template(0, 0)
 
     def test_templates_cycle_and_mention_all_tags(self):
         seen = set()
         for idx in range(8):
-            cap = corpus._templated_caption([TagMention(t) for t in (1, 2, 3)], idx)
-            assert [m.tag_id for m in cap.mentions()] == [1, 2, 3]
-            seen.add(tuple(t.text for t in cap.tokens if isinstance(t, Word)))
+            layout = corpus._template(idx, 3)
+            assert [-1 - k for k in layout if k < 0] == [0, 1, 2]
+            seen.add(tuple(corpus._TEMPLATE_WORDS[k] for k in layout if k >= 0))
         assert len(seen) == 4
 
 
@@ -253,7 +249,7 @@ class TestSaveLoad:
         # rows 0, 3 and 6 hold numbers that orjson and json.dumps write in
         # different notations, so they take json.dumps's path
         matrix = ds.features.copy()
-        matrix[0, 1], matrix[3, 5], matrix[6] = 2.5e-5, -3e17, 5e-324
+        matrix[0, 1], matrix[3, 5], matrix[6, 2] = 2.5e-5, -3e17, 5e-324
         for dataset in (ds, with_features(ds, matrix)):
             p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
             save_dataset(dataset, p1)
@@ -271,7 +267,9 @@ class TestSaveLoad:
                            st.floats(allow_nan=False, allow_infinity=False))
         matrix = np.array(data.draw(st.lists(st.lists(number, min_size=d_a, max_size=d_a),
                                              min_size=n, max_size=n)), dtype=np.float64)
-        ds = with_features(generate_dataset(generate_vocabulary(6, 0), n, d_a=d_a), matrix)
+        # a row too close to zero to normalize does not load, so each row starts with 1.0
+        matrix = np.hstack((np.ones((n, 1)), matrix))
+        ds = with_features(generate_dataset(generate_vocabulary(6, 0), n, d_a=d_a + 1), matrix)
         path = tmp_path_factory.getbasetemp() / "features.jsonl"
         # chunks of 2 rows, so rows of both paths meet in a chunk and across chunks
         with unittest.mock.patch.object(corpus, "_FEATURE_CHUNK_ROWS", 2):
@@ -370,7 +368,7 @@ class TestSaveLoad:
 
     def test_empty_dataset_not_saved(self, tmp_path):
         ds = self._dataset()
-        empty = Dataset(ds.vocabulary, (), "train", ds.features[:0])
+        empty = ds.slice(0, 0)
         with pytest.raises(ValueError):
             save_dataset(empty, tmp_path / "empty.jsonl")
 
@@ -417,7 +415,7 @@ def test_validate_dataset_needs_one_feature_row_per_pair():
     validate_dataset(ds)
     for matrix in (ds.features[:4], ds.features[0]):
         with pytest.raises(DatasetValidationError, match="one row per pair"):
-            validate_dataset(Dataset(ds.vocabulary, ds.pairs, ds.split, matrix))
+            validate_dataset(dataclasses.replace(ds, features=matrix))
 
 
 def test_dataset_pairs_are_frozen(tmp_path):
@@ -748,3 +746,20 @@ class TestFuzzedDatasetFile:
         literal = data.draw(st.sampled_from(['"7"', "true", "false", "null", "1e400"]))
         lines[index] = with_literal(lines[index], key_path, literal)
         self.rejected(tmp, "".join(lines).encode())
+
+
+@pytest.mark.parametrize("row", [[0.0, 0.0, 0.0, 0.0], [1e-170, 0.0, -1e-170, 0.0]],
+                         ids=["zero", "underflowing"])
+def test_feature_row_that_cannot_be_normalized_is_validation_error(tmp_path, row):
+    # generate_dataset refuses such a row too: its squared norm is below the
+    # smallest normal float64, so no audio embedding can normalize it
+    lines = toy_lines(tmp_path)
+    record = json.loads(lines[3])
+    lines[3] = json.dumps({**record, "features": row}) + "\n"
+    path = tmp_path / "weak.jsonl"
+    path.write_text("".join(lines))
+    message = f"{path}: clip {record['id']}: features too close to zero to normalize"
+    with pytest.raises(DatasetValidationError) as err:
+        load_dataset(path)
+    assert str(err.value) == message
+    assert augment(path, tmp_path / "out.jsonl") == (1, f"error: {message}\n")

@@ -8,15 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from caption_apply import variant_captions
+from caption_apply import caption_ids, dataset_of, kind_captions, render_caption, variant_captions
 from negclap.corpus import (
     Caption,
-    Dataset,
     TagMention,
     Word,
     generate_dataset,
     generate_vocabulary,
-    render_caption,
     split_dataset,
 )
 from negclap.evaluation import (
@@ -29,8 +27,8 @@ from negclap.evaluation import (
     TripletReport,
     build_eval_variants,
     embed_eval_variants,
-    map_at_10,
-    recall_at_k,
+    map10_from_ranks,
+    match_ranks,
     report_rows,
     retrieval_protocol,
     triplet_protocol,
@@ -43,7 +41,6 @@ from negclap.cli import main as cli_main
 from negclap.corpus import save_dataset
 from negclap.model import (
     ModelDims,
-    TokenTable,
     encode_audio_batch,
     encode_text_batch,
     encode_token_lists,
@@ -52,6 +49,27 @@ from negclap.model import (
     save_checkpoint,
 )
 from negclap.training import TrainConfig, train
+
+
+# --- the package's ranking read per direction ------------------------------
+
+def recall_at_k(sim, k, direction):
+    """Fraction of queries whose matching item ranks within the top k, by ``match_ranks``."""
+    n = np.asarray(sim).shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    return float(np.mean(direction_ranks(sim, direction) <= k))
+
+
+def map_at_10(sim, direction):
+    """Mean of 1/rank over queries whose match ranks within the top 10, else 0."""
+    return map10_from_ranks(direction_ranks(sim, direction))
+
+
+def direction_ranks(sim, direction):
+    if direction not in DIRECTIONS:
+        raise ValueError(f"unknown direction {direction!r}")
+    return match_ranks(sim)[DIRECTIONS.index(direction)]
 
 
 # --- independent brute-force oracles -------------------------------------
@@ -227,7 +245,7 @@ RANKED_PAIRS = 32
 def make_tiny_setup(seed=0, n=6):
     vocab = generate_vocabulary(8, seed)
     ds = generate_dataset(vocab, n, d_a=12, rng_seed=seed)
-    ds = Dataset(vocab, ds.pairs, "test", ds.features)
+    ds = dataclasses.replace(ds, split="test")
     dims = ModelDims(d_t=16, d_h=16, d=8, d_a=12, hash_buckets=64)
     params = init_params(dims, seed=seed + 1)
     return params, ds
@@ -258,8 +276,7 @@ class TestBuildEvalVariants:
         for n_buckets in (61, 64):
             for name in ("original", "half", "fully"):
                 got = variants.table.ids(getattr(variants, name), n_buckets)
-                table = TokenTable(ds.vocabulary)
-                want = table.ids(table.slots(captions[name]), n_buckets)
+                want = caption_ids(captions[name], ds.vocabulary, n_buckets)
                 for field in ("rows", "lens"):
                     a, b = getattr(got, field), getattr(want, field)
                     assert a.dtype == b.dtype and a.tolist() == b.tolist(), (name, field)
@@ -279,7 +296,7 @@ class TestBuildEvalVariants:
         from negclap.corpus import AudioClip
 
         clip = AudioClip(id=0, features=clip_features, tag_ids=frozenset({0, 1, 2}))
-        ds = Dataset(song_vocab, ((clip, tune_caption),), "test", clip_features[None])
+        ds = dataset_of(song_vocab, ((clip, tune_caption),), "test", clip_features[None])
         target_half = Caption((Word("a"), TagMention(0, "not"), Word("tune"), Word("with"),
                                TagMention(1), Word("and"), TagMention(2, "without")))
         target_fully = Caption(target_half.tokens[:4] + (TagMention(1, "no"),)
@@ -290,8 +307,8 @@ class TestBuildEvalVariants:
             "a not rock tune with no guitar and without bass"
         for eval_seed in range(4000):
             variants = build_eval_variants(ds, eval_seed)
-            want = variants.table.slots([target_half, target_fully]).ids.tolist()
-            if variants.half.ids.tolist() + variants.fully.ids.tolist() == want:
+            if [*kind_captions(variants.table, variants.half),
+                    *kind_captions(variants.table, variants.fully)] == [target_half, target_fully]:
                 break
         else:
             pytest.fail("worked half/fully pair not produced by any scanned seed")
@@ -420,7 +437,7 @@ class TestEmbedOnce:
     def test_eval_embeds_audio_once_and_each_variant_once(self, tmp_path, monkeypatch):
         vocab = generate_vocabulary(10, 12)
         ds = generate_dataset(vocab, 64, d_a=12, rng_seed=12)
-        ds = Dataset(vocab, ds.pairs, "test", ds.features)
+        ds = dataclasses.replace(ds, split="test")
         data = tmp_path / "test.jsonl"
         save_dataset(ds, data)
         ckpt = tmp_path / "model.ckpt"
@@ -473,7 +490,7 @@ class TestOneTextPass:
     def test_equals_a_pass_per_variant_bit_for_bit(self, n_tags, n_pairs, dims):
         vocab = generate_vocabulary(n_tags, 4)
         ds = generate_dataset(vocab, n_pairs, d_a=12, rng_seed=4)
-        ds = Dataset(vocab, ds.pairs, "test", ds.features)
+        ds = dataclasses.replace(ds, split="test")
         params = init_params(dims, seed=4)
         variants = build_eval_variants(ds, eval_seed=6)
         embeddings = embed_eval_variants(params, ds, variants)

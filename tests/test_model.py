@@ -10,9 +10,13 @@ from hypothesis import strategies as st
 
 from caption_apply import (
     augment_captions,
+    caption_ids,
+    dataset_of,
     eval_variants_per_pair,
     half_edit_per_caption,
     halves_per_caption,
+    kind_captions,
+    render_caption,
 )
 from fd_utils import (
     clap_loss_through_encoders,
@@ -25,19 +29,18 @@ from ids_utils import assert_same_ids, concat_ids, stepwise, take_ids
 from negclap.corpus import (
     AudioClip,
     Caption,
-    Dataset,
     TagMention,
     Vocabulary,
     Word,
     generate_dataset,
     generate_vocabulary,
-    render_caption,
 )
 from negclap.model import (
     DENSE_FIELDS,
     CaptionIds,
     ModelDims,
     TokenTable,
+    caption_kinds,
     encode_audio_batch,
     encode_text_batch,
     encode_token_lists,
@@ -188,8 +191,7 @@ class TestModelBackward:
         params.log_temperature[...] = np.log(5.0)
         vocab = generate_vocabulary(6, 5)
         ds = generate_dataset(vocab, 4, d_a=8, rng_seed=6)
-        table = TokenTable(vocab)
-        ids = table.ids(table.slots([c for _, c in ds.pairs]), dims.hash_buckets)
+        ids = TokenTable(vocab, ds.words).ids(ds.captions, dims.hash_buckets)
         feats = np.stack([clip.features for clip, _ in ds.pairs])
 
         _, analytic = clap_loss_through_encoders(params, feats, ids)
@@ -390,12 +392,12 @@ class TestTokenTable:
         emb_ref = o / np.linalg.norm(o, axis=1, keepdims=True)
 
         # one table reused across batches
-        table = TokenTable(ID_VOCAB)
-        for ids in (table.ids(table.slots(caps), n), table.ids(table.slots(caps), n)):
+        table, slots = caption_kinds(caps, ID_VOCAB)
+        for ids in (table.ids(slots, n), table.ids(slots, n)):
             assert ids.rows.tolist() == layout
             assert ids.lens.tolist() == lens
         batches = [encode_text_batch(params, caps, ID_VOCAB),
-                   encode_token_lists(params, table.ids(table.slots(caps), n))]
+                   encode_token_lists(params, table.ids(slots, n))]
         for emb, cache in batches:
             assert cache.ids.tolist() == layout
             # the pooled row of each id
@@ -415,22 +417,21 @@ class TestTokenTable:
         assert (states % n).tolist() == [hash_bucket(t, n) for t in strings]
         # through the table: each token's unigram and each adjacent pair's bigram
         caps = [Caption(tuple(map(Word, words))) for words in texts]
-        table = TokenTable(ID_VOCAB)
         want = reference_ids([tokenize(render_caption(c, ID_VOCAB)) for c in caps], n)
-        got = table.ids(table.slots(caps), n)
+        got = caption_ids(caps, ID_VOCAB, n)
         assert got.rows.tolist() == want.rows.tolist()
         assert got.lens.tolist() == want.lens.tolist()
 
     def test_chunked_ids_equal_one_caption_at_a_time(self):
         vocab = generate_vocabulary(12, 3)
-        caps = [c for _, c in generate_dataset(vocab, 2500, d_a=4, rng_seed=3).pairs]
-        table = TokenTable(vocab)
-        whole = table.ids(table.slots(caps), 61)  # looked up in several chunks
-        singles = [table.ids(table.slots([c]), 61) for c in caps]
+        ds = generate_dataset(vocab, 2500, d_a=4, rng_seed=3)
+        table = TokenTable(vocab, ds.words)
+        whole = table.ids(ds.captions, 61)  # looked up in several chunks
+        singles = [table.ids(ds.captions.take([i]), 61) for i in range(len(ds))]
         for field in ("rows", "lens"):
             np.testing.assert_array_equal(
                 getattr(whole, field), np.concatenate([getattr(one, field) for one in singles]))
-        empty = table.ids(table.slots([]), 61)
+        empty = table.ids(ds.captions.take(np.arange(0)), 61)
         assert len(empty) == 0 and empty.rows.size == empty.lens.size == 0
 
 
@@ -460,8 +461,7 @@ class TestCaptionIds:
         from negclap.training import TrainConfig, plan_epoch
 
         vocab = oracle_vocab(4, 2)
-        table = TokenTable(vocab)
-        slots = table.slots([THREE_PLAIN, Caption((TagMention(1), Word("a")))])
+        table, slots = caption_kinds([THREE_PLAIN, Caption((TagMention(1), Word("a")))], vocab)
         for condition, p_aug, k in (("baseline", 0.0, 0.0), ("text_aug", 0.6, 0.0),
                                     ("loss_term", 0.0, 1e-2), ("combo", 0.6, 1e-2)):
             config = TrainConfig(condition=condition, seed=1, p_aug=p_aug, k=k, batch_size=3)
@@ -533,17 +533,17 @@ class TestNegationIdApply:
                     or [Caption((TagMention(0),))])
         by_caption, by_ids = seeded_rng(seed), seeded_rng(seed)
         want = outcome(augment_captions, name, caps, vocab, p_aug, by_caption)
-        table = TokenTable(vocab)
-        got = outcome(edit_ids, name, table.slots(caps), table, p_aug, by_ids)
+        table, slots = caption_kinds(caps, vocab)
+        got = outcome(edit_ids, name, slots, table, p_aug, by_ids)
         assert by_ids.bit_generator.state == by_caption.bit_generator.state
         if isinstance(want[0], type):
             assert got == want
             return
         (edited, skipped), (captions, n_exhausted) = got, want
         assert skipped == n_exhausted
-        assert table.captions(edited) == captions
+        assert kind_captions(table, edited) == captions
         assert_same_ids(table.ids(edited, self.N_BUCKETS),
-                        table.ids(table.slots(captions), self.N_BUCKETS), name)
+                        caption_ids(captions, vocab, self.N_BUCKETS), name)
 
     @settings(max_examples=200, deadline=None)
     @given(negation_cases(), st.sampled_from([0.0, 0.6, 1.0]), st.sampled_from([0.0, 1e-2]),
@@ -563,10 +563,10 @@ class TestNegationIdApply:
                      (False, True): "loss_term", (True, True): "combo"}[(p_aug > 0, k > 0)]
         config = TrainConfig(condition=condition, seed=1, p_aug=p_aug, k=k,
                              batch_size=batch_size)
-        table, n = TokenTable(vocab), self.N_BUCKETS
+        (table, slots), n = caption_kinds(caps, vocab), self.N_BUCKETS
         by_plan, by_caption = seeded_rng(seed), seeded_rng(seed)
-        plan = outcome(plan_epoch, table.slots(caps), order, config, table, n, by_plan)
-        want = outcome(per_item_reference, caps, order, config, TokenTable(vocab), n, by_caption)
+        plan = outcome(plan_epoch, slots, order, config, table, n, by_plan)
+        want = outcome(per_item_reference, caps, order, config, table, n, by_caption)
         assert by_plan.bit_generator.state == by_caption.bit_generator.state
         if isinstance(want[0], type):
             assert plan == want
@@ -575,7 +575,7 @@ class TestNegationIdApply:
         clap, negated = want
         blocks = [clap]
         if k > 0:
-            blocks += [table.ids(table.slots([caps[i] for i in order]), n), negated]
+            blocks += [caption_ids([caps[i] for i in order], vocab, n), negated]
         assert plan.n_blocks == len(blocks)
         assert_same_ids(plan.ids, stepwise(blocks, batch_size))
 
@@ -584,7 +584,7 @@ def as_test_split(vocab, caps):
     """A test split of ``caps``; the eval variants read only its captions."""
     pairs = tuple((AudioClip(i, np.zeros(1), frozenset(c.tag_ids())), c)
                   for i, c in enumerate(caps))
-    return Dataset(vocab, pairs, "test", np.zeros((len(caps), 1)))
+    return dataset_of(vocab, pairs, "test", np.zeros((len(caps), 1)))
 
 
 def assert_same_kinds(got, want, what=""):
@@ -629,8 +629,7 @@ class TestHalfDraws:
         if all_plain:
             caps = ([c for c in caps if any(t.negator is None for t in c.mentions())]
                     or [Caption((TagMention(0),))])
-        table = TokenTable(vocab)
-        slots = table.slots(caps)
+        table, slots = caption_kinds(caps, vocab)
         by_helper, by_caption = seeded_rng(seed), seeded_rng(seed)
         got = outcome(edit_ids, "half", slots, table, 0.0, by_helper)
         want = outcome(half_edit_per_caption, slots, table, by_caption)

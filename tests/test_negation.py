@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negclap.corpus import Caption, TagMention, Vocabulary, Word, render_caption
-from negclap.model import TokenTable
+from caption_apply import kind_captions, render_caption
+from negclap.corpus import Caption, TagMention, Vocabulary, Word
+from negclap.model import caption_kinds
 from negclap.negation import AugmentationExhausted, draw_insert, edit_ids
 from negclap.seeding import seeded_rng
 
@@ -20,9 +21,9 @@ def big_vocab(n=12):
 
 def edit(name, captions, vocab, rng, p_aug=1.0):
     """``edit_ids`` over the captions' kinds, decoded: the edited captions and the skipped count."""
-    table = TokenTable(vocab)
-    slots, skipped = edit_ids(name, table.slots(captions), table, p_aug, rng)
-    return table.captions(slots), skipped
+    table, slots = caption_kinds(captions, vocab)
+    slots, skipped = edit_ids(name, slots, table, p_aug, rng)
+    return kind_captions(table, slots), skipped
 
 
 def edit_one(name, caption, vocab, rng):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from caption_apply import fully_negate
+from caption_apply import caption_ids, fully_negate
 from fd_utils import (
     clap_loss_through_encoders,
     dissimilarity_through_encoders,
@@ -16,7 +16,7 @@ from fd_utils import (
 )
 from ids_utils import concat_ids, take_ids
 from negclap.corpus import generate_dataset, generate_vocabulary
-from negclap.model import ModelDims, TokenTable, init_params
+from negclap.model import ModelDims, init_params
 from negclap.objective import clap_loss, dissimilarity_loss, total_loss_through_encoders
 from negclap.seeding import seeded_rng
 
@@ -42,9 +42,8 @@ def chain_setup(seed):
     feats = np.stack([clip.features for clip, _ in ds.pairs])
     rng = seeded_rng(seed, 42)
     negated = [fully_negate(c, vocab, rng) for c in captions]
-    table = TokenTable(vocab)
-    return (params, feats, table.ids(table.slots(captions), dims.hash_buckets),
-            table.ids(table.slots(negated), dims.hash_buckets))
+    return (params, feats, caption_ids(captions, vocab, dims.hash_buckets),
+            caption_ids(negated, vocab, dims.hash_buckets))
 
 
 def step_ids(ids, neg_ids):

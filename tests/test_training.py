@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from caption_apply import apply_augmentation, fully_negate
+from caption_apply import apply_augmentation, caption_ids, fully_negate
 from ids_utils import assert_same_ids, concat_ids, stepwise, take_ids
 from negclap.corpus import generate_dataset, generate_vocabulary, split_dataset
 from negclap.model import ModelDims, ParamGrads, RowGrad
@@ -120,8 +120,8 @@ class TestTrainStep:
 
         if train_ds is None:
             train_ds, _ = tiny_splits()
-        table, n_buckets = TokenTable(train_ds.vocabulary), TINY_DIMS.hash_buckets
-        slots = table.slots([c for _, c in train_ds.pairs[:size]])
+        table, n_buckets = TokenTable(train_ds.vocabulary, train_ds.words), TINY_DIMS.hash_buckets
+        slots = train_ds.captions.take(np.arange(size))
         config = TrainConfig(condition=condition, seed=1, batch_size=8, epochs=1, **config)
         plan = plan_epoch(slots, np.arange(size), config, table, n_buckets, seeded_rng(0))
         params = init_params(TINY_DIMS, 3)
@@ -198,8 +198,8 @@ def per_item_reference(captions, order, config, table, n_buckets, rng):
                 clap.append(caption)
         if config.k > 0:
             negated += [fully_negate(caption, vocab, rng) for caption in batch]
-    return (table.ids(table.slots(clap), n_buckets),
-            table.ids(table.slots(negated), n_buckets) if negated else None)
+    return (caption_ids(clap, vocab, n_buckets),
+            caption_ids(negated, vocab, n_buckets) if negated else None)
 
 
 def reference_blocks(captions, order, config, table, n_buckets, rng):
@@ -209,7 +209,7 @@ def reference_blocks(captions, order, config, table, n_buckets, rng):
     clap, negated = per_item_reference(captions, order, config, table, n_buckets, rng)
     if negated is None:
         return [clap]
-    return [clap, table.ids(table.slots([captions[i] for i in order]), n_buckets), negated]
+    return [clap, caption_ids([captions[i] for i in order], table.vocab, n_buckets), negated]
 
 
 class TestEpochPlan:
@@ -223,9 +223,8 @@ class TestEpochPlan:
         captions = [c for _, c in train_ds.pairs]
         config = TrainConfig(condition=condition, seed=1, batch_size=8, **hyper)
         order = np.concatenate(make_batches(train_ds, 8, epoch_seed=4))
-        table, n_buckets = TokenTable(train_ds.vocabulary), TINY_DIMS.hash_buckets
-        plan = plan_epoch(table.slots(captions), order, config, table, n_buckets,
-                          seeded_rng(3))
+        table, n_buckets = TokenTable(train_ds.vocabulary, train_ds.words), TINY_DIMS.hash_buckets
+        plan = plan_epoch(train_ds.captions, order, config, table, n_buckets, seeded_rng(3))
         blocks = reference_blocks(captions, order, config, table, n_buckets, seeded_rng(3))
         assert plan.n_blocks == len(blocks) == (3 if "k" in hyper else 1)
         assert_same_ids(plan.ids, stepwise(blocks, 8), "ids")
@@ -253,9 +252,8 @@ class TestEpochPlan:
         captions = [c for _, c in train_ds.pairs]
         config = TrainConfig(condition=condition, seed=1, batch_size=8, **hyper)
         order = np.concatenate(make_batches(train_ds, 8, epoch_seed=4))
-        table, n_buckets = TokenTable(train_ds.vocabulary), TINY_DIMS.hash_buckets
-        plan = plan_epoch(table.slots(captions), order, config, table, n_buckets,
-                          seeded_rng(3))
+        table, n_buckets = TokenTable(train_ds.vocabulary, train_ds.words), TINY_DIMS.hash_buckets
+        plan = plan_epoch(train_ds.captions, order, config, table, n_buckets, seeded_rng(3))
         blocks = reference_blocks(captions, order, config, table, n_buckets, seeded_rng(3))
         steps = list(plan.steps())
         assert len(steps) == 150
@@ -503,18 +501,15 @@ class TestTrain:
             assert not np.shares_memory(first.params.dense, other.params.dense)
 
     def test_captions_are_read_once_per_run(self, monkeypatch):
-        from negclap.model import TokenTable
-
         calls = []
-        slots = TokenTable.slots
-        monkeypatch.setattr(TokenTable, "slots",
-                            lambda self, captions: calls.append(len(captions))
-                            or slots(self, captions))
+        table = training.TokenTable
+        monkeypatch.setattr(training, "TokenTable",
+                            lambda vocab, words: calls.append(words) or table(vocab, words))
         train_ds, test_ds = toy_splits()
         train(train_ds, test_ds, TrainConfig(condition="combo", seed=1, p_aug=0.6, k=1e-2,
                                              epochs=3))
-        # the train split once and the test split once, not once per epoch
-        assert calls == [len(train_ds), len(test_ds)]
+        # one table for the train split and one for the test split, not one per epoch
+        assert calls == [train_ds.words, test_ds.words]
 
     def test_diverged_run_names_condition_epoch_and_step(self):
         train_ds, test_ds = toy_splits()
