@@ -530,6 +530,28 @@ def test_record_field_of_wrong_json_type_is_parse_error(tmp_path, key_path, lite
     assert augment(path, tmp_path / "out.jsonl")[0] == 1
 
 
+@pytest.mark.parametrize("literal, shown", [("true", "True"), ("1.0", "1.0")])
+def test_mention_equal_to_an_earlier_valid_one_is_still_checked(tmp_path, literal, shown):
+    # load_dataset checks each distinct token once and finds a token seen
+    # before by its JSON text, so a bool or a float equal to an earlier
+    # integer tag id must not pass for it
+    lines = toy_lines(tmp_path)
+    first = next(i for i, line in enumerate(lines[1:], 1)
+                 if {"t": 1, "neg": None} in json.loads(line)["caption"])
+    # the next record takes this caption, every other token of it seen before
+    caption = json.loads(lines[first])["caption"]
+    record = {**json.loads(lines[first + 1]), "caption": caption}
+    lines[first + 1] = with_literal(json.dumps(record),
+                                    ("caption", caption.index({"t": 1, "neg": None})),
+                                    f'{{"t": {literal}, "neg": null}}')
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(lines))
+    with pytest.raises(DatasetParseError) as err:
+        load_dataset(path)
+    assert str(err.value) == (f"{path}: line {first + 2}: bad pair record: "
+                              f"t must be a JSON integer in [-2**63, 2**64), got {shown}")
+
+
 @pytest.mark.parametrize("key_path,literal", [
     (("version",), "true"),
     (("version",), "1.0"),
