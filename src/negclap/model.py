@@ -258,6 +258,90 @@ _IDS_CHUNK = 1024
 
 
 @dataclass(frozen=True, eq=False)
+class PoolLayout:
+    """How one batch's pooled rows gather their table rows (see ``_pool_layouts``).
+
+    ``hit`` holds the sorted, unique table rows the batch's ids hit, and
+    ``local`` each id's index in ``hit``.  ``counts`` holds each pooled
+    row's divisor: its length, or 1 for an empty row.  ``chunks`` holds,
+    per chunk of pooled rows, its first and past-the-end pooled row and
+    its padded gather index: a ``(width, rows)`` array whose column q lists
+    the ``hit`` indices of pooled row q of the chunk, in order, and then
+    ``len(hit)``, the index of a 0.0 row appended to the gathered rows.
+    The index is None for a chunk that is scattered instead.
+    """
+    hit: np.ndarray
+    local: np.ndarray
+    counts: np.ndarray
+    chunks: tuple[tuple[int, int, np.ndarray | None], ...]
+
+
+# pooled rows per chunk of the forward, so a chunk's temporaries stay small
+# at evaluation batch sizes
+_POOL_CHUNK = 64
+# bucket ids per chunk of ``CaptionIds.batches``: the layouts of a chunk's
+# batches are built together, so only a chunk's layouts are held at once
+_LAYOUT_CHUNK = 1 << 14
+
+
+def _pool_layouts(rows: np.ndarray, lens: np.ndarray, size: int) -> list[PoolLayout]:
+    """The layouts of the consecutive batches of ``size`` pooled rows that ``rows``
+    and ``lens`` hold in ``CaptionIds`` form, built together.
+
+    One ``np.unique`` over the ids, each offset by its batch's index times
+    a span past the largest id, gives every batch's hit rows and each id's
+    index among them.  A batch's pooled rows go in chunks of
+    ``_POOL_CHUNK``, a lone last row joining the chunk before it.  A chunk
+    of one row is scattered, since numpy would sum a one-column table's
+    lone row pairwise; so is a chunk whose padding would more than double
+    its index, so no chunk holds much more than its ids.
+    """
+    n = len(lens) // size
+    if n == 0:
+        return []
+    at = np.concatenate(([0], np.cumsum(lens)))
+    batch_at = at[::size]
+    n_ids = np.diff(batch_at)
+    span = int(np.maximum.reduce(rows, initial=0)) + 1
+    keys, local = np.unique(np.repeat(np.arange(0, n * span, span), n_ids) + rows,
+                            return_inverse=True)
+    hit_at = np.searchsorted(keys, np.arange(0, (n + 1) * span, span))
+    n_hit = np.diff(hit_at)
+    hit = keys - np.repeat(np.arange(0, n * span, span), n_hit)
+    local -= np.repeat(hit_at[:-1], n_ids)
+    counts = np.maximum(lens, 1).astype(np.float64)
+    # every batch's chunks, batch after batch: first pooled row, rows, width
+    edges = [0, *range(_POOL_CHUNK, size - 1, _POOL_CHUNK), size]
+    first = (np.arange(0, n * size, size)[:, None] + edges[:-1]).ravel()
+    n_rows = np.tile(np.diff(edges), n)
+    width = np.maximum.reduceat(lens, first)
+    padded = (n_rows > 1) & (width * n_rows <= 2 * (at[first + n_rows] - at[first]))
+    sizes = np.where(padded, width * n_rows, 0)
+    base = np.concatenate(([0], np.cumsum(sizes)))
+    index = np.repeat(np.repeat(n_hit, len(edges) - 1), sizes)
+    # id k of pooled row r, row q of chunk c, goes to base[c] + (k - at[r]) * rows[c] + q
+    row_rows = np.repeat(n_rows, n_rows)
+    row_at = np.repeat(base[:-1] - first, n_rows) + np.arange(len(lens)) - at[:-1] * row_rows
+    slot = np.arange(len(rows)) * np.repeat(row_rows, lens) + np.repeat(row_at, lens)
+    keep = np.repeat(np.repeat(padded, n_rows), lens)
+    index[slot[keep]] = local[keep]
+    layouts, c = [], 0
+    bounds, hit_bounds = batch_at.tolist(), hit_at.tolist()
+    width, padded, base = width.tolist(), padded.tolist(), base.tolist()
+    spans = list(zip(edges, edges[1:]))
+    for b in range(n):
+        chunks = []
+        for r0, r1 in spans:
+            chunks.append((r0, r1, index[base[c]:base[c + 1]].reshape(width[c], r1 - r0)
+                           if padded[c] else None))
+            c += 1
+        layouts.append(PoolLayout(hit[hit_bounds[b]:hit_bounds[b + 1]],
+                                  local[bounds[b]:bounds[b + 1]],
+                                  counts[b * size:(b + 1) * size], tuple(chunks)))
+    return layouts
+
+
+@dataclass(frozen=True, eq=False)
 class CaptionIds:
     """Bucket ids of a sequence of captions as rows of the joint table, in CSR form.
 
@@ -273,12 +357,33 @@ class CaptionIds:
     def __len__(self) -> int:
         return len(self.lens) // 2
 
+    @cached_property
+    def layout(self) -> PoolLayout:
+        """The captions' pooling layout as one batch, built when first read."""
+        return _pool_layouts(self.rows, self.lens, len(self.lens))[0]
+
     def batches(self, size: int) -> Iterator["CaptionIds"]:
-        """Runs of ``size`` consecutive captions, the last one possibly shorter, as views."""
-        at = np.concatenate(([0], np.cumsum(self.lens)))
-        for a in range(0, len(self), size):
-            b = min(a + size, len(self))
-            yield CaptionIds(self.rows[at[2 * a]:at[2 * b]], self.lens[2 * a:2 * b])
+        """Runs of ``size`` consecutive captions, the last one possibly shorter, as views.
+
+        The layouts of the whole runs are built together, a chunk of runs
+        of at most ``_LAYOUT_CHUNK`` ids (or one run) at a time, each chunk
+        when its first run is reached.
+        """
+        P, n_whole = 2 * size, len(self) // size
+        run_at = np.concatenate(([0], np.cumsum(self.lens)))[:n_whole * P + 1:P]
+        limit = (np.searchsorted(run_at, run_at + _LAYOUT_CHUNK, side="right") - 1).tolist()
+        run_at = run_at.tolist()
+        a = 0
+        while a < n_whole:
+            b = min(max(limit[a], a + 1), n_whole)
+            layouts = _pool_layouts(self.rows[run_at[a]:run_at[b]], self.lens[a * P:b * P], P)
+            for r, layout in enumerate(layouts, a):
+                run = CaptionIds(self.rows[run_at[r]:run_at[r + 1]], self.lens[r * P:(r + 1) * P])
+                run.__dict__["layout"] = layout  # the cached_property's value, built above
+                yield run
+            a = b
+        if len(self) % size:
+            yield CaptionIds(self.rows[run_at[-1]:], self.lens[n_whole * P:])
 
 
 class TokenTable:
@@ -328,7 +433,9 @@ class TokenTable:
         second token's bytes, so no pair string is built.  Each chunk's
         unigram and bigram runs are interleaved into the ``CaptionIds``
         layout and written into the output, sized in advance, so the
-        temporaries stay per chunk.
+        temporaries stay per chunk.  The ids build their pooling layout when
+        it is first read (``CaptionIds.layout``), or per chunk of batches
+        (``CaptionIds.batches``).
         """
         kind_len, kind_ids, kind_at = self._kind_len, self._kind_ids, self._kind_at
         unigram = (self._states % n_buckets).astype(_ID_DTYPE)
@@ -363,9 +470,7 @@ class TokenTable:
 
 @dataclass
 class TextBatchCache:
-    ids: np.ndarray     # rows of ``ModelParams.tables`` the tokens hit (``CaptionIds.rows``)
-    lens: np.ndarray    # (2B,) pooled-row lengths: caption i's unigrams at 2i, bigrams at 2i + 1
-    counts: np.ndarray  # (2B,) the divisor of each pooled row
+    ids: CaptionIds     # the batch's bucket ids and their pooling layout
     x: np.ndarray
     h: np.ndarray
     norms: np.ndarray
@@ -427,44 +532,32 @@ def _scatter_rows(index: np.ndarray, values: np.ndarray, n_out: int) -> np.ndarr
     return np.bincount(flat, weights=values.ravel(), minlength=n_out * d).reshape(n_out, d)
 
 
-# pooled rows per chunk of the forward, so a chunk's temporaries stay small
-# at evaluation batch sizes
-_POOL_CHUNK = 64
-
-
-def _pool_rows(table: np.ndarray, ids: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Sum of ``table[ids]`` in runs: pooled row r sums the next ``lens[r]`` ids.
+def _pool_rows(table: np.ndarray, ids: CaptionIds) -> np.ndarray:
+    """Sum of table rows in runs: pooled row r sums the next ``ids.lens[r]`` rows of ``ids.rows``.
 
     Every pooled row is 0.0 plus its table rows, added one after another in
-    ``ids`` order, so the result is byte-identical to ``np.add.at``.  A chunk
-    of pooled rows gathers its table rows into a ``(width, rows, d)`` block
-    padded with 0.0 and sums it from 0.0 over its first axis, which numpy
-    adds one slice after another.  The padding adds 0.0 to a running sum
-    that, having started at 0.0, is never -0.0, and ``v + 0.0 == v`` for
-    every other v.  A chunk of one row is scattered instead, since numpy
-    would sum a one-column table's lone row pairwise; so is a chunk whose
-    padding would more than double its block, so no chunk holds much more
-    than its rows.
+    ``ids.rows`` order, so the result is byte-identical to ``np.add.at``.
+    The hit rows are gathered once, with a 0.0 row after them, and each
+    chunk of pooled rows (see ``PoolLayout``) takes its padded index from
+    that block into a ``(width, rows, d)`` block and sums it from 0.0 over
+    its first axis, which numpy adds one slice after another.  The padding
+    adds 0.0 to a running sum that, having started at 0.0, is never -0.0,
+    and ``v + 0.0 == v`` for every other v.  A chunk without an index is
+    scattered in order instead.
     """
-    n_out = len(lens)
-    x = np.empty((n_out, table.shape[1]))
-    at = np.concatenate(([0], np.cumsum(lens)))
-    # a lone last row joins the chunk before it, so only n_out == 1 makes a one-row chunk
-    edges = [0, *range(_POOL_CHUNK, n_out - 1, _POOL_CHUNK), n_out]
-    for r0, r1 in zip(edges, edges[1:]):
-        a, b = at[r0], at[r1]
-        chunk = lens[r0:r1]
-        width = np.maximum.reduce(chunk)
-        if r1 - r0 == 1 or width * (r1 - r0) > 2 * (b - a):
-            owner = np.repeat(np.arange(r1 - r0), chunk)
-            x[r0:r1] = _scatter_rows(owner, table[ids[a:b]], r1 - r0)
-            continue
-        pad = np.arange(width)[:, None] >= chunk  # slot j of pooled row r is padding
-        index = np.zeros(pad.shape, dtype=np.intp)
-        index.T[~pad.T] = ids[a:b]  # pooled row r's ids fill index[:lens[r], r], in order
-        g = table.take(index, axis=0)
-        g[pad] = 0.0
-        np.add.reduce(g, axis=0, initial=0.0, out=x[r0:r1])
+    layout = ids.layout
+    block = np.empty((len(layout.hit) + 1, table.shape[1]))
+    table.take(layout.hit, axis=0, out=block[:-1])
+    block[-1] = 0.0
+    x = np.empty((len(ids.lens), table.shape[1]))
+    for r0, r1, index in layout.chunks:
+        if index is None:
+            a = np.add.reduce(ids.lens[:r0])
+            b = a + np.add.reduce(ids.lens[r0:r1])
+            owner = np.repeat(np.arange(r1 - r0), ids.lens[r0:r1])
+            x[r0:r1] = _scatter_rows(owner, block[layout.local[a:b]], r1 - r0)
+        else:
+            np.add.reduce(block.take(index, axis=0), axis=0, initial=0.0, out=x[r0:r1])
     return x
 
 
@@ -472,23 +565,22 @@ def encode_token_lists(params: ModelParams,
                        ids: CaptionIds) -> tuple[np.ndarray, TextBatchCache]:
     """Batch text forward over captions given as bucket ids (see ``TokenTable.ids``).
 
-    One pooling pass over the joint table sums each caption's unigram rows
-    into pooled row 2i and its bigram rows into row 2i + 1; the input is
-    the unigram mean plus the bigram mean.
+    One pooling pass over the joint table, laid out by ``ids.layout``, sums
+    each caption's unigram rows into pooled row 2i and its bigram rows into
+    row 2i + 1; the input is the unigram mean plus the bigram mean.
     """
     if len(ids) == 0:
         raise ValueError("empty batch")
     n_unigrams = ids.lens[0::2]
     if not n_unigrams.all():
         raise ValueError(f"item {int(np.argmin(n_unigrams))}: caption renders to no tokens")
-    counts = np.maximum(ids.lens, 1).astype(np.float64)
-    pooled = _pool_rows(params.tables, ids.rows, ids.lens)
-    pooled /= counts[:, None]
+    pooled = _pool_rows(params.tables, ids)
+    pooled /= ids.layout.counts[:, None]
     x = pooled[0::2] + pooled[1::2]
     h, norms, emb = _mlp_forward(
         x, params.text_hidden_w, params.text_hidden_b, params.text_out_w, params.text_out_b
     )
-    return emb, TextBatchCache(ids.rows, ids.lens, counts, x, h, norms, emb)
+    return emb, TextBatchCache(ids, x, h, norms, emb)
 
 
 def caption_kinds(captions: Sequence[Caption],
@@ -542,9 +634,10 @@ def model_backward(
     Each pass pairs a forward cache with the upstream gradient on its
     embeddings.  The dense gradient is one concatenation of the two towers'
     gradients, zeros for a tower without a pass; the table's gradient comes
-    back row-sparse (see ``RowGrad``), each row summed in caption order and,
-    within a caption, token order (unigram and bigram ids hit disjoint
-    halves of the table).  log_temperature is not on any encoder path and
+    back row-sparse (see ``RowGrad``) on the batch's hit rows, scattered
+    over the ids' indices among them (see ``PoolLayout``), so each row is
+    summed in caption order and, within a caption, token order (unigram
+    and bigram ids hit disjoint halves of the table).  log_temperature is not on any encoder path and
     gets a 0.0 entry here.
     """
     layout = _dense_layout(params.dims)
@@ -557,16 +650,10 @@ def model_backward(
                                         _upstream(cache, d_emb), params.text_out_w)
         text_grads = [g.ravel() for g in d_dense]
         d_x = d_pre @ params.text_hidden_w.T
-        d_pooled = (d_x[:, None] / cache.counts.reshape(-1, 2, 1)).reshape(len(cache.counts), -1)
-        # the rows hit, sorted, and each id's place among them, from marks
-        # over the table's rows rather than a sort of the ids
-        hit = np.zeros(len(params.tables), dtype=bool)
-        hit[cache.ids] = True
-        rows = np.flatnonzero(hit)
-        place = np.empty(len(params.tables), dtype=np.intp)
-        place[rows] = np.arange(len(rows))
-        table = RowGrad(rows, _scatter_rows(place[cache.ids],
-                                            np.repeat(d_pooled, cache.lens, axis=0), len(rows)))
+        pool = cache.ids.layout
+        d_pooled = (d_x[:, None] / pool.counts.reshape(-1, 2, 1)).reshape(len(pool.counts), -1)
+        table = RowGrad(pool.hit, _scatter_rows(
+            pool.local, np.repeat(d_pooled, cache.ids.lens, axis=0), len(pool.hit)))
     if audio is not None:
         cache, d_emb = audio
         _, *d_dense = _mlp_backward(cache.feats, cache.h, cache.norms, cache.emb,

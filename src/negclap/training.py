@@ -240,7 +240,8 @@ class EpochPlan:
     n_exhausted: int
 
     def steps(self) -> Iterator[tuple[slice, CaptionIds]]:
-        """Each step's item slice and captions."""
+        """Each step's item slice and captions, whose pooling layouts are built
+        a chunk of steps at a time as the steps are reached (``CaptionIds.batches``)."""
         B = self.batch_size
         return zip((slice(a, a + B) for a in range(0, len(self.order), B)),
                    self.ids.batches(B * self.n_blocks))
@@ -314,6 +315,27 @@ def train_step(params: ModelParams, features: np.ndarray, text_ids: CaptionIds,
     return breakdown
 
 
+def _run_epoch(params: ModelParams, optimizer: AdamOptimizer, features: np.ndarray,
+               config: TrainConfig, epoch: int, plan: EpochPlan) -> tuple[np.ndarray, int, int]:
+    """Train on every step of ``plan``; the mean losses and the plan's edit counts.
+
+    Raises ``ValueError`` naming the condition, epoch and step at the first
+    step whose loss, or an embedding norm, is not finite.
+    """
+    sums = np.zeros(3)
+    for step, (items, text_ids) in enumerate(plan.steps(), 1):
+        try:
+            breakdown = train_step(params, features[plan.order[items]], text_ids, config,
+                                   optimizer)
+            if not math.isfinite(breakdown.l_total):
+                raise FloatingPointError(f"l_total is {breakdown.l_total}")
+        except FloatingPointError as e:
+            raise ValueError(f"{config.condition} training diverged at epoch {epoch}, "
+                             f"step {step}: {e}") from e
+        sums += (breakdown.l_clap, breakdown.l_diss, breakdown.l_total)
+    return sums / (len(plan.order) // config.batch_size), plan.n_augmented, plan.n_exhausted
+
+
 def _test_map_scores(params: ModelParams, test_ids: CaptionIds,
                      audio_features: np.ndarray) -> tuple[float, float]:
     audio_embs, _ = encode_audio_batch(params, audio_features)
@@ -354,20 +376,11 @@ def train(
         for epoch in range(1, config.epochs + 1):
             order = np.concatenate(make_batches(dataset_train, config.batch_size,
                                                 spawn_seed(config.seed, _SHUFFLE_STREAM, epoch)))
-            plan = plan_epoch(dataset_train.captions, order, config, table, dims.hash_buckets,
-                              seeded_rng(config.seed, _EPOCH_STREAM, epoch))
-            sums = np.zeros(3)
-            for step, (items, text_ids) in enumerate(plan.steps(), 1):
-                try:
-                    breakdown = train_step(params, features[order[items]], text_ids, config,
-                                           optimizer)
-                    if not math.isfinite(breakdown.l_total):
-                        raise FloatingPointError(f"l_total is {breakdown.l_total}")
-                except FloatingPointError as e:
-                    raise ValueError(f"{config.condition} training diverged at epoch {epoch}, "
-                                     f"step {step}: {e}") from e
-                sums += (breakdown.l_clap, breakdown.l_diss, breakdown.l_total)
-            means = sums / (len(order) // config.batch_size)
+            # the plan and its last step's layouts are let go before selection
+            means, n_augmented, n_exhausted = _run_epoch(
+                params, optimizer, features, config, epoch,
+                plan_epoch(dataset_train.captions, order, config, table, dims.hash_buckets,
+                           seeded_rng(config.seed, _EPOCH_STREAM, epoch)))
 
             map_t2a, map_a2t = _test_map_scores(params, test_caption_ids, test_features)
             map_avg = 0.5 * (map_t2a + map_a2t)
@@ -375,7 +388,7 @@ def train(
                 epoch=epoch, l_clap=float(means[0]), l_diss=float(means[1]),
                 l_total=float(means[2]), k=config.k, p_aug=config.p_aug,
                 map10_t2a=map_t2a, map10_a2t=map_a2t, map10_avg=map_avg,
-                n_augmented=plan.n_augmented, n_aug_exhausted=plan.n_exhausted,
+                n_augmented=n_augmented, n_aug_exhausted=n_exhausted,
             ))
             if best is None or map_avg > best.selection_score:
                 # later epochs update params in place; the last epoch's are final

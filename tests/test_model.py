@@ -2,6 +2,7 @@ import json
 import math
 import os
 import threading
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -56,6 +57,7 @@ from negclap.model import (
     save_checkpoint,
     tokenize,
 )
+from negclap import model
 from negclap.evaluation import VARIANTS, build_eval_variants
 from negclap.negation import AugmentationExhausted, draw_halves, edit_ids
 from negclap.seeding import seeded_rng
@@ -318,7 +320,7 @@ class TestRowSparseScatter:
         ids = rng.integers(0, len(table), size=len(owner))
         expected = np.zeros((len(lens), d))
         np.add.at(expected, owner, table[ids])
-        pooled = _pool_rows(table, ids, lens)
+        pooled = _pool_rows(table, CaptionIds(ids, lens))
         assert np.array_equal(pooled, expected)
         assert np.array_equal(np.signbit(pooled), np.signbit(expected))
 
@@ -331,6 +333,64 @@ class TestRowSparseScatter:
         ids = reference_ids(lists, 16)
         _, cache = encode_token_lists(params, ids)
         assert cache.x.tobytes() == pooled_with_add_at(params, ids).tobytes()
+
+
+# a corpus whose steps plan in several layout chunks at small chunk bounds
+LAYOUT_VOCAB = generate_vocabulary(6, 2)
+LAYOUT_DS = generate_dataset(LAYOUT_VOCAB, 23, d_a=3, rng_seed=8)
+
+
+class TestPoolLayout:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4), st.sampled_from([0.0, 1e-2]), st.integers(1, 700),
+           st.sampled_from([1, 3]), st.integers(0, 2**32 - 1))
+    @example(1, 0.0, 40, 1, 0)  # batch_size 1 on a one-column table: 23 steps, two a chunk
+    @example(3, 1e-2, 600, 3, 1)  # three blocks: 7 steps in chunks of 3, 3 and 1
+    @example(2, 1e-2, 1, 1, 2)  # a bound below one step: a chunk per step
+    def test_planned_steps_match_unique_and_add_at(self, batch_size, k, chunk_ids, d_t, seed):
+        from negclap.training import TrainConfig, plan_epoch
+
+        config = TrainConfig(condition="combo" if k else "baseline", seed=1,
+                             p_aug=0.6 if k else 0.0, k=k, batch_size=batch_size)
+        n = len(LAYOUT_DS) // batch_size * batch_size
+        order = np.random.default_rng(seed).permutation(len(LAYOUT_DS))[:n]
+        table = TokenTable(LAYOUT_VOCAB, LAYOUT_DS.words)
+        plan = plan_epoch(LAYOUT_DS.captions, order, config, table, 61, seeded_rng(seed))
+        params = init_params(ModelDims(d_t=d_t, d_h=4, d=3, d_a=3, hash_buckets=61), seed=2)
+        with unittest.mock.patch.object(model, "_LAYOUT_CHUNK", chunk_ids):
+            steps = [ids for _, ids in plan.steps()]
+        assert len(steps) == n // batch_size
+        for s, ids in enumerate(steps):
+            hit, local = np.unique(ids.rows, return_inverse=True)
+            assert ids.layout.hit.tolist() == hit.tolist(), f"step {s}"
+            assert ids.layout.local.tolist() == local.tolist(), f"step {s}"
+            expected = np.zeros((len(ids.lens), d_t))
+            np.add.at(expected, owners(ids.lens), params.tables[ids.rows])
+            assert _pool_rows(params.tables, ids).tobytes() == expected.tobytes(), f"step {s}"
+
+    def test_steps_build_their_layouts_chunk_by_chunk(self, monkeypatch):
+        from negclap.training import TrainConfig, plan_epoch
+
+        builds = []
+
+        def counted(rows, lens, size):
+            builds.append((len(rows), len(lens) // size))
+            return layouts(rows, lens, size)
+
+        layouts = model._pool_layouts
+        monkeypatch.setattr(model, "_pool_layouts", counted)
+        monkeypatch.setattr(model, "_LAYOUT_CHUNK", 1000)
+        ds = generate_dataset(LAYOUT_VOCAB, 400, d_a=3, rng_seed=4)
+        config = TrainConfig(condition="combo", seed=1, p_aug=0.6, k=1e-2, batch_size=4)
+        table = TokenTable(LAYOUT_VOCAB, ds.words)
+        plan = plan_epoch(ds.captions, np.arange(400), config, table, 61, seeded_rng(0))
+        steps = plan.steps()
+        next(steps)
+        assert len(builds) == 1  # only the first chunk is built before the first step
+        n_steps = 1 + sum(1 for _ in steps)
+        assert n_steps == 100 and sum(n for _, n in builds) == n_steps
+        # each build stays within the bound, so no epoch-wide layout is ever held
+        assert len(builds) > 10 and all(n_ids <= 1000 for n_ids, _ in builds)
 
 
 # surfaces and word texts that exercise tokenize: case, punctuation, inner and
@@ -399,9 +459,9 @@ class TestTokenTable:
         batches = [encode_text_batch(params, caps, ID_VOCAB),
                    encode_token_lists(params, table.ids(slots, n))]
         for emb, cache in batches:
-            assert cache.ids.tolist() == layout
+            assert cache.ids.rows.tolist() == layout
             # the pooled row of each id
-            assert np.repeat(np.arange(2 * len(caps)), cache.lens).tolist() == owner
+            assert np.repeat(np.arange(2 * len(caps)), cache.ids.lens).tolist() == owner
             assert cache.x.tobytes() == x.tobytes()
             assert emb.tobytes() == emb_ref.tobytes()
 
