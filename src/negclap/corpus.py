@@ -416,7 +416,8 @@ def validate_dataset(dataset: Dataset, check_tag_consistency: bool = True, *,
 
     The vocabulary and split come first, then the pairs, checked with
     arrays: the fault of the earliest pair is reported, within it the first
-    check listed below.  ``bad_mention`` is ``(pair, message)`` of the first
+    check listed below.  Last, a split of two or more pairs must not hold
+    only equal feature rows.  ``bad_mention`` is ``(pair, message)`` of the first
     mention outside the vocabulary that ``load_dataset`` met.
     """
     vocab = dataset.vocabulary
@@ -468,6 +469,10 @@ def validate_dataset(dataset: Dataset, check_tag_consistency: bool = True, *,
         message = checks[i][1]
         raise DatasetValidationError(f"{message} {ids[row]}" if i == 0
                                      else f"clip {ids[row]}: {message}")
+    # equal rows embed alike, so every ranking over them would be decided by ties
+    if n >= 2 and not (matrix[1:] != matrix[0]).any():
+        raise DatasetValidationError(f"all {n} clips have the same features, "
+                                     "so no ranking can tell them apart")
 
 
 # Rows per orjson call in _feature_texts: few enough that a chunk's text

@@ -78,14 +78,14 @@ def gen_mismatched(tmp_path, case):
     return data
 
 
-def zero_rows(path, rows):
-    """Set the features of records ``rows`` (0-based, after the header) of ``path`` to zero;
-    returns their clip ids."""
+def fill_rows(path, rows, value=0.0):
+    """Set every feature of records ``rows`` (0-based, after the header) of ``path`` to
+    ``value``; returns their clip ids."""
     lines = path.read_text().splitlines(keepends=True)
     ids = []
     for r in rows:
         record = json.loads(lines[1 + r])
-        record["features"] = [0.0] * len(record["features"])
+        record["features"] = [value] * len(record["features"])
         lines[1 + r] = json.dumps(record) + "\n"
         ids.append(record["id"])
     path.write_text("".join(lines))
@@ -418,7 +418,7 @@ class TestTrain:
     def test_train_row_that_cannot_be_normalized_names_file_and_clip(self, tmp_path, capsys):
         data = gen_small(tmp_path)
         path = data / "train.jsonl"
-        clip_id, = zero_rows(path, [5])
+        clip_id, = fill_rows(path, [5])
         code = main(["train", "--data", str(data), "--condition", "baseline", "--epochs", "1",
                      "--seed", "1", "--out", str(tmp_path / "run")])
         assert code == 1
@@ -654,12 +654,30 @@ class TestEval:
     def test_test_rows_that_cannot_be_normalized_name_file_and_clip(self, tmp_path, capsys):
         data, ckpt = self._trained(tmp_path)
         path = data / "test.jsonl"
-        first, *_ = zero_rows(path, range(16))
+        first, *_ = fill_rows(path, range(16))
         code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
                      "--eval-seed", "9", "--out", str(tmp_path / "e")])
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: {path}: clip {first}: features too close to zero to normalize\n")
+        assert not (tmp_path / "e").exists()
+
+    def test_test_split_of_equal_rows_names_its_file(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["gen-data", "--n-tags", "8", "--n-clips", "60", "--n-test", "20",
+                     "--d-a", "8", "--seed", "3", "--out", str(data)]) == 0
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--condition", "baseline", "--epochs", "1",
+                     "--seed", "1", "--out", str(run)]) == 0
+        path = data / "test.jsonl"
+        fill_rows(path, range(20), 1.0)
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(run / "checkpoint.ckpt"), "--data", str(data),
+                     "--eval-seed", "9", "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: all 20 clips have the same features, "
+            "so no ranking can tell them apart\n")
         assert not (tmp_path / "e").exists()
 
     def test_load_train_and_eval_build_no_pair_object(self, tmp_path, monkeypatch):

@@ -147,6 +147,11 @@ CASES = {
                                "clip 2: repeated non-negated tag mention"),
     "caption tags against clip tags": (text(records={0: {"tags": [0, 2]}}), V,
                                        "clip 0: non-negated caption tags != clip tags"),
+    # the split as a whole
+    "equal feature rows": (text(records={1: {"features": [1.0, 0.5]},
+                                         2: {"features": [1.0, 0.5]}}), V,
+                           "all 3 clips have the same features, so no ranking can tell them "
+                           "apart"),
     # more than one fault: the earliest line wins, whatever its check
     "earlier line wins": (text(records={0: {"tags": [0, 2]}, 2: {"id": 0, "tags": []}}), V,
                           "clip 0: non-negated caption tags != clip tags"),
@@ -174,12 +179,24 @@ CASES = {
                                    "clip 1: caption tag id out of range"),
     "duplicate id before its tags": (text(records={2: {"id": 1, "tags": []}}), V,
                                      "duplicate clip id 1"),
+    # ... and a record's fault before the split's
+    "a record's fault before equal rows": (text(records={1: {"features": [1.0, 0.5], "tags": []},
+                                                         2: {"features": [1.0, 0.5]}}), V,
+                                           "clip 1: tag set must be nonempty"),
 }
 
 
 def test_the_unbroken_file_loads(tmp_path):
     path = tmp_path / "ok.jsonl"
     path.write_text(text(), encoding="utf-8")
+    assert len(load_dataset(path)) == len(RECORDS)
+
+
+def test_equal_captions_load(tmp_path):
+    # a split's feature rows must not all be equal, but its captions may be
+    path = tmp_path / "ok.jsonl"
+    same = {key: RECORDS[0][key] for key in ("tags", "caption")}
+    path.write_text(text(records={1: same, 2: same}), encoding="utf-8")
     assert len(load_dataset(path)) == len(RECORDS)
 
 
