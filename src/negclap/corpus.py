@@ -97,21 +97,10 @@ class TagMention:
     tag_id: int
     negator: str | None = None
 
-    @property
-    def negated(self) -> bool:
-        return self.negator is not None
-
 
 @dataclass(frozen=True)
 class Caption:
     tokens: tuple[Union[Word, TagMention], ...]
-
-    def mentions(self) -> tuple[TagMention, ...]:
-        return tuple(t for t in self.tokens if isinstance(t, TagMention))
-
-    def tag_ids(self) -> frozenset[int]:
-        """Ids of all mentioned tags, negated or not."""
-        return frozenset(m.tag_id for m in self.mentions())
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,12 +347,27 @@ def _weak_rows(features: np.ndarray) -> np.ndarray:
     return np.flatnonzero(squares < np.finfo(np.float64).tiny)
 
 
+def _all_equal(features: np.ndarray) -> bool:
+    """Whether two or more rows are all equal: their clips embed alike, so every
+    ranking over them would be decided by ties."""
+    return len(features) >= 2 and not (features[1:] != features[0]).any()
+
+
 def split_dataset(dataset: Dataset, n_test: int) -> tuple[Dataset, Dataset]:
-    """Partition into a train head and test tail (clips are iid by construction)."""
+    """Partition into a train head and test tail (clips are iid by construction).
+
+    Raises ``ValueError`` when a split's feature rows are all equal, since
+    ``load_dataset`` would refuse its file.
+    """
     n = len(dataset)
     if not 0 < n_test < n:
         raise ValueError(f"n_test must be in (0, {n}), got {n_test}")
-    return dataset.slice(0, n - n_test, "train"), dataset.slice(n - n_test, n, "test")
+    splits = dataset.slice(0, n - n_test, "train"), dataset.slice(n - n_test, n, "test")
+    for split in splits:
+        if _all_equal(split.features):
+            raise ValueError(f"all {len(split)} clips of the {split.split} split have the same "
+                             "features, so no ranking can tell them apart")
+    return splits
 
 
 def check_splits(train: Dataset, test: Dataset) -> None:
@@ -469,8 +473,7 @@ def validate_dataset(dataset: Dataset, check_tag_consistency: bool = True, *,
         message = checks[i][1]
         raise DatasetValidationError(f"{message} {ids[row]}" if i == 0
                                      else f"clip {ids[row]}: {message}")
-    # equal rows embed alike, so every ranking over them would be decided by ties
-    if n >= 2 and not (matrix[1:] != matrix[0]).any():
+    if _all_equal(matrix):
         raise DatasetValidationError(f"all {n} clips have the same features, "
                                      "so no ranking can tell them apart")
 

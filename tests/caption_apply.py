@@ -12,6 +12,8 @@ caption's text, the string reference for ``TokenTable.ids``.  The half negation'
 are also kept here caption by caption, ``draw_half`` (one ``rng.choice``)
 then ``draw_negators`` per caption, as the reference for
 ``negation.draw_halves``, which replays them from one generator call.
+``tag_mentions``, ``mentioned_tags`` and ``is_negated`` read a caption's
+mentions; only tests need them, so the package's ``Caption`` has none.
 """
 
 import math
@@ -30,6 +32,20 @@ from negclap.negation import (
     negate_ids,
 )
 from negclap.seeding import seeded_rng
+
+
+def tag_mentions(caption: Caption) -> tuple[TagMention, ...]:
+    """The caption's tag mentions, in order."""
+    return tuple(t for t in caption.tokens if isinstance(t, TagMention))
+
+
+def mentioned_tags(caption: Caption) -> frozenset[int]:
+    """Ids of all tags the caption mentions, negated or not."""
+    return frozenset(m.tag_id for m in tag_mentions(caption))
+
+
+def is_negated(mention: TagMention) -> bool:
+    return mention.negator is not None
 
 
 def render_caption(caption: Caption, vocab: Vocabulary) -> str:
@@ -104,7 +120,7 @@ def negation_insert(caption: Caption, vocab: Vocabulary, rng: np.random.Generato
     vocabulary tags not mentioned in the caption, and the negator uniform
     over the vocabulary negators.  All original tokens keep their order.
     """
-    unused = sorted(set(range(len(vocab))) - caption.tag_ids())
+    unused = sorted(set(range(len(vocab))) - mentioned_tags(caption))
     gap, k, negator = draw_insert(len(caption.tokens), len(unused), len(vocab.negators), rng)
     mention = TagMention(unused[k], vocab.negators[negator])
     return Caption(tokens=caption.tokens[:gap] + (mention,) + caption.tokens[gap:])

@@ -22,7 +22,16 @@ import time
 import numpy as np
 import pytest
 
-from caption_apply import caption_ids, draw_half, fully_negate, kind_captions, variant_captions
+from caption_apply import (
+    caption_ids,
+    draw_half,
+    fully_negate,
+    is_negated,
+    kind_captions,
+    mentioned_tags,
+    tag_mentions,
+    variant_captions,
+)
 from fd_utils import (
     clap_loss_through_encoders,
     dissimilarity_through_encoders,
@@ -203,7 +212,7 @@ def test_criterion_03_augmentation_invariants():
         captions = [random_tokens_caption(rng, n_tags) for _ in range(500)]
         candidate_sets = {}
         for caption in captions:
-            unused = sorted(set(range(n_tags)) - caption.tag_ids())
+            unused = sorted(set(range(n_tags)) - mentioned_tags(caption))
             cands = set()
             for gap in range(len(caption.tokens) + 1):
                 for tag in unused:
@@ -237,31 +246,31 @@ def test_criterion_03_augmentation_invariants():
                                             np.concatenate(fully_negators), table)))
         for i, (inserted, halved, full) in enumerate(edited):
             caption = captions[i % len(captions)]
-            plain = [m for m in caption.mentions() if not m.negated]
-            before_ids = sorted(m.tag_id for m in caption.mentions())
+            plain = [m for m in tag_mentions(caption) if not is_negated(m)]
+            before_ids = sorted(m.tag_id for m in tag_mentions(caption))
 
             if inserted not in candidate_sets[caption]:
                 failures.append((seed, i, "insert not in enumerated candidates"))
             new = set(inserted.tokens) - set(caption.tokens)
             mention = next(iter(new))
-            if mention.tag_id in caption.tag_ids():
+            if mention.tag_id in mentioned_tags(caption):
                 failures.append((seed, i, "inserted tag already present"))
             idx = inserted.tokens.index(mention)
             if inserted.tokens[:idx] + inserted.tokens[idx + 1:] != caption.tokens:
                 failures.append((seed, i, "insert did not preserve tokens"))
 
-            already = sum(m.negated for m in caption.mentions())
-            if sum(m.negated for m in halved.mentions()) != \
+            already = sum(is_negated(m) for m in tag_mentions(caption))
+            if sum(is_negated(m) for m in tag_mentions(halved)) != \
                     already + math.ceil(len(plain) / 2):
                 failures.append((seed, i, "half negation count"))
             if len(halved.tokens) != len(caption.tokens) or \
-                    sorted(m.tag_id for m in halved.mentions()) != before_ids:
+                    sorted(m.tag_id for m in tag_mentions(halved)) != before_ids:
                 failures.append((seed, i, "half token preservation"))
 
-            if not all(m.negated for m in full.mentions()):
+            if not all(is_negated(m) for m in tag_mentions(full)):
                 failures.append((seed, i, "fully negation count"))
             if len(full.tokens) != len(caption.tokens) or \
-                    sorted(m.tag_id for m in full.mentions()) != before_ids:
+                    sorted(m.tag_id for m in tag_mentions(full)) != before_ids:
                 failures.append((seed, i, "fully token preservation"))
     report(3, "augmentation invariants", not failures,
            f"10,000 iterations x 3 seeds; first failures: {failures[:3]}")

@@ -16,6 +16,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import negclap
+from caption_apply import is_negated, mentioned_tags, tag_mentions
 from negclap import corpus, evaluation, training
 from negclap.cli import main
 from negclap.corpus import DatasetValidationError, load_dataset
@@ -148,6 +149,18 @@ class TestGenData:
                      "--seed", "1", "--out", str(tmp_path / "d")])
         assert code == 2
 
+    def test_split_of_equal_rows_is_refused_before_writing(self, tmp_path, capsys):
+        # without noise, clips of one tag set have equal features; both test clips draw {2, 3}
+        out = tmp_path / "d"
+        code = main(["gen-data", "--n-tags", "4", "--n-clips", "20", "--n-test", "2",
+                     "--d-a", "2", "--noise-sigma", "0", "--tags-min", "2", "--tags-max", "2",
+                     "--seed", "0", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: all 2 clips of the test split have the same features, "
+            "so no ranking can tell them apart\n")
+        assert not out.exists()
+
 
 # sha256 of every file the toy chain below writes.  A refactor that keeps the
 # bytes passes; a change to any float summation order in training, the
@@ -240,7 +253,7 @@ class TestAugment:
         assert code == 0
         ds = load_dataset(out)
         assert all(
-            sum(m.negated for m in caption.mentions()) == 1
+            sum(is_negated(m) for m in tag_mentions(caption)) == 1
             for _, caption in ds.pairs
         )
 
@@ -253,7 +266,7 @@ class TestAugment:
         with pytest.raises(DatasetValidationError):
             load_dataset(out)
         ds = load_dataset(out, check_tag_consistency=False)
-        assert all(m.negated for _, c in ds.pairs for m in c.mentions())
+        assert all(is_negated(m) for _, c in ds.pairs for m in tag_mentions(c))
 
     def test_invalid_utf8_is_parse_error_naming_file_and_line(self, tmp_path, capsys):
         path = gen_small(tmp_path) / "train.jsonl"
@@ -340,7 +353,7 @@ class TestAugment:
         assert sha256(out) == "64b2aab3302666ca4bd2bde2c011253c8f81eea4cb05af449802a5cf1e5488c2"
         pairs = zip(load_dataset(data / "train.jsonl").pairs, load_dataset(out).pairs)
         kept = [before for (_, before), (_, after) in pairs if after == before]
-        assert len(kept) == 73 and all(len(c.tag_ids()) == 4 for c in kept)
+        assert len(kept) == 73 and all(len(mentioned_tags(c)) == 4 for c in kept)
 
 
 class TestTrain:

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caption_apply import dataset_of, render_caption, templated_caption
+from caption_apply import (
+    dataset_of,
+    is_negated,
+    mentioned_tags,
+    render_caption,
+    tag_mentions,
+    templated_caption,
+)
 from negclap import corpus
 from negclap.cli import main as cli_main
 from negclap.corpus import (
@@ -150,8 +157,8 @@ class TestGenerateDataset:
         vocab = generate_vocabulary(8, 3)
         ds = generate_dataset(vocab, 40, d_a=16, rng_seed=5)
         for clip, caption in ds.pairs:
-            assert caption.tag_ids() == clip.tag_ids
-            assert not any(m.negated for m in caption.mentions())
+            assert mentioned_tags(caption) == clip.tag_ids
+            assert not any(is_negated(m) for m in tag_mentions(caption))
 
     def test_nearest_tag_subset_recovered_by_brute_force(self):
         # every clip's feature vector must be closest, by cosine, to the
@@ -267,8 +274,9 @@ class TestSaveLoad:
                            st.floats(allow_nan=False, allow_infinity=False))
         matrix = np.array(data.draw(st.lists(st.lists(number, min_size=d_a, max_size=d_a),
                                              min_size=n, max_size=n)), dtype=np.float64)
-        # a row too close to zero to normalize does not load, so each row starts with 1.0
-        matrix = np.hstack((np.ones((n, 1)), matrix))
+        # a row too close to zero to normalize does not load, nor a split of equal
+        # rows, so row i starts with i + 1
+        matrix = np.hstack((np.arange(1.0, n + 1)[:, None], matrix))
         ds = with_features(generate_dataset(generate_vocabulary(6, 0), n, d_a=d_a + 1), matrix)
         path = tmp_path_factory.getbasetemp() / "features.jsonl"
         # chunks of 2 rows, so rows of both paths meet in a chunk and across chunks

@@ -8,7 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from caption_apply import caption_ids, dataset_of, kind_captions, render_caption, variant_captions
+from caption_apply import (
+    caption_ids,
+    dataset_of,
+    is_negated,
+    kind_captions,
+    render_caption,
+    tag_mentions,
+    variant_captions,
+)
 from negclap.corpus import (
     Caption,
     TagMention,
@@ -286,10 +294,10 @@ class TestBuildEvalVariants:
         variants = variant_captions(ds, eval_seed=7)
         for original, half, fully in zip(variants["original"], variants["half"],
                                          variants["fully"]):
-            t = len(original.mentions())
-            assert sum(m.negated for m in original.mentions()) == 0
-            assert sum(m.negated for m in half.mentions()) == math.ceil(t / 2)
-            assert sum(m.negated for m in fully.mentions()) == t
+            t = len(tag_mentions(original))
+            assert sum(is_negated(m) for m in tag_mentions(original)) == 0
+            assert sum(is_negated(m) for m in tag_mentions(half)) == math.ceil(t / 2)
+            assert sum(is_negated(m) for m in tag_mentions(fully)) == t
 
     def test_reproduces_worked_negation_triple(self, song_vocab, tune_caption):
         clip_features = np.zeros(4)

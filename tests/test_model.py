@@ -16,8 +16,11 @@ from caption_apply import (
     eval_variants_per_pair,
     half_edit_per_caption,
     halves_per_caption,
+    is_negated,
     kind_captions,
+    mentioned_tags,
     render_caption,
+    tag_mentions,
 )
 from fd_utils import (
     clap_loss_through_encoders,
@@ -90,8 +93,8 @@ class TestTokenize:
         ds = generate_dataset(vocab, 30, d_a=8, rng_seed=3)
         for _, caption in ds.pairs:
             words = sum(isinstance(t, Word) for t in caption.tokens)
-            plain = sum(isinstance(t, TagMention) and not t.negated for t in caption.tokens)
-            negated = sum(isinstance(t, TagMention) and t.negated for t in caption.tokens)
+            plain = sum(isinstance(t, TagMention) and not is_negated(t) for t in caption.tokens)
+            negated = sum(isinstance(t, TagMention) and is_negated(t) for t in caption.tokens)
             tokens = tokenize(render_caption(caption, vocab))
             assert len(tokens) == words + plain + 2 * negated
 
@@ -589,7 +592,7 @@ class TestNegationIdApply:
     def test_each_edit_matches_the_caption_apply(self, case, name, p_aug, all_plain):
         vocab, caps, seed = case
         if all_plain:  # else half and fully raise at the first caption without a plain mention
-            caps = ([c for c in caps if any(t.negator is None for t in c.mentions())]
+            caps = ([c for c in caps if any(t.negator is None for t in tag_mentions(c))]
                     or [Caption((TagMention(0),))])
         by_caption, by_ids = seeded_rng(seed), seeded_rng(seed)
         want = outcome(augment_captions, name, caps, vocab, p_aug, by_caption)
@@ -614,7 +617,7 @@ class TestNegationIdApply:
 
         vocab, caps, seed = case
         if all_plain:  # else captions without a plain mention make k > 0 raise
-            caps = ([c for c in caps if any(t.negator is None for t in c.mentions())]
+            caps = ([c for c in caps if any(t.negator is None for t in tag_mentions(c))]
                     or [Caption((TagMention(0),))])
         order = np.array(data.draw(st.lists(st.integers(0, len(caps) - 1),
                                             min_size=batch_size, max_size=3 * batch_size)))
@@ -642,7 +645,7 @@ class TestNegationIdApply:
 
 def as_test_split(vocab, caps):
     """A test split of ``caps``; the eval variants read only its captions."""
-    pairs = tuple((AudioClip(i, np.zeros(1), frozenset(c.tag_ids())), c)
+    pairs = tuple((AudioClip(i, np.zeros(1), frozenset(mentioned_tags(c))), c)
                   for i, c in enumerate(caps))
     return dataset_of(vocab, pairs, "test", np.zeros((len(caps), 1)))
 
@@ -670,7 +673,7 @@ class TestHalfDraws:
     def test_eval_variants_equal_the_per_pair_draws(self, case, all_plain):
         vocab, caps, seed = case
         if all_plain:
-            caps = ([c for c in caps if any(t.negator is None for t in c.mentions())]
+            caps = ([c for c in caps if any(t.negator is None for t in tag_mentions(c))]
                     or [Caption((TagMention(0),))])
         split = as_test_split(vocab, caps)
         got = outcome(build_eval_variants, split, seed)
@@ -687,7 +690,7 @@ class TestHalfDraws:
     def test_half_edit_equals_the_per_caption_draws(self, case, all_plain):
         vocab, caps, seed = case
         if all_plain:
-            caps = ([c for c in caps if any(t.negator is None for t in c.mentions())]
+            caps = ([c for c in caps if any(t.negator is None for t in tag_mentions(c))]
                     or [Caption((TagMention(0),))])
         table, slots = caption_kinds(caps, vocab)
         by_helper, by_caption = seeded_rng(seed), seeded_rng(seed)

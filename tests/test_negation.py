@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caption_apply import kind_captions, render_caption
+from caption_apply import is_negated, kind_captions, mentioned_tags, render_caption, tag_mentions
 from negclap.corpus import Caption, TagMention, Vocabulary, Word
 from negclap.model import caption_kinds
 from negclap.negation import AugmentationExhausted, draw_insert, edit_ids
@@ -32,7 +32,7 @@ def edit_one(name, caption, vocab, rng):
 
 def enumerate_insert_candidates(caption, vocab):
     """All captions an insert may produce: gap x unused tag x negator."""
-    unused = sorted(set(range(len(vocab))) - caption.tag_ids())
+    unused = sorted(set(range(len(vocab))) - mentioned_tags(caption))
     out = set()
     for gap in range(len(caption.tokens) + 1):
         for tag in unused:
@@ -86,13 +86,13 @@ class TestNegationInsert:
         vocab = big_vocab()
         rng = seeded_rng(seed)
         out = edit_one("insert", caption, vocab, rng)
-        assert len(out.mentions()) == len(caption.mentions()) + 1
+        assert len(tag_mentions(out)) == len(tag_mentions(caption)) + 1
         new = set(out.tokens) - set(caption.tokens)
         # exactly one new negated mention of an absent tag
         assert len(new) == 1
         mention = next(iter(new))
-        assert isinstance(mention, TagMention) and mention.negated
-        assert mention.tag_id not in caption.tag_ids()
+        assert isinstance(mention, TagMention) and is_negated(mention)
+        assert mention.tag_id not in mentioned_tags(caption)
         assert mention.negator in NEGATORS
         # removing the inserted token restores the original sequence
         idx = out.tokens.index(mention)
@@ -102,12 +102,12 @@ class TestNegationInsert:
 class TestHalfNegate:
     def test_three_tags_negates_two(self, song_vocab, tune_caption):
         out = edit_one("half", tune_caption, song_vocab, seeded_rng(1))
-        assert sum(m.negated for m in out.mentions()) == 2
+        assert sum(is_negated(m) for m in tag_mentions(out)) == 2
 
     def test_single_tag_negated(self, song_vocab):
         caption = Caption(tokens=(TagMention(3),))
         out = edit_one("half", caption, song_vocab, seeded_rng(0))
-        assert [m.negated for m in out.mentions()] == [True]
+        assert [is_negated(m) for m in tag_mentions(out)] == [True]
 
     def test_no_plain_mentions_rejected(self, song_vocab):
         caption = Caption(tokens=(TagMention(0, "no"),))
@@ -120,8 +120,8 @@ class TestHalfNegate:
         counts = {0: 0, 1: 0, 2: 0}
         n = 10_000
         for out in edit("half", [tune_caption] * n, song_vocab, rng)[0]:
-            for m in out.mentions():
-                if m.negated:
+            for m in tag_mentions(out):
+                if is_negated(m):
                     counts[m.tag_id] += 1
         for tag_id in counts:
             assert abs(counts[tag_id] / n - 2 / 3) < 0.02
@@ -130,18 +130,18 @@ class TestHalfNegate:
     @given(captions(), st.integers(0, 2**32 - 1))
     def test_counts_and_structure(self, caption, seed):
         vocab = big_vocab()
-        plain_before = [m for m in caption.mentions() if not m.negated]
-        already = sum(m.negated for m in caption.mentions())
+        plain_before = [m for m in tag_mentions(caption) if not is_negated(m)]
+        already = sum(is_negated(m) for m in tag_mentions(caption))
         out = edit_one("half", caption, vocab, seeded_rng(seed))
         assert len(out.tokens) == len(caption.tokens)
-        assert sum(m.negated for m in out.mentions()) == \
+        assert sum(is_negated(m) for m in tag_mentions(out)) == \
             already + math.ceil(len(plain_before) / 2)
-        assert sorted(m.tag_id for m in out.mentions()) == \
-            sorted(m.tag_id for m in caption.mentions())
+        assert sorted(m.tag_id for m in tag_mentions(out)) == \
+            sorted(m.tag_id for m in tag_mentions(caption))
         for before, after in zip(caption.tokens, out.tokens):
             if isinstance(before, Word):
                 assert before == after
-            elif before.negated:
+            elif is_negated(before):
                 assert before == after  # no stacking
 
 
@@ -159,14 +159,14 @@ class TestFullyNegate:
     def test_all_mentions_negated(self, caption, seed):
         vocab = big_vocab()
         out = edit_one("fully", caption, vocab, seeded_rng(seed))
-        assert all(m.negated for m in out.mentions())
+        assert all(is_negated(m) for m in tag_mentions(out))
         assert len(out.tokens) == len(caption.tokens)
-        assert sorted(m.tag_id for m in out.mentions()) == \
-            sorted(m.tag_id for m in caption.mentions())
+        assert sorted(m.tag_id for m in tag_mentions(out)) == \
+            sorted(m.tag_id for m in tag_mentions(caption))
 
     def test_flag_pattern_stable_under_renegation(self, song_vocab, tune_caption):
         once = edit_one("fully", tune_caption, song_vocab, seeded_rng(4))
-        assert [m.negated for m in once.mentions()] == [True, True, True]
+        assert [is_negated(m) for m in tag_mentions(once)] == [True, True, True]
         # a second pass has no plain mentions left to negate
         with pytest.raises(ValueError):
             edit_one("fully", once, song_vocab, seeded_rng(5))
@@ -179,7 +179,7 @@ class TestApplyAugmentation:
 
     def test_probability_one_always_inserts(self, song_vocab, tune_caption):
         out, _ = edit("insert", [tune_caption] * 50, song_vocab, seeded_rng(0), p_aug=1.0)
-        assert all(len(c.mentions()) == len(tune_caption.mentions()) + 1 for c in out)
+        assert all(len(tag_mentions(c)) == len(tag_mentions(tune_caption)) + 1 for c in out)
 
     def test_application_rate(self, song_vocab, tune_caption):
         n = 10_000
