@@ -288,9 +288,10 @@ def _pool_layouts(rows: np.ndarray, lens: np.ndarray, size: int) -> list[PoolLay
     """The layouts of the consecutive batches of ``size`` pooled rows that ``rows``
     and ``lens`` hold in ``CaptionIds`` form, built together.
 
-    One ``np.unique`` over the ids, each offset by its batch's index times
-    a span past the largest id, gives every batch's hit rows and each id's
-    index among them.  A batch's pooled rows go in chunks of
+    The ids, each offset by its batch's index times a span past the largest
+    id, give every batch's hit rows and each id's index among them: from
+    one ``np.unique``, or from marks over every offset id where there are
+    fewer of those than ids, as in one large batch.  A batch's pooled rows go in chunks of
     ``_POOL_CHUNK``, a lone last row joining the chunk before it.  A chunk
     of one row is scattered, since numpy would sum a one-column table's
     lone row pairwise; so is a chunk whose padding would more than double
@@ -303,8 +304,16 @@ def _pool_layouts(rows: np.ndarray, lens: np.ndarray, size: int) -> list[PoolLay
     batch_at = at[::size]
     n_ids = np.diff(batch_at)
     span = int(np.maximum.reduce(rows, initial=0)) + 1
-    keys, local = np.unique(np.repeat(np.arange(0, n * span, span), n_ids) + rows,
-                            return_inverse=True)
+    offset = np.repeat(np.arange(0, n * span, span), n_ids) + rows
+    if n * span <= len(rows):  # marks over every key cost less than a sort of the ids
+        marks = np.zeros(n * span, dtype=bool)
+        marks[offset] = True
+        keys = np.flatnonzero(marks)
+        place = np.empty(n * span, dtype=np.intp)
+        place[keys] = np.arange(len(keys))
+        local = place[offset]
+    else:
+        keys, local = np.unique(offset, return_inverse=True)
     hit_at = np.searchsorted(keys, np.arange(0, (n + 1) * span, span))
     n_hit = np.diff(hit_at)
     hit = keys - np.repeat(np.arange(0, n * span, span), n_hit)

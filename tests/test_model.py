@@ -347,9 +347,10 @@ class TestPoolLayout:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 4), st.sampled_from([0.0, 1e-2]), st.integers(1, 700),
            st.sampled_from([1, 3]), st.integers(0, 2**32 - 1))
-    @example(1, 0.0, 40, 1, 0)  # batch_size 1 on a one-column table: 23 steps, two a chunk
-    @example(3, 1e-2, 600, 3, 1)  # three blocks: 7 steps in chunks of 3, 3 and 1
-    @example(2, 1e-2, 1, 1, 2)  # a bound below one step: a chunk per step
+    # chunks of fewer ids than offset ids take np.unique, the others marks
+    @example(1, 0.0, 40, 1, 0)  # batch_size 1 on a one-column table: 23 steps, np.unique
+    @example(3, 1e-2, 600, 3, 1)  # three blocks: 7 steps in chunks of 3, 3 and 1, marks
+    @example(2, 1e-2, 1, 1, 2)  # a bound below one step: a chunk per step, both ways
     def test_planned_steps_match_unique_and_add_at(self, batch_size, k, chunk_ids, d_t, seed):
         from negclap.training import TrainConfig, plan_epoch
 
