@@ -291,11 +291,11 @@ def _pool_layouts(rows: np.ndarray, lens: np.ndarray, size: int) -> list[PoolLay
     The ids, each offset by its batch's index times a span past the largest
     id, give every batch's hit rows and each id's index among them: from
     one ``np.unique``, or from marks over every offset id where there are
-    fewer of those than ids, as in one large batch.  A batch's pooled rows go in chunks of
-    ``_POOL_CHUNK``, a lone last row joining the chunk before it.  A chunk
-    of one row is scattered, since numpy would sum a one-column table's
-    lone row pairwise; so is a chunk whose padding would more than double
-    its index, so no chunk holds much more than its ids.
+    fewer of those than ids, as in one large batch.  A batch's pooled rows
+    go in chunks of ``_POOL_CHUNK``, a lone last row joining the chunk
+    before it.  A chunk of one row is scattered, since numpy would sum a
+    one-column table's lone row pairwise; so is a chunk whose padding would
+    more than double its index, so no chunk holds much more than its ids.
     """
     n = len(lens) // size
     if n == 0:
@@ -305,7 +305,7 @@ def _pool_layouts(rows: np.ndarray, lens: np.ndarray, size: int) -> list[PoolLay
     n_ids = np.diff(batch_at)
     span = int(np.maximum.reduce(rows, initial=0)) + 1
     offset = np.repeat(np.arange(0, n * span, span), n_ids) + rows
-    if n * span <= len(rows):  # marks over every key cost less than a sort of the ids
+    if n * span <= len(rows):  # marks over every offset id cost less than a sort
         marks = np.zeros(n * span, dtype=bool)
         marks[offset] = True
         keys = np.flatnonzero(marks)
@@ -542,7 +542,7 @@ def _scatter_rows(index: np.ndarray, values: np.ndarray, n_out: int) -> np.ndarr
 
 
 def _pool_rows(table: np.ndarray, ids: CaptionIds) -> np.ndarray:
-    """Sum of table rows in runs: pooled row r sums the next ``ids.lens[r]`` rows of ``ids.rows``.
+    """Sums of table rows in runs: pooled row r sums the next ``ids.lens[r]`` of ``ids.rows``.
 
     Every pooled row is 0.0 plus its table rows, added one after another in
     ``ids.rows`` order, so the result is byte-identical to ``np.add.at``.
@@ -646,8 +646,8 @@ def model_backward(
     back row-sparse (see ``RowGrad``) on the batch's hit rows, scattered
     over the ids' indices among them (see ``PoolLayout``), so each row is
     summed in caption order and, within a caption, token order (unigram
-    and bigram ids hit disjoint halves of the table).  log_temperature is not on any encoder path and
-    gets a 0.0 entry here.
+    and bigram ids hit disjoint halves of the table).  log_temperature is
+    not on any encoder path and gets a 0.0 entry here.
     """
     layout = _dense_layout(params.dims)
     audio_at, temperature_at = layout[_AUDIO_FIELD][1], layout[-1][1]
