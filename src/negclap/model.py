@@ -280,8 +280,9 @@ class PoolLayout:
 # at evaluation batch sizes
 _POOL_CHUNK = 64
 # bucket ids per chunk of ``CaptionIds.batches``: the layouts of a chunk's
-# batches are built together, so only a chunk's layouts are held at once
-_LAYOUT_CHUNK = 1 << 14
+# batches are built together, so only a chunk's layouts are held at once; an
+# intp array over a chunk's ids is 64 KiB, and a desk step holds 150-550 ids
+_LAYOUT_CHUNK = 1 << 13
 
 
 def _pool_layouts(rows: np.ndarray, lens: np.ndarray, size: int) -> list[PoolLayout]:
