@@ -349,8 +349,10 @@ def _weak_rows(features: np.ndarray) -> np.ndarray:
 
 def _all_equal(features: np.ndarray) -> bool:
     """Whether two or more rows are all equal: their clips embed alike, so every
-    ranking over them would be decided by ties."""
-    return len(features) >= 2 and not (features[1:] != features[0]).any()
+    ranking over them would be decided by ties.  The first column tells most
+    rows apart, so the whole rows are compared only when it does not."""
+    return (len(features) >= 2 and not (features[1:, :1] != features[0, :1]).any()
+            and not (features[1:] != features[0]).any())
 
 
 def split_dataset(dataset: Dataset, n_test: int) -> tuple[Dataset, Dataset]:

@@ -200,6 +200,13 @@ def test_equal_captions_load(tmp_path):
     assert len(load_dataset(path)) == len(RECORDS)
 
 
+def test_rows_equal_in_their_first_column_load(tmp_path):
+    path = tmp_path / "ok.jsonl"
+    path.write_text(text(records={1: {"features": [1.0, 1.0]}, 2: {"features": [1.0, -1.0]}}),
+                    encoding="utf-8")
+    assert len(load_dataset(path)) == len(RECORDS)
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_each_fault_has_its_message(tmp_path, case):
     content, error, message = CASES[case]
